@@ -9,10 +9,14 @@ right-hand side is invariant to rescaling the whole vector, but the
 equation itself pins the raw magnitudes to rate units; the reported
 vector is normalized to sum to 1.
 
-No closed form is available in general, so the solver runs damped
-successive substitution. A batched variant solves many rate matrices
-over one graph simultaneously, which is what makes finite-difference
-stability sweeps cheap.
+No closed form is available in general. The solver takes damped
+successive-substitution steps while far from the fixed point, then
+Newton steps with the Jacobian dF_i/dv_k = (R_ik - F_i A_ik) / (A v)_i
+(Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
+ch. 5). It solves a stack of rate matrices over one graph at once; a
+caller that knows a nearby fixed point can start every row there and
+share one Newton matrix (chord steps), which is what makes
+finite-difference stability sweeps cheap.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "NonConvergenceError",
     "likedness_centrality",
     "eigenvector_centrality",
+    "newton_matrix",
     "solve_rate_batch",
     "write_rates_dense",
     "write_rates_triplets",
@@ -53,12 +58,11 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Damped successive-substitution controls.
+    """Fixed-point solver controls.
 
     tolerance bounds the fixed-point residual max|F(v) - v| at the
-    returned raw iterate; the successive-iterate step is `relaxation`
-    times that residual, so both readings agree up to the damping
-    factor.
+    returned raw iterate. `relaxation` is the damping factor of the
+    successive-substitution steps taken far from the fixed point.
     """
 
     tolerance: float = 1e-10
@@ -90,6 +94,9 @@ class RateMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.n, self.n):
             raise SolverError(f"rate matrix shape {v.shape} != ({self.n}, {self.n})")
+        if not np.isfinite(v).all():
+            i, j = np.argwhere(~np.isfinite(v))[0]
+            raise SolverError(f"rate matrix entry ({i}, {j}) is not finite: {v[i, j]}")
         if (v < 0).any():
             raise SolverError("rate matrix entries must be nonnegative")
         if np.diag(v).any():
@@ -128,15 +135,56 @@ class CentralityVector:
     iterations: int
 
 
-def _normalize(raw: np.ndarray) -> np.ndarray:
-    total = raw.sum()
-    if total > 0:
-        return raw / total
-    return np.zeros_like(raw)
+# A row switches from damped steps to Newton or chord steps once its
+# residual is below POLISH_RESIDUAL times max|F(v)|; a polished step must
+# at least halve the residual or it is undone.
+POLISH_RESIDUAL = 0.03
+POLISH_CONTRACTION = 0.5
+
+
+def _normalize_rows(raw: np.ndarray) -> np.ndarray:
+    """Each row of a (batch, n) array divided by its sum; all-zero rows stay zero."""
+    total = raw.sum(axis=1, keepdims=True)
+    return np.where(total > 0, raw / np.where(total > 0, total, 1.0), 0.0)
+
+
+def _fixed_map(
+    rate_stack: np.ndarray, adj: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(F(v), A v) for each row; F is 0 where A v is 0 (isolated nodes)."""
+    numer = np.einsum("bij,bj->bi", rate_stack, values)
+    denom = values @ adj.T
+    safe = denom > 0.0
+    return np.where(safe, numer / np.where(safe, denom, 1.0), 0.0), denom
+
+
+def _jacobian_stack(
+    rate_stack: np.ndarray, adj: np.ndarray, fixed: np.ndarray, denom: np.ndarray
+) -> np.ndarray:
+    """dF_i/dv_k = (R_ik - F_i * A_ik) / (A v)_i for each row; zero where (A v)_i = 0."""
+    safe = denom > 0.0
+    inv = np.where(safe, 1.0 / np.where(safe, denom, 1.0), 0.0)
+    return (rate_stack - fixed[:, :, None] * adj) * inv[:, :, None]
+
+
+def newton_matrix(g: Graph, rates: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """(I - dF/dv)^-1 for one rate matrix at the raw iterate `raw`.
+
+    At a fixed point this maps a change in F to the change in the fixed
+    point, so it is both the Newton step matrix and the exact
+    sensitivity operator. Raises numpy.linalg.LinAlgError when singular.
+    """
+    fixed, denom = _fixed_map(rates[None], g.adjacency, raw[None])
+    jac = _jacobian_stack(rates[None], g.adjacency, fixed, denom)[0]
+    return np.linalg.inv(np.eye(g.n) - jac)
 
 
 def solve_rate_batch(
-    g: Graph, rate_stack: np.ndarray, opts: SolverOptions
+    g: Graph,
+    rate_stack: np.ndarray,
+    opts: SolverOptions,
+    start: np.ndarray | None = None,
+    step_matrix: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the likedness fixed point for a stack of rate matrices.
 
@@ -145,39 +193,77 @@ def solve_rate_batch(
     (batch, n), (batch,), (batch,). Rows are frozen as soon as their
     residual max|F(v) - v| drops to opts.tolerance, so each row equals
     the corresponding single solve.
+
+    Every row updates v <- v + P (F(v) - v). While its residual is at
+    least POLISH_RESIDUAL * max|F(v)|, P = relaxation * I (damped
+    substitution). Below that, P = (I - dF/dv)^-1 with the row's own
+    Jacobian at v (Newton), or P = `step_matrix` when given, one n x n
+    matrix shared by every row (chord). A polished step that fails to
+    halve the row's residual is undone, as is a singular Newton system,
+    and the row takes damped steps from then on, so a poor step matrix
+    costs iterations, never the fixed point.
+
+    `start` (shape (n,) or (batch, n)) replaces the uniform start
+    vector, e.g. a nearby fixed point.
     """
     if not g.edges:
         raise DegenerateSystemError("graph has no edges; every denominator is zero")
     adj = g.adjacency
     n = g.n
     batch = rate_stack.shape[0]
-    isolated = g.degrees == 0
 
-    values = np.full((batch, n), 1.0 / n)
-    values[:, isolated] = 0.0
+    if start is None:
+        values = np.full((batch, n), 1.0 / n)
+    else:
+        values = np.array(np.broadcast_to(start, (batch, n)), dtype=float)
+    values[:, g.degrees == 0] = 0.0
     active = np.ones(batch, dtype=bool)
     converged = np.zeros(batch, dtype=bool)
     iterations = np.zeros(batch, dtype=np.int64)
-    omega = opts.relaxation
+    damped_only = np.zeros(batch, dtype=bool)
+    polished = np.zeros(batch, dtype=bool)
+    previous = None  # (values, fixed, residual, denom) before the last step
 
     for _ in range(opts.max_iterations + 1):
-        numer = np.einsum("bij,bj->bi", rate_stack, values)
-        denom = values @ adj.T
-        safe = denom > 0.0
-        fixed = np.where(safe, numer / np.where(safe, denom, 1.0), 0.0)
-        fixed[:, isolated] = 0.0
-
+        fixed, denom = _fixed_map(rate_stack, adj, values)
         residual = np.abs(fixed - values).max(axis=1)
+        if polished.any():
+            # undo polished steps that did not halve the residual
+            rejected = polished & ~(residual <= POLISH_CONTRACTION * previous[2])
+            if rejected.any():
+                damped_only |= rejected
+                values[rejected] = previous[0][rejected]
+                fixed[rejected] = previous[1][rejected]
+                residual[rejected] = previous[2][rejected]
+                denom[rejected] = previous[3][rejected]
+
         settled = active & (residual <= opts.tolerance)
         converged |= settled
         active &= ~settled
-
         step = active & (iterations < opts.max_iterations)
         if not step.any():
             break
-        updated = (1.0 - omega) * values + omega * fixed
-        values = np.where(step[:, None], updated, values)
-        iterations = np.where(step, iterations + 1, iterations)
+
+        gap = fixed - values
+        delta = opts.relaxation * gap
+        polished = step & ~damped_only & (residual < POLISH_RESIDUAL * np.abs(fixed).max(axis=1))
+        rows = np.flatnonzero(polished)
+        if rows.size:
+            if step_matrix is not None:
+                delta[rows] = gap[rows] @ step_matrix.T
+            else:
+                jac = _jacobian_stack(rate_stack[rows], adj, fixed[rows], denom[rows])
+                try:
+                    delta[rows] = np.linalg.solve(np.eye(n) - jac, gap[rows, :, None])[:, :, 0]
+                except np.linalg.LinAlgError:
+                    # the batched solve cannot say which row is singular:
+                    # these rows keep their damped step and stay damped
+                    damped_only[rows] = True
+                    polished[rows] = False
+        delta[~step] = 0.0
+        previous = (values, fixed, residual, denom)
+        values = values + delta
+        iterations += step
 
     return values, converged, iterations
 
@@ -185,7 +271,7 @@ def solve_rate_batch(
 def likedness_centrality(
     g: Graph, rates: RateMatrix, opts: SolverOptions | None = None
 ) -> CentralityVector:
-    """Solve for likedness centrality by damped successive substitution.
+    """Solve for likedness centrality (see solve_rate_batch).
 
     Starts from the uniform vector, holds isolated nodes at exactly
     zero, and normalizes the reported values to sum to 1. When the
@@ -196,10 +282,9 @@ def likedness_centrality(
     opts = opts or SolverOptions()
     rates.check_support(g)
     raw, conv, iters = solve_rate_batch(g, rates.values[None, :, :], opts)
-    raw0 = raw[0]
     return CentralityVector(
-        values=_normalize(raw0),
-        raw=raw0,
+        values=_normalize_rows(raw)[0],
+        raw=raw[0],
         converged=bool(conv[0]),
         iterations=int(iters[0]),
     )
@@ -275,10 +360,17 @@ def read_rates(path) -> RateMatrix:
             raise SolverError(f"expected 'n=<N>' header in triplet file, got {header!r}")
         n = int(header[2:])
         values = np.zeros((n, n))
+        seen = set()
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             i, j, rate = line.split()
-            values[int(i), int(j)] = float(rate)
+            i, j = int(i), int(j)
+            if not (0 <= i < n and 0 <= j < n):
+                raise SolverError(f"triplet index ({i}, {j}) out of range for n={n}")
+            if (i, j) in seen:
+                raise SolverError(f"duplicate triplet for entry ({i}, {j})")
+            seen.add((i, j))
+            values[i, j] = float(rate)
     return RateMatrix(n=n, values=values)

@@ -3,7 +3,9 @@
 Graphs here are small (tens of nodes), immutable, and always indexed
 0..n-1. Generators cover the two topologies used by the ensemble
 experiments: preferential-attachment graphs and stars. Metrics are
-exact (per-node breadth-first search, direct triangle counting).
+exact and computed on the adjacency matrix: path lengths by a
+breadth-first search from all nodes at once, clustering from the
+diagonal of A^3.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 1:
             return True
-        return bool((_bfs_distances(self, 0) >= 0).all())
+        return bool((_distances(self)[0] >= 0).all())
 
 
 def generate_ba(n: int, k: int, seed) -> Graph:
@@ -145,51 +147,45 @@ def generate_star(n: int) -> Graph:
     return Graph(n=n, edges=tuple((0, i) for i in range(1, n)))
 
 
-def _bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Geodesic distances from source; -1 marks unreachable nodes."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
+def _distances(g: Graph) -> np.ndarray:
+    """All-pairs geodesic distances by a breadth-first search from every
+    node at once; -1 marks unreachable pairs."""
+    dist = np.where(np.eye(g.n, dtype=bool), 0, -1)
+    frontier = np.eye(g.n)
+    for depth in range(1, g.n):
+        reached = (frontier @ g.adjacency > 0.0) & (dist < 0)
+        if not reached.any():
+            break
+        dist[reached] = depth
+        frontier = reached.astype(float)
     return dist
+
+
+def _mean_path_length(dist: np.ndarray) -> float:
+    n = dist.shape[0]
+    if (dist < 0).any():
+        raise DisconnectedGraphError("graph is disconnected")
+    # each unordered pair counted twice
+    return int(dist.sum()) / (n * (n - 1))
 
 
 def mean_path_length(g: Graph) -> float:
     """Average geodesic distance over all unordered distinct pairs."""
     if g.n < 2:
         raise GraphError("mean path length undefined for n < 2")
-    total = 0
-    for source in range(g.n):
-        dist = _bfs_distances(g, source)
-        if (dist < 0).any():
-            raise DisconnectedGraphError("graph is disconnected")
-        total += int(dist.sum())
-    # each unordered pair counted twice
-    return total / (g.n * (g.n - 1))
+    return _mean_path_length(_distances(g))
 
 
 def mean_local_clustering(g: Graph) -> float:
-    """Mean local clustering coefficient; degree-<2 nodes contribute 0."""
-    coeffs = []
-    for node in range(g.n):
-        nbrs = g.neighbors[node]
-        d = len(nbrs)
-        if d < 2:
-            coeffs.append(0.0)
-            continue
-        links = 0
-        for a in range(d):
-            for b in range(a + 1, d):
-                if g.has_edge(nbrs[a], nbrs[b]):
-                    links += 1
-        coeffs.append(links / (d * (d - 1) / 2))
+    """Mean local clustering coefficient; degree-<2 nodes contribute 0.
+
+    A node's coefficient is (A^3)_ii / (d_i (d_i - 1)): the diagonal of
+    A^3 counts each triangle through i twice.
+    """
+    adj = g.adjacency
+    closed = ((adj @ adj) * adj).sum(axis=1)
+    pairs = g.degrees * (g.degrees - 1)
+    coeffs = np.where(pairs > 0, closed / np.maximum(pairs, 1), 0.0)
     return float(np.mean(coeffs))
 
 
@@ -200,10 +196,7 @@ def degree_stddev(g: Graph) -> float:
 
 def degree_histogram(g: Graph) -> list[int]:
     """Count of nodes per degree value, indexed 0..n-1."""
-    hist = [0] * g.n
-    for d in g.degrees:
-        hist[int(d)] += 1
-    return hist
+    return np.bincount(g.degrees, minlength=g.n).tolist()
 
 
 @dataclass(frozen=True)
@@ -218,11 +211,12 @@ class GraphMetrics:
 
 
 def compute_metrics(g: Graph) -> GraphMetrics:
-    connected = g.is_connected()
+    dist = _distances(g)
+    connected = bool((dist >= 0).all())
     return GraphMetrics(
         degree_histogram=tuple(degree_histogram(g)),
         degree_stddev=degree_stddev(g),
-        mean_path_length=mean_path_length(g) if connected and g.n > 1 else float("inf"),
+        mean_path_length=_mean_path_length(dist) if connected and g.n > 1 else float("inf"),
         mean_local_clustering=mean_local_clustering(g),
         connected=connected,
     )

@@ -11,9 +11,11 @@ a rate, and the stability is exactly 1.
 
 Derivatives are finite-difference quotients on the sum-normalized
 centrality vector: forward steps of 1% of the entry's value, with an
-absolute fallback step for entries at the zero boundary. All the
-perturbed solves for one system run as a single batch over the shared
-graph.
+absolute fallback step for entries at the zero boundary. The baseline
+is solved first; all the perturbed solves then run as one batch over
+the shared graph, started from the baseline fixed point and stepped
+with the baseline's Newton matrix (chord steps), since each perturbed
+system differs from the baseline in one entry.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .centrality import RateMatrix, SolverOptions, _normalize, solve_rate_batch
+from .centrality import (
+    RateMatrix,
+    SolverOptions,
+    _normalize_rows,
+    newton_matrix,
+    solve_rate_batch,
+)
 from .graphs import Graph, GraphError
 
 __all__ = [
@@ -61,12 +69,6 @@ class StabilityResult:
     solver_converged: bool
 
 
-def _forward_step(rate: float) -> float:
-    if rate < ZERO_RATE_FLOOR:
-        return ABSOLUTE_STEP
-    return RELATIVE_STEP * rate
-
-
 def _directed_entries(g: Graph) -> list[tuple[int, int]]:
     """Perturbed entries (j, i) for every ordered adjacent pair, sorted."""
     entries = []
@@ -85,60 +87,53 @@ def _gradient_batch(
 ) -> tuple[np.ndarray, bool]:
     """Finite-difference gradients d(value_i)/d(rates[j, i]) for entries (j, i).
 
-    Solves the baseline and all perturbed systems in one batch.
-    Returns (gradients, all_solves_converged); non-convergence is
-    flagged, never raised.
+    Solves the baseline system first, then every perturbed system in one
+    batch started from the baseline fixed point and stepped with the
+    baseline's Newton matrix (chord steps): each perturbed system differs
+    from the baseline in one entry. Returns (gradients,
+    all_solves_converged); non-convergence is flagged, never raised.
     """
-    base = rates.values
-    if scheme == "forward":
-        stack = [base]
-        steps = []
-        for j, i in entries:
-            delta = _forward_step(base[j, i])
-            perturbed = base.copy()
-            perturbed[j, i] += delta
-            stack.append(perturbed)
-            steps.append(delta)
-        raw, conv, _ = solve_rate_batch(g, np.array(stack), opts)
-        normalized = np.array([_normalize(row) for row in raw])
-        grads = np.empty(len(entries))
-        for idx, (j, i) in enumerate(entries):
-            grads[idx] = (normalized[1 + idx, i] - normalized[0, i]) / steps[idx]
-        return grads, bool(conv.all())
-
-    if scheme != "central":
+    if scheme not in ("forward", "central"):
         raise ValueError(f"unknown difference scheme {scheme!r}")
-    stack = []
-    steps = []
-    for j, i in entries:
-        rate = base[j, i]
-        if rate >= ZERO_RATE_FLOOR:
-            delta = CENTRAL_RELATIVE_STEP * rate
-        else:
-            # cannot step below the nonnegative boundary; shrink to fit
-            delta = min(ABSOLUTE_STEP, rate) if rate > 0 else 0.0
-        if delta <= 0.0:
-            # degenerate central stencil at an exactly-zero entry:
-            # fall back to the forward rule for this entry
-            delta = ABSOLUTE_STEP
-            lo, hi = rate, rate + 2 * delta  # one-sided, same divisor
-        else:
-            lo, hi = rate - delta, rate + delta
-        plus = base.copy()
-        plus[j, i] = hi
-        minus = base.copy()
-        minus[j, i] = lo
-        stack.append(plus)
-        stack.append(minus)
-        steps.append(delta)
-    raw, conv, _ = solve_rate_batch(g, np.array(stack), opts)
-    normalized = np.array([_normalize(row) for row in raw])
-    grads = np.empty(len(entries))
-    for idx, (j, i) in enumerate(entries):
-        grads[idx] = (normalized[2 * idx, i] - normalized[2 * idx + 1, i]) / (
-            2 * steps[idx]
+    base = rates.values
+    targets, agents = np.array(entries, dtype=np.int64).reshape(-1, 2).T
+    rate = base[targets, agents]
+    if scheme == "forward":
+        steps = np.where(rate < ZERO_RATE_FLOOR, ABSOLUTE_STEP, RELATIVE_STEP * rate)
+        stencil = [rate + steps]
+        divisor = steps
+    else:
+        # central steps shrink to fit above the nonnegative boundary; an
+        # exactly-zero entry falls back to a one-sided stencil, same divisor
+        steps = np.where(
+            rate >= ZERO_RATE_FLOOR, CENTRAL_RELATIVE_STEP * rate, np.minimum(ABSOLUTE_STEP, rate)
         )
-    return grads, bool(conv.all())
+        one_sided = steps <= 0.0
+        steps = np.where(one_sided, ABSOLUTE_STEP, steps)
+        stencil = [
+            np.where(one_sided, rate + 2 * steps, rate + steps),
+            np.where(one_sided, rate, rate - steps),
+        ]
+        divisor = 2 * steps
+
+    base_raw, base_conv, _ = solve_rate_batch(g, base[None], opts)
+    try:
+        chord = newton_matrix(g, base, base_raw[0])
+    except np.linalg.LinAlgError:
+        chord = None  # each perturbed row takes its own Newton steps
+    count = len(agents)
+    pick = np.arange(count)
+    stack = np.repeat(base[None], len(stencil) * count, axis=0)
+    for block, perturbed in enumerate(stencil):
+        stack[block * count + pick, targets, agents] = perturbed
+    raw, conv, _ = solve_rate_batch(g, stack, opts, start=base_raw[0], step_matrix=chord)
+    normalized = _normalize_rows(raw).reshape(len(stencil), count, g.n)
+    upper = normalized[0, pick, agents]
+    if scheme == "forward":
+        lower = _normalize_rows(base_raw)[0, agents]
+    else:
+        lower = normalized[1, pick, agents]
+    return (upper - lower) / divisor, bool(base_conv[0] and conv.all())
 
 
 def centrality_gradient(

@@ -12,11 +12,13 @@ from likenet.centrality import (
     SolverOptions,
     eigenvector_centrality,
     likedness_centrality,
+    newton_matrix,
     read_rates,
     solve_rate_batch,
     write_rates_dense,
     write_rates_triplets,
 )
+from likenet.ensemble import sample_rates
 from likenet.graphs import Graph, generate_ba, generate_star
 from util import random_connected_graph, random_rates, undamped_fixed_point
 
@@ -144,6 +146,95 @@ class TestLikednessSolver:
             assert int(iters[row]) == single.iterations
 
 
+def independent_residual(g, rates, raw):
+    """max_i |F_i(v) - v_i| written out entry by entry, sharing no solver code."""
+    worst = 0.0
+    for i in range(g.n):
+        denom = sum(g.adjacency[i, j] * raw[j] for j in range(g.n))
+        numer = sum(rates[i, j] * raw[j] for j in range(g.n))
+        fixed = numer / denom if denom > 0 else 0.0
+        worst = max(worst, abs(fixed - raw[i]))
+    return worst
+
+
+def ba_systems(count, n=10, k=2, seed=0):
+    for index in range(count):
+        g = generate_ba(n, k, seed + index)
+        yield g, sample_rates(g, 1.0, 1000 + seed + index)
+
+
+class TestSolverContract:
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_converged_rows_meet_tolerance(self, shared):
+        opts = SolverOptions()
+        rng = np.random.default_rng(17)
+        systems = list(ba_systems(15)) + list(ba_systems(3, n=25, k=3))
+        systems += [(g, random_rates(g, rng)) for g in
+                    (random_connected_graph(int(rng.integers(3, 9)), rng) for _ in range(10))]
+        for g, rates in systems:
+            stack = np.array([rates.values, rates.values * 1.5, rates.values ** 2])
+            step = None
+            if shared:
+                raw0, _, _ = solve_rate_batch(g, stack[:1], opts)
+                step = newton_matrix(g, stack[0], raw0[0])
+            raw, conv, _ = solve_rate_batch(g, stack, opts, step_matrix=step)
+            assert conv.all()
+            for row in range(len(stack)):
+                assert independent_residual(g, stack[row], raw[row]) <= opts.tolerance
+
+    @pytest.mark.parametrize("wrong", ["scaled_identity", "other_rates", "nan"])
+    def test_wrong_step_matrix_still_reaches_the_fixed_point(self, wrong):
+        opts = SolverOptions()
+        for g, rates in ba_systems(10, seed=40):
+            reference, ok, _ = solve_rate_batch(g, rates.values[None], opts)
+            assert ok.all()
+            if wrong == "scaled_identity":
+                step = 10.0 * np.eye(g.n)
+            elif wrong == "other_rates":
+                other = sample_rates(g, 1.0, 7)
+                other_raw, _, _ = solve_rate_batch(g, other.values[None], opts)
+                step = newton_matrix(g, other.values, other_raw[0])
+            else:
+                step = np.full((g.n, g.n), np.nan)
+            raw, conv, _ = solve_rate_batch(g, rates.values[None], opts, step_matrix=step)
+            assert conv.all()
+            assert independent_residual(g, rates.values, raw[0]) <= opts.tolerance
+            assert raw[0] == pytest.approx(reference[0], rel=1e-8, abs=1e-9)
+
+    def test_singular_newton_systems_fall_back_to_damped_steps(self, monkeypatch):
+        g, rates = next(ba_systems(1, seed=3))
+        expected = likedness_centrality(g, rates)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        raw, conv, iters = solve_rate_batch(g, rates.values[None], SolverOptions())
+        assert conv.all()
+        assert iters[0] > expected.iterations
+        assert raw[0] == pytest.approx(expected.raw, rel=1e-8, abs=1e-9)
+
+    def test_warm_start_at_nearby_fixed_point_takes_fewer_iterations(self):
+        opts = SolverOptions()
+        for g, rates in ba_systems(10, seed=60):
+            base, _, _ = solve_rate_batch(g, rates.values[None], opts)
+            nearby = np.array([rates.values * (1 + 0.01 * g.adjacency * k) for k in (1, 2, 3)])
+            _, cold_conv, cold = solve_rate_batch(g, nearby, opts)
+            _, warm_conv, warm = solve_rate_batch(g, nearby, opts, start=base[0])
+            assert cold_conv.all() and warm_conv.all()
+            assert (warm < cold).all()
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_iteration_cap_reports_nonconvergence(self, cap):
+        opts = SolverOptions(max_iterations=cap)
+        g, rates = next(ba_systems(1, seed=80))
+        stack = np.array([rates.values, rates.values * 2.0])
+        raw, conv, iters = solve_rate_batch(g, stack, opts)
+        assert not conv.any()
+        assert (iters == cap).all()
+        assert np.isfinite(raw).all()
+
+
 class TestRateMatrixType:
     def test_rejects_negative(self):
         with pytest.raises(SolverError):
@@ -156,6 +247,11 @@ class TestRateMatrixType:
     def test_rejects_bad_shape(self):
         with pytest.raises(SolverError):
             RateMatrix(3, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(SolverError, match=r"entry \(0, 1\) is not finite"):
+            RateMatrix(2, np.array([[0, bad], [1.0, 0]]))
 
     def test_values_read_only(self):
         rates = RateMatrix(2, np.array([[0, 1.0], [2.0, 0]]))
@@ -238,4 +334,23 @@ class TestRateMatrixIO:
         path = tmp_path / "rates.csv"
         path.write_text("0.0,1.0,2.0\n1.0,0.0,3.0\n")
         with pytest.raises(SolverError):
+            read_rates(path)
+
+    @pytest.mark.parametrize("line", ["-1 1 0.5", "0 -2 0.5", "3 1 0.5", "1 3 0.5"])
+    def test_triplet_rejects_out_of_range_index(self, tmp_path, line):
+        path = tmp_path / "rates.txt"
+        path.write_text(f"n=3\n{line}\n")
+        with pytest.raises(SolverError, match="out of range"):
+            read_rates(path)
+
+    def test_triplet_rejects_duplicate_entries(self, tmp_path):
+        path = tmp_path / "rates.txt"
+        path.write_text("n=3\n0 1 0.5\n1 0 0.2\n0 1 0.7\n")
+        with pytest.raises(SolverError, match=r"duplicate triplet for entry \(0, 1\)"):
+            read_rates(path)
+
+    def test_nan_rate_on_an_edge_is_reported_as_non_finite(self, tmp_path):
+        path = tmp_path / "rates.txt"
+        path.write_text("n=2\n0 1 nan\n1 0 1.0\n")
+        with pytest.raises(SolverError, match="not finite"):
             read_rates(path)

@@ -196,3 +196,25 @@ class TestEdgeListIO:
         path.write_text("nodes=3\n0 1\n")
         with pytest.raises(GraphError):
             read_edge_list(path)
+
+
+class TestNetworkxOracle:
+    @pytest.mark.parametrize("n, k", [(10, 2), (40, 3)])
+    def test_metrics_match_networkx(self, n, k):
+        nx = pytest.importorskip("networkx")
+        for seed in range(1000):
+            g = generate_ba(n, k, seed)
+            reference = nx.Graph(list(g.edges))
+            reference.add_nodes_from(range(n))
+            metrics = compute_metrics(g)
+            assert metrics.connected == nx.is_connected(reference)
+            assert metrics.mean_path_length == pytest.approx(
+                nx.average_shortest_path_length(reference), rel=1e-12
+            )
+            assert metrics.mean_local_clustering == pytest.approx(
+                nx.average_clustering(reference), rel=1e-12, abs=1e-15
+            )
+            hist = nx.degree_histogram(reference)
+            assert list(metrics.degree_histogram) == hist + [0] * (n - len(hist))
+            degrees = [d for _, d in reference.degree()]
+            assert metrics.degree_stddev == pytest.approx(np.std(degrees), rel=1e-12)

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from likenet.centrality import RateMatrix, SolverOptions
+from likenet.centrality import RateMatrix, SolverOptions, newton_matrix, solve_rate_batch
+from likenet.ensemble import record_seeds, sample_rates
 from likenet.graphs import Graph, GraphError, generate_ba
 from likenet.stability import (
+    ABSOLUTE_STEP,
+    RELATIVE_STEP,
+    ZERO_RATE_FLOOR,
     centrality_gradient,
     classify_strategic,
     stability,
@@ -80,6 +84,74 @@ class TestCentralityGradient:
         fwd = centrality_gradient(g, rates, i, j)
         ctr = centrality_gradient(g, rates, i, j, scheme="central")
         assert fwd == pytest.approx(ctr, rel=0.05, abs=1e-3)
+
+
+def exact_gradients(g, rates, entries):
+    """d(value_i)/d(rates[j, i]) by implicit differentiation at the fixed point.
+
+    dv/dR[j, i] = M[:, j] v_i / (A v)_j with M = (I - dF/dv)^-1, carried
+    through the sum normalization u = v / sum(v).
+    """
+    opts = SolverOptions()
+    raw, conv, _ = solve_rate_batch(g, rates.values[None], opts)
+    assert conv.all()
+    v = raw[0]
+    m = newton_matrix(g, rates.values, v)
+    av = g.adjacency @ v
+    total = v.sum()
+    out = []
+    for j, i in entries:
+        dv = m[:, j] * v[i] / av[j]
+        out.append((dv[i] - v[i] / total * dv.sum()) / total)
+    return np.array(out)
+
+
+def forward_step(rate):
+    return ABSOLUTE_STEP if rate < ZERO_RATE_FLOOR else RELATIVE_STEP * rate
+
+
+class TestExactDerivativeOracle:
+    def test_forward_differences_within_truncation_budget(self):
+        # A first-order difference with a 1% relative step is off by O(1%)
+        # of the record's gradient scale; the solver adds up to 4*tol/h.
+        # Measured over these records: the squared sum at most 0.77% off,
+        # single gradients at most half the budget below.
+        tol = SolverOptions().tolerance
+        worst_gss = 0.0
+        for index in range(200):
+            graph_seed, rate_seed = record_seeds(19, index)
+            g = generate_ba(10, 2, graph_seed)
+            rates = sample_rates(g, 1.0, rate_seed)
+            result = stability(g, rates)
+            entries = list(result.per_edge_gradients)
+            fd = np.array([result.per_edge_gradients[e] for e in entries])
+            exact = exact_gradients(g, rates, entries)
+            noise = np.array([4 * tol / forward_step(rates.values[e]) for e in entries])
+            budget = 2 * RELATIVE_STEP * np.abs(exact).max() + noise
+            assert (np.abs(fd - exact) <= budget).all(), index
+            exact_gss = float((exact**2).sum())
+            worst_gss = max(worst_gss, abs(result.gradient_sq_sum - exact_gss) / exact_gss)
+        assert worst_gss <= 2 * RELATIVE_STEP
+
+    def test_small_rate_gradient_independent_of_start_vector(self):
+        # a 1.4e-5 rate gets a 1.4e-7 step, so solver error is amplified
+        # 7e6-fold; cold and warm starts must still agree within 4*tol/h
+        opts = SolverOptions()
+        graph_seed, rate_seed = record_seeds(19, 0)
+        g = generate_ba(10, 2, graph_seed)
+        values = sample_rates(g, 1.0, rate_seed).values.copy()
+        a, b = g.edges[0]
+        values[b, a] = 1.4e-5
+        rates = RateMatrix(g.n, values)
+        step = forward_step(values[b, a])
+        warm = centrality_gradient(g, rates, a, b, opts)
+        perturbed = values.copy()
+        perturbed[b, a] += step
+        raw, conv, _ = solve_rate_batch(g, np.array([values, perturbed]), opts)
+        assert conv.all()
+        normalized = raw / raw.sum(axis=1, keepdims=True)
+        cold = (normalized[1, a] - normalized[0, a]) / step
+        assert abs(warm - cold) <= 4 * opts.tolerance / step
 
 
 class TestStability:
