@@ -1,114 +1,70 @@
 #!/usr/bin/env python3
-"""Reproduce the figure-style analyses from a desk-scale record file.
+"""Reproduce the figure-style analyses from a record file.
 
-Reads records.jsonl produced by run_desk_ensemble.py (or `likenet
-ensemble`), then emits the plot-ready CSVs: strategic rate and degree
-representation ratios, stability-vs-metric trends, the logistic
-regression summary, the star comparison, and a coalition sweep plus
-reciprocity curve on the most stable sampled system.
+Runs `likenet analyze` and `likenet star-compare` on the records, then
+adds what no subcommand computes from a record file: the reciprocity
+curve of the most stable system and a `likenet coalition` sweep on it.
+That system's graph and rates are rebuilt from the record's stored
+rates. Options reach both subcommands the usual way, through LIKENET_*
+environment variables or a LIKENET_CONFIG file.
 
-Usage: python scripts/reproduce_analyses.py [records_jsonl] [out_dir]
+Usage: python scripts/reproduce_analyses.py RECORDS_JSONL OUT_DIR
+
+OUT_DIR receives analyze's files, star_comparison.json,
+most_stable_graph.txt, most_stable_rates.txt,
+reciprocity_most_stable.csv and coalition_most_stable.csv (+ .json).
 """
 
 import argparse
 import csv
-import json
+import sys
+from pathlib import Path
 
-from likenet.analysis import (
-    coalition_sweep,
-    degree_representation,
-    logistic_fit,
-    METRIC_FIELDS,
-    pick_outlying_pair,
-    rate_representation,
-    reciprocity_curve,
-    stability_vs_metric,
-    star_comparison,
-)
-from likenet.ensemble import EnsembleConfig, read_records, sample_rates
-from likenet.graphs import generate_ba
-from likenet.stability import classify_strategic
+import numpy as np
+
+from likenet import cli
+from likenet.analysis import reciprocity_curve
+from likenet.centrality import RateMatrix, write_rates_triplets
+from likenet.ensemble import read_records
+from likenet.graphs import Graph, write_edge_list
 
 
-def write_series(series, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("records")
+    parser.add_argument("out_dir")
+    args = parser.parse_args(argv)
+    out = Path(args.out_dir)
+
+    for command in (
+        ["analyze", "--records", args.records, "--out", str(out)],
+        ["star-compare", "--records", args.records, "--out", str(out / "star_comparison.json")],
+    ):
+        code = cli.main(command)
+        if code:
+            return code
+
+    best = max(read_records(args.records), key=lambda r: (r.stability, -r.record_index))
+    n = len(best.degree_histogram)
+    g = Graph(n, tuple((i, j) for i, j, _ in best.outgoing_rates if i < j))
+    values = np.zeros((n, n))
+    for i, j, rate in best.outgoing_rates:
+        values[i, j] = rate
+    rates = RateMatrix(n, values)
+    graph_path, rates_path = out / "most_stable_graph.txt", out / "most_stable_rates.txt"
+    write_edge_list(g, graph_path)
+    write_rates_triplets(rates, rates_path)
+    with open(out / "reciprocity_most_stable.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_low", "bin_high", "value", "count"])
-        writer.writerows(series.rows())
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("records", nargs="?", default="results/desk/records.jsonl")
-    parser.add_argument("out_dir", nargs="?", default="results/analysis")
-    parser.add_argument("--seed", type=int, default=19)
-    parser.add_argument("--strategic-fraction", type=float, default=0.001)
-    args = parser.parse_args()
-
-    from pathlib import Path
-
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    records = read_records(args.records)
-    config = EnsembleConfig(master_seed=args.seed)
-
-    strategic, population, threshold = classify_strategic(
-        records, args.strategic_fraction, direction="high"
+        writer.writerows(reciprocity_curve(g, rates, 3).rows())
+    return cli.main(
+        ["coalition", "--graph", str(graph_path), "--rates", str(rates_path),
+         "--out", str(out / "coalition_most_stable.csv")]
     )
-    print(f"{len(strategic)} strategic systems, stability threshold {threshold:.6f}")
-
-    write_series(rate_representation(strategic, population), out / "rate_representation.csv")
-    write_series(degree_representation(strategic, population), out / "degree_representation.csv")
-    summary = {"strategic_threshold": threshold, "spearman": {}}
-    for metric in METRIC_FIELDS:
-        trend = stability_vs_metric(records, metric)
-        summary["spearman"][metric] = trend.spearman
-        write_series(trend.series, out / f"stability_vs_{metric}.csv")
-        print(f"spearman(stability, {metric}) = {trend.spearman:+.4f}")
-
-    fit = logistic_fit(records)
-    summary["logistic_fit"] = {
-        "intercept": fit.intercept,
-        "coef_preferential": fit.coef_preferential,
-        "coef_path_length": fit.coef_path_length,
-        "coef_clustering": fit.coef_clustering,
-        "converged": fit.converged,
-    }
-    print(
-        f"logistic fit: pref {fit.coef_preferential:+.4f}, "
-        f"path {fit.coef_path_length:+.4f}, clustering {fit.coef_clustering:+.4f}"
-    )
-
-    stars = star_comparison(1000, config=config, ba_records=records, direction="high")
-    summary["star_comparison"] = {
-        "stability_advantage": stars.stability_advantage,
-        "branch_hub_ratio": stars.branch_hub_ratio,
-        "ba_hub_count": stars.ba_hub_count,
-    }
-    print(
-        f"stars vs hub-9 BA graphs: advantage {stars.stability_advantage:+.4%}, "
-        f"branch/hub centrality ratio {stars.branch_hub_ratio:.2f}"
-    )
-
-    # most stable system: reciprocity curve and coalition sweep
-    best = max(records, key=lambda r: (r.stability, -r.record_index))
-    g = generate_ba(config.n, config.k, best.graph_seed)
-    rates = sample_rates(g, config.rate_lambda, best.rate_seed)
-    write_series(reciprocity_curve(g, rates, 3), out / "reciprocity_most_stable.csv")
-    a, b = pick_outlying_pair(g)
-    points = coalition_sweep(g, rates, a, b, [0, 0.5, 1, 2, 4, 8, 16])
-    with open(out / "coalition_most_stable.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["joint_rate", "member_a", "member_b", "others_mean", "converged"])
-        for p in points:
-            writer.writerow([p.joint_rate, p.member_a, p.member_b, p.others_mean, p.converged])
-    summary["coalition_pair"] = [a, b]
-
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"analysis outputs in {out}")
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

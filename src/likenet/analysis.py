@@ -11,8 +11,8 @@ reciprocity and coalition experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from dataclasses import dataclass, replace
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -27,7 +27,7 @@ from .ensemble import (
     STAR_STREAM,
 )
 from .graphs import Graph, generate_star
-from .stability import stability
+from .stability import classify_strategic, stability
 
 __all__ = [
     "BinnedSeries",
@@ -443,13 +443,18 @@ class StarComparison:
     warnings: tuple[str, ...]
 
 
+class _StarSample(NamedTuple):
+    stability: float
+    branch_mean: float
+    hub: float
+
+
 def star_comparison(
     star_samples: int,
     ba_samples: int | None = None,
     config: EnsembleConfig | None = None,
     ba_records: Sequence[SystemRecord] | None = None,
-    strategic_fraction: float = 0.01,
-    direction: Literal["low", "high"] = "low",
+    direction: Literal["low", "high"] = "high",
     workers: int = 1,
 ) -> StarComparison:
     """Random-rate stars versus preferential-attachment graphs with a full hub.
@@ -457,9 +462,9 @@ def star_comparison(
     Stars are sampled fresh from a dedicated seed stream of the config.
     The comparison set is the subset of BA records whose maximum degree
     is n-1, either taken from `ba_records` (a prior run) or sampled
-    fresh (`ba_samples`). Also reports, within the most strategic
-    `strategic_fraction` of stars, the ratio of mean branch centrality
-    to mean hub centrality.
+    fresh (`ba_samples`). Also reports, within the strategic stars
+    (classify_strategic at the config's strategic_fraction), the ratio
+    of mean branch centrality to mean hub centrality.
     """
     if star_samples < 1:
         raise ValueError("star_samples must be >= 1")
@@ -467,28 +472,20 @@ def star_comparison(
     warnings = []
 
     star = generate_star(config.n)
-    star_stats = []
+    stars = []
     for idx in range(star_samples):
         _, rate_seed = record_seeds(config.master_seed, idx, stream=STAR_STREAM)
         rates = sample_rates(star, config.rate_lambda, rate_seed)
         result = stability(star, rates, config.solver)
         cv = likedness_centrality(star, rates, config.solver)
-        star_stats.append(
-            (result.stability, float(np.mean(cv.values[1:])), float(cv.values[0]))
+        stars.append(
+            _StarSample(result.stability, float(np.mean(cv.values[1:])), float(cv.values[0]))
         )
 
     if ba_records is None:
         if not ba_samples or ba_samples < 1:
             raise ValueError("need ba_samples >= 1 or an explicit ba_records set")
-        ba_config = EnsembleConfig(
-            sample_count=ba_samples,
-            n=config.n,
-            k=config.k,
-            rate_lambda=config.rate_lambda,
-            master_seed=config.master_seed,
-            solver=config.solver,
-            strategic_fraction=config.strategic_fraction,
-        )
+        ba_config = replace(config, sample_count=ba_samples)
         ba_records = list(run_ensemble(ba_config, workers=workers))
     hub_degree = config.n - 1
     hub_records = [r for r in ba_records if r.max_degree == hub_degree]
@@ -502,19 +499,12 @@ def star_comparison(
     if star_samples < 30:
         warnings.append(f"only {star_samples} star samples; wide uncertainty")
 
-    star_stabilities = np.array([s for s, _, _ in star_stats])
-    hub_stabilities = np.array([r.stability for r in hub_records])
-    star_mean = float(star_stabilities.mean())
-    hub_mean = float(hub_stabilities.mean())
+    star_mean = float(np.mean([s.stability for s in stars]))
+    hub_mean = float(np.mean([r.stability for r in hub_records]))
 
-    count = max(1, min(len(star_stats) - 1, int(round(strategic_fraction * len(star_stats))))) if len(star_stats) > 1 else 1
-    order = sorted(
-        range(len(star_stats)),
-        key=lambda idx: (star_stats[idx][0] if direction == "low" else -star_stats[idx][0], idx),
-    )
-    top = [star_stats[idx] for idx in order[:count]]
-    branch_mean = float(np.mean([b for _, b, _ in top]))
-    hub_centrality_mean = float(np.mean([h for _, _, h in top]))
+    strategic, _, _ = classify_strategic(stars, config.strategic_fraction, direction)
+    branch_mean = float(np.mean([s.branch_mean for s in strategic]))
+    hub_centrality_mean = float(np.mean([s.hub for s in strategic]))
     ratio = branch_mean / hub_centrality_mean if hub_centrality_mean > 0 else float("inf")
 
     return StarComparison(
@@ -524,6 +514,6 @@ def star_comparison(
         ba_hub_mean_stability=hub_mean,
         stability_advantage=star_mean / hub_mean - 1.0,
         branch_hub_ratio=ratio,
-        strategic_star_count=count,
+        strategic_star_count=len(strategic),
         warnings=tuple(warnings),
     )

@@ -345,11 +345,20 @@ def read_rates(path) -> RateMatrix:
     if path.endswith(".csv"):
         rows = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                rows.append([float(x) for x in line.split(",")])
+                try:
+                    row = [float(x) for x in line.split(",")]
+                except ValueError:
+                    raise SolverError(f"{path}:{lineno}: non-numeric entry in {line!r}") from None
+                if rows and len(row) != len(rows[0]):
+                    raise SolverError(
+                        f"{path}:{lineno}: row {len(rows) + 1} has {len(row)} entries, "
+                        f"expected {len(rows[0])}"
+                    )
+                rows.append(row)
         values = np.array(rows)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise SolverError(f"dense rate CSV must be square, got {values.shape}")
@@ -358,19 +367,31 @@ def read_rates(path) -> RateMatrix:
         header = fh.readline().strip()
         if not header.startswith("n="):
             raise SolverError(f"expected 'n=<N>' header in triplet file, got {header!r}")
-        n = int(header[2:])
+        try:
+            n = int(header[2:])
+        except ValueError:
+            raise SolverError(f"{path}:1: node count must be an integer, got {header!r}") from None
         values = np.zeros((n, n))
         seen = set()
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            i, j, rate = line.split()
-            i, j = int(i), int(j)
+            parts = line.split()
+            if len(parts) != 3:
+                raise SolverError(f"{path}:{lineno}: expected 'i j rate', got {line!r}")
+            try:
+                i, j, rate = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise SolverError(
+                    f"{path}:{lineno}: non-numeric index or rate in {line!r}"
+                ) from None
             if not (0 <= i < n and 0 <= j < n):
-                raise SolverError(f"triplet index ({i}, {j}) out of range for n={n}")
+                raise SolverError(
+                    f"{path}:{lineno}: triplet index ({i}, {j}) out of range for n={n}"
+                )
             if (i, j) in seen:
-                raise SolverError(f"duplicate triplet for entry ({i}, {j})")
+                raise SolverError(f"{path}:{lineno}: duplicate triplet for entry ({i}, {j})")
             seen.add((i, j))
-            values[i, j] = float(rate)
+            values[i, j] = rate
     return RateMatrix(n=n, values=values)

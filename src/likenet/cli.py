@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import analysis as an
@@ -27,6 +28,8 @@ from .centrality import (
 )
 from .ensemble import (
     EnsembleConfig,
+    config_from_dict,
+    config_to_dict,
     read_config_file,
     read_records,
     run_to_files,
@@ -38,52 +41,23 @@ log = logging.getLogger("likenet")
 
 ENV_PREFIX = "LIKENET_"
 
-# built-in defaults, shared with EnsembleConfig/SolverOptions
-DEFAULTS = {
-    "n": 10,
-    "k": 2,
-    "samples": 10_000,
-    "lambda": 1.0,
-    "seed": 19,
+FIELD_DEFAULTS = config_to_dict(EnsembleConfig())
+
+# flag spellings of the config fields whose flag differs from the field name
+FIELD_FLAGS = {
+    "sample_count": "samples",
+    "rate_lambda": "lambda",
+    "master_seed": "seed",
+    "max_iterations": "max_iter",
+}
+
+# defaults of the options that are not config fields
+CLI_DEFAULTS = {
     "workers": 1,
-    "tolerance": 1e-10,
-    "max_iter": 10_000,
-    "relaxation": 0.5,
-    "strategic_fraction": 0.001,
     "measure": "likedness",
     "model": "ba",
     "bins": 50,
     "strategic_direction": "high",
-}
-
-# flag name -> config-file key, where one exists
-CONFIG_KEYS = {
-    "n": "n",
-    "k": "k",
-    "samples": "sample_count",
-    "lambda": "rate_lambda",
-    "seed": "master_seed",
-    "tolerance": "tolerance",
-    "max_iter": "max_iterations",
-    "relaxation": "relaxation",
-    "strategic_fraction": "strategic_fraction",
-}
-
-_CASTS = {
-    "n": int,
-    "k": int,
-    "samples": int,
-    "seed": int,
-    "workers": int,
-    "max_iter": int,
-    "bins": int,
-    "lambda": float,
-    "tolerance": float,
-    "relaxation": float,
-    "strategic_fraction": float,
-    "measure": str,
-    "model": str,
-    "strategic_direction": str,
 }
 
 
@@ -92,42 +66,32 @@ class CliError(Exception):
 
 
 def _env_name(flag: str) -> str:
-    return ENV_PREFIX + flag.upper().replace("-", "_")
+    return ENV_PREFIX + flag.upper()
 
 
-def resolve(args: argparse.Namespace, name: str):
-    """flag > env > config file > default."""
-    given = getattr(args, name.replace("-", "_"), None)
+def resolve(args: argparse.Namespace, key: str):
+    """Config field or CLI option `key`: flag > env > config file > default."""
+    flag = FIELD_FLAGS.get(key, key)
+    given = getattr(args, flag, None)
     if given is not None:
         return given
-    env = os.environ.get(_env_name(name))
-    if env is not None:
-        return _CASTS.get(name, str)(env)
-    file_values = getattr(args, "_config_values", {})
-    key = CONFIG_KEYS.get(name)
-    if key is not None and key in file_values:
-        return file_values[key]
-    return DEFAULTS.get(name)
+    default = CLI_DEFAULTS[key] if key in CLI_DEFAULTS else FIELD_DEFAULTS[key]
+    env_name = _env_name(flag)
+    if env_name in os.environ:
+        raw = os.environ[env_name]
+        try:
+            return type(default)(raw)
+        except ValueError:
+            raise CliError(f"{env_name} must be {type(default).__name__}, got {raw!r}") from None
+    return getattr(args, "_config_values", {}).get(key, default)
 
 
 def solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        tolerance=resolve(args, "tolerance"),
-        max_iterations=resolve(args, "max_iter"),
-        relaxation=resolve(args, "relaxation"),
-    )
+    return config_from_dict({f.name: resolve(args, f.name) for f in fields(SolverOptions)}).solver
 
 
 def ensemble_config(args) -> EnsembleConfig:
-    return EnsembleConfig(
-        sample_count=resolve(args, "samples"),
-        n=resolve(args, "n"),
-        k=resolve(args, "k"),
-        rate_lambda=resolve(args, "lambda"),
-        master_seed=resolve(args, "seed"),
-        solver=solver_options(args),
-        strategic_fraction=resolve(args, "strategic_fraction"),
-    )
+    return config_from_dict({key: resolve(args, key) for key in FIELD_DEFAULTS})
 
 
 class OutputGuard:
@@ -171,7 +135,7 @@ def cmd_generate(args, guard: OutputGuard) -> None:
     model = resolve(args, "model")
     n = resolve(args, "n")
     if model == "ba":
-        g = generate_ba(n, resolve(args, "k"), resolve(args, "seed"))
+        g = generate_ba(n, resolve(args, "k"), resolve(args, "master_seed"))
     elif model == "star":
         g = generate_star(n)
     else:
@@ -224,14 +188,12 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
             raise CliError("no converged records to analyze")
     fraction = resolve(args, "strategic_fraction")
     direction = resolve(args, "strategic_direction")
-    if direction not in ("low", "high"):
-        raise CliError("--strategic-direction must be 'low' or 'high'")
-    rate_lambda = resolve(args, "lambda")
+    strategic, population, threshold = classify_strategic(records, fraction, direction)
+    rate_lambda = resolve(args, "rate_lambda")
     bins = resolve(args, "bins")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    strategic, population, threshold = classify_strategic(records, fraction, direction)
     _write_series_csv(
         an.rate_representation(strategic, population, rate_lambda, bins),
         guard.track(out_dir / "rate_representation.csv"),
@@ -254,15 +216,7 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
         "strategic_count": len(strategic),
         "strategic_threshold": threshold,
         "spearman": correlations,
-        "logistic_fit": {
-            "intercept": fit.intercept,
-            "coef_preferential": fit.coef_preferential,
-            "coef_path_length": fit.coef_path_length,
-            "coef_clustering": fit.coef_clustering,
-            "residual_norm": fit.residual_norm,
-            "iterations": fit.iterations,
-            "converged": fit.converged,
-        },
+        "logistic_fit": asdict(fit),
     }
     converged = [r for r in records if r.solver_converged]
     if converged and len(converged) != len(records):
@@ -328,24 +282,13 @@ def cmd_star_compare(args, guard: OutputGuard) -> None:
         ba_samples=args.ba_samples,
         config=config,
         ba_records=ba_records,
-        strategic_fraction=resolve(args, "strategic_fraction"),
         direction=direction,
         workers=resolve(args, "workers"),
     )
     for warning in result.warnings:
         log.warning("%s", warning)
     _write_json(
-        {
-            "star_count": result.star_count,
-            "ba_hub_count": result.ba_hub_count,
-            "star_mean_stability": result.star_mean_stability,
-            "ba_hub_mean_stability": result.ba_hub_mean_stability,
-            "stability_advantage": result.stability_advantage,
-            "branch_hub_ratio": result.branch_hub_ratio,
-            "strategic_star_count": result.strategic_star_count,
-            "strategic_direction": direction,
-            "warnings": list(result.warnings),
-        },
+        {**asdict(result), "strategic_direction": direction},
         guard.track(args.out),
     )
     log.info(
@@ -450,11 +393,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    config_path = args.config or os.environ.get(_env_name("config"))
-    args._config_values = read_config_file(config_path) if config_path else {}
-
     guard = OutputGuard()
     try:
+        config_path = args.config or os.environ.get(_env_name("config"))
+        args._config_values = read_config_file(config_path) if config_path else {}
         args.func(args, guard)
     except (CliError, OSError, ValueError, RuntimeError) as exc:
         guard.discard_partial()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -69,7 +69,7 @@ class EnsembleConfig:
     n: int = 10
     k: int = 2
     rate_lambda: float = 1.0
-    master_seed: int = 7
+    master_seed: int = 19
     solver: SolverOptions = field(default_factory=SolverOptions)
     strategic_fraction: float = 0.001
 
@@ -227,17 +227,7 @@ def write_records(records: Iterable[SystemRecord], jsonl_path, csv_path=None) ->
             for record in records:
                 jf.write(json.dumps(record.to_json_dict(), separators=(",", ":")) + "\n")
                 if writer:
-                    writer.writerow(
-                        [
-                            record.record_index,
-                            repr(record.stability),
-                            repr(record.gradient_sq_sum),
-                            repr(record.degree_stddev),
-                            repr(record.mean_path_length),
-                            repr(record.mean_local_clustering),
-                            record.solver_converged,
-                        ]
-                    )
+                    writer.writerow([getattr(record, name) for name in RECORD_CSV_COLUMNS])
                 count += 1
     finally:
         if csv_fh:
@@ -289,57 +279,31 @@ def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
 
 # -- flat key=value config files ------------------------------------------
 
-_CONFIG_FIELDS = {
-    "sample_count": int,
-    "n": int,
-    "k": int,
-    "rate_lambda": float,
-    "master_seed": int,
-    "strategic_fraction": float,
-    "tolerance": float,
-    "max_iterations": int,
-    "relaxation": float,
-}
-
 
 def config_to_dict(config: EnsembleConfig) -> dict:
-    return {
-        "sample_count": config.sample_count,
-        "n": config.n,
-        "k": config.k,
-        "rate_lambda": config.rate_lambda,
-        "master_seed": config.master_seed,
-        "strategic_fraction": config.strategic_fraction,
-        "tolerance": config.solver.tolerance,
-        "max_iterations": config.solver.max_iterations,
-        "relaxation": config.solver.relaxation,
-    }
+    """Flat field -> value view, the solver's fields following the run's own."""
+    values = asdict(config)
+    values.update(values.pop("solver"))
+    return values
 
 
 def config_from_dict(values: dict) -> EnsembleConfig:
+    """Inverse of config_to_dict; absent keys keep their defaults.
+
+    Each value is cast to the type of its field's default.
+    """
     base = config_to_dict(EnsembleConfig())
     unknown = set(values) - set(base)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    base.update(values)
-    solver = SolverOptions(
-        tolerance=float(base["tolerance"]),
-        max_iterations=int(base["max_iterations"]),
-        relaxation=float(base["relaxation"]),
-    )
-    return EnsembleConfig(
-        sample_count=int(base["sample_count"]),
-        n=int(base["n"]),
-        k=int(base["k"]),
-        rate_lambda=float(base["rate_lambda"]),
-        master_seed=int(base["master_seed"]),
-        solver=solver,
-        strategic_fraction=float(base["strategic_fraction"]),
-    )
+    typed = {key: type(default)(values.get(key, default)) for key, default in base.items()}
+    solver = SolverOptions(**{f.name: typed.pop(f.name) for f in fields(SolverOptions)})
+    return EnsembleConfig(solver=solver, **typed)
 
 
 def read_config_file(path) -> dict:
-    """Parse 'key = value' lines into typed config values."""
+    """Parse 'key = value' lines into values typed like the config's defaults."""
+    defaults = config_to_dict(EnsembleConfig())
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -349,10 +313,16 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_FIELDS:
+            key, raw = key.strip(), raw.strip()
+            if key not in defaults:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _CONFIG_FIELDS[key](raw.strip())
+            cast = type(defaults[key])
+            try:
+                values[key] = cast(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} must be {cast.__name__}, got {raw!r}"
+                ) from None
     return values
 
 

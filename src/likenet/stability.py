@@ -191,14 +191,15 @@ def stability(
 
 
 def classify_strategic(
-    records: Sequence, fraction: float, direction: Literal["low", "high"] = "low"
+    records: Sequence, fraction: float, direction: Literal["low", "high"] = "high"
 ) -> tuple[list, list, float]:
     """Split records into (strategic, population, threshold) by stability.
 
-    The strategic class is the `fraction` of records with the lowest
-    stability (direction="high" flips to highest). Ties at the
-    threshold break by record order. The threshold returned is the
-    extreme stability inside the strategic class.
+    The strategic class is the `fraction` of records with the highest
+    stability, the systems nobody gains by leaving (direction="low"
+    flips to lowest). Ties at the threshold break by record order. The
+    threshold returned is the extreme stability inside the strategic
+    class. Records need only a `stability` attribute.
     """
     if not records:
         raise ValueError("no records to classify")

@@ -10,6 +10,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,9 +258,8 @@ def test_criterion_9_star_comparison(desk_run, desk_config):
     records, _ = desk_run
     result = star_comparison(
         star_samples=1000,
-        config=desk_config,
+        config=replace(desk_config, strategic_fraction=0.01),
         ba_records=records,
-        strategic_fraction=0.01,
         direction="high",
     )
     exceeds = result.star_mean_stability > result.ba_hub_mean_stability

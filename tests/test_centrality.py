@@ -349,6 +349,26 @@ class TestRateMatrixIO:
         with pytest.raises(SolverError, match=r"duplicate triplet for entry \(0, 1\)"):
             read_rates(path)
 
+    @pytest.mark.parametrize(
+        "name, text, lineno, detail",
+        [
+            ("rates.txt", "n=3\n0 1\n", 2, "expected 'i j rate', got '0 1'"),
+            ("rates.txt", "n=3\n0 x 0.5\n", 2, "non-numeric index or rate in '0 x 0.5'"),
+            ("rates.txt", "n=3\n0 1 fast\n", 2, "non-numeric index or rate in '0 1 fast'"),
+            ("rates.txt", "n=3.5\n0 1 0.5\n", 1, "node count must be an integer, got 'n=3.5'"),
+            ("rates.csv", "0.0,1.0\nx,0.0\n", 2, "non-numeric entry in 'x,0.0'"),
+            ("rates.csv", "0.0,1.0\n\n1.0\n", 3, "row 2 has 1 entries, expected 2"),
+        ],
+        ids=["triplet_fields", "triplet_index", "triplet_rate", "header", "dense_entry",
+             "dense_ragged"],
+    )
+    def test_malformed_file_reports_path_and_line(self, tmp_path, name, text, lineno, detail):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(SolverError) as info:
+            read_rates(path)
+        assert str(info.value) == f"{path}:{lineno}: {detail}"
+
     def test_nan_rate_on_an_edge_is_reported_as_non_finite(self, tmp_path):
         path = tmp_path / "rates.txt"
         path.write_text("n=2\n0 1 nan\n1 0 1.0\n")

@@ -3,12 +3,14 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from likenet.centrality import RateMatrix, write_rates_dense, write_rates_triplets
 from likenet.cli import main
+from likenet.ensemble import EnsembleConfig, config_to_dict
 from likenet.graphs import generate_ba, read_edge_list
 from util import random_rates
 
@@ -103,6 +105,11 @@ class TestEnsembleCommand:
             blob = (tmp_path / "a" / name).read_bytes()
             assert blob == (tmp_path / "b" / name).read_bytes()
             assert blob == (tmp_path / "c" / name).read_bytes()
+
+    def test_default_config_is_the_library_default(self, tmp_path):
+        assert run_cli("ensemble", "--samples", 5, "--out", tmp_path) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"] == config_to_dict(replace(EnsembleConfig(), sample_count=5))
 
     def test_summary_quantiles_match_csv(self, tmp_path):
         assert run_cli("ensemble", "--samples", 30, "--seed", 2, "--out", tmp_path) == 0
@@ -208,6 +215,15 @@ class TestStarCompareCommand:
         assert payload["warnings"]
         assert payload["ba_hub_count"] >= 1
 
+    def test_unknown_direction_fails_without_output(self, tmp_path, small_run, monkeypatch, capsys):
+        monkeypatch.setenv("LIKENET_STRATEGIC_DIRECTION", "bogus")
+        out = tmp_path / "stars.json"
+        assert run_cli(
+            "star-compare", "--stars", 2, "--records", small_run / "records.jsonl", "--out", out
+        ) == 1
+        assert "'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOptionResolution:
     def test_flag_beats_config(self, tmp_path):
@@ -246,6 +262,33 @@ class TestOptionResolution:
         reference7 = tmp_path / "ref7.txt"
         assert run_cli("generate", "--model", "ba", "--seed", 7, "--out", reference7) == 0
         assert via_flag.read_bytes() == reference7.read_bytes()
+
+    def test_env_cast_error_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LIKENET_N", "abc")
+        out = tmp_path / "g.txt"
+        assert run_cli("generate", "--model", "ba", "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: LIKENET_N must be int, got 'abc'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "No such file"),
+            ("# run\nsample_size = 10\n", "run.cfg:2: unknown config key 'sample_size'"),
+            ("# run\nn = abc\n", "run.cfg:2: n must be int, got 'abc'"),
+        ],
+        ids=["missing", "unknown_key", "bad_value"],
+    )
+    def test_bad_config_file_fails_cleanly(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "run"
+        assert run_cli("ensemble", "--samples", 5, "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+        assert not (out / "records.jsonl").exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -222,17 +222,17 @@ class TestClassifyStrategic:
         assert len(strategic) == 100
         assert len(population) == 900
 
-    def test_lowest_stability_selected_by_default(self):
+    def test_highest_stability_selected_by_default(self):
         records = [FakeRecord(s) for s in (0.9, 0.1, 0.5, 0.2)]
         strategic, population, threshold = classify_strategic(records, 0.5)
-        assert sorted(r.stability for r in strategic) == [0.1, 0.2]
-        assert threshold == 0.2
-
-    def test_direction_switch_selects_highest(self):
-        records = [FakeRecord(s) for s in (0.9, 0.1, 0.5, 0.2)]
-        strategic, _, threshold = classify_strategic(records, 0.5, direction="high")
         assert sorted(r.stability for r in strategic) == [0.5, 0.9]
         assert threshold == 0.5
+
+    def test_direction_switch_selects_lowest(self):
+        records = [FakeRecord(s) for s in (0.9, 0.1, 0.5, 0.2)]
+        strategic, _, threshold = classify_strategic(records, 0.5, direction="low")
+        assert sorted(r.stability for r in strategic) == [0.1, 0.2]
+        assert threshold == 0.2
 
     def test_ties_break_by_record_index(self):
         records = [FakeRecord(0.5) for _ in range(10)]
@@ -243,7 +243,7 @@ class TestClassifyStrategic:
     def test_threshold_is_class_extreme(self):
         rng = np.random.default_rng(0)
         records = [FakeRecord(float(s)) for s in rng.uniform(0, 1, 200)]
-        strategic, _, threshold = classify_strategic(records, 0.05)
+        strategic, _, threshold = classify_strategic(records, 0.05, direction="low")
         assert threshold == max(r.stability for r in strategic)
 
     def test_errors(self):
