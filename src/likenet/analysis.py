@@ -27,7 +27,7 @@ from .ensemble import (
     STAR_STREAM,
 )
 from .graphs import Graph, generate_star
-from .stability import classify_strategic, stability
+from .stability import check_direction, classify_strategic, stability
 
 __all__ = [
     "BinnedSeries",
@@ -468,6 +468,7 @@ def star_comparison(
     """
     if star_samples < 1:
         raise ValueError("star_samples must be >= 1")
+    check_direction(direction)
     config = config or EnsembleConfig()
     warnings = []
 

@@ -189,6 +189,8 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
     fraction = resolve(args, "strategic_fraction")
     direction = resolve(args, "strategic_direction")
     strategic, population, threshold = classify_strategic(records, fraction, direction)
+    # the fit has the strictest input floor (50 records): fail before writing
+    fit = an.logistic_fit(records)
     rate_lambda = resolve(args, "rate_lambda")
     bins = resolve(args, "bins")
     out_dir = Path(args.out)
@@ -207,7 +209,6 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
         trend = an.stability_vs_metric(records, metric)
         correlations[metric] = trend.spearman
         _write_series_csv(trend.series, guard.track(out_dir / f"stability_vs_{metric}.csv"))
-    fit = an.logistic_fit(records)
     summary = {
         "record_count": len(records),
         "non_converged": int(sum(not r.solver_converged for r in records)),

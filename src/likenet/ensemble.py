@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from array import array
 from dataclasses import asdict, dataclass, field, fields
 from multiprocessing import Pool
 from pathlib import Path
@@ -105,9 +106,9 @@ class SystemRecord:
     solver_converged: bool
 
     def to_json_dict(self) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["degree_histogram"] = list(self.degree_histogram)
-        d["outgoing_rates"] = [[i, j, rate] for i, j, rate in self.outgoing_rates]
+        d["outgoing_rates"] = [list(triple) for triple in self.outgoing_rates]
         return d
 
     @classmethod
@@ -146,9 +147,11 @@ def sample_rates(g: Graph, rate_lambda: float, seed) -> RateMatrix:
     if not rate_lambda > 0:
         raise ValueError(f"rate_lambda must be > 0, got {rate_lambda}")
     rng = np.random.default_rng(seed)
+    draws = rng.exponential(scale=1.0 / rate_lambda, size=(len(g.edges), 2))
+    i, j = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     values = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        values[i, j], values[j, i] = rng.exponential(scale=1.0 / rate_lambda, size=2)
+    values[i, j] = draws[:, 0]
+    values[j, i] = draws[:, 1]
     return RateMatrix(n=g.n, values=values)
 
 
@@ -245,15 +248,16 @@ def read_records(jsonl_path) -> list[SystemRecord]:
     return records
 
 
-def summarize_records(records: Sequence[SystemRecord]) -> dict:
-    stabilities = np.array([r.stability for r in records])
+def summarize_records(stabilities: Sequence[float], non_converged: int) -> dict:
+    """The run summary from the records' stability column and non-converged count."""
+    stabilities = np.asarray(stabilities, dtype=float)
     quantiles = {
         f"q{q}": float(v)
         for q, v in zip(STABILITY_QUANTILES, np.quantile(stabilities, STABILITY_QUANTILES))
     }
     return {
-        "count": len(records),
-        "non_converged": int(sum(not r.solver_converged for r in records)),
+        "count": len(stabilities),
+        "non_converged": int(non_converged),
         "stability_min": float(stabilities.min()),
         "stability_max": float(stabilities.max()),
         "stability_mean": float(stabilities.mean()),
@@ -262,14 +266,27 @@ def summarize_records(records: Sequence[SystemRecord]) -> dict:
 
 
 def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
-    """Run the ensemble, writing records.jsonl, records.csv, summary.json."""
+    """Run the ensemble, writing records.jsonl, records.csv, summary.json.
+
+    Each record is written as it arrives; only its stability and
+    convergence flag are kept for the summary.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jsonl_path = out / "records.jsonl"
-    csv_path = out / "records.csv"
-    records = list(run_ensemble(config, workers=workers))
-    write_records(records, jsonl_path, csv_path)
-    summary = summarize_records(records)
+    stabilities = array("d")
+    non_converged = 0
+
+    def tallied(records: Iterable[SystemRecord]) -> Iterator[SystemRecord]:
+        nonlocal non_converged
+        for record in records:
+            stabilities.append(record.stability)
+            non_converged += not record.solver_converged
+            yield record
+
+    write_records(
+        tallied(run_ensemble(config, workers=workers)), out / "records.jsonl", out / "records.csv"
+    )
+    summary = summarize_records(stabilities, non_converged)
     summary["config"] = config_to_dict(config)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -10,8 +10,10 @@ diagonal of A^3.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -113,28 +115,33 @@ def generate_ba(n: int, k: int, seed) -> Graph:
     if k < 1 or n < k:
         raise GraphError(f"require n >= k >= 1, got n={n}, k={k}")
     rng = np.random.default_rng(seed)
-    degrees = np.zeros(n, dtype=np.int64)
-    edges = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            edges.append((i, j))
-            degrees[i] += 1
-            degrees[j] += 1
+    # Each draw repeats Generator.choice(m, p=probs) on plain floats: one
+    # uniform u, cdf = cumsum(probs) / cdf[-1], index = searchsorted(cdf, u,
+    # 'right'). Drawing all uniforms at once consumes the same stream.
+    uniforms = iter(rng.random(k * (n - k)).tolist())
+    degrees = [k - 1] * k + [0] * (n - k)
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
     for new in range(k, n):
-        pool = list(range(new))
+        # a picked node keeps its slot with weight 0: adding 0.0 leaves the
+        # cumulative sums unchanged, so the same node is picked as if it
+        # had been removed from the pool
+        weights = [float(d) for d in degrees[:new]]
         targets = []
         for _ in range(k):
-            weights = degrees[pool].astype(float)
-            total = weights.sum()
-            if total <= 0.0:
-                # all-zero degrees (k=1 seed): fall back to uniform
-                probs = np.full(len(pool), 1.0 / len(pool))
+            total = sum(weights)
+            if total > 0.0:
+                probs = [w / total for w in weights]
             else:
-                probs = weights / total
-            pick = int(rng.choice(len(pool), p=probs))
-            targets.append(pool.pop(pick))
+                # all-zero degrees (k=1 seed, whose one pick per node leaves
+                # nothing picked yet): fall back to uniform
+                probs = [1.0 / new] * new
+            cdf = list(accumulate(probs))
+            last = cdf[-1]
+            pick = bisect_right(cdf, next(uniforms), key=lambda c: c / last)
+            targets.append(pick)
+            weights[pick] = 0.0
         for t in targets:
-            edges.append((min(new, t), max(new, t)))
+            edges.append((t, new))
             degrees[new] += 1
             degrees[t] += 1
     return Graph(n=n, edges=tuple(edges))

@@ -43,6 +43,7 @@ __all__ = [
     "centrality_gradient",
     "stability",
     "stability_from_gradients",
+    "check_direction",
     "classify_strategic",
 ]
 
@@ -190,6 +191,12 @@ def stability(
     return stability_from_gradients(gradient_map, solver_converged=all_converged)
 
 
+def check_direction(direction: str) -> None:
+    """Reject a strategic direction other than 'low' or 'high'."""
+    if direction not in ("low", "high"):
+        raise ValueError(f"direction must be 'low' or 'high', got {direction!r}")
+
+
 def classify_strategic(
     records: Sequence, fraction: float, direction: Literal["low", "high"] = "high"
 ) -> tuple[list, list, float]:
@@ -205,8 +212,7 @@ def classify_strategic(
         raise ValueError("no records to classify")
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    if direction not in ("low", "high"):
-        raise ValueError(f"direction must be 'low' or 'high', got {direction!r}")
+    check_direction(direction)
     count = int(round(fraction * len(records)))
     count = max(1, min(len(records) - 1, count))
     indexed = list(enumerate(records))

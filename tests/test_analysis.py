@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from likenet import analysis
 from likenet.analysis import (
     BinnedSeries,
     RankDeficientError,
@@ -314,6 +315,15 @@ class TestStarComparison:
         assert result.warnings
         assert 0.0 < result.star_mean_stability <= 1.0
         assert result.strategic_star_count == 1
+
+    def test_direction_checked_before_any_sample(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the direction was checked")
+
+        monkeypatch.setattr(analysis, "stability", refuse)
+        monkeypatch.setattr(analysis, "run_ensemble", refuse)
+        with pytest.raises(ValueError, match="direction must be 'low' or 'high', got 'bogus'"):
+            star_comparison(5, ba_samples=5, config=EnsembleConfig(), direction="bogus")
 
     def test_requires_samples_or_records(self):
         with pytest.raises(ValueError):

@@ -171,6 +171,15 @@ class TestAnalyzeCommand:
         summary = json.loads((out / "analysis_summary.json").read_text())
         assert summary["strategic_direction"] == "low"
 
+    def test_too_few_records_fail_before_any_output(self, tmp_path, small_run, capsys):
+        few = tmp_path / "few.jsonl"
+        lines = (small_run / "records.jsonl").read_text().splitlines(keepends=True)
+        few.write_text("".join(lines[:40]))
+        out = tmp_path / "analysis"
+        assert run_cli("analyze", "--records", few, "--out", out) == 1
+        assert "need >= 50 records with finite metrics, got 40" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_records_fails(self, tmp_path):
         assert run_cli("analyze", "--records", tmp_path / "nope.jsonl", "--out", tmp_path) != 0
 

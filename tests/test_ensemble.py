@@ -1,10 +1,12 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from likenet import ensemble
 from likenet.ensemble import (
     EnsembleConfig,
     RECORD_CSV_COLUMNS,
@@ -129,6 +131,28 @@ class TestRunEnsemble:
         for name in ("records.jsonl", "records.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_run_to_files_streams_records(self, tmp_path, monkeypatch):
+        cfg = EnsembleConfig(sample_count=20, master_seed=12)
+        alive = weakref.WeakSet()
+        peak = 0
+
+        def tracked(config, workers=1):
+            nonlocal peak
+            for idx in range(config.sample_count):
+                record = compute_record(config, idx)
+                alive.add(record)
+                peak = max(peak, len(alive))
+                yield record
+
+        monkeypatch.setattr(ensemble, "run_ensemble", tracked)
+        summary = run_to_files(cfg, tmp_path, workers=1)
+        # the record being written and the one just computed, never the run
+        assert peak <= 2
+        records = read_records(tmp_path / "records.jsonl")
+        assert [r.record_index for r in records] == list(range(20))
+        stabilities = [r.stability for r in records]
+        assert summary == {**summarize_records(stabilities, 0), "config": summary["config"]}
+
     def test_write_read_roundtrip(self, tmp_path):
         cfg = EnsembleConfig(sample_count=12, master_seed=9)
         records = list(run_ensemble(cfg))
@@ -142,8 +166,8 @@ class TestRunEnsemble:
     def test_summary_consistent_with_records(self):
         cfg = EnsembleConfig(sample_count=50, master_seed=10)
         records = list(run_ensemble(cfg))
-        summary = summarize_records(records)
         stabilities = np.array([r.stability for r in records])
+        summary = summarize_records(stabilities, sum(not r.solver_converged for r in records))
         assert summary["count"] == 50
         assert summary["stability_min"] == stabilities.min()
         assert summary["stability_max"] == stabilities.max()

@@ -1,0 +1,87 @@
+"""The graph generator, the rate sampler and the record encoder against
+frozen copies of their earlier, straightforward implementations.
+
+Records store only their graph and rate seeds, so a rewrite of either
+sampler must consume the same random stream and build the same graph
+and rate matrix from every seed; old record files must still rebuild.
+"""
+
+import json
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from likenet.ensemble import EnsembleConfig, compute_record, sample_rates
+from likenet.graphs import generate_ba
+
+
+def reference_generate_ba(n, k, seed):
+    """Edge list of the pool-and-choice generator: each attachment pops its
+    target from the pool after one Generator.choice with degree weights."""
+    rng = np.random.default_rng(seed)
+    degrees = np.zeros(n, dtype=np.int64)
+    edges = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            edges.append((i, j))
+            degrees[i] += 1
+            degrees[j] += 1
+    for new in range(k, n):
+        pool = list(range(new))
+        targets = []
+        for _ in range(k):
+            weights = degrees[pool].astype(float)
+            total = weights.sum()
+            if total <= 0.0:
+                probs = np.full(len(pool), 1.0 / len(pool))
+            else:
+                probs = weights / total
+            pick = int(rng.choice(len(pool), p=probs))
+            targets.append(pool.pop(pick))
+        for t in targets:
+            edges.append((min(new, t), max(new, t)))
+            degrees[new] += 1
+            degrees[t] += 1
+    return tuple(sorted(edges))
+
+
+def reference_sample_rates(g, rate_lambda, seed):
+    """Rate matrix of the per-edge sampler: one size-2 draw per sorted edge."""
+    rng = np.random.default_rng(seed)
+    values = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        values[i, j], values[j, i] = rng.exponential(scale=1.0 / rate_lambda, size=2)
+    return values
+
+
+def reference_json_dict(record):
+    d = asdict(record)
+    d["degree_histogram"] = list(record.degree_histogram)
+    d["outgoing_rates"] = [[i, j, rate] for i, j, rate in record.outgoing_rates]
+    return d
+
+
+@pytest.mark.parametrize(
+    "n, k, seeds",
+    [(10, 2, 2000), (40, 3, 2000), (10, 1, 500), (25, 1, 200), (12, 5, 300), (5, 5, 50),
+     (3, 1, 200), (1, 1, 5)],
+)
+def test_generate_ba_and_sample_rates_match_reference(n, k, seeds):
+    for seed in range(seeds):
+        g = generate_ba(n, k, seed)
+        assert g.edges == reference_generate_ba(n, k, seed), (n, k, seed)
+        rate_seed = 10_000 + seed
+        assert np.array_equal(
+            sample_rates(g, 1.7, rate_seed).values, reference_sample_rates(g, 1.7, rate_seed)
+        ), (n, k, seed)
+
+
+@pytest.mark.parametrize("n, k", [(10, 2), (40, 3)])
+def test_record_encoding_matches_asdict(n, k):
+    config = EnsembleConfig(sample_count=1, n=n, k=k, master_seed=23)
+    for index in range(3):
+        record = compute_record(config, index)
+        assert json.dumps(record.to_json_dict(), separators=(",", ":")) == json.dumps(
+            reference_json_dict(record), separators=(",", ":")
+        )
