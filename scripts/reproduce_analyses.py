@@ -16,7 +16,7 @@ reciprocity_most_stable.csv and coalition_most_stable.csv (+ .json).
 """
 
 import argparse
-import csv
+import json
 import sys
 from pathlib import Path
 
@@ -25,7 +25,6 @@ import numpy as np
 from likenet import cli
 from likenet.analysis import reciprocity_curve
 from likenet.centrality import RateMatrix, write_rates_triplets
-from likenet.ensemble import read_records
 from likenet.graphs import Graph, write_edge_list
 
 
@@ -46,20 +45,19 @@ def main(argv=None) -> int:
         if code:
             return code
 
-    best = max(read_records(args.records), key=lambda r: (r.stability, -r.record_index))
-    n = len(best.degree_histogram)
-    g = Graph(n, tuple((i, j) for i, j, _ in best.outgoing_rates if i < j))
+    with open(args.records, encoding="utf-8") as fh:
+        records = (json.loads(line) for line in fh if not line.isspace())
+        best = max(records, key=lambda r: (r["stability"], -r["record_index"]))
+    n = len(best["degree_histogram"])
+    g = Graph(n, tuple((i, j) for i, j, _ in best["outgoing_rates"] if i < j))
     values = np.zeros((n, n))
-    for i, j, rate in best.outgoing_rates:
+    for i, j, rate in best["outgoing_rates"]:
         values[i, j] = rate
     rates = RateMatrix(n, values)
     graph_path, rates_path = out / "most_stable_graph.txt", out / "most_stable_rates.txt"
     write_edge_list(g, graph_path)
     write_rates_triplets(rates, rates_path)
-    with open(out / "reciprocity_most_stable.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "value", "count"])
-        writer.writerows(reciprocity_curve(g, rates, 3).rows())
+    cli.write_series_csv(reciprocity_curve(g, rates, 3), out / "reciprocity_most_stable.csv")
     return cli.main(
         ["coalition", "--graph", str(graph_path), "--rates", str(rates_path),
          "--out", str(out / "coalition_most_stable.csv")]

@@ -44,6 +44,7 @@ from .stability import (
 )
 from .ensemble import (
     EnsembleConfig,
+    RecordTable,
     SystemRecord,
     compute_record,
     read_records,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -20,7 +20,7 @@ from scipy import stats as _scipy_stats
 from .centrality import RateMatrix, SolverOptions, likedness_centrality
 from .ensemble import (
     EnsembleConfig,
-    SystemRecord,
+    RecordTable,
     record_seeds,
     run_ensemble,
     sample_rates,
@@ -68,17 +68,13 @@ class BinnedSeries:
     bin_counts: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.bin_values) != len(self.bin_edges) - 1 or len(self.bin_counts) != len(
-            self.bin_values
-        ):
+        values = len(self.bin_values)
+        if values != len(self.bin_edges) - 1 or values != len(self.bin_counts):
             raise ValueError("inconsistent bin arrays")
 
     def rows(self) -> list[tuple[float, float, float, int]]:
         """(bin_low, bin_high, value, count) rows for CSV output."""
-        return [
-            (self.bin_edges[i], self.bin_edges[i + 1], self.bin_values[i], self.bin_counts[i])
-            for i in range(len(self.bin_values))
-        ]
+        return list(zip(self.bin_edges, self.bin_edges[1:], self.bin_values, self.bin_counts))
 
 
 @dataclass(frozen=True)
@@ -132,34 +128,26 @@ def _percentile_edges(bins, rate_lambda: float) -> tuple[np.ndarray, np.ndarray]
     return probs, edges
 
 
-def _all_rates(records: Sequence[SystemRecord]) -> np.ndarray:
-    values = []
-    for record in records:
-        values.extend(record.rate_values())
-    return np.array(values)
-
-
 def rate_representation(
-    strategic: Sequence[SystemRecord],
-    population: Sequence[SystemRecord],
-    rate_lambda: float = 1.0,
-    bins=50,
+    table: RecordTable, strategic: np.ndarray, rate_lambda: float = 1.0, bins=50
 ) -> BinnedSeries:
     """Strategic over population frequency ratio per rate-percentile bin.
 
-    Bins partition the Exp(rate_lambda) reference distribution by equal
-    probability mass; ratio 1 means the strategic systems' outgoing
-    rates look exactly like the population's in that bin.
+    `strategic` masks the strategic records; the rest are the
+    population. Bins partition the Exp(rate_lambda) reference
+    distribution by equal probability mass; ratio 1 means the strategic
+    systems' outgoing rates look exactly like the population's in that bin.
     """
-    if not strategic or not population:
+    if strategic.all() or not strategic.any():
         raise ValueError("both record sets must be non-empty")
     _, edges = _percentile_edges(bins, rate_lambda)
-    strategic_rates = _all_rates(strategic)
-    population_rates = _all_rates(population)
+    strategic_rates = table.rates_of(strategic)
     s_counts, _ = np.histogram(strategic_rates, bins=edges)
-    p_counts, _ = np.histogram(population_rates, bins=edges)
+    # counts are integers: the population's are the whole table's minus the
+    # strategic ones, without copying the population's rates
+    p_counts = np.histogram(table.rates, bins=edges)[0] - s_counts
     s_freq = s_counts / len(strategic_rates)
-    p_freq = p_counts / len(population_rates)
+    p_freq = p_counts / (len(table.rates) - len(strategic_rates))
     values = np.where(p_counts > 0, s_freq / np.where(p_counts > 0, p_freq, 1.0), np.nan)
     return BinnedSeries(
         bin_edges=tuple(float(e) for e in edges),
@@ -168,30 +156,26 @@ def rate_representation(
     )
 
 
-def degree_representation(
-    strategic: Sequence[SystemRecord], population: Sequence[SystemRecord]
-) -> BinnedSeries:
-    """Strategic over population frequency ratio per vertex degree."""
-    if not strategic or not population:
+def degree_representation(table: RecordTable, strategic: np.ndarray) -> BinnedSeries:
+    """Strategic over population frequency ratio per vertex degree.
+
+    `strategic` masks the strategic records; the rest are the population.
+    """
+    if strategic.all() or not strategic.any():
         raise ValueError("both record sets must be non-empty")
-    n = len(strategic[0].degree_histogram)
-    s_hist = np.zeros(n)
-    p_hist = np.zeros(n)
-    for record in strategic:
-        s_hist += np.asarray(record.degree_histogram)
-    for record in population:
-        p_hist += np.asarray(record.degree_histogram)
+    s_hist = table.degree_histogram[strategic].sum(axis=0)
+    p_hist = table.degree_histogram.sum(axis=0) - s_hist
     s_freq = s_hist / s_hist.sum()
     p_freq = p_hist / p_hist.sum()
     values = np.where(p_hist > 0, s_freq / np.where(p_hist > 0, p_freq, 1.0), np.nan)
     return BinnedSeries(
-        bin_edges=tuple(float(d) for d in range(n + 1)),
+        bin_edges=tuple(float(d) for d in range(len(s_hist) + 1)),
         bin_values=tuple(float(v) for v in values),
         bin_counts=tuple(int(c) for c in s_hist),
     )
 
 
-def stability_vs_metric(records: Sequence[SystemRecord], metric: str) -> MetricTrend:
+def stability_vs_metric(table: RecordTable, metric: str) -> MetricTrend:
     """Mean stability per distinct metric value, plus Spearman correlation.
 
     At small n the metric spectrum is discrete, so grouping by value
@@ -200,13 +184,13 @@ def stability_vs_metric(records: Sequence[SystemRecord], metric: str) -> MetricT
     """
     if metric not in METRIC_FIELDS:
         raise ValueError(f"metric must be one of {METRIC_FIELDS}, got {metric!r}")
-    if not records:
+    if not len(table):
         raise ValueError("no records")
-    xs = np.array([getattr(r, metric) for r in records])
-    ys = np.array([r.stability for r in records])
+    xs = getattr(table, metric)
+    ys = table.stability
     groups: dict[float, list[float]] = {}
-    for x, y in zip(xs, ys):
-        groups.setdefault(round(float(x), 12), []).append(float(y))
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        groups.setdefault(round(x, 12), []).append(y)
     keys = sorted(groups)
     means = [float(np.mean(groups[k])) for k in keys]
     counts = [len(groups[k]) for k in keys]
@@ -294,35 +278,28 @@ def _lm_logistic(
     return beta, math.sqrt(cost), iterations, converged, history
 
 
-def logistic_fit(records: Sequence[SystemRecord]) -> LogisticFit:
+def logistic_fit(table: RecordTable) -> LogisticFit:
     """Regress stability on the three structural metrics via a logistic model.
 
     Model: stability ~ sigmoid(b0 + b1*degree_stddev + b2*mean_path_length
     + b3*mean_local_clustering), squared error minimized by
-    Levenberg-Marquardt-style damped least squares.
+    Levenberg-Marquardt-style damped least squares, over the records
+    whose stability and metrics are all finite.
     """
-    finite = [
-        r
-        for r in records
-        if all(math.isfinite(getattr(r, m)) for m in METRIC_FIELDS)
-        and math.isfinite(r.stability)
-    ]
-    if len(finite) < 50:
-        raise ValueError(f"need >= 50 records with finite metrics, got {len(finite)}")
-    design = np.column_stack(
-        [
-            np.ones(len(finite)),
-            [r.degree_stddev for r in finite],
-            [r.mean_path_length for r in finite],
-            [r.mean_local_clustering for r in finite],
-        ]
-    )
+    predictors = [table.degree_stddev, table.mean_path_length, table.mean_local_clustering]
+    finite = np.isfinite(table.stability)
+    for column in predictors:
+        finite &= np.isfinite(column)
+    count = int(finite.sum())
+    if count < 50:
+        raise ValueError(f"need >= 50 records with finite metrics, got {count}")
+    design = np.column_stack([np.ones(count)] + [column[finite] for column in predictors])
     names = ("intercept", "degree_stddev", "mean_path_length", "mean_local_clustering")
     constant = [n for n, col in zip(names, design.T) if n != "intercept" and np.ptp(col) == 0.0]
     if np.linalg.matrix_rank(design) < design.shape[1]:
         detail = f" (constant columns: {', '.join(constant)})" if constant else ""
         raise RankDeficientError(f"predictor matrix is rank-deficient{detail}")
-    target = np.array([r.stability for r in finite])
+    target = table.stability[finite]
     beta, residual_norm, iterations, converged, _ = _lm_logistic(design, target)
     return LogisticFit(
         intercept=float(beta[0]),
@@ -344,34 +321,21 @@ def reciprocity_curve(g: Graph, rates: RateMatrix, bins=10) -> BinnedSeries:
     range, or explicit edges.
     """
     rates.check_support(g)
-    outgoing = []
-    incoming = []
-    for a, b in g.edges:
-        for i, j in ((a, b), (b, a)):
-            outgoing.append(rates.values[j, i])
-            incoming.append(rates.values[i, j])
-    outgoing = np.array(outgoing)
-    incoming = np.array(incoming)
+    pairs = [pair for a, b in g.edges for pair in ((a, b), (b, a))]
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    outgoing, incoming = rates.values[j, i], rates.values[i, j]
     if isinstance(bins, int):
-        top = float(outgoing.max()) if outgoing.size else 1.0
-        if top <= 0.0:
-            top = 1.0
+        top = float(outgoing.max()) if outgoing.size and outgoing.max() > 0.0 else 1.0
         edges = np.linspace(0.0, top, bins + 1)
         edges[-1] = np.nextafter(edges[-1], np.inf)
     else:
         edges = np.asarray(bins, dtype=float)
-    idx = np.digitize(outgoing, edges) - 1
-    idx = np.clip(idx, 0, len(edges) - 2)
-    values = []
-    counts = []
-    for b in range(len(edges) - 1):
-        mask = idx == b
-        counts.append(int(mask.sum()))
-        values.append(float(incoming[mask].mean()) if mask.any() else float("nan"))
+    idx = np.clip(np.digitize(outgoing, edges) - 1, 0, len(edges) - 2)
+    masks = [idx == b for b in range(len(edges) - 1)]
     return BinnedSeries(
         bin_edges=tuple(float(e) for e in edges),
-        bin_values=tuple(values),
-        bin_counts=tuple(counts),
+        bin_values=tuple(float(incoming[m].mean()) if m.any() else float("nan") for m in masks),
+        bin_counts=tuple(int(m.sum()) for m in masks),
     )
 
 
@@ -443,28 +407,23 @@ class StarComparison:
     warnings: tuple[str, ...]
 
 
-class _StarSample(NamedTuple):
-    stability: float
-    branch_mean: float
-    hub: float
-
-
 def star_comparison(
     star_samples: int,
     ba_samples: int | None = None,
     config: EnsembleConfig | None = None,
-    ba_records: Sequence[SystemRecord] | None = None,
+    ba_records: RecordTable | None = None,
     direction: Literal["low", "high"] = "high",
     workers: int = 1,
 ) -> StarComparison:
     """Random-rate stars versus preferential-attachment graphs with a full hub.
 
     Stars are sampled fresh from a dedicated seed stream of the config.
-    The comparison set is the subset of BA records whose maximum degree
-    is n-1, either taken from `ba_records` (a prior run) or sampled
-    fresh (`ba_samples`). Also reports, within the strategic stars
-    (classify_strategic at the config's strategic_fraction), the ratio
-    of mean branch centrality to mean hub centrality.
+    The comparison set is the subset of BA records with a vertex of
+    degree n-1, either taken from `ba_records` (a prior run of n-node
+    graphs) or sampled fresh (`ba_samples`). Also reports, within the
+    strategic stars (classify_strategic at the config's
+    strategic_fraction), the ratio of mean branch centrality to mean hub
+    centrality.
     """
     if star_samples < 1:
         raise ValueError("star_samples must be >= 1")
@@ -473,48 +432,51 @@ def star_comparison(
     warnings = []
 
     star = generate_star(config.n)
-    stars = []
+    star_stability, branch_centrality, hub_centrality = np.empty((3, star_samples))
     for idx in range(star_samples):
         _, rate_seed = record_seeds(config.master_seed, idx, stream=STAR_STREAM)
         rates = sample_rates(star, config.rate_lambda, rate_seed)
-        result = stability(star, rates, config.solver)
+        star_stability[idx] = stability(star, rates, config.solver).stability
         cv = likedness_centrality(star, rates, config.solver)
-        stars.append(
-            _StarSample(result.stability, float(np.mean(cv.values[1:])), float(cv.values[0]))
-        )
+        branch_centrality[idx] = np.mean(cv.values[1:])
+        hub_centrality[idx] = cv.values[0]
 
     if ba_records is None:
         if not ba_samples or ba_samples < 1:
             raise ValueError("need ba_samples >= 1 or an explicit ba_records set")
         ba_config = replace(config, sample_count=ba_samples)
-        ba_records = list(run_ensemble(ba_config, workers=workers))
+        ba_records = RecordTable.from_records(run_ensemble(ba_config, workers=workers))
+    width = ba_records.degree_histogram.shape[1]
+    if width != config.n:
+        raise ValueError(f"the records are of {width}-node graphs, the stars of {config.n}")
     hub_degree = config.n - 1
-    hub_records = [r for r in ba_records if r.max_degree == hub_degree]
-    if not hub_records:
+    in_hub = ba_records.degree_histogram[:, hub_degree] > 0
+    hub_count = int(in_hub.sum())
+    if not hub_count:
         raise ValueError(
             f"no graphs with a degree-{hub_degree} hub among {len(ba_records)} samples; "
             "more samples required"
         )
-    if len(hub_records) < 30:
-        warnings.append(f"hub subset has only {len(hub_records)} samples; wide uncertainty")
+    if hub_count < 30:
+        warnings.append(f"hub subset has only {hub_count} samples; wide uncertainty")
     if star_samples < 30:
         warnings.append(f"only {star_samples} star samples; wide uncertainty")
 
-    star_mean = float(np.mean([s.stability for s in stars]))
-    hub_mean = float(np.mean([r.stability for r in hub_records]))
+    star_mean = float(np.mean(star_stability))
+    hub_mean = float(np.mean(ba_records.stability[in_hub]))
 
-    strategic, _, _ = classify_strategic(stars, config.strategic_fraction, direction)
-    branch_mean = float(np.mean([s.branch_mean for s in strategic]))
-    hub_centrality_mean = float(np.mean([s.hub for s in strategic]))
+    strategic, _ = classify_strategic(star_stability, config.strategic_fraction, direction)
+    branch_mean = float(np.mean(branch_centrality[strategic]))
+    hub_centrality_mean = float(np.mean(hub_centrality[strategic]))
     ratio = branch_mean / hub_centrality_mean if hub_centrality_mean > 0 else float("inf")
 
     return StarComparison(
         star_count=star_samples,
-        ba_hub_count=len(hub_records),
+        ba_hub_count=hub_count,
         star_mean_stability=star_mean,
         ba_hub_mean_stability=hub_mean,
         stability_advantage=star_mean / hub_mean - 1.0,
         branch_hub_ratio=ratio,
-        strategic_star_count=len(strategic),
+        strategic_star_count=int(strategic.sum()),
         warnings=tuple(warnings),
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, read_node_count
 
 __all__ = [
     "RateMatrix",
@@ -364,13 +364,7 @@ def read_rates(path) -> RateMatrix:
             raise SolverError(f"dense rate CSV must be square, got {values.shape}")
         return RateMatrix(n=values.shape[0], values=values)
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("n="):
-            raise SolverError(f"expected 'n=<N>' header in triplet file, got {header!r}")
-        try:
-            n = int(header[2:])
-        except ValueError:
-            raise SolverError(f"{path}:1: node count must be an integer, got {header!r}") from None
+        n = read_node_count(fh, path, SolverError)
         values = np.zeros((n, n))
         seen = set()
         for lineno, line in enumerate(fh, start=2):

@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from . import analysis as an
@@ -114,12 +114,12 @@ class OutputGuard:
                 log.warning("could not remove partial output %s", p)
 
 
-def _write_series_csv(series: an.BinnedSeries, path) -> None:
+def write_series_csv(series: an.BinnedSeries, path) -> None:
+    """(bin_low, bin_high, value, count) rows; csv writes each float as its repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_low", "bin_high", "value", "count"])
-        for low, high, value, count in series.rows():
-            writer.writerow([repr(low), repr(high), repr(value), count])
+        writer.writerows(series.rows())
 
 
 def _write_json(payload: dict, path) -> None:
@@ -179,48 +179,48 @@ def cmd_ensemble(args, guard: OutputGuard) -> None:
 
 
 def cmd_analyze(args, guard: OutputGuard) -> None:
-    records = read_records(args.records)
-    if not records:
+    table = read_records(args.records)
+    if not len(table):
         raise CliError(f"no records in {args.records}")
     if args.converged_only:
-        records = [r for r in records if r.solver_converged]
-        if not records:
+        table = table.select(table.solver_converged)
+        if not len(table):
             raise CliError("no converged records to analyze")
     fraction = resolve(args, "strategic_fraction")
     direction = resolve(args, "strategic_direction")
-    strategic, population, threshold = classify_strategic(records, fraction, direction)
+    strategic, threshold = classify_strategic(table.stability, fraction, direction)
     # the fit has the strictest input floor (50 records): fail before writing
-    fit = an.logistic_fit(records)
+    fit = an.logistic_fit(table)
     rate_lambda = resolve(args, "rate_lambda")
     bins = resolve(args, "bins")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    _write_series_csv(
-        an.rate_representation(strategic, population, rate_lambda, bins),
+    write_series_csv(
+        an.rate_representation(table, strategic, rate_lambda, bins),
         guard.track(out_dir / "rate_representation.csv"),
     )
-    _write_series_csv(
-        an.degree_representation(strategic, population),
+    write_series_csv(
+        an.degree_representation(table, strategic),
         guard.track(out_dir / "degree_representation.csv"),
     )
     correlations = {}
     for metric in an.METRIC_FIELDS:
-        trend = an.stability_vs_metric(records, metric)
+        trend = an.stability_vs_metric(table, metric)
         correlations[metric] = trend.spearman
-        _write_series_csv(trend.series, guard.track(out_dir / f"stability_vs_{metric}.csv"))
+        write_series_csv(trend.series, guard.track(out_dir / f"stability_vs_{metric}.csv"))
     summary = {
-        "record_count": len(records),
-        "non_converged": int(sum(not r.solver_converged for r in records)),
+        "record_count": len(table),
+        "non_converged": len(table) - int(table.solver_converged.sum()),
         "strategic_fraction": fraction,
         "strategic_direction": direction,
-        "strategic_count": len(strategic),
+        "strategic_count": int(strategic.sum()),
         "strategic_threshold": threshold,
         "spearman": correlations,
         "logistic_fit": asdict(fit),
     }
-    converged = [r for r in records if r.solver_converged]
-    if converged and len(converged) != len(records):
+    if 0 < summary["non_converged"] < len(table):
+        converged = table.select(table.solver_converged)
         summary["spearman_converged_only"] = {
             metric: an.stability_vs_metric(converged, metric).spearman
             for metric in an.METRIC_FIELDS
@@ -241,22 +241,15 @@ def cmd_coalition(args, guard: OutputGuard) -> None:
     rates = read_rates(args.rates)
     if (args.a is None) != (args.b is None):
         raise CliError("give both --a and --b, or neither")
-    if args.a is None:
-        a, b = an.pick_outlying_pair(g)
-    else:
-        a, b = args.a, args.b
+    a, b = an.pick_outlying_pair(g) if args.a is None else (args.a, args.b)
     points = an.coalition_sweep(
         g, rates, a, b, _parse_joint_rates(args.joint_rates), solver_options(args)
     )
     out = guard.track(args.out)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["joint_rate", "member_a", "member_b", "others_mean", "converged"])
-        for p in points:
-            writer.writerow(
-                [repr(p.joint_rate), repr(p.member_a), repr(p.member_b),
-                 repr(p.others_mean), p.converged]
-            )
+        writer.writerow([f.name for f in fields(an.CoalitionPoint)])
+        writer.writerows(astuple(p) for p in points)
     summary_path = guard.track(Path(str(out) + ".json"))
     _write_json(
         {
@@ -277,6 +270,8 @@ def cmd_star_compare(args, guard: OutputGuard) -> None:
     ba_records = None
     if args.records:
         ba_records = read_records(args.records)
+        if not len(ba_records):
+            raise CliError(f"no records in {args.records}")
     direction = resolve(args, "strategic_direction")
     result = an.star_comparison(
         star_samples=args.stars,
@@ -302,12 +297,29 @@ def cmd_star_compare(args, guard: OutputGuard) -> None:
 # -- parser -----------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--tolerance", type=float, default=None, help="solver tolerance")
-    parser.add_argument("--max-iter", type=int, default=None, help="solver iteration cap")
-    parser.add_argument("--relaxation", type=float, default=None, help="damping factor in (0,1]")
+# options that several subcommands take; each defaults to None so that
+# resolve() can tell an absent flag from a given one
+SHARED_OPTIONS = {
+    "--samples": {"type": int}, "--n": {"type": int}, "--k": {"type": int},
+    "--lambda": {"type": float}, "--workers": {"type": int},
+    "--strategic-fraction": {"type": float},
+    "--strategic-direction": {"choices": ("low", "high"),
+                              "help": "which stability tail counts as strategic (default high)"},
+}
+
+
+def _add_command(sub, name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
+    """Subcommand `name` running func, with the named shared options and the common ones."""
+    p = sub.add_parser(name, help=help)
+    for flag in shared:
+        p.add_argument(flag, default=None, **SHARED_OPTIONS[flag])
+    p.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    p.add_argument("--config", default=None, help="flat key=value config file")
+    p.add_argument("--tolerance", type=float, default=None, help="solver tolerance")
+    p.add_argument("--max-iter", type=int, default=None, help="solver iteration cap")
+    p.add_argument("--relaxation", type=float, default=None, help="damping factor in (0,1]")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,73 +329,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a graph edge-list file")
+    p = _add_command(sub, "generate", cmd_generate, "write a graph edge-list file", "--n", "--k")
     p.add_argument("--model", choices=("ba", "star"), default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("solve", help="solve centralities for a graph + rate matrix")
+    p = _add_command(sub, "solve", cmd_solve, "solve centralities for a graph + rate matrix")
     p.add_argument("--graph", required=True)
     p.add_argument("--rates", required=True)
     p.add_argument("--measure", choices=("likedness", "eigenvector"), default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("ensemble", help="run a Monte-Carlo ensemble to record files")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--lambda", type=float, default=None, dest="lambda")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--strategic-fraction", type=float, default=None)
-    p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
-    p.set_defaults(func=cmd_ensemble)
-
-    p = sub.add_parser("analyze", help="figure-style analyses over a record file")
-    p.add_argument("--records", required=True, help="records.jsonl path")
-    p.add_argument("--strategic-fraction", type=float, default=None)
-    p.add_argument(
-        "--strategic-direction",
-        choices=("low", "high"),
-        default=None,
-        help="which stability tail counts as strategic (default high)",
+    p = _add_command(
+        sub, "ensemble", cmd_ensemble, "run a Monte-Carlo ensemble to record files",
+        "--samples", "--n", "--k", "--lambda", "--workers", "--strategic-fraction",
     )
-    p.add_argument("--lambda", type=float, default=None, dest="lambda")
+    p.add_argument("--out", required=True, help="output directory")
+
+    p = _add_command(
+        sub, "analyze", cmd_analyze, "figure-style analyses over a record file",
+        "--strategic-fraction", "--strategic-direction", "--lambda",
+    )
+    p.add_argument("--records", required=True, help="records.jsonl path")
     p.add_argument("--bins", type=int, default=None)
     p.add_argument("--converged-only", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("coalition", help="joint-rate sweep for a coalition pair")
+    p = _add_command(sub, "coalition", cmd_coalition, "joint-rate sweep for a coalition pair")
     p.add_argument("--graph", required=True)
     p.add_argument("--rates", required=True)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--joint-rates", default="0,0.5,1,2,4,8,16")
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_coalition)
 
-    p = sub.add_parser("star-compare", help="stars versus hub-bearing BA graphs")
+    p = _add_command(
+        sub, "star-compare", cmd_star_compare, "stars versus hub-bearing BA graphs",
+        "--n", "--k", "--lambda", "--workers", "--strategic-fraction", "--strategic-direction",
+    )
     p.add_argument("--stars", type=int, default=1000)
     p.add_argument("--ba-samples", type=int, default=None)
     p.add_argument("--records", default=None, help="reuse a prior run's records.jsonl")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--lambda", type=float, default=None, dest="lambda")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--strategic-fraction", type=float, default=None)
-    p.add_argument("--strategic-direction", choices=("low", "high"), default=None)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_star_compare)
-
     return parser
 
 
@@ -391,8 +377,7 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s", stream=sys.stderr
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     guard = OutputGuard()
     try:

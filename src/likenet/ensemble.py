@@ -13,8 +13,10 @@ import csv
 import json
 import logging
 from array import array
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from multiprocessing import Pool
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -22,11 +24,12 @@ import numpy as np
 
 from .centrality import RateMatrix, SolverOptions
 from .graphs import Graph, compute_metrics, generate_ba
-from .stability import stability
+from .stability import _directed_entries, stability
 
 __all__ = [
     "EnsembleConfig",
     "SystemRecord",
+    "RecordTable",
     "sample_rates",
     "compute_record",
     "run_ensemble",
@@ -111,31 +114,6 @@ class SystemRecord:
         d["outgoing_rates"] = [list(triple) for triple in self.outgoing_rates]
         return d
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SystemRecord":
-        return cls(
-            record_index=int(d["record_index"]),
-            graph_seed=int(d["graph_seed"]),
-            rate_seed=int(d["rate_seed"]),
-            stability=float(d["stability"]),
-            gradient_sq_sum=float(d["gradient_sq_sum"]),
-            degree_histogram=tuple(int(x) for x in d["degree_histogram"]),
-            degree_stddev=float(d["degree_stddev"]),
-            mean_path_length=float(d["mean_path_length"]),
-            mean_local_clustering=float(d["mean_local_clustering"]),
-            outgoing_rates=tuple(
-                (int(i), int(j), float(rate)) for i, j, rate in d["outgoing_rates"]
-            ),
-            solver_converged=bool(d["solver_converged"]),
-        )
-
-    @property
-    def max_degree(self) -> int:
-        return max(d for d, c in enumerate(self.degree_histogram) if c > 0)
-
-    def rate_values(self) -> list[float]:
-        return [rate for _, _, rate in self.outgoing_rates]
-
 
 def sample_rates(g: Graph, rate_lambda: float, seed) -> RateMatrix:
     """Draw both directed rates of every edge i.i.d. Exp(rate_lambda).
@@ -169,11 +147,7 @@ def compute_record(config: EnsembleConfig, record_index: int) -> SystemRecord:
     rates = sample_rates(g, config.rate_lambda, rate_seed)
     metrics = compute_metrics(g)
     result = stability(g, rates, config.solver)
-    outgoing = tuple(
-        sorted(
-            ((i, j, float(rates.values[i, j])) for a, b in g.edges for i, j in ((a, b), (b, a)))
-        )
-    )
+    outgoing = tuple((i, j, float(rates.values[i, j])) for i, j in _directed_entries(g))
     return SystemRecord(
         record_index=record_index,
         graph_seed=graph_seed,
@@ -202,50 +176,133 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> Iterator[SystemRec
     """
     indices = range(config.sample_count)
     next_mark = max(1, config.sample_count // 10)
-    if workers <= 1:
-        for idx in indices:
-            yield compute_record(config, idx)
-            if (idx + 1) % next_mark == 0:
-                log.info("ensemble progress: %d/%d", idx + 1, config.sample_count)
-        return
-    chunk = max(1, config.sample_count // (workers * 16))
-    with Pool(processes=workers) as pool:
-        tasks = ((config, idx) for idx in indices)
-        for idx, record in enumerate(pool.imap(_pool_worker, tasks, chunksize=chunk)):
+    with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
+        if pool is None:
+            records = (compute_record(config, idx) for idx in indices)
+        else:
+            chunk = max(1, config.sample_count // (workers * 16))
+            tasks = ((config, idx) for idx in indices)
+            records = pool.imap(_pool_worker, tasks, chunksize=chunk)
+        for done, record in enumerate(records, start=1):
             yield record
-            if (idx + 1) % next_mark == 0:
-                log.info("ensemble progress: %d/%d", idx + 1, config.sample_count)
+            if done % next_mark == 0:
+                log.info("ensemble progress: %d/%d", done, config.sample_count)
 
 
-def write_records(records: Iterable[SystemRecord], jsonl_path, csv_path=None) -> int:
-    """Stream records to JSONL (and optionally the CSV sidecar); returns count."""
+def write_records(records: Iterable[SystemRecord], jsonl_path, csv_path) -> int:
+    """Stream records to JSONL and the CSV sidecar; returns the count."""
     count = 0
-    csv_fh = open(csv_path, "w", newline="", encoding="utf-8") if csv_path else None
-    try:
-        writer = None
-        if csv_fh:
-            writer = csv.writer(csv_fh)
-            writer.writerow(RECORD_CSV_COLUMNS)
-        with open(jsonl_path, "w", encoding="utf-8") as jf:
-            for record in records:
-                jf.write(json.dumps(record.to_json_dict(), separators=(",", ":")) + "\n")
-                if writer:
-                    writer.writerow([getattr(record, name) for name in RECORD_CSV_COLUMNS])
-                count += 1
-    finally:
-        if csv_fh:
-            csv_fh.close()
+    with open(csv_path, "w", newline="", encoding="utf-8") as csv_fh, open(
+        jsonl_path, "w", encoding="utf-8"
+    ) as jf:
+        writer = csv.writer(csv_fh)
+        writer.writerow(RECORD_CSV_COLUMNS)
+        for record in records:
+            jf.write(json.dumps(record.to_json_dict(), separators=(",", ":")) + "\n")
+            writer.writerow([getattr(record, name) for name in RECORD_CSV_COLUMNS])
+            count += 1
     return count
 
 
-def read_records(jsonl_path) -> list[SystemRecord]:
-    records = []
-    with open(jsonl_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(SystemRecord.from_json_dict(json.loads(line)))
-    return records
+@dataclass(frozen=True)
+class RecordTable:
+    """The analysed fields of a record set: one NumPy column each, row r for record r.
+
+    `rates` holds every record's outgoing rate values back to back,
+    rate_counts[r] of them for record r.
+    """
+
+    record_index: np.ndarray
+    stability: np.ndarray
+    degree_stddev: np.ndarray
+    mean_path_length: np.ndarray
+    mean_local_clustering: np.ndarray
+    solver_converged: np.ndarray
+    degree_histogram: np.ndarray
+    rate_counts: np.ndarray
+    rates: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.stability)
+
+    def rates_of(self, mask: np.ndarray) -> np.ndarray:
+        """The rates of the records where mask is true."""
+        return self.rates[np.repeat(mask, self.rate_counts)]
+
+    def select(self, mask: np.ndarray) -> RecordTable:
+        """The records where mask is true, in order."""
+        rows = {f.name: getattr(self, f.name)[mask] for f in fields(self) if f.name != "rates"}
+        return RecordTable(**rows, rates=self.rates_of(mask))
+
+    @classmethod
+    def from_records(cls, records: Iterable[SystemRecord]) -> RecordTable:
+        """Tabulate in-memory records through their JSON form, as read_records does."""
+        return _tabulate((f"record {r.record_index}", r.to_json_dict()) for r in records)
+
+
+# array typecodes of the per-record scalar columns
+_SCALARS = {"record_index": "q", "stability": "d", "degree_stddev": "d", "mean_path_length": "d",
+            "mean_local_clustering": "d", "solver_converged": "b"}
+
+
+def _tabulate(items: Iterable[tuple[str, dict]]) -> RecordTable:
+    """A RecordTable from (location, record dict) pairs; errors name the location.
+
+    Values go straight into typed arrays: 8 bytes a number, not a Python object.
+    """
+    columns = {name: array(code) for name, code in _SCALARS.items()}
+    histograms, rate_counts, rates = array("q"), array("q"), array("d")
+    width = 0
+    for where, d in items:
+        try:
+            for name, column in columns.items():
+                column.append(d[name])
+            name = "degree_histogram"
+            if not rate_counts:
+                width = len(d[name])
+            if len(d[name]) != width:
+                raise ValueError(f"{where}: degree_histogram has {len(d[name])} entries, "
+                                 f"the first record's has {width}")
+            histograms.extend(d[name])
+            name = "outgoing_rates"
+            rates.extend(map(itemgetter(2), d[name]))
+            rate_counts.append(len(d[name]))
+        except KeyError:
+            raise ValueError(f"{where}: missing field {name!r}") from None
+        except (TypeError, IndexError, OverflowError) as exc:
+            raise ValueError(f"{where}: field {name!r} has the wrong type ({exc})") from None
+    table = {name: np.frombuffer(col, dtype=col.typecode) for name, col in columns.items()}
+    table["solver_converged"] = table["solver_converged"] != 0
+    return RecordTable(
+        **table,
+        degree_histogram=np.frombuffer(histograms, np.int64).reshape(len(rate_counts), width),
+        rate_counts=np.frombuffer(rate_counts, np.int64),
+        rates=np.frombuffer(rates, np.float64),
+    )
+
+
+def read_records(jsonl_path) -> RecordTable:
+    """Stream a records.jsonl file into a RecordTable, one line at a time.
+
+    Errors name the file and line: bad JSON, a missing or mistyped
+    field, a degree histogram unlike the first record's in length.
+    """
+
+    def parsed() -> Iterator[tuple[str, dict]]:
+        with open(jsonl_path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.isspace():
+                    continue
+                where = f"{jsonl_path}:{lineno}"
+                try:
+                    d = json.loads(line)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+                if not isinstance(d, dict):
+                    raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
+                yield where, d
+
+    return _tabulate(parsed())
 
 
 def summarize_records(stabilities: Sequence[float], non_converged: int) -> dict:

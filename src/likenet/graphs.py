@@ -237,17 +237,28 @@ def write_edge_list(g: Graph, path) -> None:
             fh.write(f"{i} {j}\n")
 
 
+def read_node_count(fh, path, error: type[ValueError] = GraphError) -> int:
+    """N from the 'n=<N>' header line of a text graph or rate file."""
+    header = fh.readline().strip()
+    if not header.startswith("n="):
+        raise error(f"{path}:1: expected 'n=<N>' header, got {header!r}")
+    try:
+        return int(header[2:])
+    except ValueError:
+        raise error(f"{path}:1: node count must be an integer, got {header!r}") from None
+
+
 def read_edge_list(path) -> Graph:
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("n="):
-            raise GraphError(f"expected 'n=<N>' header, got {header!r}")
-        n = int(header[2:])
+        n = read_node_count(fh, path)
         edges = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            i, j = line.split()
-            edges.append((int(i), int(j)))
+            try:
+                i, j = map(int, line.split())
+            except ValueError:
+                raise GraphError(f"{path}:{lineno}: expected 'i j', got {line!r}") from None
+            edges.append((i, j))
     return Graph(n=n, edges=tuple(edges))

@@ -72,11 +72,7 @@ class StabilityResult:
 
 def _directed_entries(g: Graph) -> list[tuple[int, int]]:
     """Perturbed entries (j, i) for every ordered adjacent pair, sorted."""
-    entries = []
-    for a, b in g.edges:
-        entries.append((a, b))
-        entries.append((b, a))
-    return sorted(entries)
+    return sorted(g.edges + tuple((b, a) for a, b in g.edges))
 
 
 def _gradient_batch(
@@ -198,32 +194,26 @@ def check_direction(direction: str) -> None:
 
 
 def classify_strategic(
-    records: Sequence, fraction: float, direction: Literal["low", "high"] = "high"
-) -> tuple[list, list, float]:
-    """Split records into (strategic, population, threshold) by stability.
+    stabilities: Sequence[float], fraction: float, direction: Literal["low", "high"] = "high"
+) -> tuple[np.ndarray, float]:
+    """Mark the strategic records of a stability column: (mask, threshold).
 
     The strategic class is the `fraction` of records with the highest
     stability, the systems nobody gains by leaving (direction="low"
-    flips to lowest). Ties at the threshold break by record order. The
-    threshold returned is the extreme stability inside the strategic
-    class. Records need only a `stability` attribute.
+    flips to lowest). Ties at the threshold break by record order: the
+    sort is stable. The threshold returned is the extreme stability
+    inside the strategic class.
     """
-    if not records:
+    stabilities = np.asarray(stabilities, dtype=float)
+    if not len(stabilities):
         raise ValueError("no records to classify")
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     check_direction(direction)
-    count = int(round(fraction * len(records)))
-    count = max(1, min(len(records) - 1, count))
-    indexed = list(enumerate(records))
-    if direction == "high":
-        ranked = sorted(indexed, key=lambda pair: (-pair[1].stability, pair[0]))
-    else:
-        ranked = sorted(indexed, key=lambda pair: (pair[1].stability, pair[0]))
-    chosen = ranked[:count]
-    chosen_ids = {idx for idx, _ in chosen}
-    strategic = [rec for idx, rec in indexed if idx in chosen_ids]
-    population = [rec for idx, rec in indexed if idx not in chosen_ids]
-    threshold_fn = max if direction == "low" else min
-    threshold = threshold_fn(rec.stability for _, rec in chosen)
-    return strategic, population, float(threshold)
+    count = max(1, min(len(stabilities) - 1, int(round(fraction * len(stabilities)))))
+    key = -stabilities if direction == "high" else stabilities
+    chosen = np.argsort(key, kind="stable")[:count]
+    mask = np.zeros(len(stabilities), dtype=bool)
+    mask[chosen] = True
+    threshold = stabilities[chosen].min() if direction == "high" else stabilities[chosen].max()
+    return mask, float(threshold)

@@ -25,7 +25,7 @@ from likenet.analysis import (
     star_comparison,
 )
 from likenet.centrality import RateMatrix, SolverOptions, likedness_centrality
-from likenet.ensemble import EnsembleConfig, run_to_files, sample_rates
+from likenet.ensemble import EnsembleConfig, RecordTable, run_to_files, sample_rates
 from likenet.graphs import Graph, generate_ba
 from likenet.stability import centrality_gradient, classify_strategic, stability_from_gradients
 from likenet.stability import _directed_entries, _gradient_batch
@@ -43,12 +43,17 @@ def report(criterion: str, ok: bool, detail: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def strategic_split(desk_run):
+def desk_table(desk_run):
     records, _ = desk_run
-    strategic, population, threshold = classify_strategic(
-        records, STRATEGIC_FRACTION, direction="high"
+    return RecordTable.from_records(records)
+
+
+@pytest.fixture(scope="module")
+def strategic_split(desk_table):
+    strategic, threshold = classify_strategic(
+        desk_table.stability, STRATEGIC_FRACTION, direction="high"
     )
-    return strategic, population, threshold
+    return strategic, threshold
 
 
 def test_criterion_1_solver_exactness():
@@ -139,10 +144,10 @@ def test_criterion_4_stability_identities():
     assert ok, line
 
 
-def test_criterion_5_rate_representation(desk_run, strategic_split):
-    records, elapsed = desk_run
-    strategic, population, _ = strategic_split
-    series = rate_representation(strategic, population, rate_lambda=1.0, bins=50)
+def test_criterion_5_rate_representation(desk_run, desk_table, strategic_split):
+    _, elapsed = desk_run
+    strategic, _ = strategic_split
+    series = rate_representation(desk_table, strategic, rate_lambda=1.0, bins=50)
     probs = np.linspace(0.0, 1.0, 51)
     values = np.array(series.bin_values)
 
@@ -150,8 +155,8 @@ def test_criterion_5_rate_representation(desk_run, strategic_split):
     finite_below = [i for i in below if not math.isnan(values[i])]
     fraction_under_parity = sum(1 for i in finite_below if values[i] < 1.0) / len(finite_below)
 
-    strategic_rates = [v for r in strategic for v in r.rate_values()]
-    population_rates = [v for r in population for v in r.rate_values()]
+    strategic_rates = desk_table.rates_of(strategic)
+    population_rates = desk_table.rates_of(~strategic)
     edges = np.array(series.bin_edges)
     s_below = np.histogram(strategic_rates, bins=edges)[0][below].sum()
     p_below = np.histogram(population_rates, bins=edges)[0][below].sum()
@@ -175,9 +180,9 @@ def test_criterion_5_rate_representation(desk_run, strategic_split):
     assert ok, line
 
 
-def test_criterion_6_degree_representation(strategic_split):
-    strategic, population, _ = strategic_split
-    series = degree_representation(strategic, population)
+def test_criterion_6_degree_representation(desk_table, strategic_split):
+    strategic, _ = strategic_split
+    series = degree_representation(desk_table, strategic)
     values = np.array(series.bin_values)
     occupied = [d for d in range(len(values)) if not math.isnan(values[d])]
     interior_min = min(values[d] for d in occupied[1:-1])
@@ -193,10 +198,9 @@ def test_criterion_6_degree_representation(strategic_split):
     assert ok, line
 
 
-def test_criterion_7_stability_metric_signs(desk_run):
-    records, _ = desk_run
-    rho_path = stability_vs_metric(records, "mean_path_length").spearman
-    rho_clust = stability_vs_metric(records, "mean_local_clustering").spearman
+def test_criterion_7_stability_metric_signs(desk_table):
+    rho_path = stability_vs_metric(desk_table, "mean_path_length").spearman
+    rho_clust = stability_vs_metric(desk_table, "mean_local_clustering").spearman
     path_ok = rho_path < 0 and abs(rho_path) > 0.05
     clust_ok = rho_clust < 0 and abs(rho_clust) > 0.05
     ok = path_ok and clust_ok
@@ -209,9 +213,9 @@ def test_criterion_7_stability_metric_signs(desk_run):
     assert ok, line
 
 
-def test_criterion_8_regression_signs(desk_run):
+def test_criterion_8_regression_signs(desk_run, desk_table):
     records, _ = desk_run
-    fit = logistic_fit(records)
+    fit = logistic_fit(desk_table)
     signs_ok = (
         fit.coef_preferential > 0 and fit.coef_path_length < 0 and fit.coef_clustering < 0
     )
@@ -237,7 +241,7 @@ def test_criterion_8_regression_signs(desk_run):
             solver_converged=True,
         )
         synthetic.append(rec)
-    recovered = logistic_fit(synthetic)
+    recovered = logistic_fit(RecordTable.from_records(synthetic))
     recovery_err = max(
         abs(recovered.intercept - beta[0]),
         abs(recovered.coef_preferential - beta[1]),
@@ -254,12 +258,11 @@ def test_criterion_8_regression_signs(desk_run):
     assert ok, line
 
 
-def test_criterion_9_star_comparison(desk_run, desk_config):
-    records, _ = desk_run
+def test_criterion_9_star_comparison(desk_table, desk_config):
     result = star_comparison(
         star_samples=1000,
         config=replace(desk_config, strategic_fraction=0.01),
-        ba_records=records,
+        ba_records=desk_table,
         direction="high",
     )
     exceeds = result.star_mean_stability > result.ba_hub_mean_stability

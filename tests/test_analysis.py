@@ -21,7 +21,7 @@ from likenet.analysis import (
     star_comparison,
 )
 from likenet.centrality import RateMatrix, likedness_centrality
-from likenet.ensemble import EnsembleConfig, SystemRecord, run_ensemble
+from likenet.ensemble import EnsembleConfig, RecordTable, SystemRecord, run_ensemble
 from likenet.graphs import Graph, generate_ba, generate_star
 from util import random_rates
 
@@ -42,6 +42,16 @@ def make_record(index, stability, degree_histogram, rates=(), **metrics):
     )
 
 
+def table(records):
+    return RecordTable.from_records(records)
+
+
+def split(strategic, population):
+    """A table of the strategic records then the population, and its strategic mask."""
+    records = [*strategic, *population]
+    return table(records), np.arange(len(records)) < len(strategic)
+
+
 class TestExponentialReference:
     def test_rate_one_sits_at_63_2_percentile(self):
         assert exponential_cdf(1.0, 1.0) == pytest.approx(1 - math.exp(-1), abs=1e-12)
@@ -58,7 +68,7 @@ class TestRateRepresentation:
     def test_identical_sets_give_unity(self):
         rng = np.random.default_rng(0)
         records = [make_record(i, 0.9, [0] * 10, rates=rng.exponential(size=30)) for i in range(20)]
-        series = rate_representation(records, records, 1.0, 10)
+        series = rate_representation(*split(records, records), 1.0, 10)
         for value, count in zip(series.bin_values, series.bin_counts):
             if count > 0:
                 assert value == pytest.approx(1.0, abs=1e-12)
@@ -66,7 +76,7 @@ class TestRateRepresentation:
     def test_empty_population_bins_are_nan(self):
         strategic = [make_record(0, 0.9, [0] * 10, rates=[5.0])]
         population = [make_record(1, 0.9, [0] * 10, rates=[0.1, 0.2])]
-        series = rate_representation(strategic, population, 1.0, 4)
+        series = rate_representation(*split(strategic, population), 1.0, 4)
         # population occupies only the first quartile bin; the rest are
         # missing (NaN), even where strategic rates land
         assert series.bin_values[0] == 0.0
@@ -75,20 +85,20 @@ class TestRateRepresentation:
 
     def test_last_edge_is_infinite(self):
         records = [make_record(0, 0.9, [0] * 10, rates=[1.0])]
-        series = rate_representation(records, records, 1.0, 5)
+        series = rate_representation(*split(records, records), 1.0, 5)
         assert series.bin_edges[-1] == math.inf
         assert len(series.bin_values) == 5
 
     def test_requires_non_empty(self):
         records = [make_record(0, 0.9, [0] * 10, rates=[1.0])]
         with pytest.raises(ValueError):
-            rate_representation([], records)
+            rate_representation(*split([], records))
 
 
 class TestDegreeRepresentation:
     def test_identical_sets_give_unity(self):
         records = [make_record(i, 0.9, [0, 0, 5, 3, 2, 0, 0, 0, 0, 0]) for i in range(5)]
-        series = degree_representation(records, records)
+        series = degree_representation(*split(records, records))
         for d in (2, 3, 4):
             assert series.bin_values[d] == pytest.approx(1.0)
 
@@ -96,7 +106,7 @@ class TestDegreeRepresentation:
         # strategic twice as heavy on degree 3, absent on degree 4
         strategic = [make_record(0, 0.9, [0, 0, 4, 6, 0, 0, 0, 0, 0, 0])]
         population = [make_record(1, 0.9, [0, 0, 4, 3, 3, 0, 0, 0, 0, 0])]
-        series = degree_representation(strategic, population)
+        series = degree_representation(*split(strategic, population))
         assert series.bin_values[3] == pytest.approx((6 / 10) / (3 / 10))
         assert series.bin_values[4] == 0.0
         assert math.isnan(series.bin_values[5])
@@ -104,7 +114,7 @@ class TestDegreeRepresentation:
     def test_missing_population_degree_is_nan(self):
         strategic = [make_record(0, 0.9, [0, 0, 0, 0, 0, 0, 0, 0, 0, 10])]
         population = [make_record(1, 0.9, [0, 0, 10, 0, 0, 0, 0, 0, 0, 0])]
-        series = degree_representation(strategic, population)
+        series = degree_representation(*split(strategic, population))
         assert math.isnan(series.bin_values[9])
 
 
@@ -113,7 +123,7 @@ class TestStabilityVsMetric:
         records = [
             make_record(i, 0.5, [0] * 10, mean_path_length=1.0 + 0.1 * i) for i in range(10)
         ]
-        trend = stability_vs_metric(records, "mean_path_length")
+        trend = stability_vs_metric(table(records), "mean_path_length")
         assert all(v == 0.5 for v in trend.series.bin_values)
         assert trend.spearman == 0.0
 
@@ -123,7 +133,7 @@ class TestStabilityVsMetric:
             make_record(1, 0.6, [0] * 10, mean_path_length=1.5),
             make_record(2, 0.9, [0] * 10, mean_path_length=2.0),
         ]
-        trend = stability_vs_metric(records, "mean_path_length")
+        trend = stability_vs_metric(table(records), "mean_path_length")
         assert trend.series.bin_values == (0.5, 0.9)
         assert trend.series.bin_counts == (2, 1)
 
@@ -133,17 +143,17 @@ class TestStabilityVsMetric:
             make_record(i, float(s), [0] * 10, mean_path_length=float(m))
             for i, (s, m) in enumerate(zip(rng.uniform(0.1, 1, 60), rng.uniform(1, 3, 60)))
         ]
-        base = stability_vs_metric(records, "mean_path_length").spearman
+        base = stability_vs_metric(table(records), "mean_path_length").spearman
         cubed = [
             make_record(r.record_index, r.stability**3, [0] * 10,
                         mean_path_length=r.mean_path_length)
             for r in records
         ]
-        assert stability_vs_metric(cubed, "mean_path_length").spearman == pytest.approx(base)
+        assert stability_vs_metric(table(cubed), "mean_path_length").spearman == pytest.approx(base)
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
-            stability_vs_metric([make_record(0, 0.5, [0] * 10)], "stability")
+            stability_vs_metric(table([make_record(0, 0.5, [0] * 10)]), "stability")
 
 
 class TestLogisticFit:
@@ -169,7 +179,7 @@ class TestLogisticFit:
 
     def test_recovers_noise_free_coefficients(self):
         beta = (0.4, 0.8, -1.1, 0.6)
-        fit = logistic_fit(self.synthetic_records(beta))
+        fit = logistic_fit(table(self.synthetic_records(beta)))
         assert fit.converged
         recovered = (fit.intercept, fit.coef_preferential, fit.coef_path_length, fit.coef_clustering)
         assert recovered == pytest.approx(beta, abs=1e-6)
@@ -204,11 +214,11 @@ class TestLogisticFit:
             for r in records
         ]
         with pytest.raises(RankDeficientError, match="mean_local_clustering"):
-            logistic_fit(flat)
+            logistic_fit(table(flat))
 
     def test_requires_fifty_records(self):
         with pytest.raises(ValueError):
-            logistic_fit(self.synthetic_records((0, 1, 1, 1), count=20))
+            logistic_fit(table(self.synthetic_records((0, 1, 1, 1), count=20)))
 
     def test_sigmoid_stable_at_extremes(self):
         z = np.array([-800.0, 0.0, 800.0])
@@ -305,12 +315,12 @@ class TestStarComparison:
     def test_empty_hub_subset_is_an_error(self):
         record = make_record(0, 0.9, [0, 0, 10, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ValueError, match="hub"):
-            star_comparison(3, config=EnsembleConfig(), ba_records=[record])
+            star_comparison(3, config=EnsembleConfig(), ba_records=table([record]))
 
     def test_degenerate_counts_warn_but_compute(self):
-        records = list(run_ensemble(EnsembleConfig(sample_count=40, master_seed=19)))
-        hubbed = [r for r in records if r.max_degree == 9]
-        assert hubbed, "expected at least one hub-9 sample in 40 draws"
+        records = table(run_ensemble(EnsembleConfig(sample_count=40, master_seed=19)))
+        hubbed = records.select(records.degree_histogram[:, 9] > 0)
+        assert len(hubbed), "expected at least one hub-9 sample in 40 draws"
         result = star_comparison(1, config=EnsembleConfig(master_seed=19), ba_records=hubbed)
         assert result.warnings
         assert 0.0 < result.star_mean_stability <= 1.0
@@ -324,6 +334,11 @@ class TestStarComparison:
         monkeypatch.setattr(analysis, "run_ensemble", refuse)
         with pytest.raises(ValueError, match="direction must be 'low' or 'high', got 'bogus'"):
             star_comparison(5, ba_samples=5, config=EnsembleConfig(), direction="bogus")
+
+    def test_records_must_match_the_star_size(self):
+        record = make_record(0, 0.9, [0, 0, 10, 0, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="10-node graphs, the stars of 12"):
+            star_comparison(1, config=EnsembleConfig(n=12), ba_records=table([record]))
 
     def test_requires_samples_or_records(self):
         with pytest.raises(ValueError):

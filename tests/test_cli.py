@@ -10,7 +10,7 @@ import pytest
 
 from likenet.centrality import RateMatrix, write_rates_dense, write_rates_triplets
 from likenet.cli import main
-from likenet.ensemble import EnsembleConfig, config_to_dict
+from likenet.ensemble import EnsembleConfig, SystemRecord, config_to_dict
 from likenet.graphs import generate_ba, read_edge_list
 from util import random_rates
 
@@ -92,6 +92,21 @@ class TestSolve:
         code = run_cli("solve", "--graph", graph, "--rates", tmp_path / "nope.csv", "--out", out)
         assert code != 0
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=x\n0 1\n", ":1: node count must be an integer, got 'n=x'"),
+            ("n=2\n0\n", ":2: expected 'i j', got '0'"),
+        ],
+    )
+    def test_bad_graph_file_names_the_line(self, tmp_path, capsys, text, message):
+        graph, rates = write_two_node_inputs(tmp_path)
+        graph.write_text(text)
+        out = tmp_path / "sol.csv"
+        assert run_cli("solve", "--graph", graph, "--rates", rates, "--out", out) == 1
+        assert f"error: {graph}{message}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -182,6 +197,66 @@ class TestAnalyzeCommand:
 
     def test_missing_records_fails(self, tmp_path):
         assert run_cli("analyze", "--records", tmp_path / "nope.jsonl", "--out", tmp_path) != 0
+
+
+def corrupt_second_line(small_run, tmp_path, edit):
+    """A three-record copy of the run whose second line is edit(line)."""
+    lines = (small_run / "records.jsonl").read_text().splitlines()[:3]
+    lines[1] = edit(lines[1])
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def drop_field(line, name):
+    record = json.loads(line)
+    del record[name]
+    return json.dumps(record)
+
+
+def set_field(line, name, value):
+    return json.dumps({**json.loads(line), name: value})
+
+
+class TestRecordFileErrors:
+    """A malformed records file exits 1 with `error: path:line: ...` and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["analyze", "star-compare"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda line: line[:150], "Expecting"),
+            (lambda line: drop_field(line, "mean_path_length"), "missing field 'mean_path_length'"),
+            (lambda line: set_field(line, "stability", "high"), "field 'stability' has the wrong type"),
+            (
+                lambda line: set_field(line, "degree_histogram", [1, 2, 3]),
+                "degree_histogram has 3 entries, the first record's has 10",
+            ),
+        ],
+        ids=["bad_json", "missing_field", "wrong_type", "histogram_length"],
+    )
+    def test_error_names_file_and_line(self, tmp_path, small_run, capsys, command, edit, message):
+        records = corrupt_second_line(small_run, tmp_path, edit)
+        out = tmp_path / "out"
+        argv = ["--stars", 2] if command == "star-compare" else []
+        assert run_cli(command, "--records", records, *argv, "--out", out) == 1
+        assert f"error: {records}:2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_record_analyses_build_no_system_records(tmp_path, small_run, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an analysis built a SystemRecord")
+
+    monkeypatch.setattr(SystemRecord, "__init__", refuse)
+    records = small_run / "records.jsonl"
+    assert run_cli("analyze", "--records", records, "--out", tmp_path / "all") == 0
+    assert run_cli(
+        "analyze", "--records", records, "--converged-only", "--out", tmp_path / "converged"
+    ) == 0
+    assert run_cli(
+        "star-compare", "--stars", 5, "--records", records, "--out", tmp_path / "stars.json"
+    ) == 0
 
 
 class TestCoalitionCommand:

@@ -10,7 +10,7 @@ from likenet import ensemble
 from likenet.ensemble import (
     EnsembleConfig,
     RECORD_CSV_COLUMNS,
-    SystemRecord,
+    RecordTable,
     compute_record,
     config_from_dict,
     read_config_file,
@@ -25,6 +25,17 @@ from likenet.ensemble import (
 from likenet.graphs import compute_metrics, generate_ba, generate_star
 
 from conftest import DESK_SEED
+
+
+def assert_table_matches(table, records):
+    """Every column of the table holds the records' values, in order."""
+    assert len(table) == len(records)
+    for name in ("record_index", "stability", "degree_stddev", "mean_path_length",
+                 "mean_local_clustering", "solver_converged"):
+        assert getattr(table, name).tolist() == [getattr(r, name) for r in records]
+    assert table.degree_histogram.tolist() == [list(r.degree_histogram) for r in records]
+    assert table.rate_counts.tolist() == [len(r.outgoing_rates) for r in records]
+    assert table.rates.tolist() == [rate for r in records for _, _, rate in r.outgoing_rates]
 
 
 class TestSampleRates:
@@ -94,7 +105,8 @@ class TestRecords:
             "outgoing_rates",
             "solver_converged",
         }
-        assert SystemRecord.from_json_dict(json.loads(json.dumps(payload))) == rec
+        assert json.loads(json.dumps(payload)) == payload
+        assert_table_matches(RecordTable.from_records([rec]), [rec])
 
     def test_outgoing_rates_cover_both_directions(self):
         rec = compute_record(EnsembleConfig(sample_count=1, master_seed=2), 0)
@@ -149,8 +161,8 @@ class TestRunEnsemble:
         # the record being written and the one just computed, never the run
         assert peak <= 2
         records = read_records(tmp_path / "records.jsonl")
-        assert [r.record_index for r in records] == list(range(20))
-        stabilities = [r.stability for r in records]
+        assert records.record_index.tolist() == list(range(20))
+        stabilities = records.stability
         assert summary == {**summarize_records(stabilities, 0), "config": summary["config"]}
 
     def test_write_read_roundtrip(self, tmp_path):
@@ -159,7 +171,7 @@ class TestRunEnsemble:
         jsonl = tmp_path / "records.jsonl"
         csv_path = tmp_path / "records.csv"
         assert write_records(records, jsonl, csv_path) == 12
-        assert read_records(jsonl) == records
+        assert_table_matches(read_records(jsonl), records)
         header = csv_path.read_text().splitlines()[0]
         assert header.split(",") == RECORD_CSV_COLUMNS
 
@@ -184,6 +196,45 @@ class TestRunEnsemble:
             [r.stability for r in pilot], [r.stability for r in records]
         ).statistic
         assert ks < 0.05
+
+
+class TestRecordTable:
+    def test_mixed_edge_counts(self, tmp_path):
+        # k=2 and k=3 graphs on 10 nodes carry 34 and 48 rates per record
+        records = [
+            rec
+            for pair in zip(
+                run_ensemble(EnsembleConfig(sample_count=4, k=2, master_seed=3)),
+                run_ensemble(EnsembleConfig(sample_count=4, k=3, master_seed=4)),
+            )
+            for rec in pair
+        ]
+        jsonl = tmp_path / "records.jsonl"
+        write_records(records, jsonl, tmp_path / "records.csv")
+        table = read_records(jsonl)
+        assert_table_matches(table, records)
+        assert table.rate_counts.tolist() == [34, 48] * 4
+        mask = np.array([True, True, False, True, False, False, True, False])
+        chosen = [rec for rec, keep in zip(records, mask) if keep]
+        assert_table_matches(table.select(mask), chosen)
+        assert table.rates_of(mask).tolist() == [
+            rate for rec in chosen for _, _, rate in rec.outgoing_rates
+        ]
+
+    def test_blank_lines_skipped(self, tmp_path):
+        records = list(run_ensemble(EnsembleConfig(sample_count=2, master_seed=5)))
+        jsonl = tmp_path / "records.jsonl"
+        write_records(records, jsonl, tmp_path / "records.csv")
+        first, second = jsonl.read_text().splitlines(keepends=True)
+        jsonl.write_text("\n" + first + "  \n" + second)
+        assert_table_matches(read_records(jsonl), records)
+
+    def test_empty_file_gives_empty_table(self, tmp_path):
+        jsonl = tmp_path / "records.jsonl"
+        jsonl.write_text("")
+        table = read_records(jsonl)
+        assert len(table) == 0
+        assert table.degree_histogram.shape == (0, 0)
 
 
 class TestConfigFiles:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,6 +197,22 @@ class TestEdgeListIO:
         path = tmp_path / "bad.txt"
         path.write_text("nodes=3\n0 1\n")
         with pytest.raises(GraphError):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=x\n0 1\n", ":1: node count must be an integer, got 'n=x'"),
+            ("n=3\n0 1\n# note\n2\n", ":4: expected 'i j', got '2'"),
+            ("n=3\n0 1 2\n", ":2: expected 'i j', got '0 1 2'"),
+            ("n=3\n0 b\n", ":2: expected 'i j', got '0 b'"),
+            ("zz\n0 1\n", ":1: expected 'n=<N>' header, got 'zz'"),
+        ],
+    )
+    def test_errors_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(GraphError, match=re.escape(f"{path}{message}")):
             read_edge_list(path)
 
 

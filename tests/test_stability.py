@@ -210,44 +210,73 @@ class TestStability:
         assert math.isfinite(result.stability)
 
 
-class FakeRecord:
-    def __init__(self, stability):
-        self.stability = stability
+def sorted_rule(stabilities, fraction, direction):
+    """The selection rule classify_strategic implements, kept frozen as an oracle.
+
+    Python's sorted() on the key (-stability, index) for "high" and
+    (stability, index) for "low"; returns (mask, threshold).
+    """
+    count = max(1, min(len(stabilities) - 1, int(round(fraction * len(stabilities)))))
+    sign = -1.0 if direction == "high" else 1.0
+    ranked = sorted(range(len(stabilities)), key=lambda i: (sign * stabilities[i], i))
+    chosen = ranked[:count]
+    mask = np.zeros(len(stabilities), dtype=bool)
+    mask[chosen] = True
+    extreme = min if direction == "high" else max
+    return mask, extreme(stabilities[i] for i in chosen)
 
 
 class TestClassifyStrategic:
     def test_exact_count(self):
-        records = [FakeRecord(s) for s in np.linspace(0.1, 0.9, 1000)]
-        strategic, population, _ = classify_strategic(records, 0.1)
-        assert len(strategic) == 100
-        assert len(population) == 900
+        strategic, _ = classify_strategic(np.linspace(0.1, 0.9, 1000), 0.1)
+        assert strategic.dtype == bool
+        assert strategic.sum() == 100
+        assert (~strategic).sum() == 900
 
     def test_highest_stability_selected_by_default(self):
-        records = [FakeRecord(s) for s in (0.9, 0.1, 0.5, 0.2)]
-        strategic, population, threshold = classify_strategic(records, 0.5)
-        assert sorted(r.stability for r in strategic) == [0.5, 0.9]
+        stabilities = np.array([0.9, 0.1, 0.5, 0.2])
+        strategic, threshold = classify_strategic(stabilities, 0.5)
+        assert sorted(stabilities[strategic]) == [0.5, 0.9]
         assert threshold == 0.5
 
     def test_direction_switch_selects_lowest(self):
-        records = [FakeRecord(s) for s in (0.9, 0.1, 0.5, 0.2)]
-        strategic, _, threshold = classify_strategic(records, 0.5, direction="low")
-        assert sorted(r.stability for r in strategic) == [0.1, 0.2]
+        stabilities = np.array([0.9, 0.1, 0.5, 0.2])
+        strategic, threshold = classify_strategic(stabilities, 0.5, direction="low")
+        assert sorted(stabilities[strategic]) == [0.1, 0.2]
         assert threshold == 0.2
 
     def test_ties_break_by_record_index(self):
-        records = [FakeRecord(0.5) for _ in range(10)]
-        strategic, population, threshold = classify_strategic(records, 0.3)
-        assert [records.index(r) for r in strategic] == [0, 1, 2]
+        strategic, threshold = classify_strategic([0.5] * 10, 0.3)
+        assert np.flatnonzero(strategic).tolist() == [0, 1, 2]
         assert threshold == 0.5
+
+    @pytest.mark.parametrize("direction", ["high", "low"])
+    def test_planted_ties_across_the_cut(self, direction):
+        # three records tie at the cut value and only two fit: the earlier two win
+        extreme, cut, rest = (0.9, 0.5, 0.1) if direction == "high" else (0.1, 0.5, 0.9)
+        stabilities = [rest, cut, extreme, rest, cut, rest, cut, extreme, rest, rest]
+        strategic, threshold = classify_strategic(stabilities, 0.4, direction)
+        assert np.flatnonzero(strategic).tolist() == [1, 2, 4, 7]
+        assert threshold == cut
+
+    @pytest.mark.parametrize("fraction", [0.001, 0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("direction", ["high", "low"])
+    def test_matches_sorted_rule_under_heavy_ties(self, fraction, direction):
+        rng = np.random.default_rng(int(fraction * 1000))
+        stabilities = np.round(rng.uniform(0, 1, 3000), 2)
+        strategic, threshold = classify_strategic(stabilities, fraction, direction)
+        expected_mask, expected_threshold = sorted_rule(stabilities.tolist(), fraction, direction)
+        assert np.array_equal(strategic, expected_mask)
+        assert threshold == expected_threshold
 
     def test_threshold_is_class_extreme(self):
         rng = np.random.default_rng(0)
-        records = [FakeRecord(float(s)) for s in rng.uniform(0, 1, 200)]
-        strategic, _, threshold = classify_strategic(records, 0.05, direction="low")
-        assert threshold == max(r.stability for r in strategic)
+        stabilities = rng.uniform(0, 1, 200)
+        strategic, threshold = classify_strategic(stabilities, 0.05, direction="low")
+        assert threshold == stabilities[strategic].max()
 
     def test_errors(self):
         with pytest.raises(ValueError):
             classify_strategic([], 0.1)
         with pytest.raises(ValueError):
-            classify_strategic([FakeRecord(0.5)], 1.5)
+            classify_strategic([0.5], 1.5)
