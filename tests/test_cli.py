@@ -226,6 +226,7 @@ class TestRecordFileErrors:
         "edit, message",
         [
             (lambda line: line[:150], "Expecting"),
+            (lambda line: "[1, 2]", "expected a JSON object, got list"),
             (lambda line: drop_field(line, "mean_path_length"), "missing field 'mean_path_length'"),
             (lambda line: set_field(line, "stability", "high"), "field 'stability' has the wrong type"),
             (
@@ -233,7 +234,7 @@ class TestRecordFileErrors:
                 "degree_histogram has 3 entries, the first record's has 10",
             ),
         ],
-        ids=["bad_json", "missing_field", "wrong_type", "histogram_length"],
+        ids=["bad_json", "not_object", "missing_field", "wrong_type", "histogram_length"],
     )
     def test_error_names_file_and_line(self, tmp_path, small_run, capsys, command, edit, message):
         records = corrupt_second_line(small_run, tmp_path, edit)
