@@ -11,21 +11,14 @@ reciprocity and coalition experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 from scipy import stats as _scipy_stats
 
 from .centrality import RateMatrix, SolverOptions, likedness_centrality
-from .ensemble import (
-    EnsembleConfig,
-    RecordTable,
-    record_seeds,
-    run_ensemble,
-    sample_rates,
-    STAR_STREAM,
-)
+from .ensemble import EnsembleConfig, RecordTable, record_seeds, sample_rates, STAR_STREAM
 from .graphs import Graph, generate_star
 from .stability import check_direction, classify_strategic, stability
 
@@ -188,24 +181,35 @@ def stability_vs_metric(table: RecordTable, metric: str) -> MetricTrend:
         raise ValueError("no records")
     xs = getattr(table, metric)
     ys = table.stability
-    groups: dict[float, list[float]] = {}
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        groups.setdefault(round(x, 12), []).append(y)
-    keys = sorted(groups)
-    means = [float(np.mean(groups[k])) for k in keys]
-    counts = [len(groups[k]) for k in keys]
-    edges = _discrete_edges(keys)
-    if len(set(xs.tolist())) < 2 or len(set(ys.tolist())) < 2:
+    # rounding keeps the sorted distinct values in order, so the values that
+    # round to one key are neighbours; each NaN stays a value of its own
+    values, inverse = np.unique(xs, return_inverse=True, equal_nan=False)
+    rounded = [round(v, 12) for v in values.tolist()]
+    starts = np.array([True] + [a != b for a, b in zip(rounded, rounded[1:])])
+    keys = [key for key, start in zip(rounded, starts) if start]
+    group = (np.cumsum(starts) - 1)[inverse]
+    counts = np.bincount(group, minlength=len(keys))
+    # each group's stabilities in record order
+    members = np.split(ys[np.argsort(group, kind="stable")], np.cumsum(counts)[:-1])
+    means = [float(np.mean(m)) for m in members]
+    if _is_constant(xs) or _is_constant(ys):
         rho = 0.0
     else:
         rho = float(_scipy_stats.spearmanr(xs, ys).statistic)
     return MetricTrend(
         metric=metric,
         series=BinnedSeries(
-            bin_edges=tuple(edges), bin_values=tuple(means), bin_counts=tuple(counts)
+            bin_edges=tuple(_discrete_edges(keys)),
+            bin_values=tuple(means),
+            bin_counts=tuple(counts.tolist()),
         ),
         spearman=rho,
     )
+
+
+def _is_constant(column: np.ndarray) -> bool:
+    """Fewer than two distinct values, a NaN being distinct from every value."""
+    return len(column) < 2 or not (column != column[0]).any()
 
 
 def _discrete_edges(keys: Sequence[float]) -> list[float]:
@@ -409,19 +413,16 @@ class StarComparison:
 
 def star_comparison(
     star_samples: int,
-    ba_samples: int | None = None,
+    ba_records: RecordTable,
     config: EnsembleConfig | None = None,
-    ba_records: RecordTable | None = None,
     direction: Literal["low", "high"] = "high",
-    workers: int = 1,
 ) -> StarComparison:
     """Random-rate stars versus preferential-attachment graphs with a full hub.
 
     Stars are sampled fresh from a dedicated seed stream of the config.
-    The comparison set is the subset of BA records with a vertex of
-    degree n-1, either taken from `ba_records` (a prior run of n-node
-    graphs) or sampled fresh (`ba_samples`). Also reports, within the
-    strategic stars (classify_strategic at the config's
+    The comparison set is the subset of `ba_records` (a prior run of
+    n-node graphs) with a vertex of degree n-1. Also reports, within
+    the strategic stars (classify_strategic at the config's
     strategic_fraction), the ratio of mean branch centrality to mean hub
     centrality.
     """
@@ -441,11 +442,6 @@ def star_comparison(
         branch_centrality[idx] = np.mean(cv.values[1:])
         hub_centrality[idx] = cv.values[0]
 
-    if ba_records is None:
-        if not ba_samples or ba_samples < 1:
-            raise ValueError("need ba_samples >= 1 or an explicit ba_records set")
-        ba_config = replace(config, sample_count=ba_samples)
-        ba_records = RecordTable.from_records(run_ensemble(ba_config, workers=workers))
     width = ba_records.degree_histogram.shape[1]
     if width != config.n:
         raise ValueError(f"the records are of {width}-node graphs, the stars of {config.n}")

@@ -168,7 +168,7 @@ def cmd_solve(args, guard: OutputGuard) -> None:
 def cmd_ensemble(args, guard: OutputGuard) -> None:
     config = ensemble_config(args)
     out_dir = Path(args.out)
-    for name in ("records.jsonl", "records.csv", "summary.json"):
+    for name in ("records.jsonl", "summary.json"):
         guard.track(out_dir / name)
     summary = run_to_files(config, out_dir, workers=resolve(args, "workers"))
     log.info(
@@ -189,26 +189,18 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
     fraction = resolve(args, "strategic_fraction")
     direction = resolve(args, "strategic_direction")
     strategic, threshold = classify_strategic(table.stability, fraction, direction)
-    # the fit has the strictest input floor (50 records): fail before writing
     fit = an.logistic_fit(table)
     rate_lambda = resolve(args, "rate_lambda")
     bins = resolve(args, "bins")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    write_series_csv(
-        an.rate_representation(table, strategic, rate_lambda, bins),
-        guard.track(out_dir / "rate_representation.csv"),
-    )
-    write_series_csv(
-        an.degree_representation(table, strategic),
-        guard.track(out_dir / "degree_representation.csv"),
-    )
+    series = {
+        "rate_representation": an.rate_representation(table, strategic, rate_lambda, bins),
+        "degree_representation": an.degree_representation(table, strategic),
+    }
     correlations = {}
     for metric in an.METRIC_FIELDS:
         trend = an.stability_vs_metric(table, metric)
         correlations[metric] = trend.spearman
-        write_series_csv(trend.series, guard.track(out_dir / f"stability_vs_{metric}.csv"))
+        series[f"stability_vs_{metric}"] = trend.series
     summary = {
         "record_count": len(table),
         "non_converged": len(table) - int(table.solver_converged.sum()),
@@ -225,6 +217,12 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
             metric: an.stability_vs_metric(converged, metric).spearman
             for metric in an.METRIC_FIELDS
         }
+
+    # every result is computed: a failing analysis leaves no output behind
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, binned in series.items():
+        write_series_csv(binned, guard.track(out_dir / f"{name}.csv"))
     _write_json(summary, guard.track(out_dir / "analysis_summary.json"))
     log.info("analysis written to %s", out_dir)
 
@@ -267,19 +265,15 @@ def cmd_coalition(args, guard: OutputGuard) -> None:
 
 def cmd_star_compare(args, guard: OutputGuard) -> None:
     config = ensemble_config(args)
-    ba_records = None
-    if args.records:
-        ba_records = read_records(args.records)
-        if not len(ba_records):
-            raise CliError(f"no records in {args.records}")
+    ba_records = read_records(args.records)
+    if not len(ba_records):
+        raise CliError(f"no records in {args.records}")
     direction = resolve(args, "strategic_direction")
     result = an.star_comparison(
         star_samples=args.stars,
-        ba_samples=args.ba_samples,
         config=config,
         ba_records=ba_records,
         direction=direction,
-        workers=resolve(args, "workers"),
     )
     for warning in result.warnings:
         log.warning("%s", warning)
@@ -364,11 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(
         sub, "star-compare", cmd_star_compare, "stars versus hub-bearing BA graphs",
-        "--n", "--k", "--lambda", "--workers", "--strategic-fraction", "--strategic-direction",
+        "--n", "--lambda", "--strategic-fraction", "--strategic-direction",
     )
     p.add_argument("--stars", type=int, default=1000)
-    p.add_argument("--ba-samples", type=int, default=None)
-    p.add_argument("--records", default=None, help="reuse a prior run's records.jsonl")
+    p.add_argument("--records", required=True, help="a `likenet ensemble` run's records.jsonl")
     p.add_argument("--out", required=True)
     return parser
 

@@ -3,13 +3,12 @@
 Each record is fully determined by (master_seed, record_index, config):
 per-record seeds come from a counter-based split of the master seed, so
 records can be recomputed independently and in parallel without shared
-RNG state. Output is JSON-lines (one record per line) plus a CSV
-sidecar of the numeric columns.
+RNG state. Records are written as JSON lines, one record per line, to
+the run's one record file.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from array import array
@@ -39,20 +38,9 @@ __all__ = [
     "run_to_files",
     "read_config_file",
     "write_config_file",
-    "RECORD_CSV_COLUMNS",
 ]
 
 log = logging.getLogger("likenet")
-
-RECORD_CSV_COLUMNS = [
-    "record_index",
-    "stability",
-    "gradient_sq_sum",
-    "degree_stddev",
-    "mean_path_length",
-    "mean_local_clustering",
-    "solver_converged",
-]
 
 STABILITY_QUANTILES = (0.001, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
@@ -189,17 +177,12 @@ def run_ensemble(config: EnsembleConfig, workers: int = 1) -> Iterator[SystemRec
                 log.info("ensemble progress: %d/%d", done, config.sample_count)
 
 
-def write_records(records: Iterable[SystemRecord], jsonl_path, csv_path) -> int:
-    """Stream records to JSONL and the CSV sidecar; returns the count."""
+def write_records(records: Iterable[SystemRecord], jsonl_path) -> int:
+    """Stream records to a JSONL file; returns the count."""
     count = 0
-    with open(csv_path, "w", newline="", encoding="utf-8") as csv_fh, open(
-        jsonl_path, "w", encoding="utf-8"
-    ) as jf:
-        writer = csv.writer(csv_fh)
-        writer.writerow(RECORD_CSV_COLUMNS)
+    with open(jsonl_path, "w", encoding="utf-8") as jf:
         for record in records:
             jf.write(json.dumps(record.to_json_dict(), separators=(",", ":")) + "\n")
-            writer.writerow([getattr(record, name) for name in RECORD_CSV_COLUMNS])
             count += 1
     return count
 
@@ -323,11 +306,13 @@ def summarize_records(stabilities: Sequence[float], non_converged: int) -> dict:
 
 
 def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
-    """Run the ensemble, writing records.jsonl, records.csv, summary.json.
+    """Run the ensemble, writing records.jsonl and summary.json.
 
     Each record is written as it arrives; only its stability and
     convergence flag are kept for the summary.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stabilities = array("d")
@@ -340,9 +325,7 @@ def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
             non_converged += not record.solver_converged
             yield record
 
-    write_records(
-        tallied(run_ensemble(config, workers=workers)), out / "records.jsonl", out / "records.csv"
-    )
+    write_records(tallied(run_ensemble(config, workers=workers)), out / "records.jsonl")
     summary = summarize_records(stabilities, non_converged)
     summary["config"] = config_to_dict(config)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:

@@ -57,19 +57,9 @@ class Graph:
         if self.n < 1:
             raise GraphError(f"node count must be positive, got {self.n}")
         seen = set()
-        canonical = []
         for edge in self.edges:
-            i, j = edge
-            if i == j:
-                raise GraphError(f"self-loop at node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise GraphError(f"edge {edge} out of range for n={self.n}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise GraphError(f"duplicate edge {key}")
-            seen.add(key)
-            canonical.append(key)
-        object.__setattr__(self, "edges", tuple(sorted(canonical)))
+            _add_edge(self.n, edge, seen)
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -102,6 +92,19 @@ class Graph:
         if self.n == 1:
             return True
         return bool((_distances(self)[0] >= 0).all())
+
+
+def _add_edge(n: int, edge: tuple[int, int], seen: set[tuple[int, int]]) -> None:
+    """Add edge to seen as (min, max), enforcing the rules of a Graph's edges."""
+    i, j = edge
+    if i == j:
+        raise GraphError(f"self-loop at node {i}")
+    if not (0 <= i < n and 0 <= j < n):
+        raise GraphError(f"edge {edge} out of range for n={n}")
+    key = (min(i, j), max(i, j))
+    if key in seen:
+        raise GraphError(f"duplicate edge {key}")
+    seen.add(key)
 
 
 def generate_ba(n: int, k: int, seed) -> Graph:
@@ -249,9 +252,10 @@ def read_node_count(fh, path, error: type[ValueError] = GraphError) -> int:
 
 
 def read_edge_list(path) -> Graph:
+    """Read the text edge-list format; errors name the file and line."""
     with open(path, encoding="utf-8") as fh:
         n = read_node_count(fh, path)
-        edges = []
+        seen = set()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -260,5 +264,8 @@ def read_edge_list(path) -> Graph:
                 i, j = map(int, line.split())
             except ValueError:
                 raise GraphError(f"{path}:{lineno}: expected 'i j', got {line!r}") from None
-            edges.append((i, j))
-    return Graph(n=n, edges=tuple(edges))
+            try:
+                _add_edge(n, (i, j), seen)
+            except GraphError as exc:
+                raise GraphError(f"{path}:{lineno}: {exc}") from None
+    return Graph(n=n, edges=tuple(seen))

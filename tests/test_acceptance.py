@@ -316,7 +316,7 @@ def test_criterion_11_reproducibility(tmp_path):
     run_to_files(config, tmp_path / "first", workers=1)
     run_to_files(config, tmp_path / "second", workers=1)
     run_to_files(config, tmp_path / "parallel", workers=2)
-    names = ("records.jsonl", "records.csv", "summary.json")
+    names = ("records.jsonl", "summary.json")
     rerun_identical = all(
         (tmp_path / "first" / n).read_bytes() == (tmp_path / "second" / n).read_bytes()
         for n in names

@@ -331,18 +331,16 @@ class TestStarComparison:
             raise AssertionError("sampled before the direction was checked")
 
         monkeypatch.setattr(analysis, "stability", refuse)
-        monkeypatch.setattr(analysis, "run_ensemble", refuse)
+        record = make_record(0, 0.9, [0, 9, 0, 0, 0, 0, 0, 0, 0, 1])
         with pytest.raises(ValueError, match="direction must be 'low' or 'high', got 'bogus'"):
-            star_comparison(5, ba_samples=5, config=EnsembleConfig(), direction="bogus")
+            star_comparison(
+                5, config=EnsembleConfig(), ba_records=table([record]), direction="bogus"
+            )
 
     def test_records_must_match_the_star_size(self):
         record = make_record(0, 0.9, [0, 0, 10, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ValueError, match="10-node graphs, the stars of 12"):
             star_comparison(1, config=EnsembleConfig(n=12), ba_records=table([record]))
-
-    def test_requires_samples_or_records(self):
-        with pytest.raises(ValueError):
-            star_comparison(2, config=EnsembleConfig())
 
 
 class TestBinnedSeries:

@@ -10,7 +10,7 @@ import pytest
 
 from likenet.centrality import RateMatrix, write_rates_dense, write_rates_triplets
 from likenet.cli import main
-from likenet.ensemble import EnsembleConfig, SystemRecord, config_to_dict
+from likenet.ensemble import EnsembleConfig, SystemRecord, config_to_dict, read_records
 from likenet.graphs import generate_ba, read_edge_list
 from util import random_rates
 
@@ -99,6 +99,9 @@ class TestSolve:
         [
             ("n=x\n0 1\n", ":1: node count must be an integer, got 'n=x'"),
             ("n=2\n0\n", ":2: expected 'i j', got '0'"),
+            ("n=3\n0 1\n1 5\n", ":3: edge (1, 5) out of range for n=3"),
+            ("n=3\n0 1\n# repeated\n1 0\n", ":4: duplicate edge (0, 1)"),
+            ("n=3\n0 1\n2 2\n", ":3: self-loop at node 2"),
         ],
     )
     def test_bad_graph_file_names_the_line(self, tmp_path, capsys, text, message):
@@ -116,10 +119,17 @@ class TestEnsembleCommand:
         assert run_cli(*args, "--workers", 1, "--out", tmp_path / "a") == 0
         assert run_cli(*args, "--workers", 1, "--out", tmp_path / "b") == 0
         assert run_cli(*args, "--workers", 2, "--out", tmp_path / "c") == 0
-        for name in ("records.jsonl", "records.csv", "summary.json"):
+        for name in ("records.jsonl", "summary.json"):
             blob = (tmp_path / "a" / name).read_bytes()
             assert blob == (tmp_path / "b" / name).read_bytes()
             assert blob == (tmp_path / "c" / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_fail_before_any_output(self, tmp_path, capsys, workers):
+        out = tmp_path / "run"
+        assert run_cli("ensemble", "--samples", 5, "--workers", workers, "--out", out) == 1
+        assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_default_config_is_the_library_default(self, tmp_path):
         assert run_cli("ensemble", "--samples", 5, "--out", tmp_path) == 0
@@ -128,8 +138,7 @@ class TestEnsembleCommand:
 
     def test_summary_quantiles_match_csv(self, tmp_path):
         assert run_cli("ensemble", "--samples", 30, "--seed", 2, "--out", tmp_path) == 0
-        with open(tmp_path / "records.csv", newline="") as fh:
-            stabilities = [float(row["stability"]) for row in csv.DictReader(fh)]
+        stabilities = read_records(tmp_path / "records.jsonl").stability
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["count"] == 30
         assert summary["stability_quantiles"]["q0.5"] == pytest.approx(
@@ -193,6 +202,14 @@ class TestAnalyzeCommand:
         out = tmp_path / "analysis"
         assert run_cli("analyze", "--records", few, "--out", out) == 1
         assert "need >= 50 records with finite metrics, got 40" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failing_analysis_leaves_no_directory(self, tmp_path, small_run, capsys):
+        out = tmp_path / "analysis"
+        assert run_cli(
+            "analyze", "--records", small_run / "records.jsonl", "--bins", 0, "--out", out
+        ) == 1
+        assert "need at least one bin, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_records_fails(self, tmp_path):

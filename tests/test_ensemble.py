@@ -9,7 +9,6 @@ from scipy import stats
 from likenet import ensemble
 from likenet.ensemble import (
     EnsembleConfig,
-    RECORD_CSV_COLUMNS,
     RecordTable,
     compute_record,
     config_from_dict,
@@ -140,7 +139,7 @@ class TestRunEnsemble:
         cfg = EnsembleConfig(sample_count=25, master_seed=4)
         run_to_files(cfg, tmp_path / "a", workers=1)
         run_to_files(cfg, tmp_path / "b", workers=2)
-        for name in ("records.jsonl", "records.csv", "summary.json"):
+        for name in ("records.jsonl", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_run_to_files_streams_records(self, tmp_path, monkeypatch):
@@ -169,11 +168,8 @@ class TestRunEnsemble:
         cfg = EnsembleConfig(sample_count=12, master_seed=9)
         records = list(run_ensemble(cfg))
         jsonl = tmp_path / "records.jsonl"
-        csv_path = tmp_path / "records.csv"
-        assert write_records(records, jsonl, csv_path) == 12
+        assert write_records(records, jsonl) == 12
         assert_table_matches(read_records(jsonl), records)
-        header = csv_path.read_text().splitlines()[0]
-        assert header.split(",") == RECORD_CSV_COLUMNS
 
     def test_summary_consistent_with_records(self):
         cfg = EnsembleConfig(sample_count=50, master_seed=10)
@@ -210,7 +206,7 @@ class TestRecordTable:
             for rec in pair
         ]
         jsonl = tmp_path / "records.jsonl"
-        write_records(records, jsonl, tmp_path / "records.csv")
+        write_records(records, jsonl)
         table = read_records(jsonl)
         assert_table_matches(table, records)
         assert table.rate_counts.tolist() == [34, 48] * 4
@@ -224,7 +220,7 @@ class TestRecordTable:
     def test_blank_lines_skipped(self, tmp_path):
         records = list(run_ensemble(EnsembleConfig(sample_count=2, master_seed=5)))
         jsonl = tmp_path / "records.jsonl"
-        write_records(records, jsonl, tmp_path / "records.csv")
+        write_records(records, jsonl)
         first, second = jsonl.read_text().splitlines(keepends=True)
         jsonl.write_text("\n" + first + "  \n" + second)
         assert_table_matches(read_records(jsonl), records)
