@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .centrality import RateMatrix, SolverOptions, likedness_centrality
 from .ensemble import EnsembleConfig, RecordTable, record_seeds, sample_rates, STAR_STREAM
@@ -107,6 +106,8 @@ def _percentile_edges(bins, rate_lambda: float) -> tuple[np.ndarray, np.ndarray]
     `bins` is either an equal-probability bin count or an explicit
     increasing sequence of probabilities spanning [0, 1].
     """
+    if not rate_lambda > 0:
+        raise ValueError(f"rate_lambda must be > 0, got {rate_lambda}")
     if isinstance(bins, int):
         if bins < 1:
             raise ValueError(f"need at least one bin, got {bins}")
@@ -194,8 +195,11 @@ def stability_vs_metric(table: RecordTable, metric: str) -> MetricTrend:
     means = [float(np.mean(m)) for m in members]
     if _is_constant(xs) or _is_constant(ys):
         rho = 0.0
+    elif np.isnan(xs).any() or np.isnan(ys).any():
+        rho = math.nan
     else:
-        rho = float(_scipy_stats.spearmanr(xs, ys).statistic)
+        ranks = np.column_stack((_average_ranks(xs), _average_ranks(ys)))
+        rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
     return MetricTrend(
         metric=metric,
         series=BinnedSeries(
@@ -210,6 +214,12 @@ def stability_vs_metric(table: RecordTable, metric: str) -> MetricTrend:
 def _is_constant(column: np.ndarray) -> bool:
     """Fewer than two distinct values, a NaN being distinct from every value."""
     return len(column) < 2 or not (column != column[0]).any()
+
+
+def _average_ranks(column: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def _discrete_edges(keys: Sequence[float]) -> list[float]:

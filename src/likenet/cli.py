@@ -4,8 +4,8 @@ One binary, six subcommands: generate, solve, ensemble, analyze,
 coalition, star-compare. Every option resolves with the precedence
 flag > environment variable > config file > built-in default; env
 variables mirror flag names with the LIKENET_ prefix (--max-iter ->
-LIKENET_MAX_ITER). All randomness flows from --seed; nothing is ever
-seeded from the clock.
+LIKENET_MAX_ITER). Each subcommand takes only the options it reads.
+All randomness flows from --seed; nothing is ever seeded from the clock.
 """
 
 from __future__ import annotations
@@ -299,19 +299,20 @@ SHARED_OPTIONS = {
     "--strategic-fraction": {"type": float},
     "--strategic-direction": {"choices": ("low", "high"),
                               "help": "which stability tail counts as strategic (default high)"},
+    "--seed": {"type": int, "help": "master RNG seed"},
+    "--tolerance": {"type": float, "help": "solver tolerance"},
+    "--max-iter": {"type": int, "help": "solver iteration cap"},
+    "--relaxation": {"type": float, "help": "damping factor in (0,1]"},
 }
+SOLVER_FLAGS = ("--tolerance", "--max-iter", "--relaxation")
 
 
 def _add_command(sub, name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
-    """Subcommand `name` running func, with the named shared options and the common ones."""
+    """Subcommand `name` running func, with the named shared options and --config."""
     p = sub.add_parser(name, help=help)
     for flag in shared:
         p.add_argument(flag, default=None, **SHARED_OPTIONS[flag])
-    p.add_argument("--seed", type=int, default=None, help="master RNG seed")
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--tolerance", type=float, default=None, help="solver tolerance")
-    p.add_argument("--max-iter", type=int, default=None, help="solver iteration cap")
-    p.add_argument("--relaxation", type=float, default=None, help="damping factor in (0,1]")
     p.set_defaults(func=func)
     return p
 
@@ -323,11 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_command(sub, "generate", cmd_generate, "write a graph edge-list file", "--n", "--k")
+    p = _add_command(sub, "generate", cmd_generate, "write a graph edge-list file",
+                     "--n", "--k", "--seed")
     p.add_argument("--model", choices=("ba", "star"), default=None)
     p.add_argument("--out", required=True)
 
-    p = _add_command(sub, "solve", cmd_solve, "solve centralities for a graph + rate matrix")
+    p = _add_command(sub, "solve", cmd_solve, "solve centralities for a graph + rate matrix",
+                     *SOLVER_FLAGS)
     p.add_argument("--graph", required=True)
     p.add_argument("--rates", required=True)
     p.add_argument("--measure", choices=("likedness", "eigenvector"), default=None)
@@ -336,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(
         sub, "ensemble", cmd_ensemble, "run a Monte-Carlo ensemble to record files",
         "--samples", "--n", "--k", "--lambda", "--workers", "--strategic-fraction",
+        "--seed", *SOLVER_FLAGS,
     )
     p.add_argument("--out", required=True, help="output directory")
 
@@ -348,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--converged-only", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = _add_command(sub, "coalition", cmd_coalition, "joint-rate sweep for a coalition pair")
+    p = _add_command(sub, "coalition", cmd_coalition, "joint-rate sweep for a coalition pair",
+                     *SOLVER_FLAGS)
     p.add_argument("--graph", required=True)
     p.add_argument("--rates", required=True)
     p.add_argument("--a", type=int, default=None)
@@ -359,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(
         sub, "star-compare", cmd_star_compare, "stars versus hub-bearing BA graphs",
         "--n", "--lambda", "--strategic-fraction", "--strategic-direction",
+        "--seed", *SOLVER_FLAGS,
     )
     p.add_argument("--stars", type=int, default=1000)
     p.add_argument("--records", required=True, help="a `likenet ensemble` run's records.jsonl")

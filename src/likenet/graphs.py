@@ -246,9 +246,12 @@ def read_node_count(fh, path, error: type[ValueError] = GraphError) -> int:
     if not header.startswith("n="):
         raise error(f"{path}:1: expected 'n=<N>' header, got {header!r}")
     try:
-        return int(header[2:])
+        n = int(header[2:])
     except ValueError:
         raise error(f"{path}:1: node count must be an integer, got {header!r}") from None
+    if n < 1:
+        raise error(f"{path}:1: node count must be positive, got {n}")
+    return n
 
 
 def read_edge_list(path) -> Graph:

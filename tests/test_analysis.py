@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +156,36 @@ class TestStabilityVsMetric:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
             stability_vs_metric(table([make_record(0, 0.5, [0] * 10)]), "stability")
+
+    @pytest.mark.parametrize("seed, size", [(0, 2), (1, 2), (2, 3), (3, 40), (4, 300)])
+    def test_spearman_matches_scipy_exactly(self, seed, size):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(seed)
+        # few distinct values in both columns, so ties are the rule; neither is constant
+        while True:
+            paths = rng.choice([-math.inf, 1.0, 1.5, 2.0, math.inf], size)
+            stabilities = np.round(rng.uniform(0.05, 1.0, size), 1)
+            if len(set(paths)) > 1 and len(set(stabilities)) > 1:
+                break
+        records = [
+            make_record(i, float(s), [0] * 10, mean_path_length=float(m))
+            for i, (s, m) in enumerate(zip(stabilities, paths))
+        ]
+        expected = float(stats.spearmanr(paths, stabilities).statistic)
+        assert stability_vs_metric(table(records), "mean_path_length").spearman == expected
+
+    @pytest.mark.parametrize("column", ["metric", "stability"])
+    def test_nan_gives_nan_correlation(self, column):
+        records = [
+            make_record(
+                i,
+                math.nan if column == "stability" and i == 3 else 0.1 * (i + 1),
+                [0] * 10,
+                mean_path_length=math.nan if column == "metric" and i == 3 else 1.0 + i % 4,
+            )
+            for i in range(8)
+        ]
+        assert math.isnan(stability_vs_metric(table(records), "mean_path_length").spearman)
 
 
 class TestLogisticFit:
@@ -351,3 +383,12 @@ class TestBinnedSeries:
     def test_rows(self):
         series = BinnedSeries(bin_edges=(0.0, 1.0, 2.0), bin_values=(0.5, 0.7), bin_counts=(3, 4))
         assert series.rows() == [(0.0, 1.0, 0.5, 3), (1.0, 2.0, 0.7, 4)]
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, likenet, likenet.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -102,6 +102,8 @@ class TestSolve:
             ("n=3\n0 1\n1 5\n", ":3: edge (1, 5) out of range for n=3"),
             ("n=3\n0 1\n# repeated\n1 0\n", ":4: duplicate edge (0, 1)"),
             ("n=3\n0 1\n2 2\n", ":3: self-loop at node 2"),
+            ("n=0\n", ":1: node count must be positive, got 0"),
+            ("n=-3\n0 1\n", ":1: node count must be positive, got -3"),
         ],
     )
     def test_bad_graph_file_names_the_line(self, tmp_path, capsys, text, message):
@@ -110,6 +112,15 @@ class TestSolve:
         out = tmp_path / "sol.csv"
         assert run_cli("solve", "--graph", graph, "--rates", rates, "--out", out) == 1
         assert f"error: {graph}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_triplet_rate_file_names_the_line(self, tmp_path, capsys):
+        graph, _ = write_two_node_inputs(tmp_path)
+        rates = tmp_path / "rates.txt"
+        rates.write_text("n=0\n")
+        out = tmp_path / "sol.csv"
+        assert run_cli("solve", "--graph", graph, "--rates", rates, "--out", out) == 1
+        assert f"error: {rates}:1: node count must be positive, got 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -210,6 +221,19 @@ class TestAnalyzeCommand:
             "analyze", "--records", small_run / "records.jsonl", "--bins", 0, "--out", out
         ) == 1
         assert "need at least one bin, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate_lambda", ["-1", "0", "nan"])
+    def test_non_positive_lambda_fails_before_any_output(
+        self, tmp_path, small_run, capsys, rate_lambda
+    ):
+        out = tmp_path / "analysis"
+        assert run_cli(
+            "analyze", "--records", small_run / "records.jsonl", "--lambda", rate_lambda,
+            "--out", out,
+        ) == 1
+        message = f"error: rate_lambda must be > 0, got {float(rate_lambda)}"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_records_fails(self, tmp_path):
@@ -391,6 +415,33 @@ class TestOptionResolution:
         assert err.startswith("error:")
         assert message in err
         assert not (out / "records.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("generate", "--tolerance"),
+        ("generate", "--max-iter"),
+        ("generate", "--relaxation"),
+        ("solve", "--seed"),
+        ("coalition", "--seed"),
+        ("analyze", "--seed"),
+        ("analyze", "--tolerance"),
+        ("analyze", "--max-iter"),
+        ("analyze", "--relaxation"),
+    ],
+)
+def test_command_rejects_options_it_does_not_read(capsys, command, flag):
+    required = {
+        "generate": ["--out", "g.txt"],
+        "solve": ["--graph", "g.txt", "--rates", "r.csv", "--out", "s.csv"],
+        "coalition": ["--graph", "g.txt", "--rates", "r.csv", "--out", "c.csv"],
+        "analyze": ["--records", "records.jsonl", "--out", "analysis"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):
