@@ -17,9 +17,16 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .centrality import RateMatrix, SolverOptions, likedness_centrality
-from .ensemble import EnsembleConfig, RecordTable, record_seeds, sample_rates, STAR_STREAM
+from .ensemble import (
+    STAR_STREAM,
+    EnsembleConfig,
+    RecordTable,
+    block_records,
+    record_seeds,
+    sample_rates,
+)
 from .graphs import Graph, generate_star
-from .stability import check_direction, classify_strategic, stability
+from .stability import check_direction, classify_strategic, stability_block
 
 __all__ = [
     "BinnedSeries",
@@ -443,14 +450,21 @@ def star_comparison(
     warnings = []
 
     star = generate_star(config.n)
-    star_stability, branch_centrality, hub_centrality = np.empty((3, star_samples))
-    for idx in range(star_samples):
-        _, rate_seed = record_seeds(config.master_seed, idx, stream=STAR_STREAM)
-        rates = sample_rates(star, config.rate_lambda, rate_seed)
-        star_stability[idx] = stability(star, rates, config.solver).stability
-        cv = likedness_centrality(star, rates, config.solver)
-        branch_centrality[idx] = np.mean(cv.values[1:])
-        hub_centrality[idx] = cv.values[0]
+    results = []
+    size = block_records(2 * len(star.edges), star.n)
+    for start in range(0, star_samples, size):
+        indices = range(start, min(start + size, star_samples))
+        rates = [
+            sample_rates(star, config.rate_lambda,
+                         record_seeds(config.master_seed, idx, stream=STAR_STREAM)[1])
+            for idx in indices
+        ]
+        results += stability_block([star] * len(rates), rates, config.solver)
+    star_stability = np.array([result.stability for result in results])
+    # the hub and branch centralities come from each star's baseline solve
+    centrality = np.array([result.centrality for result in results])
+    branch_centrality = centrality[:, 1:].mean(axis=1)
+    hub_centrality = centrality[:, 0]
 
     width = ba_records.degree_histogram.shape[1]
     if width != config.n:

@@ -13,10 +13,13 @@ No closed form is available in general. The solver takes damped
 successive-substitution steps while far from the fixed point, then
 Newton steps with the Jacobian dF_i/dv_k = (R_ik - F_i A_ik) / (A v)_i
 (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
-ch. 5). It solves a stack of rate matrices over one graph at once; a
-caller that knows a nearby fixed point can start every row there and
-share one Newton matrix (chord steps), which is what makes
-finite-difference stability sweeps cheap.
+ch. 5). One loop solves a block of systems at once: several records,
+each with its own graph and rates, and for each record either its own
+system or many systems that each change one of its rate entries. A
+caller that knows a nearby fixed point can start a record's rows there
+and share the record's Newton matrix (chord steps), which is what makes
+finite-difference stability sweeps cheap; a one-entry change enters the
+map as a rank-one term, so no rate matrix is built per perturbed system.
 """
 
 from __future__ import annotations
@@ -143,17 +146,26 @@ POLISH_CONTRACTION = 0.5
 
 
 def _normalize_rows(raw: np.ndarray) -> np.ndarray:
-    """Each row of a (batch, n) array divided by its sum; all-zero rows stay zero."""
-    total = raw.sum(axis=1, keepdims=True)
+    """Each vector along the last axis divided by its sum; all-zero vectors stay zero."""
+    total = raw.sum(axis=-1, keepdims=True)
     return np.where(total > 0, raw / np.where(total > 0, total, 1.0), 0.0)
 
 
 def _fixed_map(
-    rate_stack: np.ndarray, adj: np.ndarray, values: np.ndarray
+    rates: np.ndarray, adj: np.ndarray, values: np.ndarray, scatter: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(F(v), A v) for each row; F is 0 where A v is 0 (isolated nodes)."""
-    numer = np.einsum("bij,bj->bi", rate_stack, values)
-    denom = values @ adj.T
+    """(F(v), A v) for rows (B, R, n) over record b's (B, n, n) rates and adjacency.
+
+    F is 0 where A v is 0 (isolated nodes). `scatter` = (into, source,
+    deltas), flat indices into the rows: a perturbed row adds delta to one
+    entry (t, a) of its record's rates, so its numerator gains
+    delta * v_a at node t, and no rate matrix is built per row.
+    """
+    numer = values @ np.swapaxes(rates, 1, 2)
+    if scatter is not None:
+        into, source, deltas = scatter
+        numer.reshape(-1)[into] += deltas * values.reshape(-1)[source]
+    denom = values @ np.swapaxes(adj, 1, 2)
     safe = denom > 0.0
     return np.where(safe, numer / np.where(safe, denom, 1.0), 0.0), denom
 
@@ -167,6 +179,38 @@ def _jacobian_stack(
     return (rate_stack - fixed[:, :, None] * adj) * inv[:, :, None]
 
 
+def _each_matrix(op, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(op(*stacks), ok) for a LAPACK op over stacks of matrices.
+
+    A batched call raises LinAlgError for the whole stack when any one
+    matrix is singular. The stack is then retried one item at a time, so a
+    singular matrix fails only its own item (NaN, ok False) and leaves
+    every other item's result as it was, byte for byte.
+    """
+    try:
+        return op(*stacks), np.ones(len(stacks[0]), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full_like(stacks[-1], np.nan)
+    ok = np.zeros(len(out), dtype=bool)
+    for item in range(len(out)):
+        try:
+            out[item] = op(*(s[item : item + 1] for s in stacks))[0]
+        except np.linalg.LinAlgError:
+            continue
+        ok[item] = True
+    return out, ok
+
+
+def _chord_matrices(
+    adj: np.ndarray, rates: np.ndarray, raw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """((I - dF/dv)^-1 at raw (B, n) for each record, invertible (B,)); see newton_matrix."""
+    fixed, denom = _fixed_map(rates, adj, raw[:, None, :])
+    jac = _jacobian_stack(rates, adj, fixed[:, 0], denom[:, 0])
+    return _each_matrix(np.linalg.inv, np.eye(raw.shape[1]) - jac)
+
+
 def newton_matrix(g: Graph, rates: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """(I - dF/dv)^-1 for one rate matrix at the raw iterate `raw`.
 
@@ -174,9 +218,116 @@ def newton_matrix(g: Graph, rates: np.ndarray, raw: np.ndarray) -> np.ndarray:
     point, so it is both the Newton step matrix and the exact
     sensitivity operator. Raises numpy.linalg.LinAlgError when singular.
     """
-    fixed, denom = _fixed_map(rates[None], g.adjacency, raw[None])
-    jac = _jacobian_stack(rates[None], g.adjacency, fixed, denom)[0]
-    return np.linalg.inv(np.eye(g.n) - jac)
+    chord, invertible = _chord_matrices(g.adjacency[None], rates[None], raw[None])
+    if not invertible[0]:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return chord[0]
+
+
+def _solve_block(
+    adj: np.ndarray,
+    rates: np.ndarray,
+    opts: SolverOptions,
+    start: np.ndarray | None = None,
+    chord: tuple[np.ndarray, np.ndarray] | None = None,
+    perturbation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the fixed point of R systems for each of B records in one loop.
+
+    adj and rates are (B, n, n): record b's adjacency and rates. Without
+    `perturbation` each record has one row, its own system. With it,
+    (targets, agents, entries), each (B, R), row (b, r) is record b's
+    system with rates[b, targets[b, r], agents[b, r]] set to entries[b, r];
+    the change enters F as a rank-one term (see _fixed_map). `start` (B, n)
+    starts every row of record b there. `chord` = (matrices (B, n, n),
+    usable (B,)) gives each record's chord matrix; the rows of a record
+    without a usable one take their own Newton steps, which is the only
+    place a perturbed row's full rate matrix is built.
+
+    Each row steps as solve_rate_batch describes. Returns (raw_values,
+    converged, iterations), shaped (B, R, n), (B, R) and (B, R). A row's
+    steps depend on that row alone, so a record's rows do not depend on
+    the other records of the block.
+    """
+    if not adj.any(axis=(1, 2)).all():
+        raise DegenerateSystemError("graph has no edges; every denominator is zero")
+    count, n = rates.shape[0], rates.shape[2]
+    scatter = None
+    if perturbation is None:
+        width = 1
+    else:
+        targets, agents, entries = perturbation
+        width = targets.shape[1]
+        own = np.arange(count)[:, None]
+        offsets = np.arange(count * width).reshape(count, width) * n
+        deltas = entries - rates[own, targets, agents]
+        scatter = ((offsets + targets).ravel(), (offsets + agents).ravel(), deltas.ravel())
+    shape = (count, width, n)
+
+    if start is None:
+        values = np.full(shape, 1.0 / n)
+    else:
+        values = np.array(np.broadcast_to(start[:, None, :], shape), dtype=float)
+    values[np.broadcast_to(~adj.any(axis=2)[:, None, :], shape)] = 0.0
+    chorded = np.zeros((count, 1), dtype=bool)
+    if chord is not None:
+        chord_t = np.swapaxes(chord[0], 1, 2)
+        chorded = chord[1][:, None]
+    active = np.ones(shape[:2], dtype=bool)
+    converged = np.zeros(shape[:2], dtype=bool)
+    iterations = np.zeros(shape[:2], dtype=np.int64)
+    damped_only = np.zeros(shape[:2], dtype=bool)
+    polished = np.zeros(shape[:2], dtype=bool)
+    previous = None  # (values, fixed, residual, denom) before the last step
+
+    for _ in range(opts.max_iterations + 1):
+        fixed, denom = _fixed_map(rates, adj, values, scatter)
+        residual = np.abs(fixed - values).max(axis=2)
+        if polished.any():
+            # undo polished steps that did not halve the residual
+            rejected = polished & ~(residual <= POLISH_CONTRACTION * previous[2])
+            if rejected.any():
+                damped_only |= rejected
+                values[rejected] = previous[0][rejected]
+                fixed[rejected] = previous[1][rejected]
+                residual[rejected] = previous[2][rejected]
+                denom[rejected] = previous[3][rejected]
+
+        settled = active & (residual <= opts.tolerance)
+        converged |= settled
+        active &= ~settled
+        step = active & (iterations < opts.max_iterations)
+        if not step.any():
+            break
+
+        gap = fixed - values
+        delta = opts.relaxation * gap
+        polished = step & ~damped_only & (residual < POLISH_RESIDUAL * np.abs(fixed).max(axis=2))
+        by_chord = polished & chorded
+        if by_chord.any():
+            # every record's rows in one product, so a row's arithmetic
+            # does not depend on which other rows are polished
+            delta[by_chord] = (gap @ chord_t)[by_chord]
+        by_newton = polished & ~chorded
+        if by_newton.any():
+            record, row = np.nonzero(by_newton)
+            matrices = rates[record]
+            if perturbation is not None:
+                matrices[np.arange(len(record)), targets[record, row], agents[record, row]] = (
+                    entries[record, row]
+                )
+            jac = _jacobian_stack(matrices, adj[record], fixed[by_newton], denom[by_newton])
+            solved, ok = _each_matrix(np.linalg.solve, np.eye(n) - jac, gap[by_newton][:, :, None])
+            # a singular row keeps its damped step and stays damped
+            delta[record[ok], row[ok]] = solved[ok, :, 0]
+            damped_only[record[~ok], row[~ok]] = True
+            polished[record[~ok], row[~ok]] = False
+        delta[~step] = 0.0
+        previous = (values, fixed, residual, denom)
+        values = values + delta
+        iterations += step
+
+    return values, converged, iterations
 
 
 def solve_rate_batch(
@@ -204,68 +355,18 @@ def solve_rate_batch(
     costs iterations, never the fixed point.
 
     `start` (shape (n,) or (batch, n)) replaces the uniform start
-    vector, e.g. a nearby fixed point.
+    vector, e.g. a nearby fixed point. Each matrix of the stack is a
+    record of its own for _solve_block, which does the work.
     """
-    if not g.edges:
-        raise DegenerateSystemError("graph has no edges; every denominator is zero")
-    adj = g.adjacency
-    n = g.n
-    batch = rate_stack.shape[0]
-
-    if start is None:
-        values = np.full((batch, n), 1.0 / n)
-    else:
-        values = np.array(np.broadcast_to(start, (batch, n)), dtype=float)
-    values[:, g.degrees == 0] = 0.0
-    active = np.ones(batch, dtype=bool)
-    converged = np.zeros(batch, dtype=bool)
-    iterations = np.zeros(batch, dtype=np.int64)
-    damped_only = np.zeros(batch, dtype=bool)
-    polished = np.zeros(batch, dtype=bool)
-    previous = None  # (values, fixed, residual, denom) before the last step
-
-    for _ in range(opts.max_iterations + 1):
-        fixed, denom = _fixed_map(rate_stack, adj, values)
-        residual = np.abs(fixed - values).max(axis=1)
-        if polished.any():
-            # undo polished steps that did not halve the residual
-            rejected = polished & ~(residual <= POLISH_CONTRACTION * previous[2])
-            if rejected.any():
-                damped_only |= rejected
-                values[rejected] = previous[0][rejected]
-                fixed[rejected] = previous[1][rejected]
-                residual[rejected] = previous[2][rejected]
-                denom[rejected] = previous[3][rejected]
-
-        settled = active & (residual <= opts.tolerance)
-        converged |= settled
-        active &= ~settled
-        step = active & (iterations < opts.max_iterations)
-        if not step.any():
-            break
-
-        gap = fixed - values
-        delta = opts.relaxation * gap
-        polished = step & ~damped_only & (residual < POLISH_RESIDUAL * np.abs(fixed).max(axis=1))
-        rows = np.flatnonzero(polished)
-        if rows.size:
-            if step_matrix is not None:
-                delta[rows] = gap[rows] @ step_matrix.T
-            else:
-                jac = _jacobian_stack(rate_stack[rows], adj, fixed[rows], denom[rows])
-                try:
-                    delta[rows] = np.linalg.solve(np.eye(n) - jac, gap[rows, :, None])[:, :, 0]
-                except np.linalg.LinAlgError:
-                    # the batched solve cannot say which row is singular:
-                    # these rows keep their damped step and stay damped
-                    damped_only[rows] = True
-                    polished[rows] = False
-        delta[~step] = 0.0
-        previous = (values, fixed, residual, denom)
-        values = values + delta
-        iterations += step
-
-    return values, converged, iterations
+    batch, n = rate_stack.shape[0], g.n
+    adj = np.broadcast_to(g.adjacency, (batch, n, n))
+    if start is not None:
+        start = np.broadcast_to(start, (batch, n))
+    chord = None
+    if step_matrix is not None:
+        chord = (np.broadcast_to(step_matrix, (batch, n, n)), np.ones(batch, dtype=bool))
+    raw, converged, iterations = _solve_block(adj, rate_stack, opts, start, chord)
+    return raw[:, 0], converged[:, 0], iterations[:, 0]
 
 
 def likedness_centrality(

@@ -22,14 +22,17 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .centrality import RateMatrix, SolverOptions
-from .graphs import Graph, compute_metrics, generate_ba
-from .stability import _directed_entries, stability
+# compute_metrics and stability are unused here: perfbench/tracing.py
+# patches them by name, with the other layer calls, at this call site
+from .graphs import Graph, compute_metrics, compute_metrics_block, generate_ba
+from .stability import _directed_entries, stability, stability_block
 
 __all__ = [
     "EnsembleConfig",
     "SystemRecord",
     "RecordTable",
     "sample_rates",
+    "compute_block",
     "compute_record",
     "run_ensemble",
     "write_records",
@@ -47,6 +50,20 @@ STABILITY_QUANTILES = (0.001, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 # seed-stream namespaces, mixed into the spawn key ahead of the counter
 MAIN_STREAM = 0
 STAR_STREAM = 1
+
+# Solver values per block: records x perturbed systems x nodes. A block is
+# solved as one batch, so a solver iteration's per-call NumPy overhead is
+# paid once per block, while the solver holds about 14 arrays of the
+# block's values. 10880 makes 32-record desk blocks (n=10, k=2: 34 systems
+# of 10 values), past which speed gains little and memory keeps growing;
+# a wide record (n=40, k=3: 228 systems of 40 values) is a block of its
+# own, as blocking it gains nothing.
+BLOCK_VALUES = 10_880
+
+
+def block_records(systems: int, n: int) -> int:
+    """Records per block when each record solves `systems` systems on n nodes."""
+    return max(1, BLOCK_VALUES // max(1, systems * n))
 
 
 @dataclass(frozen=True)
@@ -128,53 +145,75 @@ def record_seeds(master_seed: int, record_index: int, stream: int = MAIN_STREAM)
     return int(graph_seed), int(rate_seed)
 
 
+def compute_block(config: EnsembleConfig, start: int, stop: int) -> list[SystemRecord]:
+    """Records start..stop-1: graphs and rates from derived seeds, then their
+    metrics and stability, each computed for the whole block at once.
+
+    A record does not depend on the block it is computed in.
+    """
+    seeds = [record_seeds(config.master_seed, index) for index in range(start, stop)]
+    graphs = [generate_ba(config.n, config.k, graph_seed) for graph_seed, _ in seeds]
+    rates = [
+        sample_rates(g, config.rate_lambda, rate_seed) for g, (_, rate_seed) in zip(graphs, seeds)
+    ]
+    metrics = compute_metrics_block(graphs)
+    results = stability_block(graphs, rates, config.solver)
+    outgoing = []
+    for g, r in zip(graphs, rates):
+        rows, cols = np.array(_directed_entries(g)).T
+        outgoing.append(tuple(zip(rows.tolist(), cols.tolist(), r.values[rows, cols].tolist())))
+    return [
+        SystemRecord(
+            record_index=index,
+            graph_seed=graph_seed,
+            rate_seed=rate_seed,
+            stability=result.stability,
+            gradient_sq_sum=result.gradient_sq_sum,
+            degree_histogram=metric.degree_histogram,
+            degree_stddev=metric.degree_stddev,
+            mean_path_length=metric.mean_path_length,
+            mean_local_clustering=metric.mean_local_clustering,
+            outgoing_rates=rates_of_record,
+            solver_converged=result.solver_converged,
+        )
+        for index, (graph_seed, rate_seed), metric, result, rates_of_record in zip(
+            range(start, stop), seeds, metrics, results, outgoing
+        )
+    ]
+
+
 def compute_record(config: EnsembleConfig, record_index: int) -> SystemRecord:
-    """Build graph and rates from derived seeds, evaluate stability and metrics."""
-    graph_seed, rate_seed = record_seeds(config.master_seed, record_index)
-    g = generate_ba(config.n, config.k, graph_seed)
-    rates = sample_rates(g, config.rate_lambda, rate_seed)
-    metrics = compute_metrics(g)
-    result = stability(g, rates, config.solver)
-    outgoing = tuple((i, j, float(rates.values[i, j])) for i, j in _directed_entries(g))
-    return SystemRecord(
-        record_index=record_index,
-        graph_seed=graph_seed,
-        rate_seed=rate_seed,
-        stability=result.stability,
-        gradient_sq_sum=result.gradient_sq_sum,
-        degree_histogram=metrics.degree_histogram,
-        degree_stddev=metrics.degree_stddev,
-        mean_path_length=metrics.mean_path_length,
-        mean_local_clustering=metrics.mean_local_clustering,
-        outgoing_rates=outgoing,
-        solver_converged=result.solver_converged,
-    )
+    """One record: compute_block with a block of one."""
+    return compute_block(config, record_index, record_index + 1)[0]
 
 
-def _pool_worker(args: tuple[EnsembleConfig, int]) -> SystemRecord:
-    config, index = args
-    return compute_record(config, index)
+def _pool_worker(args: tuple[EnsembleConfig, int, int]) -> list[SystemRecord]:
+    return compute_block(*args)
 
 
 def run_ensemble(config: EnsembleConfig, workers: int = 1) -> Iterator[SystemRecord]:
     """Yield sample_count records in record_index order.
 
-    Records are independent, so any worker count produces the same
-    multiset; results are always yielded in canonical index order.
+    Records are computed in blocks of consecutive indices (see
+    BLOCK_VALUES), one block per pool task. A record does not depend on
+    its block or on the worker count; results are always yielded in
+    canonical index order.
     """
-    indices = range(config.sample_count)
-    next_mark = max(1, config.sample_count // 10)
+    count = config.sample_count
+    # every BA graph of the run has k(k-1)/2 + k(n-k) edges, two systems each
+    edges = config.k * (config.k - 1) // 2 + config.k * (config.n - config.k)
+    size = block_records(2 * edges, config.n)
+    blocks = ((config, start, min(start + size, count)) for start in range(0, count, size))
+    next_mark = max(1, count // 10)
+    done = 0
     with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
-        if pool is None:
-            records = (compute_record(config, idx) for idx in indices)
-        else:
-            chunk = max(1, config.sample_count // (workers * 16))
-            tasks = ((config, idx) for idx in indices)
-            records = pool.imap(_pool_worker, tasks, chunksize=chunk)
-        for done, record in enumerate(records, start=1):
-            yield record
-            if done % next_mark == 0:
-                log.info("ensemble progress: %d/%d", done, config.sample_count)
+        computed = map(_pool_worker, blocks) if pool is None else pool.imap(_pool_worker, blocks)
+        for block in computed:
+            for record in block:
+                yield record
+                done += 1
+                if done % next_mark == 0:
+                    log.info("ensemble progress: %d/%d", done, count)
 
 
 def write_records(records: Iterable[SystemRecord], jsonl_path) -> int:

@@ -3,9 +3,9 @@
 Graphs here are small (tens of nodes), immutable, and always indexed
 0..n-1. Generators cover the two topologies used by the ensemble
 experiments: preferential-attachment graphs and stars. Metrics are
-exact and computed on the adjacency matrix: path lengths by a
-breadth-first search from all nodes at once, clustering from the
-diagonal of A^3.
+exact and computed on the adjacency matrix, or on a stack of them for
+a block of graphs: path lengths by a breadth-first search from all
+nodes at once, clustering from the diagonal of A^3.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "degree_stddev",
     "degree_histogram",
     "compute_metrics",
+    "compute_metrics_block",
     "write_edge_list",
     "read_edge_list",
 ]
@@ -91,7 +93,7 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 1:
             return True
-        return bool((_distances(self)[0] >= 0).all())
+        return bool((_distances(self.adjacency[None])[0, 0] >= 0).all())
 
 
 def _add_edge(n: int, edge: tuple[int, int], seen: set[tuple[int, int]]) -> None:
@@ -157,13 +159,15 @@ def generate_star(n: int) -> Graph:
     return Graph(n=n, edges=tuple((0, i) for i in range(1, n)))
 
 
-def _distances(g: Graph) -> np.ndarray:
-    """All-pairs geodesic distances by a breadth-first search from every
-    node at once; -1 marks unreachable pairs."""
-    dist = np.where(np.eye(g.n, dtype=bool), 0, -1)
-    frontier = np.eye(g.n)
-    for depth in range(1, g.n):
-        reached = (frontier @ g.adjacency > 0.0) & (dist < 0)
+def _distances(adj: np.ndarray) -> np.ndarray:
+    """All-pairs geodesic distances in each graph of a (B, n, n) adjacency
+    stack, by a breadth-first search from every node at once; -1 marks
+    unreachable pairs."""
+    n = adj.shape[1]
+    dist = np.broadcast_to(np.where(np.eye(n, dtype=bool), 0, -1), adj.shape).copy()
+    frontier = np.broadcast_to(np.eye(n), adj.shape)
+    for depth in range(1, n):
+        reached = (frontier @ adj > 0.0) & (dist < 0)
         if not reached.any():
             break
         dist[reached] = depth
@@ -171,19 +175,21 @@ def _distances(g: Graph) -> np.ndarray:
     return dist
 
 
-def _mean_path_length(dist: np.ndarray) -> float:
-    n = dist.shape[0]
-    if (dist < 0).any():
-        raise DisconnectedGraphError("graph is disconnected")
-    # each unordered pair counted twice
-    return int(dist.sum()) / (n * (n - 1))
-
-
 def mean_path_length(g: Graph) -> float:
     """Average geodesic distance over all unordered distinct pairs."""
     if g.n < 2:
         raise GraphError("mean path length undefined for n < 2")
-    return _mean_path_length(_distances(g))
+    metrics = compute_metrics(g)
+    if not metrics.connected:
+        raise DisconnectedGraphError("graph is disconnected")
+    return metrics.mean_path_length
+
+
+def _mean_local_clustering(adj: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """mean_local_clustering of each graph of a (B, n, n) stack with (B, n) degrees."""
+    closed = ((adj @ adj) * adj).sum(axis=2)
+    pairs = degrees * (degrees - 1)
+    return np.where(pairs > 0, closed / np.maximum(pairs, 1), 0.0).mean(axis=1)
 
 
 def mean_local_clustering(g: Graph) -> float:
@@ -192,11 +198,7 @@ def mean_local_clustering(g: Graph) -> float:
     A node's coefficient is (A^3)_ii / (d_i (d_i - 1)): the diagonal of
     A^3 counts each triangle through i twice.
     """
-    adj = g.adjacency
-    closed = ((adj @ adj) * adj).sum(axis=1)
-    pairs = g.degrees * (g.degrees - 1)
-    coeffs = np.where(pairs > 0, closed / np.maximum(pairs, 1), 0.0)
-    return float(np.mean(coeffs))
+    return float(_mean_local_clustering(g.adjacency[None], g.degrees[None])[0])
 
 
 def degree_stddev(g: Graph) -> float:
@@ -221,15 +223,42 @@ class GraphMetrics:
 
 
 def compute_metrics(g: Graph) -> GraphMetrics:
-    dist = _distances(g)
-    connected = bool((dist >= 0).all())
-    return GraphMetrics(
-        degree_histogram=tuple(degree_histogram(g)),
-        degree_stddev=degree_stddev(g),
-        mean_path_length=_mean_path_length(dist) if connected and g.n > 1 else float("inf"),
-        mean_local_clustering=mean_local_clustering(g),
-        connected=connected,
-    )
+    return compute_metrics_block([g])[0]
+
+
+def compute_metrics_block(graphs: Sequence[Graph]) -> list[GraphMetrics]:
+    """compute_metrics of graphs sharing one node count, as array code over the stack.
+
+    Each graph's metrics equal its own compute_metrics byte for byte.
+    """
+    if len({g.n for g in graphs}) > 1:
+        raise GraphError("the graphs of a block must have the same node count")
+    adj = np.stack([g.adjacency for g in graphs])
+    degrees = np.stack([g.degrees for g in graphs])
+    count, n = degrees.shape
+    dist = _distances(adj)
+    connected = (dist >= 0).all(axis=(1, 2))
+    path_sums = dist.sum(axis=(1, 2)).tolist()
+    # np.bincount counts all graphs at once when graph b's degrees are offset by b * n
+    histograms = np.bincount((degrees + n * np.arange(count)[:, None]).ravel(),
+                             minlength=count * n).reshape(count, n)
+    return [
+        GraphMetrics(
+            degree_histogram=tuple(histogram),
+            degree_stddev=stddev,
+            # each unordered pair counted twice
+            mean_path_length=path_sum / (n * (n - 1)) if joined and n > 1 else float("inf"),
+            mean_local_clustering=clustering,
+            connected=joined,
+        )
+        for histogram, stddev, path_sum, clustering, joined in zip(
+            histograms.tolist(),
+            np.std(degrees, axis=1).tolist(),
+            path_sums,
+            _mean_local_clustering(adj, degrees).tolist(),
+            connected.tolist(),
+        )
+    ]
 
 
 def write_edge_list(g: Graph, path) -> None:

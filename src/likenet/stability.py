@@ -12,16 +12,18 @@ a rate, and the stability is exactly 1.
 Derivatives are finite-difference quotients on the sum-normalized
 centrality vector: forward steps of 1% of the entry's value, with an
 absolute fallback step for entries at the zero boundary. The baseline
-is solved first; all the perturbed solves then run as one batch over
-the shared graph, started from the baseline fixed point and stepped
-with the baseline's Newton matrix (chord steps), since each perturbed
-system differs from the baseline in one entry.
+is solved first; all the perturbed solves then run as one batch,
+started from the baseline fixed point and stepped with the baseline's
+Newton matrix (chord steps), since each perturbed system differs from
+the baseline in one entry. stability_block does this for a block of
+systems at once, each against its own baseline; stability() is its
+block of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -29,9 +31,10 @@ import numpy as np
 from .centrality import (
     RateMatrix,
     SolverOptions,
+    _chord_matrices,
     _normalize_rows,
-    newton_matrix,
-    solve_rate_batch,
+    _solve_block,
+    solve_rate_batch,  # unused here; perfbench/tracing.py patches it at this call site
 )
 from .graphs import Graph, GraphError
 
@@ -42,6 +45,7 @@ __all__ = [
     "ABSOLUTE_STEP",
     "centrality_gradient",
     "stability",
+    "stability_block",
     "stability_from_gradients",
     "check_direction",
     "classify_strategic",
@@ -62,12 +66,15 @@ class StabilityResult:
 
     per_edge_gradients maps the perturbed matrix entry (j, i), i.e.
     agent i's outgoing rate toward agent j, to d(value_i)/d(rates[j, i]).
+    centrality is the baseline system's normalized likedness centrality,
+    None when the result was assembled from gradients alone.
     """
 
     stability: float
     gradient_sq_sum: float
     per_edge_gradients: dict[tuple[int, int], float]
     solver_converged: bool
+    centrality: np.ndarray | None = field(default=None, compare=False)
 
 
 def _directed_entries(g: Graph) -> list[tuple[int, int]]:
@@ -75,26 +82,29 @@ def _directed_entries(g: Graph) -> list[tuple[int, int]]:
     return sorted(g.edges + tuple((b, a) for a, b in g.edges))
 
 
-def _gradient_batch(
-    g: Graph,
-    rates: RateMatrix,
-    entries: Sequence[tuple[int, int]],
+def _gradient_block(
+    adj: np.ndarray,
+    rates: np.ndarray,
+    entries: np.ndarray,
     opts: SolverOptions,
     scheme: Literal["forward", "central"],
-) -> tuple[np.ndarray, bool]:
-    """Finite-difference gradients d(value_i)/d(rates[j, i]) for entries (j, i).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Finite-difference gradients d(value_i)/d(rates[j, i]) for a block of records.
 
-    Solves the baseline system first, then every perturbed system in one
-    batch started from the baseline fixed point and stepped with the
-    baseline's Newton matrix (chord steps): each perturbed system differs
-    from the baseline in one entry. Returns (gradients,
-    all_solves_converged); non-convergence is flagged, never raised.
+    adj and rates are (B, n, n); entries (B, R, 2) holds each record's
+    perturbed entries (j, i). Solves every record's baseline first, then
+    every perturbed system in one batch, each started from its record's
+    fixed point and stepped with its record's Newton matrix (chord
+    steps): a perturbed system differs from its baseline in one entry.
+    Returns (gradients (B, R), all_solves_converged (B,), baseline
+    centralities (B, n), normalized); non-convergence is flagged, never
+    raised.
     """
     if scheme not in ("forward", "central"):
         raise ValueError(f"unknown difference scheme {scheme!r}")
-    base = rates.values
-    targets, agents = np.array(entries, dtype=np.int64).reshape(-1, 2).T
-    rate = base[targets, agents]
+    own = np.arange(len(rates))[:, None]
+    targets, agents = entries[:, :, 0], entries[:, :, 1]
+    rate = rates[own, targets, agents]
     if scheme == "forward":
         steps = np.where(rate < ZERO_RATE_FLOOR, ABSOLUTE_STEP, RELATIVE_STEP * rate)
         stencil = [rate + steps]
@@ -113,24 +123,43 @@ def _gradient_batch(
         ]
         divisor = 2 * steps
 
-    base_raw, base_conv, _ = solve_rate_batch(g, base[None], opts)
-    try:
-        chord = newton_matrix(g, base, base_raw[0])
-    except np.linalg.LinAlgError:
-        chord = None  # each perturbed row takes its own Newton steps
-    count = len(agents)
-    pick = np.arange(count)
-    stack = np.repeat(base[None], len(stencil) * count, axis=0)
-    for block, perturbed in enumerate(stencil):
-        stack[block * count + pick, targets, agents] = perturbed
-    raw, conv, _ = solve_rate_batch(g, stack, opts, start=base_raw[0], step_matrix=chord)
-    normalized = _normalize_rows(raw).reshape(len(stencil), count, g.n)
-    upper = normalized[0, pick, agents]
+    base_raw, base_conv, _ = _solve_block(adj, rates, opts)
+    base_raw = base_raw[:, 0]
+    chord = _chord_matrices(adj, rates, base_raw)
+    perturbation = (
+        np.tile(targets, len(stencil)),
+        np.tile(agents, len(stencil)),
+        np.concatenate(stencil, axis=1),
+    )
+    raw, conv, _ = _solve_block(adj, rates, opts, base_raw, chord, perturbation)
+    count, width = targets.shape
+    normalized = _normalize_rows(raw).reshape(count, len(stencil), width, -1)
+    pick = np.arange(width)
+    centrality = _normalize_rows(base_raw)
+    upper = normalized[own, 0, pick, agents]
     if scheme == "forward":
-        lower = _normalize_rows(base_raw)[0, agents]
+        lower = centrality[own, agents]
     else:
-        lower = normalized[1, pick, agents]
-    return (upper - lower) / divisor, bool(base_conv[0] and conv.all())
+        lower = normalized[own, 1, pick, agents]
+    return (upper - lower) / divisor, base_conv[:, 0] & conv.all(axis=1), centrality
+
+
+def _gradient_batch(
+    g: Graph,
+    rates: RateMatrix,
+    entries: Sequence[tuple[int, int]],
+    opts: SolverOptions,
+    scheme: Literal["forward", "central"],
+) -> tuple[np.ndarray, bool]:
+    """Gradients for entries (j, i) of one system: _gradient_block with a block of one.
+
+    Returns (gradients, all_solves_converged).
+    """
+    block = np.array(entries, dtype=np.int64).reshape(1, -1, 2)
+    grads, converged, _ = _gradient_block(
+        g.adjacency[None], rates.values[None], block, opts, scheme
+    )
+    return grads[0], bool(converged[0])
 
 
 def centrality_gradient(
@@ -158,6 +187,7 @@ def centrality_gradient(
 def stability_from_gradients(
     per_edge_gradients: dict[tuple[int, int], float],
     solver_converged: bool = True,
+    centrality: np.ndarray | None = None,
 ) -> StabilityResult:
     """Assemble a StabilityResult from already-computed sensitivities."""
     gss = math.fsum(grad * grad for grad in per_edge_gradients.values())
@@ -166,7 +196,39 @@ def stability_from_gradients(
         gradient_sq_sum=gss,
         per_edge_gradients=dict(per_edge_gradients),
         solver_converged=solver_converged,
+        centrality=centrality,
     )
+
+
+def stability_block(
+    graphs: Sequence[Graph],
+    rates: Sequence[RateMatrix],
+    opts: SolverOptions | None = None,
+    scheme: Literal["forward", "central"] = "forward",
+) -> list[StabilityResult]:
+    """stability() of many systems, solved together as one block.
+
+    The graphs must share their node and edge counts (all BA graphs of
+    a run do). Each result equals the system's own stability() byte for
+    byte: no row of the block depends on another system.
+    """
+    opts = opts or SolverOptions()
+    for g, r in zip(graphs, rates, strict=True):
+        r.check_support(g)
+    entries = [_directed_entries(g) for g in graphs]
+    if len({(g.n, len(e)) for g, e in zip(graphs, entries)}) > 1:
+        raise GraphError("the graphs of a block must have the same node and edge counts")
+    grads, converged, centrality = _gradient_block(
+        np.stack([g.adjacency for g in graphs]),
+        np.stack([r.values for r in rates]),
+        np.array(entries, dtype=np.int64).reshape(len(graphs), -1, 2),
+        opts,
+        scheme,
+    )
+    return [
+        stability_from_gradients(dict(zip(e, row)), bool(ok), cv)
+        for e, row, ok, cv in zip(entries, grads.tolist(), converged, centrality)
+    ]
 
 
 def stability(
@@ -179,12 +241,7 @@ def stability(
 
     The sum runs over both directions of every edge (2|edges| terms).
     """
-    opts = opts or SolverOptions()
-    rates.check_support(g)
-    entries = _directed_entries(g)
-    grads, all_converged = _gradient_batch(g, rates, entries, opts, scheme)
-    gradient_map = {entry: float(grad) for entry, grad in zip(entries, grads)}
-    return stability_from_gradients(gradient_map, solver_converged=all_converged)
+    return stability_block([g], [rates], opts, scheme)[0]
 
 
 def check_direction(direction: str) -> None:

@@ -362,7 +362,7 @@ class TestStarComparison:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled before the direction was checked")
 
-        monkeypatch.setattr(analysis, "stability", refuse)
+        monkeypatch.setattr(analysis, "stability_block", refuse)
         record = make_record(0, 0.9, [0, 9, 0, 0, 0, 0, 0, 0, 0, 1])
         with pytest.raises(ValueError, match="direction must be 'low' or 'high', got 'bogus'"):
             star_comparison(

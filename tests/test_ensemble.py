@@ -142,6 +142,20 @@ class TestRunEnsemble:
         for name in ("records.jsonl", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_files_independent_of_block_size_and_workers(self, tmp_path, monkeypatch):
+        # 130 records: partial last blocks at 7 and 64, one-record blocks at 1
+        cfg = EnsembleConfig(sample_count=130, master_seed=21)
+        runs = []
+        for block in (1, 7, 64):
+            # a desk record solves 34 systems of 10 values
+            monkeypatch.setattr(ensemble, "BLOCK_VALUES", block * 34 * 10)
+            assert ensemble.block_records(34, 10) == block
+            for workers in (1, 2):
+                out = tmp_path / f"block{block}-workers{workers}"
+                run_to_files(cfg, out, workers=workers)
+                runs.append([(out / n).read_bytes() for n in ("records.jsonl", "summary.json")])
+        assert all(run == runs[0] for run in runs[1:])
+
     def test_run_to_files_streams_records(self, tmp_path, monkeypatch):
         cfg = EnsembleConfig(sample_count=20, master_seed=12)
         alive = weakref.WeakSet()

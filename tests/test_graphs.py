@@ -9,6 +9,7 @@ from likenet.graphs import (
     Graph,
     GraphError,
     compute_metrics,
+    compute_metrics_block,
     degree_histogram,
     degree_stddev,
     generate_ba,
@@ -236,3 +237,20 @@ class TestNetworkxOracle:
             assert list(metrics.degree_histogram) == hist + [0] * (n - len(hist))
             degrees = [d for _, d in reference.degree()]
             assert metrics.degree_stddev == pytest.approx(np.std(degrees), rel=1e-12)
+
+
+class TestMetricsBlock:
+    def test_block_equals_each_graph_alone(self):
+        # disconnected and edgeless graphs ride in the same block as BA graphs
+        rng = np.random.default_rng(5)
+        graphs = [generate_ba(10, 2, seed) for seed in range(200)]
+        graphs += [Graph(10, ((0, 1), (2, 3))), Graph(10, ()), path_graph(10),
+                   complete_graph(10), generate_star(10)]
+        graphs = [graphs[i] for i in rng.permutation(len(graphs))]
+        block = compute_metrics_block(graphs)
+        assert block == [compute_metrics(g) for g in graphs]
+        assert [m.connected for m in block].count(False) == 2
+
+    def test_node_counts_must_agree(self):
+        with pytest.raises(GraphError, match="same node count"):
+            compute_metrics_block([path_graph(4), path_graph(5)])

@@ -13,6 +13,7 @@ from likenet.stability import (
     centrality_gradient,
     classify_strategic,
     stability,
+    stability_block,
     stability_from_gradients,
     _directed_entries,
 )
@@ -208,6 +209,71 @@ class TestStability:
         result = stability(g, rates, SolverOptions(max_iterations=1))
         assert not result.solver_converged
         assert math.isfinite(result.stability)
+
+
+def desk_systems(count, seed=19):
+    systems = []
+    for index in range(count):
+        graph_seed, rate_seed = record_seeds(seed, index)
+        g = generate_ba(10, 2, graph_seed)
+        systems.append((g, sample_rates(g, 1.0, rate_seed)))
+    return systems
+
+
+def assert_same_bytes(result, expected):
+    """Two StabilityResults agree to the last bit in every value."""
+    assert result.stability == expected.stability
+    assert result.gradient_sq_sum == expected.gradient_sq_sum
+    assert list(result.per_edge_gradients.items()) == list(expected.per_edge_gradients.items())
+    assert result.solver_converged == expected.solver_converged
+    assert result.centrality.tobytes() == expected.centrality.tobytes()
+
+
+class TestStabilityBlock:
+    @pytest.mark.parametrize("scheme", ["forward", "central"])
+    def test_block_equals_blocks_of_one(self, scheme):
+        graphs, rates = zip(*desk_systems(12))
+        block = stability_block(graphs, rates, scheme=scheme)
+        for result, g, r in zip(block, graphs, rates):
+            assert_same_bytes(result, stability(g, r, scheme=scheme))
+
+    def test_singular_system_affects_only_its_own_record(self, monkeypatch):
+        # LAPACK fails a whole batched inv or solve for one singular matrix;
+        # that must not change the other records of the block
+        systems = desk_systems(7)
+        expected = [stability(g, r) for g, r in systems]
+        marked = 3
+        pattern = (systems[marked][0].adjacency + np.eye(10)) != 0
+        matches = [((g.adjacency + np.eye(10)) != 0) == pattern for g, _ in systems]
+        assert [bool(m.all()) for m in matches].count(True) == 1
+
+        def singular_on_marked(op):
+            def patched(matrices, *rest):
+                # I - dF/dv has the sparsity of A + I for every perturbed row
+                if ((matrices != 0) == pattern).all(axis=(-2, -1)).any():
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return op(matrices, *rest)
+
+            return patched
+
+        monkeypatch.setattr(np.linalg, "inv", singular_on_marked(np.linalg.inv))
+        monkeypatch.setattr(np.linalg, "solve", singular_on_marked(np.linalg.solve))
+        graphs, rates = zip(*systems)
+        block = stability_block(graphs, rates)
+        for index, (result, reference) in enumerate(zip(block, expected)):
+            if index != marked:
+                assert_same_bytes(result, reference)
+        # the marked record lost its chord and Newton steps, not its fixed points
+        assert block[marked].solver_converged
+        assert block[marked].gradient_sq_sum == pytest.approx(
+            expected[marked].gradient_sq_sum, rel=1e-6
+        )
+
+    def test_edge_counts_must_agree(self):
+        (g, r), _ = desk_systems(2)
+        star = Graph(10, tuple((0, i) for i in range(1, 10)))
+        with pytest.raises(GraphError, match="same node and edge counts"):
+            stability_block([g, star], [r, RateMatrix(10, star.adjacency)])
 
 
 def sorted_rule(stabilities, fraction, direction):
