@@ -14,10 +14,11 @@ successive-substitution steps while far from the fixed point, then
 Newton steps with the Jacobian dF_i/dv_k = (R_ik - F_i A_ik) / (A v)_i
 (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
 ch. 5). One loop solves a block of systems at once: several records,
-each with its own graph and rates, and for each record either its own
-system or many systems that each change one of its rate entries. A
-caller that knows a nearby fixed point can start a record's rows there
-and share the record's Newton matrix (chord steps), which is what makes
+each with its own graph and rates. It runs in one of two modes: each
+record's own system from the uniform start (plain), or many systems that
+each change one of a record's rate entries, started at that record's
+solved baseline and stepped with the baseline's Newton matrix (chord
+steps, around a baseline). The second mode is what makes
 finite-difference stability sweeps cheap; a one-entry change enters the
 map as a rank-one term, so no rate matrix is built per perturbed system.
 """
@@ -228,55 +229,59 @@ def _solve_block(
     adj: np.ndarray,
     rates: np.ndarray,
     opts: SolverOptions,
-    start: np.ndarray | None = None,
-    chord: tuple[np.ndarray, np.ndarray] | None = None,
-    perturbation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    around: tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the fixed point of R systems for each of B records in one loop.
 
-    adj and rates are (B, n, n): record b's adjacency and rates. Without
-    `perturbation` each record has one row, its own system. With it,
-    (targets, agents, entries), each (B, R), row (b, r) is record b's
-    system with rates[b, targets[b, r], agents[b, r]] set to entries[b, r];
-    the change enters F as a rank-one term (see _fixed_map). `start` (B, n)
-    starts every row of record b there. `chord` = (matrices (B, n, n),
-    usable (B,)) gives each record's chord matrix; the rows of a record
-    without a usable one take their own Newton steps, which is the only
-    place a perturbed row's full rate matrix is built.
+    adj and rates are (B, n, n): record b's adjacency and rates. The block
+    runs in one of two modes:
 
-    Each row steps as solve_rate_batch describes. Returns (raw_values,
-    converged, iterations), shaped (B, R, n), (B, R) and (B, R). A row's
-    steps depend on that row alone, so a record's rows do not depend on
-    the other records of the block.
+    - plain (`around` None): one row per record, its own system, started
+      from the uniform vector and polished by Newton steps;
+    - around = (baseline (B, n), (targets, agents, entries), each (B, R)):
+      row (b, r) is record b's system with rates[b, targets[b, r],
+      agents[b, r]] set to entries[b, r], started at the record's baseline
+      fixed point and polished by chord steps with the record's
+      (I - dF/dv)^-1 at that baseline. The change enters F as a rank-one
+      term (see _fixed_map), so no rate matrix is built per row.
+
+    Every row updates v <- v + P (F(v) - v). While its residual is at
+    least POLISH_RESIDUAL * max|F(v)|, P = relaxation * I (damped
+    substitution); below that P is the Newton or chord matrix. A polished
+    step that fails to halve the row's residual is undone, and the row
+    takes damped steps from then on; so does a row whose Newton system is
+    singular, and every row of a record whose chord matrix is. A poor step
+    matrix thus costs iterations, never the fixed point. Rows are frozen
+    as soon as their residual max|F(v) - v| drops to opts.tolerance.
+
+    Returns (raw_values, converged, iterations), shaped (B, R, n), (B, R)
+    and (B, R), with R = 1 in plain mode. A row's steps depend on that row
+    alone, so a record's rows do not depend on the other records of the
+    block.
     """
     if not adj.any(axis=(1, 2)).all():
         raise DegenerateSystemError("graph has no edges; every denominator is zero")
     count, n = rates.shape[0], rates.shape[2]
-    scatter = None
-    if perturbation is None:
-        width = 1
+    if around is None:
+        scatter = None
+        values = np.full((count, 1, n), 1.0 / n)
+        damped_only = np.zeros((count, 1), dtype=bool)
     else:
-        targets, agents, entries = perturbation
+        baseline, (targets, agents, entries) = around
         width = targets.shape[1]
         own = np.arange(count)[:, None]
         offsets = np.arange(count * width).reshape(count, width) * n
         deltas = entries - rates[own, targets, agents]
         scatter = ((offsets + targets).ravel(), (offsets + agents).ravel(), deltas.ravel())
-    shape = (count, width, n)
-
-    if start is None:
-        values = np.full(shape, 1.0 / n)
-    else:
-        values = np.array(np.broadcast_to(start[:, None, :], shape), dtype=float)
+        values = np.repeat(baseline[:, None, :], width, axis=1)
+        chord, usable = _chord_matrices(adj, rates, baseline)
+        chord_t = np.swapaxes(chord, 1, 2)
+        damped_only = np.repeat(~usable[:, None], width, axis=1)
+    shape = values.shape
     values[np.broadcast_to(~adj.any(axis=2)[:, None, :], shape)] = 0.0
-    chorded = np.zeros((count, 1), dtype=bool)
-    if chord is not None:
-        chord_t = np.swapaxes(chord[0], 1, 2)
-        chorded = chord[1][:, None]
     active = np.ones(shape[:2], dtype=bool)
     converged = np.zeros(shape[:2], dtype=bool)
     iterations = np.zeros(shape[:2], dtype=np.int64)
-    damped_only = np.zeros(shape[:2], dtype=bool)
     polished = np.zeros(shape[:2], dtype=bool)
     previous = None  # (values, fixed, residual, denom) before the last step
 
@@ -303,25 +308,18 @@ def _solve_block(
         gap = fixed - values
         delta = opts.relaxation * gap
         polished = step & ~damped_only & (residual < POLISH_RESIDUAL * np.abs(fixed).max(axis=2))
-        by_chord = polished & chorded
-        if by_chord.any():
+        if polished.any() and around is not None:
             # every record's rows in one product, so a row's arithmetic
             # does not depend on which other rows are polished
-            delta[by_chord] = (gap @ chord_t)[by_chord]
-        by_newton = polished & ~chorded
-        if by_newton.any():
-            record, row = np.nonzero(by_newton)
-            matrices = rates[record]
-            if perturbation is not None:
-                matrices[np.arange(len(record)), targets[record, row], agents[record, row]] = (
-                    entries[record, row]
-                )
-            jac = _jacobian_stack(matrices, adj[record], fixed[by_newton], denom[by_newton])
-            solved, ok = _each_matrix(np.linalg.solve, np.eye(n) - jac, gap[by_newton][:, :, None])
+            delta[polished] = (gap @ chord_t)[polished]
+        elif polished.any():
+            record = np.flatnonzero(polished[:, 0])
+            jac = _jacobian_stack(rates[record], adj[record], fixed[polished], denom[polished])
+            solved, ok = _each_matrix(np.linalg.solve, np.eye(n) - jac, gap[polished][:, :, None])
             # a singular row keeps its damped step and stays damped
-            delta[record[ok], row[ok]] = solved[ok, :, 0]
-            damped_only[record[~ok], row[~ok]] = True
-            polished[record[~ok], row[~ok]] = False
+            delta[record[ok], 0] = solved[ok, :, 0]
+            damped_only[record[~ok], 0] = True
+            polished[record[~ok], 0] = False
         delta[~step] = 0.0
         previous = (values, fixed, residual, denom)
         values = values + delta
@@ -331,41 +329,19 @@ def _solve_block(
 
 
 def solve_rate_batch(
-    g: Graph,
-    rate_stack: np.ndarray,
-    opts: SolverOptions,
-    start: np.ndarray | None = None,
-    step_matrix: np.ndarray | None = None,
+    g: Graph, rate_stack: np.ndarray, opts: SolverOptions
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the likedness fixed point for a stack of rate matrices.
 
     rate_stack has shape (batch, n, n), all sharing the graph g.
     Returns (raw_values, converged, iterations) with shapes
-    (batch, n), (batch,), (batch,). Rows are frozen as soon as their
-    residual max|F(v) - v| drops to opts.tolerance, so each row equals
-    the corresponding single solve.
-
-    Every row updates v <- v + P (F(v) - v). While its residual is at
-    least POLISH_RESIDUAL * max|F(v)|, P = relaxation * I (damped
-    substitution). Below that, P = (I - dF/dv)^-1 with the row's own
-    Jacobian at v (Newton), or P = `step_matrix` when given, one n x n
-    matrix shared by every row (chord). A polished step that fails to
-    halve the row's residual is undone, as is a singular Newton system,
-    and the row takes damped steps from then on, so a poor step matrix
-    costs iterations, never the fixed point.
-
-    `start` (shape (n,) or (batch, n)) replaces the uniform start
-    vector, e.g. a nearby fixed point. Each matrix of the stack is a
-    record of its own for _solve_block, which does the work.
+    (batch, n), (batch,), (batch,). Each matrix of the stack is a record
+    of its own for _solve_block's plain mode, which does the work and
+    describes the steps, so each row equals the corresponding single solve.
     """
     batch, n = rate_stack.shape[0], g.n
     adj = np.broadcast_to(g.adjacency, (batch, n, n))
-    if start is not None:
-        start = np.broadcast_to(start, (batch, n))
-    chord = None
-    if step_matrix is not None:
-        chord = (np.broadcast_to(step_matrix, (batch, n, n)), np.ones(batch, dtype=bool))
-    raw, converged, iterations = _solve_block(adj, rate_stack, opts, start, chord)
+    raw, converged, iterations = _solve_block(adj, rate_stack, opts)
     return raw[:, 0], converged[:, 0], iterations[:, 0]
 
 

@@ -85,6 +85,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        if self.k < 1 or self.n < max(2, self.k):
+            raise ValueError(f"require n >= max(2, k) and k >= 1, got n={self.n}, k={self.k}")
         if not self.rate_lambda > 0:
             raise ValueError(f"rate_lambda must be > 0, got {self.rate_lambda}")
         if not 0.0 < self.strategic_fraction < 1.0:

@@ -88,7 +88,8 @@ class Graph:
         return d
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self.neighbors[i]
+        """Whether {i, j} is an edge; False for a node outside 0..n-1."""
+        return 0 <= i < self.n and j in self.neighbors[i]
 
     def is_connected(self) -> bool:
         if self.n == 1:

@@ -12,12 +12,12 @@ a rate, and the stability is exactly 1.
 Derivatives are finite-difference quotients on the sum-normalized
 centrality vector: forward steps of 1% of the entry's value, with an
 absolute fallback step for entries at the zero boundary. The baseline
-is solved first; all the perturbed solves then run as one batch,
-started from the baseline fixed point and stepped with the baseline's
-Newton matrix (chord steps), since each perturbed system differs from
-the baseline in one entry. stability_block does this for a block of
-systems at once, each against its own baseline; stability() is its
-block of one.
+is solved first; all the perturbed solves then run as one batch around
+it, started from the baseline fixed point and stepped with the
+baseline's Newton matrix (chord steps), since each perturbed system
+differs from the baseline in one entry. stability_block does this for
+a block of systems at once, each against its own baseline; stability()
+is its block of one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 from .centrality import (
     RateMatrix,
     SolverOptions,
-    _chord_matrices,
     _normalize_rows,
     _solve_block,
     solve_rate_batch,  # unused here; perfbench/tracing.py patches it at this call site
@@ -93,9 +92,9 @@ def _gradient_block(
 
     adj and rates are (B, n, n); entries (B, R, 2) holds each record's
     perturbed entries (j, i). Solves every record's baseline first, then
-    every perturbed system in one batch, each started from its record's
-    fixed point and stepped with its record's Newton matrix (chord
-    steps): a perturbed system differs from its baseline in one entry.
+    every perturbed system in one batch around its record's baseline
+    (_solve_block's around mode): a perturbed system differs from its
+    baseline in one entry.
     Returns (gradients (B, R), all_solves_converged (B,), baseline
     centralities (B, n), normalized); non-convergence is flagged, never
     raised.
@@ -125,13 +124,12 @@ def _gradient_block(
 
     base_raw, base_conv, _ = _solve_block(adj, rates, opts)
     base_raw = base_raw[:, 0]
-    chord = _chord_matrices(adj, rates, base_raw)
     perturbation = (
         np.tile(targets, len(stencil)),
         np.tile(agents, len(stencil)),
         np.concatenate(stencil, axis=1),
     )
-    raw, conv, _ = _solve_block(adj, rates, opts, base_raw, chord, perturbation)
+    raw, conv, _ = _solve_block(adj, rates, opts, around=(base_raw, perturbation))
     count, width = targets.shape
     normalized = _normalize_rows(raw).reshape(count, len(stencil), width, -1)
     pick = np.arange(width)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from likenet import centrality
 from likenet.centrality import (
     DegenerateSystemError,
     NonConvergenceError,
@@ -163,31 +164,68 @@ def ba_systems(count, n=10, k=2, seed=0):
         yield g, sample_rates(g, 1.0, 1000 + seed + index)
 
 
+def solve_around(systems, scales, opts):
+    """_solve_block's around mode on one-entry perturbations of each system.
+
+    Every directed entry (t, a) of a system's rates is set to
+    rates[t, a] * scale for each scale; the systems must share their node
+    and edge counts. Returns (raw, converged, iterations), shaped (B, R, n),
+    (B, R) and (B, R), and the perturbed rate matrices (B, R, n, n).
+    """
+    adj = np.stack([g.adjacency for g, _ in systems])
+    rates = np.stack([r.values for _, r in systems])
+    entries = np.array([np.argwhere(g.adjacency) for g, _ in systems])
+    targets = np.tile(entries[:, :, 0], len(scales))
+    agents = np.tile(entries[:, :, 1], len(scales))
+    own = np.arange(len(systems))[:, None]
+    values = rates[own, targets, agents] * np.repeat(scales, entries.shape[1])
+    perturbed = np.repeat(rates[:, None], targets.shape[1], axis=1)
+    perturbed[own, np.arange(targets.shape[1]), targets, agents] = values
+    base, base_conv, _ = centrality._solve_block(adj, rates, opts)
+    assert base_conv.all()
+    around = (base[:, 0], (targets, agents, values))
+    return centrality._solve_block(adj, rates, opts, around=around), perturbed
+
+
+def cold_solves(g, perturbed, opts):
+    """Each perturbed system solved on its own from the uniform start."""
+    raw, conv, iters = solve_rate_batch(g, perturbed, opts)
+    assert conv.all()
+    return raw, iters
+
+
+def wrong_chord(matrix):
+    """A _chord_matrices replacement that hands every record `matrix` as usable."""
+
+    def chord_matrices(adj, rates, raw):
+        return np.array(np.broadcast_to(matrix, adj.shape)), np.ones(len(adj), dtype=bool)
+
+    return chord_matrices
+
+
 class TestSolverContract:
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_converged_rows_meet_tolerance(self, shared):
+    @pytest.mark.parametrize("around", [False, True])
+    def test_converged_rows_meet_tolerance(self, around):
         opts = SolverOptions()
         rng = np.random.default_rng(17)
         systems = list(ba_systems(15)) + list(ba_systems(3, n=25, k=3))
         systems += [(g, random_rates(g, rng)) for g in
                     (random_connected_graph(int(rng.integers(3, 9)), rng) for _ in range(10))]
         for g, rates in systems:
-            stack = np.array([rates.values, rates.values * 1.5, rates.values ** 2])
-            step = None
-            if shared:
-                raw0, _, _ = solve_rate_batch(g, stack[:1], opts)
-                step = newton_matrix(g, stack[0], raw0[0])
-            raw, conv, _ = solve_rate_batch(g, stack, opts, step_matrix=step)
+            if around:
+                (raw, conv, _), stack = solve_around([(g, rates)], [1.5, 0.2], opts)
+                raw, conv, stack = raw[0], conv[0], stack[0]
+            else:
+                stack = np.array([rates.values, rates.values * 1.5, rates.values ** 2])
+                raw, conv, _ = solve_rate_batch(g, stack, opts)
             assert conv.all()
             for row in range(len(stack)):
                 assert independent_residual(g, stack[row], raw[row]) <= opts.tolerance
 
     @pytest.mark.parametrize("wrong", ["scaled_identity", "other_rates", "nan"])
-    def test_wrong_step_matrix_still_reaches_the_fixed_point(self, wrong):
+    def test_wrong_step_matrix_still_reaches_the_fixed_point(self, wrong, monkeypatch):
         opts = SolverOptions()
         for g, rates in ba_systems(10, seed=40):
-            reference, ok, _ = solve_rate_batch(g, rates.values[None], opts)
-            assert ok.all()
             if wrong == "scaled_identity":
                 step = 10.0 * np.eye(g.n)
             elif wrong == "other_rates":
@@ -196,10 +234,14 @@ class TestSolverContract:
                 step = newton_matrix(g, other.values, other_raw[0])
             else:
                 step = np.full((g.n, g.n), np.nan)
-            raw, conv, _ = solve_rate_batch(g, rates.values[None], opts, step_matrix=step)
+            with monkeypatch.context() as patch:
+                patch.setattr(centrality, "_chord_matrices", wrong_chord(step))
+                (raw, conv, _), stack = solve_around([(g, rates)], [1.01, 1.5], opts)
+            reference, _ = cold_solves(g, stack[0], opts)
             assert conv.all()
-            assert independent_residual(g, rates.values, raw[0]) <= opts.tolerance
-            assert raw[0] == pytest.approx(reference[0], rel=1e-8, abs=1e-9)
+            for row in range(len(stack[0])):
+                assert independent_residual(g, stack[0, row], raw[0, row]) <= opts.tolerance
+            assert raw[0] == pytest.approx(reference, rel=1e-8, abs=1e-9)
 
     def test_singular_newton_systems_fall_back_to_damped_steps(self, monkeypatch):
         g, rates = next(ba_systems(1, seed=3))
@@ -214,15 +256,37 @@ class TestSolverContract:
         assert iters[0] > expected.iterations
         assert raw[0] == pytest.approx(expected.raw, rel=1e-8, abs=1e-9)
 
+    def test_unusable_chord_matrix_falls_back_to_damped_steps(self, monkeypatch):
+        # a record without a usable chord matrix takes damped steps for its
+        # perturbed rows; the other records of the block keep their chord steps
+        opts = SolverOptions()
+        systems = list(ba_systems(4, seed=90))
+        (chorded, _, chorded_iters), _ = solve_around(systems, [1.01], opts)
+        marked = 2
+        usable_chord = centrality._chord_matrices
+
+        def unusable_on_marked(adj, rates, raw):
+            matrices, usable = usable_chord(adj, rates, raw)
+            usable[marked] = False
+            return matrices, usable
+
+        monkeypatch.setattr(centrality, "_chord_matrices", unusable_on_marked)
+        (raw, conv, iters), stack = solve_around(systems, [1.01], opts)
+        assert conv.all()
+        reference, _ = cold_solves(systems[marked][0], stack[marked], opts)
+        assert raw[marked] == pytest.approx(reference, rel=1e-8, abs=1e-9)
+        assert (iters[marked] > chorded_iters[marked]).all()
+        others = np.arange(len(systems)) != marked
+        assert raw[others].tobytes() == chorded[others].tobytes()
+        assert (iters[others] == chorded_iters[others]).all()
+
     def test_warm_start_at_nearby_fixed_point_takes_fewer_iterations(self):
         opts = SolverOptions()
         for g, rates in ba_systems(10, seed=60):
-            base, _, _ = solve_rate_batch(g, rates.values[None], opts)
-            nearby = np.array([rates.values * (1 + 0.01 * g.adjacency * k) for k in (1, 2, 3)])
-            _, cold_conv, cold = solve_rate_batch(g, nearby, opts)
-            _, warm_conv, warm = solve_rate_batch(g, nearby, opts, start=base[0])
-            assert cold_conv.all() and warm_conv.all()
-            assert (warm < cold).all()
+            (_, warm_conv, warm), stack = solve_around([(g, rates)], [1.01, 1.02, 1.03], opts)
+            _, cold = cold_solves(g, stack[0], opts)
+            assert warm_conv.all()
+            assert (warm[0] < cold).all()
 
     @pytest.mark.parametrize("cap", [1, 2])
     def test_iteration_cap_reports_nonconvergence(self, cap):

@@ -142,6 +142,13 @@ class TestEnsembleCommand:
         assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, k", [(10, 0), (3, 5), (1, 1)])
+    def test_invalid_graph_size_fails_before_any_output(self, tmp_path, capsys, n, k):
+        out = tmp_path / "run"
+        assert run_cli("ensemble", "--samples", 5, "--n", n, "--k", k, "--out", out) == 1
+        assert f"got n={n}, k={k}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_config_is_the_library_default(self, tmp_path):
         assert run_cli("ensemble", "--samples", 5, "--out", tmp_path) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -326,6 +333,19 @@ class TestCoalitionCommand:
         assert float(row["member_a"]) == pytest.approx(baseline.values[a], abs=1e-12)
         assert float(row["member_b"]) == pytest.approx(baseline.values[b], abs=1e-12)
         assert json.loads((tmp_path / "sweep.csv.json").read_text())["all_converged"]
+
+    @pytest.mark.parametrize("a, b", [(-1, 4), (99, 0)])
+    def test_node_outside_the_graph_fails_without_output(self, tmp_path, capsys, a, b):
+        gpath = tmp_path / "g.txt"
+        assert run_cli("generate", "--n", 10, "--k", 2, "--seed", 7, "--out", gpath) == 0
+        rpath = tmp_path / "r.csv"
+        write_rates_dense(random_rates(read_edge_list(gpath), np.random.default_rng(7)), rpath)
+        out = tmp_path / "sweep.csv"
+        assert run_cli(
+            "coalition", "--graph", gpath, "--rates", rpath, "--a", a, "--b", b, "--out", out,
+        ) == 1
+        assert f"({a}, {b}) is not an edge" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "r.csv"]
 
 
 class TestStarCompareCommand:

@@ -279,3 +279,8 @@ class TestConfigFiles:
             EnsembleConfig(rate_lambda=-1.0)
         with pytest.raises(ValueError):
             EnsembleConfig(strategic_fraction=1.0)
+        for n, k in [(10, 0), (10, -1), (3, 5), (1, 1), (0, 1)]:
+            with pytest.raises(ValueError, match=rf"got n={n}, k={k}"):
+                EnsembleConfig(n=n, k=k)
+        EnsembleConfig(n=2, k=1)
+        EnsembleConfig(n=5, k=5)

@@ -170,6 +170,12 @@ class TestGraphType:
         with pytest.raises(GraphError):
             Graph(3, ((0, 3),))
 
+    def test_has_edge_is_false_outside_the_node_range(self):
+        g = Graph(3, ((0, 1), (1, 2), (0, 2)))
+        assert g.has_edge(0, 2) and g.has_edge(2, 0)
+        for i, j in [(-1, 0), (0, -1), (-1, 1), (3, 0), (0, 3), (99, 0)]:
+            assert not g.has_edge(i, j), (i, j)
+
     def test_canonical_edge_order(self):
         g = Graph(3, ((2, 1), (1, 0)))
         assert g.edges == ((0, 1), (1, 2))
