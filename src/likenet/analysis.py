@@ -22,6 +22,7 @@ from .ensemble import (
     EnsembleConfig,
     RecordTable,
     block_records,
+    check_rate_lambda,
     record_seeds,
     sample_rates,
 )
@@ -113,8 +114,7 @@ def _percentile_edges(bins, rate_lambda: float) -> tuple[np.ndarray, np.ndarray]
     `bins` is either an equal-probability bin count or an explicit
     increasing sequence of probabilities spanning [0, 1].
     """
-    if not rate_lambda > 0:
-        raise ValueError(f"rate_lambda must be > 0, got {rate_lambda}")
+    check_rate_lambda(rate_lambda)
     if isinstance(bins, int):
         if bins < 1:
             raise ValueError(f"need at least one bin, got {bins}")

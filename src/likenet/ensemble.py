@@ -4,33 +4,40 @@ Each record is fully determined by (master_seed, record_index, config):
 per-record seeds come from a counter-based split of the master seed, so
 records can be recomputed independently and in parallel without shared
 RNG state. Records are written as JSON lines, one record per line, to
-the run's one record file.
+the run's one record file. A worker computes a block of consecutive
+records as arrays and encodes their lines; the parent writes the text.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
+import time
 from array import array
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from multiprocessing import Pool
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .centrality import RateMatrix, SolverOptions
-# compute_metrics and stability are unused here: perfbench/tracing.py
-# patches them by name, with the other layer calls, at this call site
-from .graphs import Graph, compute_metrics, compute_metrics_block, generate_ba
-from .stability import _directed_entries, stability, stability_block
+# compute_metrics, generate_ba and stability are unused here:
+# perfbench/tracing.py patches them by name, with the other layer calls,
+# at this call site
+from .graphs import Graph, _attach, _metric_columns, compute_metrics, generate_ba
+from .stability import _gradient_block, _stability_columns, stability
 
 __all__ = [
     "EnsembleConfig",
     "SystemRecord",
     "RecordTable",
+    "Block",
+    "check_rate_lambda",
+    "encode_record",
     "sample_rates",
     "compute_block",
     "compute_record",
@@ -66,6 +73,14 @@ def block_records(systems: int, n: int) -> int:
     return max(1, BLOCK_VALUES // max(1, systems * n))
 
 
+def check_rate_lambda(rate_lambda: float) -> None:
+    """Reject an Exp(rate_lambda) rate parameter that is not finite and > 0."""
+    if not rate_lambda > 0:
+        raise ValueError(f"rate_lambda must be > 0, got {rate_lambda}")
+    if not math.isfinite(rate_lambda):
+        raise ValueError(f"rate_lambda must be finite, got {rate_lambda}")
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Reproducible specification of one Monte-Carlo run.
@@ -87,8 +102,7 @@ class EnsembleConfig:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if self.k < 1 or self.n < max(2, self.k):
             raise ValueError(f"require n >= max(2, k) and k >= 1, got n={self.n}, k={self.k}")
-        if not self.rate_lambda > 0:
-            raise ValueError(f"rate_lambda must be > 0, got {self.rate_lambda}")
+        check_rate_lambda(self.rate_lambda)
         if not 0.0 < self.strategic_fraction < 1.0:
             raise ValueError(
                 f"strategic_fraction must be in (0, 1), got {self.strategic_fraction}"
@@ -121,6 +135,35 @@ class SystemRecord:
         d["outgoing_rates"] = [list(triple) for triple in self.outgoing_rates]
         return d
 
+    def to_line(self) -> str:
+        """The record's records.jsonl line, without its newline."""
+        return encode_record([getattr(self, name) for name in RECORD_FIELDS])
+
+    @classmethod
+    def from_line(cls, line: str) -> SystemRecord:
+        """Inverse of to_line."""
+        d = json.loads(line)
+        d["degree_histogram"] = tuple(d["degree_histogram"])
+        d["outgoing_rates"] = tuple(map(tuple, d["outgoing_rates"]))
+        return cls(**d)
+
+
+# a record line's fields, in order
+RECORD_FIELDS = tuple(f.name for f in fields(SystemRecord))
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def encode_record(values: Sequence) -> str:
+    """One records.jsonl line, without its newline: the values of
+    RECORD_FIELDS, in that order, as a compact JSON object."""
+    return _ENCODER.encode(dict(zip(RECORD_FIELDS, values, strict=True)))
+
+
+def _draw_rates(rate_lambda: float, seed, edge_count: int) -> np.ndarray:
+    """One graph's rate draws: row e holds rates (i, j) and (j, i) of its e-th sorted edge."""
+    rng = np.random.default_rng(seed)
+    return rng.exponential(scale=1.0 / rate_lambda, size=(edge_count, 2))
+
 
 def sample_rates(g: Graph, rate_lambda: float, seed) -> RateMatrix:
     """Draw both directed rates of every edge i.i.d. Exp(rate_lambda).
@@ -129,10 +172,8 @@ def sample_rates(g: Graph, rate_lambda: float, seed) -> RateMatrix:
     sorted edge list, entry (i, j) before (j, i), so the result is a
     pure function of (graph, rate_lambda, seed).
     """
-    if not rate_lambda > 0:
-        raise ValueError(f"rate_lambda must be > 0, got {rate_lambda}")
-    rng = np.random.default_rng(seed)
-    draws = rng.exponential(scale=1.0 / rate_lambda, size=(len(g.edges), 2))
+    check_rate_lambda(rate_lambda)
+    draws = _draw_rates(rate_lambda, seed, len(g.edges))
     i, j = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     values = np.zeros((g.n, g.n))
     values[i, j] = draws[:, 0]
@@ -147,75 +188,112 @@ def record_seeds(master_seed: int, record_index: int, stream: int = MAIN_STREAM)
     return int(graph_seed), int(rate_seed)
 
 
-def compute_block(config: EnsembleConfig, start: int, stop: int) -> list[SystemRecord]:
-    """Records start..stop-1: graphs and rates from derived seeds, then their
-    metrics and stability, each computed for the whole block at once.
+class Block(NamedTuple):
+    """compute_block's result: the block's records.jsonl lines, their
+    stability column and how many of them did not converge."""
 
-    A record does not depend on the block it is computed in.
-    """
+    text: str
+    stability: list[float]
+    non_converged: int
+
+
+def _block_systems(
+    config: EnsembleConfig, start: int, stop: int
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """Records start..stop-1's (graph_seed, rate_seed) pairs, then their
+    generate_ba graphs and sample_rates rates as (B, n, n) stacks."""
     seeds = [record_seeds(config.master_seed, index) for index in range(start, stop)]
-    graphs = [generate_ba(config.n, config.k, graph_seed) for graph_seed, _ in seeds]
-    rates = [
-        sample_rates(g, config.rate_lambda, rate_seed) for g, (_, rate_seed) in zip(graphs, seeds)
-    ]
-    metrics = compute_metrics_block(graphs)
-    results = stability_block(graphs, rates, config.solver)
-    outgoing = []
-    for g, r in zip(graphs, rates):
-        rows, cols = np.array(_directed_entries(g)).T
-        outgoing.append(tuple(zip(rows.tolist(), cols.tolist(), r.values[rows, cols].tolist())))
-    return [
-        SystemRecord(
-            record_index=index,
-            graph_seed=graph_seed,
-            rate_seed=rate_seed,
-            stability=result.stability,
-            gradient_sq_sum=result.gradient_sq_sum,
-            degree_histogram=metric.degree_histogram,
-            degree_stddev=metric.degree_stddev,
-            mean_path_length=metric.mean_path_length,
-            mean_local_clustering=metric.mean_local_clustering,
-            outgoing_rates=rates_of_record,
-            solver_converged=result.solver_converged,
-        )
-        for index, (graph_seed, rate_seed), metric, result, rates_of_record in zip(
-            range(start, stop), seeds, metrics, results, outgoing
-        )
-    ]
+    edges = np.array([_attach(config.n, config.k, graph_seed) for graph_seed, _ in seeds],
+                     dtype=np.intp)
+    count, edge_count, _ = edges.shape
+    own = np.arange(count)[:, None]
+    adj = np.zeros((count, config.n, config.n))
+    adj[own, edges[..., 0], edges[..., 1]] = 1.0
+    adj[own, edges[..., 1], edges[..., 0]] = 1.0
+    draws = np.array([_draw_rates(config.rate_lambda, rate_seed, edge_count)
+                      for _, rate_seed in seeds])
+    # the upper triangle's nonzeros in row-major order are each record's
+    # sorted edges (i, j), i < j: sample_rates' draw order
+    rows, upper, lower = np.nonzero(np.triu(adj))
+    rates = np.zeros_like(adj)
+    rates[rows, upper, lower] = draws[..., 0].ravel()
+    rates[rows, lower, upper] = draws[..., 1].ravel()
+    return seeds, adj, rates
+
+
+def compute_block(config: EnsembleConfig, start: int, stop: int) -> Block:
+    """Records start..stop-1, computed as arrays for the whole block and
+    encoded as their records.jsonl lines.
+
+    Each record's graph and rates come from its own derived seeds; the
+    metrics and the stability of the block's records are computed at
+    once. A record does not depend on the block it is computed in.
+    """
+    seeds, adj, rates = _block_systems(config, start, stop)
+    count = len(seeds)
+    # the nonzeros in row-major order are the perturbed entries (j, i),
+    # sorted, and the outgoing rates (i, j, rates[i, j]), sorted
+    rows, targets, agents = np.nonzero(adj)
+    entries = np.stack([targets, agents], axis=1).reshape(count, -1, 2)
+    grads, converged, _ = _gradient_block(adj, rates, entries, config.solver, "forward")
+    stabilities, sq_sums = _stability_columns(grads)
+    histograms, stddevs, path_lengths, clusterings, _ = _metric_columns(adj)
+    # one record's rate triples at a time: as lists for the whole block they
+    # would be the largest thing a worker holds
+    outgoing = (
+        [[i, j, rate] for (i, j), rate in zip(pairs.tolist(), values.tolist())]
+        for pairs, values in zip(entries, rates[rows, targets, agents].reshape(count, -1))
+    )
+    graph_seeds, rate_seeds = zip(*seeds)
+    columns = zip(range(start, stop), graph_seeds, rate_seeds, stabilities, sq_sums,
+                  histograms.tolist(), stddevs.tolist(), path_lengths.tolist(),
+                  clusterings.tolist(), outgoing, converged.tolist())
+    text = "".join([encode_record(values) + "\n" for values in columns])
+    return Block(text, stabilities, count - int(converged.sum()))
 
 
 def compute_record(config: EnsembleConfig, record_index: int) -> SystemRecord:
-    """One record: compute_block with a block of one."""
-    return compute_block(config, record_index, record_index + 1)[0]
+    """One record: compute_block with a block of one, decoded."""
+    return SystemRecord.from_line(compute_block(config, record_index, record_index + 1).text)
 
 
-def _pool_worker(args: tuple[EnsembleConfig, int, int]) -> list[SystemRecord]:
+def _pool_worker(args: tuple[EnsembleConfig, int, int]) -> Block:
     return compute_block(*args)
 
 
-def run_ensemble(config: EnsembleConfig, workers: int = 1) -> Iterator[SystemRecord]:
-    """Yield sample_count records in record_index order.
+def _computed_blocks(config: EnsembleConfig, workers: int) -> Iterator[Block]:
+    """compute_block over the run's consecutive blocks, in record_index order.
 
-    Records are computed in blocks of consecutive indices (see
-    BLOCK_VALUES), one block per pool task. A record does not depend on
-    its block or on the worker count; results are always yielded in
-    canonical index order.
+    Blocks hold BLOCK_VALUES solver values each, and each is one pool
+    task. A record does not depend on its block or on the worker count.
+    Progress, throughput and the time left are logged every tenth of the run.
     """
     count = config.sample_count
     # every BA graph of the run has k(k-1)/2 + k(n-k) edges, two systems each
     edges = config.k * (config.k - 1) // 2 + config.k * (config.n - config.k)
     size = block_records(2 * edges, config.n)
     blocks = ((config, start, min(start + size, count)) for start in range(0, count, size))
-    next_mark = max(1, count // 10)
+    step = max(1, count // 10)
     done = 0
+    began = time.perf_counter()
     with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
         computed = map(_pool_worker, blocks) if pool is None else pool.imap(_pool_worker, blocks)
         for block in computed:
-            for record in block:
-                yield record
-                done += 1
-                if done % next_mark == 0:
-                    log.info("ensemble progress: %d/%d", done, count)
+            mark = done // step
+            done += len(block.stability)
+            if done // step > mark or done == count:
+                rate = done / max(time.perf_counter() - began, 1e-9)
+                log.info("ensemble progress: %d/%d, %.0f records/s, about %.0f s left",
+                         done, count, rate, (count - done) / rate)
+            yield block
+
+
+def run_ensemble(config: EnsembleConfig, workers: int = 1) -> Iterator[SystemRecord]:
+    """Yield sample_count records in record_index order, decoded from the
+    lines compute_block encodes; records do not depend on the worker count."""
+    for block in _computed_blocks(config, workers):
+        for line in block.text.splitlines():
+            yield SystemRecord.from_line(line)
 
 
 def write_records(records: Iterable[SystemRecord], jsonl_path) -> int:
@@ -223,7 +301,7 @@ def write_records(records: Iterable[SystemRecord], jsonl_path) -> int:
     count = 0
     with open(jsonl_path, "w", encoding="utf-8") as jf:
         for record in records:
-            jf.write(json.dumps(record.to_json_dict(), separators=(",", ":")) + "\n")
+            jf.write(record.to_line() + "\n")
             count += 1
     return count
 
@@ -349,8 +427,8 @@ def summarize_records(stabilities: Sequence[float], non_converged: int) -> dict:
 def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
     """Run the ensemble, writing records.jsonl and summary.json.
 
-    Each record is written as it arrives; only its stability and
-    convergence flag are kept for the summary.
+    Each block's text is written as it arrives from the workers; only its
+    stability column and non-converged count are kept for the summary.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -358,15 +436,11 @@ def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     stabilities = array("d")
     non_converged = 0
-
-    def tallied(records: Iterable[SystemRecord]) -> Iterator[SystemRecord]:
-        nonlocal non_converged
-        for record in records:
-            stabilities.append(record.stability)
-            non_converged += not record.solver_converged
-            yield record
-
-    write_records(tallied(run_ensemble(config, workers=workers)), out / "records.jsonl")
+    with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
+        for text, stability, failed in _computed_blocks(config, workers):
+            fh.write(text)
+            stabilities.extend(stability)
+            non_converged += failed
     summary = summarize_records(stabilities, non_converged)
     summary["config"] = config_to_dict(config)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:

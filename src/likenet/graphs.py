@@ -118,6 +118,12 @@ def generate_ba(n: int, k: int, seed) -> Graph:
     nodes, drawn sequentially without replacement with probability
     proportional to current degree. Deterministic for a given seed.
     """
+    return Graph(n=n, edges=tuple(_attach(n, k, seed)))
+
+
+def _attach(n: int, k: int, seed) -> list[tuple[int, int]]:
+    """generate_ba's edges in the order they are made: the first k nodes'
+    clique as (i, j), i < j, then each new node's (target, new) pairs."""
     if k < 1 or n < k:
         raise GraphError(f"require n >= k >= 1, got n={n}, k={k}")
     rng = np.random.default_rng(seed)
@@ -150,7 +156,7 @@ def generate_ba(n: int, k: int, seed) -> Graph:
             edges.append((t, new))
             degrees[new] += 1
             degrees[t] += 1
-    return Graph(n=n, edges=tuple(edges))
+    return edges
 
 
 def generate_star(n: int) -> Graph:
@@ -235,31 +241,35 @@ def compute_metrics_block(graphs: Sequence[Graph]) -> list[GraphMetrics]:
     if len({g.n for g in graphs}) > 1:
         raise GraphError("the graphs of a block must have the same node count")
     adj = np.stack([g.adjacency for g in graphs])
-    degrees = np.stack([g.degrees for g in graphs])
-    count, n = degrees.shape
-    dist = _distances(adj)
-    connected = (dist >= 0).all(axis=(1, 2))
-    path_sums = dist.sum(axis=(1, 2)).tolist()
-    # np.bincount counts all graphs at once when graph b's degrees are offset by b * n
-    histograms = np.bincount((degrees + n * np.arange(count)[:, None]).ravel(),
-                             minlength=count * n).reshape(count, n)
+    columns = (column.tolist() for column in _metric_columns(adj))
     return [
         GraphMetrics(
             degree_histogram=tuple(histogram),
             degree_stddev=stddev,
-            # each unordered pair counted twice
-            mean_path_length=path_sum / (n * (n - 1)) if joined and n > 1 else float("inf"),
+            mean_path_length=path_length,
             mean_local_clustering=clustering,
             connected=joined,
         )
-        for histogram, stddev, path_sum, clustering, joined in zip(
-            histograms.tolist(),
-            np.std(degrees, axis=1).tolist(),
-            path_sums,
-            _mean_local_clustering(adj, degrees).tolist(),
-            connected.tolist(),
-        )
+        for histogram, stddev, path_length, clustering, joined in zip(*columns)
     ]
+
+
+def _metric_columns(adj: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The GraphMetrics fields of each graph of a (B, n, n) adjacency stack, as
+    columns: degree histograms (B, n), then degree stddevs, mean path lengths
+    (inf when disconnected), mean local clusterings and connected flags (B,)."""
+    count, n, _ = adj.shape
+    degrees = adj.sum(axis=2).astype(np.int64)
+    dist = _distances(adj)
+    connected = (dist >= 0).all(axis=(1, 2))
+    # each unordered pair counted twice
+    path_lengths = np.where(connected & (n > 1), dist.sum(axis=(1, 2)) / max(1, n * (n - 1)),
+                            np.inf)
+    # np.bincount counts all graphs at once when graph b's degrees are offset by b * n
+    histograms = np.bincount((degrees + n * np.arange(count)[:, None]).ravel(),
+                             minlength=count * n).reshape(count, n)
+    return (histograms, np.std(degrees, axis=1), path_lengths,
+            _mean_local_clustering(adj, degrees), connected)
 
 
 def write_edge_list(g: Graph, path) -> None:

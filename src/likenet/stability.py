@@ -182,15 +182,23 @@ def centrality_gradient(
     return float(grads[0])
 
 
+def _stability_columns(grads: np.ndarray) -> tuple[list[float], list[float]]:
+    """(stability, gradient_sq_sum) of each row of a (B, R) gradient block:
+    exp(-s) of s, the exactly rounded sum of the row's squares."""
+    sq_sums = [math.fsum(row) for row in (grads * grads).tolist()]
+    return [math.exp(-s) for s in sq_sums], sq_sums
+
+
 def stability_from_gradients(
     per_edge_gradients: dict[tuple[int, int], float],
     solver_converged: bool = True,
     centrality: np.ndarray | None = None,
 ) -> StabilityResult:
     """Assemble a StabilityResult from already-computed sensitivities."""
-    gss = math.fsum(grad * grad for grad in per_edge_gradients.values())
+    grads = np.array(list(per_edge_gradients.values()), dtype=float)
+    (stab,), (gss,) = _stability_columns(grads.reshape(1, -1))
     return StabilityResult(
-        stability=math.exp(-gss),
+        stability=stab,
         gradient_sq_sum=gss,
         per_edge_gradients=dict(per_edge_gradients),
         solver_converged=solver_converged,
@@ -224,8 +232,10 @@ def stability_block(
         scheme,
     )
     return [
-        stability_from_gradients(dict(zip(e, row)), bool(ok), cv)
-        for e, row, ok, cv in zip(entries, grads.tolist(), converged, centrality)
+        StabilityResult(stab, gss, dict(zip(e, row)), ok, cv)
+        for stab, gss, e, row, ok, cv in zip(
+            *_stability_columns(grads), entries, grads.tolist(), converged.tolist(), centrality
+        )
     ]
 
 

@@ -149,6 +149,13 @@ class TestEnsembleCommand:
         assert f"got n={n}, k={k}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_lambda_fails_before_any_output(self, tmp_path, capsys):
+        # an infinite lambda draws every rate as 0.0: stability 0 on every record
+        out = tmp_path / "run"
+        assert run_cli("ensemble", "--samples", 5, "--lambda", "inf", "--out", out) == 1
+        assert "error: rate_lambda must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_config_is_the_library_default(self, tmp_path):
         assert run_cli("ensemble", "--samples", 5, "--out", tmp_path) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -241,6 +248,14 @@ class TestAnalyzeCommand:
         ) == 1
         message = f"error: rate_lambda must be > 0, got {float(rate_lambda)}"
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_lambda_fails_before_any_output(self, tmp_path, small_run, capsys):
+        out = tmp_path / "analysis"
+        assert run_cli(
+            "analyze", "--records", small_run / "records.jsonl", "--lambda", "inf", "--out", out,
+        ) == 1
+        assert "error: rate_lambda must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_records_fails(self, tmp_path):

@@ -1,5 +1,7 @@
 import json
+import logging
 import math
+import re
 import weakref
 
 import numpy as np
@@ -7,9 +9,11 @@ import pytest
 from scipy import stats
 
 from likenet import ensemble
+from likenet.centrality import RateMatrix
 from likenet.ensemble import (
     EnsembleConfig,
     RecordTable,
+    SystemRecord,
     compute_record,
     config_from_dict,
     read_config_file,
@@ -21,7 +25,8 @@ from likenet.ensemble import (
     write_config_file,
     write_records,
 )
-from likenet.graphs import compute_metrics, generate_ba, generate_star
+from likenet.graphs import Graph, compute_metrics, generate_ba, generate_star
+from likenet.stability import StabilityResult
 
 from conftest import DESK_SEED
 
@@ -69,8 +74,9 @@ class TestSampleRates:
 
     def test_lambda_validation(self):
         g = generate_star(3)
-        with pytest.raises(ValueError):
-            sample_rates(g, 0.0, 1)
+        for rate_lambda in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="rate_lambda must be"):
+                sample_rates(g, rate_lambda, 1)
 
 
 class TestRecords:
@@ -157,26 +163,57 @@ class TestRunEnsemble:
         assert all(run == runs[0] for run in runs[1:])
 
     def test_run_to_files_streams_records(self, tmp_path, monkeypatch):
-        cfg = EnsembleConfig(sample_count=20, master_seed=12)
+        # four blocks of up to 32 desk records; a full block's text is past the
+        # 8 KB a text file keeps unwritten, so writing it lets it go
+        cfg = EnsembleConfig(sample_count=100, master_seed=12)
         alive = weakref.WeakSet()
-        peak = 0
+        held = []
 
-        def tracked(config, workers=1):
-            nonlocal peak
-            for idx in range(config.sample_count):
-                record = compute_record(config, idx)
-                alive.add(record)
-                peak = max(peak, len(alive))
-                yield record
+        class Text(str):
+            """A block's text that a weak reference can track."""
 
-        monkeypatch.setattr(ensemble, "run_ensemble", tracked)
+        compute = ensemble.compute_block
+
+        def tracked(config, start, stop):
+            held.append(len(alive))
+            block = compute(config, start, stop)
+            text = Text(block.text)
+            alive.add(text)
+            return block._replace(text=text)
+
+        monkeypatch.setattr(ensemble, "compute_block", tracked)
         summary = run_to_files(cfg, tmp_path, workers=1)
-        # the record being written and the one just computed, never the run
-        assert peak <= 2
+        # asked for a block, the parent holds at most the text it wrote last
+        assert len(held) == 4 and max(held) <= 1
         records = read_records(tmp_path / "records.jsonl")
-        assert records.record_index.tolist() == list(range(20))
+        assert records.record_index.tolist() == list(range(100))
         stabilities = records.stability
         assert summary == {**summarize_records(stabilities, 0), "config": summary["config"]}
+
+    def test_run_to_files_builds_no_per_record_objects(self, tmp_path, monkeypatch):
+        cfg = EnsembleConfig(sample_count=40, master_seed=12)
+        run_to_files(cfg, tmp_path / "plain", workers=1)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"the ensemble built a {type(self).__name__}")
+
+        for cls in (SystemRecord, Graph, RateMatrix, StabilityResult):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        run_to_files(cfg, tmp_path / "guarded", workers=1)
+        for name in ("records.jsonl", "summary.json"):
+            assert (tmp_path / "guarded" / name).read_bytes() == (
+                tmp_path / "plain" / name
+            ).read_bytes()
+
+    def test_progress_reports_throughput_and_time_left(self, tmp_path, caplog):
+        cfg = EnsembleConfig(sample_count=20, master_seed=12)
+        with caplog.at_level(logging.INFO, logger="likenet"):
+            run_to_files(cfg, tmp_path, workers=1)
+        progress = [r.getMessage() for r in caplog.records if "progress" in r.getMessage()]
+        assert progress
+        assert all(re.fullmatch(r"ensemble progress: \d+/20, \d+ records/s, about \d+ s left", m)
+                   for m in progress)
+        assert progress[-1].startswith("ensemble progress: 20/20, ")
 
     def test_write_read_roundtrip(self, tmp_path):
         cfg = EnsembleConfig(sample_count=12, master_seed=9)
@@ -277,6 +314,8 @@ class TestConfigFiles:
             EnsembleConfig(sample_count=0)
         with pytest.raises(ValueError):
             EnsembleConfig(rate_lambda=-1.0)
+        with pytest.raises(ValueError, match="rate_lambda must be finite, got inf"):
+            EnsembleConfig(rate_lambda=math.inf)
         with pytest.raises(ValueError):
             EnsembleConfig(strategic_fraction=1.0)
         for n, k in [(10, 0), (10, -1), (3, 5), (1, 1), (0, 1)]:

@@ -4,16 +4,29 @@ frozen copies of their earlier, straightforward implementations.
 Records store only their graph and rate seeds, so a rewrite of either
 sampler must consume the same random stream and build the same graph
 and rate matrix from every seed; old record files must still rebuild.
+compute_block builds, solves and encodes a whole block as arrays; its
+lines must equal records assembled one at a time from the library's
+single-system calls.
 """
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from likenet.ensemble import EnsembleConfig, compute_record, sample_rates
-from likenet.graphs import generate_ba
+from likenet import ensemble
+from likenet.centrality import RateMatrix
+from likenet.ensemble import (
+    EnsembleConfig,
+    compute_block,
+    compute_record,
+    record_seeds,
+    sample_rates,
+)
+from likenet.graphs import compute_metrics, generate_ba
+from likenet.stability import stability
 
 
 def reference_generate_ba(n, k, seed):
@@ -82,6 +95,60 @@ def test_record_encoding_matches_asdict(n, k):
     config = EnsembleConfig(sample_count=1, n=n, k=k, master_seed=23)
     for index in range(3):
         record = compute_record(config, index)
-        assert json.dumps(record.to_json_dict(), separators=(",", ":")) == json.dumps(
-            reference_json_dict(record), separators=(",", ":")
-        )
+        assert record.to_line() == json.dumps(reference_json_dict(record), separators=(",", ":"))
+
+
+def reference_line(config, index):
+    """Record index's line, assembled from one system's library calls."""
+    graph_seed, rate_seed = record_seeds(config.master_seed, index)
+    g = generate_ba(config.n, config.k, graph_seed)
+    rates = sample_rates(g, config.rate_lambda, rate_seed)
+    metrics = asdict(compute_metrics(g))
+    del metrics["connected"]
+    result = stability(g, rates, config.solver)
+    gradient_sq_sum = math.fsum(grad * grad for grad in result.per_edge_gradients.values())
+    directed = sorted(g.edges + tuple((j, i) for i, j in g.edges))
+    record = {
+        "record_index": index,
+        "graph_seed": graph_seed,
+        "rate_seed": rate_seed,
+        "stability": math.exp(-gradient_sq_sum),
+        "gradient_sq_sum": gradient_sq_sum,
+        **metrics,
+        "outgoing_rates": [[i, j, float(rates.values[i, j])] for i, j in directed],
+        "solver_converged": result.solver_converged,
+    }
+    return json.dumps(record, separators=(",", ":")), g, rates
+
+
+@pytest.mark.parametrize(
+    "n, k, rate_lambda, start, stop",
+    [(10, 2, 1.0, 5, 45), (40, 3, 1.0, 2, 5), (10, 1, 1.0, 0, 40), (25, 5, 1.0, 7, 12),
+     (10, 2, 2.5, 11, 51)],
+)
+def test_block_text_matches_records_assembled_one_at_a_time(
+    n, k, rate_lambda, start, stop, monkeypatch
+):
+    config = EnsembleConfig(n=n, k=k, rate_lambda=rate_lambda, master_seed=31)
+    stacks = []
+
+    def recording(adj, rates, *args):
+        stacks.append((adj.copy(), rates.copy()))
+        return gradient_block(adj, rates, *args)
+
+    gradient_block = ensemble._gradient_block
+    monkeypatch.setattr(ensemble, "_gradient_block", recording)
+    block = compute_block(config, start, stop)
+    (adj, rates), = stacks
+    expected = []
+    for b, index in enumerate(range(start, stop)):
+        line, g, reference_rates = reference_line(config, index)
+        expected.append(line + "\n")
+        assert np.array_equal(adj[b], g.adjacency)
+        # what RateMatrix and check_support require: finite, >= 0, zero off the edges
+        RateMatrix(n=n, values=rates[b]).check_support(g)
+        assert np.array_equal(rates[b], reference_rates.values)
+    assert block.text == "".join(expected)
+    records = [json.loads(line) for line in expected]
+    assert block.stability == [r["stability"] for r in records]
+    assert block.non_converged == sum(not r["solver_converged"] for r in records)
