@@ -21,13 +21,13 @@ from .ensemble import (
     STAR_STREAM,
     EnsembleConfig,
     RecordTable,
+    _systems,
     block_records,
     check_rate_lambda,
     record_seeds,
-    sample_rates,
 )
 from .graphs import Graph, generate_star
-from .stability import check_direction, classify_strategic, stability_block
+from .stability import _gradient_block, _stability_columns, check_direction, classify_strategic
 
 __all__ = [
     "BinnedSeries",
@@ -428,6 +428,29 @@ class StarComparison:
     warnings: tuple[str, ...]
 
 
+def _sample_stars(count: int, config: EnsembleConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Stars 0..count-1 of the config's star seed stream, on config.n nodes
+    with Exp(rate_lambda) rates: their stabilities (count,) and baseline
+    centralities (count, n), normalized, hub first.
+
+    The stars are solved in blocks, as the ensemble solves its records.
+    """
+    edges = np.array(generate_star(config.n).edges)
+    size = block_records(2 * len(edges), config.n)
+    stabilities, centralities = [], []
+    for start in range(0, count, size):
+        seeds = [record_seeds(config.master_seed, index, stream=STAR_STREAM)[1]
+                 for index in range(start, min(start + size, count))]
+        adj, rates, entries = _systems(
+            config.n, np.broadcast_to(edges, (len(seeds), *edges.shape)), config.rate_lambda,
+            seeds,
+        )
+        grads, _, centrality = _gradient_block(adj, rates, entries, config.solver, "forward")
+        stabilities += _stability_columns(grads)[0]
+        centralities.append(centrality)
+    return np.array(stabilities), np.concatenate(centralities)
+
+
 def star_comparison(
     star_samples: int,
     ba_records: RecordTable,
@@ -441,31 +464,13 @@ def star_comparison(
     n-node graphs) with a vertex of degree n-1. Also reports, within
     the strategic stars (classify_strategic at the config's
     strategic_fraction), the ratio of mean branch centrality to mean hub
-    centrality.
+    centrality. The arguments and the records are checked before any
+    star is sampled.
     """
     if star_samples < 1:
         raise ValueError("star_samples must be >= 1")
     check_direction(direction)
     config = config or EnsembleConfig()
-    warnings = []
-
-    star = generate_star(config.n)
-    results = []
-    size = block_records(2 * len(star.edges), star.n)
-    for start in range(0, star_samples, size):
-        indices = range(start, min(start + size, star_samples))
-        rates = [
-            sample_rates(star, config.rate_lambda,
-                         record_seeds(config.master_seed, idx, stream=STAR_STREAM)[1])
-            for idx in indices
-        ]
-        results += stability_block([star] * len(rates), rates, config.solver)
-    star_stability = np.array([result.stability for result in results])
-    # the hub and branch centralities come from each star's baseline solve
-    centrality = np.array([result.centrality for result in results])
-    branch_centrality = centrality[:, 1:].mean(axis=1)
-    hub_centrality = centrality[:, 0]
-
     width = ba_records.degree_histogram.shape[1]
     if width != config.n:
         raise ValueError(f"the records are of {width}-node graphs, the stars of {config.n}")
@@ -477,11 +482,15 @@ def star_comparison(
             f"no graphs with a degree-{hub_degree} hub among {len(ba_records)} samples; "
             "more samples required"
         )
+    warnings = []
     if hub_count < 30:
         warnings.append(f"hub subset has only {hub_count} samples; wide uncertainty")
     if star_samples < 30:
         warnings.append(f"only {star_samples} star samples; wide uncertainty")
 
+    star_stability, centrality = _sample_stars(star_samples, config)
+    branch_centrality = centrality[:, 1:].mean(axis=1)
+    hub_centrality = centrality[:, 0]
     star_mean = float(np.mean(star_stability))
     hub_mean = float(np.mean(ba_records.stability[in_hub]))
 

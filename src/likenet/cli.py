@@ -15,6 +15,7 @@ import csv
 import json
 import logging
 import os
+import re
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
@@ -41,6 +42,10 @@ log = logging.getLogger("likenet")
 
 ENV_PREFIX = "LIKENET_"
 
+# an option value that argparse would take for an option: a negative number
+# such as -1e-3, -.5 or -inf
+NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
 FIELD_DEFAULTS = config_to_dict(EnsembleConfig())
 
 # flag spellings of the config fields whose flag differs from the field name
@@ -58,6 +63,8 @@ CLI_DEFAULTS = {
     "model": "ba",
     "bins": 50,
     "strategic_direction": "high",
+    "stars": 1000,
+    "joint_rates": "0,0.5,1,2,4,8,16",
 }
 
 
@@ -241,7 +248,7 @@ def cmd_coalition(args, guard: OutputGuard) -> None:
         raise CliError("give both --a and --b, or neither")
     a, b = an.pick_outlying_pair(g) if args.a is None else (args.a, args.b)
     points = an.coalition_sweep(
-        g, rates, a, b, _parse_joint_rates(args.joint_rates), solver_options(args)
+        g, rates, a, b, _parse_joint_rates(resolve(args, "joint_rates")), solver_options(args)
     )
     out = guard.track(args.out)
     with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -270,7 +277,7 @@ def cmd_star_compare(args, guard: OutputGuard) -> None:
         raise CliError(f"no records in {args.records}")
     direction = resolve(args, "strategic_direction")
     result = an.star_comparison(
-        star_samples=args.stars,
+        star_samples=resolve(args, "stars"),
         config=config,
         ba_records=ba_records,
         direction=direction,
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", required=True)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
-    p.add_argument("--joint-rates", default="0,0.5,1,2,4,8,16")
+    p.add_argument("--joint-rates", default=None)
     p.add_argument("--out", required=True)
 
     p = _add_command(
@@ -366,17 +373,36 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", "--lambda", "--strategic-fraction", "--strategic-direction",
         "--seed", *SOLVER_FLAGS,
     )
-    p.add_argument("--stars", type=int, default=1000)
+    p.add_argument("--stars", type=int, default=None)
     p.add_argument("--records", required=True, help="a `likenet ensemble` run's records.jsonl")
     p.add_argument("--out", required=True)
     return parser
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative number that follows a long option written into
+    it as --option=value.
+
+    argparse takes a token such as -1e-3 or -inf for an option, not for the
+    value of the option before it, and would stop with a usage error before
+    the value is checked.
+    """
+    joined = []
+    for token in argv:
+        option = joined[-1] if joined else ""
+        if option.startswith("--") and "=" not in option and NEGATIVE_VALUE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s", stream=sys.stderr
     )
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
 
     guard = OutputGuard()
     try:

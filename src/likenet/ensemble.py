@@ -197,28 +197,43 @@ class Block(NamedTuple):
     non_converged: int
 
 
-def _block_systems(
-    config: EnsembleConfig, start: int, stop: int
-) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """Records start..stop-1's (graph_seed, rate_seed) pairs, then their
-    generate_ba graphs and sample_rates rates as (B, n, n) stacks."""
-    seeds = [record_seeds(config.master_seed, index) for index in range(start, stop)]
-    edges = np.array([_attach(config.n, config.k, graph_seed) for graph_seed, _ in seeds],
-                     dtype=np.intp)
+def _systems(
+    n: int, edges: np.ndarray, rate_lambda: float, rate_seeds: Sequence
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, n, n) adjacency and rate stacks of B graphs on n nodes, given as
+    (B, E, 2) edge arrays of (i, j), i < j, in any order; graph b's rates
+    are drawn as sample_rates draws them from rate_seeds[b].
+
+    Also returns every graph's ordered adjacent pairs, sorted, as a
+    (B, 2E, 2) array: the perturbed entries (j, i) of its stability, and
+    the (i, j) of its outgoing rates.
+    """
     count, edge_count, _ = edges.shape
     own = np.arange(count)[:, None]
-    adj = np.zeros((count, config.n, config.n))
+    adj = np.zeros((count, n, n))
     adj[own, edges[..., 0], edges[..., 1]] = 1.0
     adj[own, edges[..., 1], edges[..., 0]] = 1.0
-    draws = np.array([_draw_rates(config.rate_lambda, rate_seed, edge_count)
-                      for _, rate_seed in seeds])
-    # the upper triangle's nonzeros in row-major order are each record's
+    draws = np.array([_draw_rates(rate_lambda, seed, edge_count) for seed in rate_seeds])
+    # the upper triangle's nonzeros in row-major order are each graph's
     # sorted edges (i, j), i < j: sample_rates' draw order
     rows, upper, lower = np.nonzero(np.triu(adj))
     rates = np.zeros_like(adj)
     rates[rows, upper, lower] = draws[..., 0].ravel()
     rates[rows, lower, upper] = draws[..., 1].ravel()
-    return seeds, adj, rates
+    pairs = np.stack(np.nonzero(adj)[1:], axis=1).reshape(count, -1, 2)
+    return adj, rates, pairs
+
+
+def _block_systems(
+    config: EnsembleConfig, start: int, stop: int
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
+    """Records start..stop-1's (graph_seed, rate_seed) pairs, then _systems
+    of their generate_ba graphs."""
+    seeds = [record_seeds(config.master_seed, index) for index in range(start, stop)]
+    edges = np.array([_attach(config.n, config.k, graph_seed) for graph_seed, _ in seeds],
+                     dtype=np.intp)
+    return seeds, *_systems(config.n, edges, config.rate_lambda,
+                            [rate_seed for _, rate_seed in seeds])
 
 
 def compute_block(config: EnsembleConfig, start: int, stop: int) -> Block:
@@ -229,20 +244,17 @@ def compute_block(config: EnsembleConfig, start: int, stop: int) -> Block:
     metrics and the stability of the block's records are computed at
     once. A record does not depend on the block it is computed in.
     """
-    seeds, adj, rates = _block_systems(config, start, stop)
+    seeds, adj, rates, pairs = _block_systems(config, start, stop)
     count = len(seeds)
-    # the nonzeros in row-major order are the perturbed entries (j, i),
-    # sorted, and the outgoing rates (i, j, rates[i, j]), sorted
-    rows, targets, agents = np.nonzero(adj)
-    entries = np.stack([targets, agents], axis=1).reshape(count, -1, 2)
-    grads, converged, _ = _gradient_block(adj, rates, entries, config.solver, "forward")
+    own = np.arange(count)[:, None]
+    grads, converged, _ = _gradient_block(adj, rates, pairs, config.solver, "forward")
     stabilities, sq_sums = _stability_columns(grads)
     histograms, stddevs, path_lengths, clusterings, _ = _metric_columns(adj)
     # one record's rate triples at a time: as lists for the whole block they
     # would be the largest thing a worker holds
     outgoing = (
-        [[i, j, rate] for (i, j), rate in zip(pairs.tolist(), values.tolist())]
-        for pairs, values in zip(entries, rates[rows, targets, agents].reshape(count, -1))
+        [[i, j, rate] for (i, j), rate in zip(ij.tolist(), values.tolist())]
+        for ij, values in zip(pairs, rates[own, pairs[..., 0], pairs[..., 1]])
     )
     graph_seeds, rate_seeds = zip(*seeds)
     columns = zip(range(start, stop), graph_seeds, rate_seeds, stabilities, sq_sums,

@@ -14,7 +14,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "degree_stddev",
     "degree_histogram",
     "compute_metrics",
-    "compute_metrics_block",
     "write_edge_list",
     "read_edge_list",
 ]
@@ -230,28 +228,11 @@ class GraphMetrics:
 
 
 def compute_metrics(g: Graph) -> GraphMetrics:
-    return compute_metrics_block([g])[0]
-
-
-def compute_metrics_block(graphs: Sequence[Graph]) -> list[GraphMetrics]:
-    """compute_metrics of graphs sharing one node count, as array code over the stack.
-
-    Each graph's metrics equal its own compute_metrics byte for byte.
-    """
-    if len({g.n for g in graphs}) > 1:
-        raise GraphError("the graphs of a block must have the same node count")
-    adj = np.stack([g.adjacency for g in graphs])
-    columns = (column.tolist() for column in _metric_columns(adj))
-    return [
-        GraphMetrics(
-            degree_histogram=tuple(histogram),
-            degree_stddev=stddev,
-            mean_path_length=path_length,
-            mean_local_clustering=clustering,
-            connected=joined,
-        )
-        for histogram, stddev, path_length, clustering, joined in zip(*columns)
-    ]
+    """The graph's metrics, computed as a block of one graph."""
+    histogram, stddev, path_length, clustering, connected = (
+        column.tolist()[0] for column in _metric_columns(g.adjacency[None])
+    )
+    return GraphMetrics(tuple(histogram), stddev, path_length, clustering, connected)
 
 
 def _metric_columns(adj: np.ndarray) -> tuple[np.ndarray, ...]:

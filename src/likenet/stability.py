@@ -15,7 +15,7 @@ absolute fallback step for entries at the zero boundary. The baseline
 is solved first; all the perturbed solves then run as one batch around
 it, started from the baseline fixed point and stepped with the
 baseline's Newton matrix (chord steps), since each perturbed system
-differs from the baseline in one entry. stability_block does this for
+differs from the baseline in one entry. _gradient_block does this for
 a block of systems at once, each against its own baseline; stability()
 is its block of one.
 """
@@ -23,7 +23,7 @@ is its block of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "ABSOLUTE_STEP",
     "centrality_gradient",
     "stability",
-    "stability_block",
     "stability_from_gradients",
     "check_direction",
     "classify_strategic",
@@ -65,15 +64,12 @@ class StabilityResult:
 
     per_edge_gradients maps the perturbed matrix entry (j, i), i.e.
     agent i's outgoing rate toward agent j, to d(value_i)/d(rates[j, i]).
-    centrality is the baseline system's normalized likedness centrality,
-    None when the result was assembled from gradients alone.
     """
 
     stability: float
     gradient_sq_sum: float
     per_edge_gradients: dict[tuple[int, int], float]
     solver_converged: bool
-    centrality: np.ndarray | None = field(default=None, compare=False)
 
 
 def _directed_entries(g: Graph) -> list[tuple[int, int]]:
@@ -192,7 +188,6 @@ def _stability_columns(grads: np.ndarray) -> tuple[list[float], list[float]]:
 def stability_from_gradients(
     per_edge_gradients: dict[tuple[int, int], float],
     solver_converged: bool = True,
-    centrality: np.ndarray | None = None,
 ) -> StabilityResult:
     """Assemble a StabilityResult from already-computed sensitivities."""
     grads = np.array(list(per_edge_gradients.values()), dtype=float)
@@ -202,41 +197,7 @@ def stability_from_gradients(
         gradient_sq_sum=gss,
         per_edge_gradients=dict(per_edge_gradients),
         solver_converged=solver_converged,
-        centrality=centrality,
     )
-
-
-def stability_block(
-    graphs: Sequence[Graph],
-    rates: Sequence[RateMatrix],
-    opts: SolverOptions | None = None,
-    scheme: Literal["forward", "central"] = "forward",
-) -> list[StabilityResult]:
-    """stability() of many systems, solved together as one block.
-
-    The graphs must share their node and edge counts (all BA graphs of
-    a run do). Each result equals the system's own stability() byte for
-    byte: no row of the block depends on another system.
-    """
-    opts = opts or SolverOptions()
-    for g, r in zip(graphs, rates, strict=True):
-        r.check_support(g)
-    entries = [_directed_entries(g) for g in graphs]
-    if len({(g.n, len(e)) for g, e in zip(graphs, entries)}) > 1:
-        raise GraphError("the graphs of a block must have the same node and edge counts")
-    grads, converged, centrality = _gradient_block(
-        np.stack([g.adjacency for g in graphs]),
-        np.stack([r.values for r in rates]),
-        np.array(entries, dtype=np.int64).reshape(len(graphs), -1, 2),
-        opts,
-        scheme,
-    )
-    return [
-        StabilityResult(stab, gss, dict(zip(e, row)), ok, cv)
-        for stab, gss, e, row, ok, cv in zip(
-            *_stability_columns(grads), entries, grads.tolist(), converged.tolist(), centrality
-        )
-    ]
 
 
 def stability(
@@ -249,7 +210,11 @@ def stability(
 
     The sum runs over both directions of every edge (2|edges| terms).
     """
-    return stability_block([g], [rates], opts, scheme)[0]
+    opts = opts or SolverOptions()
+    rates.check_support(g)
+    entries = _directed_entries(g)
+    grads, converged = _gradient_batch(g, rates, entries, opts, scheme)
+    return stability_from_gradients(dict(zip(entries, grads.tolist())), converged)
 
 
 def check_direction(direction: str) -> None:

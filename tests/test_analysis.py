@@ -23,8 +23,18 @@ from likenet.analysis import (
     star_comparison,
 )
 from likenet.centrality import RateMatrix, likedness_centrality
-from likenet.ensemble import EnsembleConfig, RecordTable, SystemRecord, run_ensemble
+from likenet.ensemble import (
+    STAR_STREAM,
+    EnsembleConfig,
+    RecordTable,
+    SystemRecord,
+    block_records,
+    record_seeds,
+    run_ensemble,
+    sample_rates,
+)
 from likenet.graphs import Graph, generate_ba, generate_star
+from likenet.stability import classify_strategic, stability
 from util import random_rates
 
 
@@ -337,6 +347,32 @@ class TestPickOutlyingPair:
         assert pick_outlying_pair(g) == (0, 1)
 
 
+def stars_one_at_a_time(count, config):
+    """The stars of star_comparison, each sampled and solved as a system of its own:
+    their stabilities and baseline centralities."""
+    star = generate_star(config.n)
+    stabilities, centralities = [], []
+    for index in range(count):
+        seed = record_seeds(config.master_seed, index, stream=STAR_STREAM)[1]
+        rates = sample_rates(star, config.rate_lambda, seed)
+        stabilities.append(stability(star, rates, config.solver).stability)
+        centralities.append(likedness_centrality(star, rates, config.solver).values)
+    return np.array(stabilities), np.array(centralities)
+
+
+def hub_record(n):
+    """A record of an n-node graph with one degree-(n-1) hub."""
+    return make_record(0, 0.9, [0, n - 1] + [0] * (n - 3) + [1])
+
+
+@pytest.fixture
+def refuse_sampling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled stars before the arguments were checked")
+
+    monkeypatch.setattr(analysis, "_sample_stars", refuse)
+
+
 class TestStarComparison:
     def test_uniform_star_branches_symmetric(self):
         g = generate_star(10)
@@ -344,7 +380,24 @@ class TestStarComparison:
         cv = likedness_centrality(g, rates)
         assert np.ptp(cv.values[1:]) < 1e-12
 
-    def test_empty_hub_subset_is_an_error(self):
+    @pytest.mark.parametrize("n, rate_lambda", [(10, 1.0), (6, 1.0), (10, 2.5)])
+    def test_stars_equal_stars_solved_one_at_a_time(self, n, rate_lambda):
+        config = EnsembleConfig(n=n, rate_lambda=rate_lambda, master_seed=7,
+                                strategic_fraction=0.05)
+        # one whole block of stars and part of the next
+        count = block_records(2 * (n - 1), n) + 3
+        stabilities, centralities = stars_one_at_a_time(count, config)
+        sampled = analysis._sample_stars(count, config)
+        assert sampled[0].tobytes() == stabilities.tobytes()
+        assert sampled[1].tobytes() == centralities.tobytes()
+
+        result = star_comparison(count, table([hub_record(n)]), config)
+        strategic, _ = classify_strategic(stabilities, 0.05)
+        assert result.star_mean_stability == float(np.mean(stabilities))
+        branch = float(np.mean(centralities[strategic, 1:].mean(axis=1)))
+        assert result.branch_hub_ratio == branch / float(np.mean(centralities[strategic, 0]))
+
+    def test_empty_hub_subset_is_an_error(self, refuse_sampling):
         record = make_record(0, 0.9, [0, 0, 10, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ValueError, match="hub"):
             star_comparison(3, config=EnsembleConfig(), ba_records=table([record]))
@@ -358,18 +411,13 @@ class TestStarComparison:
         assert 0.0 < result.star_mean_stability <= 1.0
         assert result.strategic_star_count == 1
 
-    def test_direction_checked_before_any_sample(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("sampled before the direction was checked")
-
-        monkeypatch.setattr(analysis, "stability_block", refuse)
-        record = make_record(0, 0.9, [0, 9, 0, 0, 0, 0, 0, 0, 0, 1])
+    def test_direction_checked_before_any_sample(self, refuse_sampling):
         with pytest.raises(ValueError, match="direction must be 'low' or 'high', got 'bogus'"):
             star_comparison(
-                5, config=EnsembleConfig(), ba_records=table([record]), direction="bogus"
+                5, config=EnsembleConfig(), ba_records=table([hub_record(10)]), direction="bogus"
             )
 
-    def test_records_must_match_the_star_size(self):
+    def test_records_must_match_the_star_size(self, refuse_sampling):
         record = make_record(0, 0.9, [0, 0, 10, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ValueError, match="10-node graphs, the stars of 12"):
             star_comparison(1, config=EnsembleConfig(n=12), ba_records=table([record]))

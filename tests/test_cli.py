@@ -11,6 +11,7 @@ import pytest
 from likenet.centrality import RateMatrix, write_rates_dense, write_rates_triplets
 from likenet.cli import main
 from likenet.ensemble import EnsembleConfig, SystemRecord, config_to_dict, read_records
+from likenet.stability import StabilityResult
 from likenet.graphs import generate_ba, read_edge_list
 from util import random_rates
 
@@ -156,6 +157,15 @@ class TestEnsembleCommand:
         assert "error: rate_lambda must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate_lambda", ["-1e-3", "-inf"])
+    def test_negative_lambda_fails_before_any_output(self, tmp_path, capsys, rate_lambda):
+        # argparse takes these for options unless they are attached to --lambda
+        out = tmp_path / "run"
+        assert run_cli("ensemble", "--samples", 5, "--lambda", rate_lambda, "--out", out) == 1
+        message = f"error: rate_lambda must be > 0, got {float(rate_lambda)}"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_config_is_the_library_default(self, tmp_path):
         assert run_cli("ensemble", "--samples", 5, "--out", tmp_path) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -237,7 +247,7 @@ class TestAnalyzeCommand:
         assert "need at least one bin, got 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("rate_lambda", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("rate_lambda", ["-1", "0", "nan", "-1e-3", "-inf"])
     def test_non_positive_lambda_fails_before_any_output(
         self, tmp_path, small_run, capsys, rate_lambda
     ):
@@ -376,6 +386,18 @@ class TestStarCompareCommand:
         assert payload["warnings"]
         assert payload["ba_hub_count"] >= 1
 
+    def test_builds_no_rate_matrix_or_stability_result(self, tmp_path, small_run, monkeypatch):
+        args = ["star-compare", "--stars", 70, "--records", small_run / "records.jsonl"]
+        assert run_cli(*args, "--out", tmp_path / "plain.json") == 0
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"star-compare built a {type(self).__name__}")
+
+        for cls in (RateMatrix, StabilityResult):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        assert run_cli(*args, "--out", tmp_path / "guarded.json") == 0
+        assert (tmp_path / "guarded.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
     def test_unknown_direction_fails_without_output(self, tmp_path, small_run, monkeypatch, capsys):
         monkeypatch.setenv("LIKENET_STRATEGIC_DIRECTION", "bogus")
         out = tmp_path / "stars.json"
@@ -423,6 +445,26 @@ class TestOptionResolution:
         reference7 = tmp_path / "ref7.txt"
         assert run_cli("generate", "--model", "ba", "--seed", 7, "--out", reference7) == 0
         assert via_flag.read_bytes() == reference7.read_bytes()
+
+    def test_star_count_from_env_and_flag_beats_env(self, tmp_path, small_run, monkeypatch):
+        monkeypatch.setenv("LIKENET_STARS", "7")
+        records = small_run / "records.jsonl"
+        via_env, via_flag = tmp_path / "env.json", tmp_path / "flag.json"
+        assert run_cli("star-compare", "--records", records, "--out", via_env) == 0
+        assert run_cli("star-compare", "--stars", 3, "--records", records, "--out", via_flag) == 0
+        assert json.loads(via_env.read_text())["star_count"] == 7
+        assert json.loads(via_flag.read_text())["star_count"] == 3
+
+    def test_joint_rates_from_env_and_flag_beats_env(self, tmp_path, monkeypatch):
+        graph, rates = write_two_node_inputs(tmp_path)
+        monkeypatch.setenv("LIKENET_JOINT_RATES", "0.5,2")
+        via_env, via_flag = tmp_path / "env.csv", tmp_path / "flag.csv"
+        common = ["coalition", "--graph", graph, "--rates", rates, "--a", 0, "--b", 1]
+        assert run_cli(*common, "--out", via_env) == 0
+        assert run_cli(*common, "--joint-rates", "3", "--out", via_flag) == 0
+        for out, expected in ((via_env, [0.5, 2.0]), (via_flag, [3.0])):
+            with open(out, newline="") as fh:
+                assert [float(row["joint_rate"]) for row in csv.DictReader(fh)] == expected
 
     def test_env_cast_error_names_the_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LIKENET_N", "abc")

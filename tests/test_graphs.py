@@ -8,8 +8,9 @@ from likenet.graphs import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    GraphMetrics,
+    _metric_columns,
     compute_metrics,
-    compute_metrics_block,
     degree_histogram,
     degree_stddev,
     generate_ba,
@@ -253,10 +254,8 @@ class TestMetricsBlock:
         graphs += [Graph(10, ((0, 1), (2, 3))), Graph(10, ()), path_graph(10),
                    complete_graph(10), generate_star(10)]
         graphs = [graphs[i] for i in rng.permutation(len(graphs))]
-        block = compute_metrics_block(graphs)
+        columns = _metric_columns(np.stack([g.adjacency for g in graphs]))
+        block = [GraphMetrics(tuple(histogram), *rest)
+                 for histogram, *rest in zip(*(column.tolist() for column in columns))]
         assert block == [compute_metrics(g) for g in graphs]
         assert [m.connected for m in block].count(False) == 2
-
-    def test_node_counts_must_agree(self):
-        with pytest.raises(GraphError, match="same node count"):
-            compute_metrics_block([path_graph(4), path_graph(5)])

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from likenet.centrality import RateMatrix, SolverOptions, newton_matrix, solve_rate_batch
+from likenet.centrality import (
+    RateMatrix,
+    SolverOptions,
+    likedness_centrality,
+    newton_matrix,
+    solve_rate_batch,
+)
 from likenet.ensemble import record_seeds, sample_rates
 from likenet.graphs import Graph, GraphError, generate_ba
 from likenet.stability import (
@@ -13,9 +19,9 @@ from likenet.stability import (
     centrality_gradient,
     classify_strategic,
     stability,
-    stability_block,
     stability_from_gradients,
     _directed_entries,
+    _gradient_block,
 )
 from util import random_connected_graph, random_rates
 
@@ -220,28 +226,43 @@ def desk_systems(count, seed=19):
     return systems
 
 
-def assert_same_bytes(result, expected):
-    """Two StabilityResults agree to the last bit in every value."""
-    assert result.stability == expected.stability
-    assert result.gradient_sq_sum == expected.gradient_sq_sum
-    assert list(result.per_edge_gradients.items()) == list(expected.per_edge_gradients.items())
-    assert result.solver_converged == expected.solver_converged
-    assert result.centrality.tobytes() == expected.centrality.tobytes()
+def gradient_block(systems, scheme="forward"):
+    """_gradient_block over the systems as (B, n, n) stacks, at default solver options."""
+    graphs, rates = zip(*systems)
+    return _gradient_block(
+        np.stack([g.adjacency for g in graphs]),
+        np.stack([r.values for r in rates]),
+        np.array([_directed_entries(g) for g in graphs]),
+        SolverOptions(),
+        scheme,
+    )
+
+
+def solved_alone(g, rates, scheme="forward"):
+    """A system's stability() and its likedness centrality, each solved on its own."""
+    return stability(g, rates, scheme=scheme), likedness_centrality(g, rates).values
+
+
+def assert_same_bytes(grads, converged, centrality, expected):
+    """One record of a gradient block agrees to the last bit with the system alone."""
+    result, expected_centrality = expected
+    assert grads.tolist() == list(result.per_edge_gradients.values())
+    assert converged == result.solver_converged
+    assert centrality.tobytes() == expected_centrality.tobytes()
 
 
 class TestStabilityBlock:
     @pytest.mark.parametrize("scheme", ["forward", "central"])
     def test_block_equals_blocks_of_one(self, scheme):
-        graphs, rates = zip(*desk_systems(12))
-        block = stability_block(graphs, rates, scheme=scheme)
-        for result, g, r in zip(block, graphs, rates):
-            assert_same_bytes(result, stability(g, r, scheme=scheme))
+        systems = desk_systems(12)
+        for *row, (g, r) in zip(*gradient_block(systems, scheme), systems):
+            assert_same_bytes(*row, solved_alone(g, r, scheme))
 
     def test_singular_system_affects_only_its_own_record(self, monkeypatch):
         # LAPACK fails a whole batched inv or solve for one singular matrix;
         # that must not change the other records of the block
         systems = desk_systems(7)
-        expected = [stability(g, r) for g, r in systems]
+        expected = [solved_alone(g, r) for g, r in systems]
         marked = 3
         pattern = (systems[marked][0].adjacency + np.eye(10)) != 0
         matches = [((g.adjacency + np.eye(10)) != 0) == pattern for g, _ in systems]
@@ -258,22 +279,15 @@ class TestStabilityBlock:
 
         monkeypatch.setattr(np.linalg, "inv", singular_on_marked(np.linalg.inv))
         monkeypatch.setattr(np.linalg, "solve", singular_on_marked(np.linalg.solve))
-        graphs, rates = zip(*systems)
-        block = stability_block(graphs, rates)
-        for index, (result, reference) in enumerate(zip(block, expected)):
+        grads, converged, centrality = gradient_block(systems)
+        for index, row in enumerate(zip(grads, converged, centrality)):
             if index != marked:
-                assert_same_bytes(result, reference)
+                assert_same_bytes(*row, expected[index])
         # the marked record lost its chord and Newton steps, not its fixed points
-        assert block[marked].solver_converged
-        assert block[marked].gradient_sq_sum == pytest.approx(
-            expected[marked].gradient_sq_sum, rel=1e-6
+        assert converged[marked]
+        assert float(grads[marked] @ grads[marked]) == pytest.approx(
+            expected[marked][0].gradient_sq_sum, rel=1e-6
         )
-
-    def test_edge_counts_must_agree(self):
-        (g, r), _ = desk_systems(2)
-        star = Graph(10, tuple((0, i) for i in range(1, 10)))
-        with pytest.raises(GraphError, match="same node and edge counts"):
-            stability_block([g, star], [r, RateMatrix(10, star.adjacency)])
 
 
 def sorted_rule(stabilities, fraction, direction):
