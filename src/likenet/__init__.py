@@ -8,17 +8,12 @@ network structure.
 """
 
 from .graphs import (
-    DisconnectedGraphError,
     Graph,
     GraphError,
     GraphMetrics,
     compute_metrics,
-    degree_histogram,
-    degree_stddev,
     generate_ba,
     generate_star,
-    mean_local_clustering,
-    mean_path_length,
     read_edge_list,
     write_edge_list,
 )

@@ -27,7 +27,7 @@ from .ensemble import (
     record_seeds,
 )
 from .graphs import Graph, generate_star
-from .stability import _gradient_block, _stability_columns, check_direction, classify_strategic
+from .stability import _gradient_block, _stability_columns, check_strategic, classify_strategic
 
 __all__ = [
     "BinnedSeries",
@@ -45,6 +45,7 @@ __all__ = [
     "reciprocity_curve",
     "coalition_sweep",
     "pick_outlying_pair",
+    "check_star_comparison",
     "star_comparison",
     "METRIC_FIELDS",
 ]
@@ -451,6 +452,15 @@ def _sample_stars(count: int, config: EnsembleConfig) -> tuple[np.ndarray, np.nd
     return np.array(stabilities), np.concatenate(centralities)
 
 
+def check_star_comparison(
+    star_samples: int, config: EnsembleConfig, direction: Literal["low", "high"]
+) -> None:
+    """Reject star_comparison's arguments other than the records."""
+    if star_samples < 1:
+        raise ValueError("star_samples must be >= 1")
+    check_strategic(config.strategic_fraction, direction)
+
+
 def star_comparison(
     star_samples: int,
     ba_records: RecordTable,
@@ -467,10 +477,8 @@ def star_comparison(
     centrality. The arguments and the records are checked before any
     star is sampled.
     """
-    if star_samples < 1:
-        raise ValueError("star_samples must be >= 1")
-    check_direction(direction)
     config = config or EnsembleConfig()
+    check_star_comparison(star_samples, config, direction)
     width = ba_records.degree_histogram.shape[1]
     if width != config.n:
         raise ValueError(f"the records are of {width}-node graphs, the stars of {config.n}")

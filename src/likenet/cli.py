@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import os
 import re
@@ -34,9 +33,10 @@ from .ensemble import (
     read_config_file,
     read_records,
     run_to_files,
+    write_json,
 )
 from .graphs import generate_ba, generate_star, read_edge_list, write_edge_list
-from .stability import classify_strategic
+from .stability import check_strategic, classify_strategic
 
 log = logging.getLogger("likenet")
 
@@ -129,12 +129,6 @@ def write_series_csv(series: an.BinnedSeries, path) -> None:
         writer.writerows(series.rows())
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
-        fh.write("\n")
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -186,6 +180,13 @@ def cmd_ensemble(args, guard: OutputGuard) -> None:
 
 
 def cmd_analyze(args, guard: OutputGuard) -> None:
+    fraction = resolve(args, "strategic_fraction")
+    direction = resolve(args, "strategic_direction")
+    rate_lambda = resolve(args, "rate_lambda")
+    bins = resolve(args, "bins")
+    # the options are checked before the records are read
+    check_strategic(fraction, direction)
+    an._percentile_edges(bins, rate_lambda)
     table = read_records(args.records)
     if not len(table):
         raise CliError(f"no records in {args.records}")
@@ -193,12 +194,8 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
         table = table.select(table.solver_converged)
         if not len(table):
             raise CliError("no converged records to analyze")
-    fraction = resolve(args, "strategic_fraction")
-    direction = resolve(args, "strategic_direction")
     strategic, threshold = classify_strategic(table.stability, fraction, direction)
     fit = an.logistic_fit(table)
-    rate_lambda = resolve(args, "rate_lambda")
-    bins = resolve(args, "bins")
     series = {
         "rate_representation": an.rate_representation(table, strategic, rate_lambda, bins),
         "degree_representation": an.degree_representation(table, strategic),
@@ -230,7 +227,7 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, binned in series.items():
         write_series_csv(binned, guard.track(out_dir / f"{name}.csv"))
-    _write_json(summary, guard.track(out_dir / "analysis_summary.json"))
+    write_json(summary, guard.track(out_dir / "analysis_summary.json"))
     log.info("analysis written to %s", out_dir)
 
 
@@ -256,7 +253,7 @@ def cmd_coalition(args, guard: OutputGuard) -> None:
         writer.writerow([f.name for f in fields(an.CoalitionPoint)])
         writer.writerows(astuple(p) for p in points)
     summary_path = guard.track(Path(str(out) + ".json"))
-    _write_json(
+    write_json(
         {
             "member_a": a,
             "member_b": b,
@@ -272,22 +269,17 @@ def cmd_coalition(args, guard: OutputGuard) -> None:
 
 def cmd_star_compare(args, guard: OutputGuard) -> None:
     config = ensemble_config(args)
+    direction = resolve(args, "strategic_direction")
+    star_samples = resolve(args, "stars")
+    # the options are checked before the records are read
+    an.check_star_comparison(star_samples, config, direction)
     ba_records = read_records(args.records)
     if not len(ba_records):
         raise CliError(f"no records in {args.records}")
-    direction = resolve(args, "strategic_direction")
-    result = an.star_comparison(
-        star_samples=resolve(args, "stars"),
-        config=config,
-        ba_records=ba_records,
-        direction=direction,
-    )
+    result = an.star_comparison(star_samples, ba_records, config, direction)
     for warning in result.warnings:
         log.warning("%s", warning)
-    _write_json(
-        {**asdict(result), "strategic_direction": direction},
-        guard.track(args.out),
-    )
+    write_json({**asdict(result), "strategic_direction": direction}, guard.track(args.out))
     log.info(
         "star comparison: advantage %+.4f%%, branch/hub %.3f",
         100 * result.stability_advantage,

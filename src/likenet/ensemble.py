@@ -46,6 +46,7 @@ __all__ = [
     "read_records",
     "summarize_records",
     "run_to_files",
+    "write_json",
     "read_config_file",
     "write_config_file",
 ]
@@ -129,12 +130,6 @@ class SystemRecord:
     outgoing_rates: tuple[tuple[int, int, float], ...]
     solver_converged: bool
 
-    def to_json_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["degree_histogram"] = list(self.degree_histogram)
-        d["outgoing_rates"] = [list(triple) for triple in self.outgoing_rates]
-        return d
-
     def to_line(self) -> str:
         """The record's records.jsonl line, without its newline."""
         return encode_record([getattr(self, name) for name in RECORD_FIELDS])
@@ -159,26 +154,18 @@ def encode_record(values: Sequence) -> str:
     return _ENCODER.encode(dict(zip(RECORD_FIELDS, values, strict=True)))
 
 
-def _draw_rates(rate_lambda: float, seed, edge_count: int) -> np.ndarray:
-    """One graph's rate draws: row e holds rates (i, j) and (j, i) of its e-th sorted edge."""
-    rng = np.random.default_rng(seed)
-    return rng.exponential(scale=1.0 / rate_lambda, size=(edge_count, 2))
-
-
 def sample_rates(g: Graph, rate_lambda: float, seed) -> RateMatrix:
     """Draw both directed rates of every edge i.i.d. Exp(rate_lambda).
 
     Entries off the edge set stay exactly zero. Draw order is the
     sorted edge list, entry (i, j) before (j, i), so the result is a
-    pure function of (graph, rate_lambda, seed).
+    pure function of (graph, rate_lambda, seed). They are _systems' rates
+    for a stack of one graph.
     """
     check_rate_lambda(rate_lambda)
-    draws = _draw_rates(rate_lambda, seed, len(g.edges))
-    i, j = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
-    values = np.zeros((g.n, g.n))
-    values[i, j] = draws[:, 0]
-    values[j, i] = draws[:, 1]
-    return RateMatrix(n=g.n, values=values)
+    edges = np.array(g.edges, dtype=np.intp).reshape(1, -1, 2)
+    _, rates, _ = _systems(g.n, edges, rate_lambda, [seed])
+    return RateMatrix(n=g.n, values=rates[0])
 
 
 def record_seeds(master_seed: int, record_index: int, stream: int = MAIN_STREAM) -> tuple[int, int]:
@@ -202,7 +189,8 @@ def _systems(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(B, n, n) adjacency and rate stacks of B graphs on n nodes, given as
     (B, E, 2) edge arrays of (i, j), i < j, in any order; graph b's rates
-    are drawn as sample_rates draws them from rate_seeds[b].
+    are drawn i.i.d. Exp(rate_lambda) from rate_seeds[b], a row of two,
+    (i, j) then (j, i), per edge of its sorted edge list.
 
     Also returns every graph's ordered adjacent pairs, sorted, as a
     (B, 2E, 2) array: the perturbed entries (j, i) of its stability, and
@@ -213,9 +201,10 @@ def _systems(
     adj = np.zeros((count, n, n))
     adj[own, edges[..., 0], edges[..., 1]] = 1.0
     adj[own, edges[..., 1], edges[..., 0]] = 1.0
-    draws = np.array([_draw_rates(rate_lambda, seed, edge_count) for seed in rate_seeds])
+    draws = np.array([np.random.default_rng(seed).exponential(1.0 / rate_lambda, (edge_count, 2))
+                      for seed in rate_seeds])
     # the upper triangle's nonzeros in row-major order are each graph's
-    # sorted edges (i, j), i < j: sample_rates' draw order
+    # sorted edges (i, j), i < j: the draw order
     rows, upper, lower = np.nonzero(np.triu(adj))
     rates = np.zeros_like(adj)
     rates[rows, upper, lower] = draws[..., 0].ravel()
@@ -284,11 +273,14 @@ def _computed_blocks(config: EnsembleConfig, workers: int) -> Iterator[Block]:
     # every BA graph of the run has k(k-1)/2 + k(n-k) edges, two systems each
     edges = config.k * (config.k - 1) // 2 + config.k * (config.n - config.k)
     size = block_records(2 * edges, config.n)
-    blocks = ((config, start, min(start + size, count)) for start in range(0, count, size))
+    starts = range(0, count, size)
+    blocks = ((config, start, min(start + size, count)) for start in starts)
+    # no more processes than blocks; a single one is this process
+    processes = min(workers, len(starts))
     step = max(1, count // 10)
     done = 0
     began = time.perf_counter()
-    with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
+    with Pool(processes=processes) if processes > 1 else nullcontext() as pool:
         computed = map(_pool_worker, blocks) if pool is None else pool.imap(_pool_worker, blocks)
         for block in computed:
             mark = done // step
@@ -350,8 +342,8 @@ class RecordTable:
 
     @classmethod
     def from_records(cls, records: Iterable[SystemRecord]) -> RecordTable:
-        """Tabulate in-memory records through their JSON form, as read_records does."""
-        return _tabulate((f"record {r.record_index}", r.to_json_dict()) for r in records)
+        """Tabulate in-memory records through their records.jsonl lines, as read_records does."""
+        return _tabulate((f"record {r.record_index}", json.loads(r.to_line())) for r in records)
 
 
 # array typecodes of the per-record scalar columns
@@ -455,10 +447,15 @@ def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
             non_converged += failed
     summary = summarize_records(stabilities, non_converged)
     summary["config"] = config_to_dict(config)
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, out / "summary.json")
     return summary
+
+
+def write_json(payload: dict, path) -> None:
+    """Write payload as JSON indented by 2, keys sorted, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # -- flat key=value config files ------------------------------------------

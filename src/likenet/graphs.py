@@ -3,9 +3,9 @@
 Graphs here are small (tens of nodes), immutable, and always indexed
 0..n-1. Generators cover the two topologies used by the ensemble
 experiments: preferential-attachment graphs and stars. Metrics are
-exact and computed on the adjacency matrix, or on a stack of them for
-a block of graphs: path lengths by a breadth-first search from all
-nodes at once, clustering from the diagonal of A^3.
+exact and computed as columns of a stack of adjacency matrices, one
+graph being a stack of one: path lengths by a breadth-first search from
+all nodes at once, clustering from the diagonal of A^3.
 """
 
 from __future__ import annotations
@@ -21,13 +21,8 @@ __all__ = [
     "Graph",
     "GraphMetrics",
     "GraphError",
-    "DisconnectedGraphError",
     "generate_ba",
     "generate_star",
-    "mean_path_length",
-    "mean_local_clustering",
-    "degree_stddev",
-    "degree_histogram",
     "compute_metrics",
     "write_edge_list",
     "read_edge_list",
@@ -36,10 +31,6 @@ __all__ = [
 
 class GraphError(ValueError):
     """Invalid graph construction or incompatible graph arguments."""
-
-
-class DisconnectedGraphError(GraphError):
-    """Raised when an operation requires a connected graph."""
 
 
 @dataclass(frozen=True)
@@ -72,27 +63,15 @@ class Graph:
         return a
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(b)) for b in nbrs)
-
-    @cached_property
     def degrees(self) -> np.ndarray:
-        d = np.array([len(b) for b in self.neighbors], dtype=np.int64)
+        """The adjacency's row sums (int64, read-only)."""
+        d = self.adjacency.sum(axis=1).astype(np.int64)
         d.flags.writeable = False
         return d
 
     def has_edge(self, i: int, j: int) -> bool:
         """Whether {i, j} is an edge; False for a node outside 0..n-1."""
-        return 0 <= i < self.n and j in self.neighbors[i]
-
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        return bool((_distances(self.adjacency[None])[0, 0] >= 0).all())
+        return 0 <= i < self.n and 0 <= j < self.n and bool(self.adjacency[i, j])
 
 
 def _add_edge(n: int, edge: tuple[int, int], seen: set[tuple[int, int]]) -> None:
@@ -180,42 +159,6 @@ def _distances(adj: np.ndarray) -> np.ndarray:
     return dist
 
 
-def mean_path_length(g: Graph) -> float:
-    """Average geodesic distance over all unordered distinct pairs."""
-    if g.n < 2:
-        raise GraphError("mean path length undefined for n < 2")
-    metrics = compute_metrics(g)
-    if not metrics.connected:
-        raise DisconnectedGraphError("graph is disconnected")
-    return metrics.mean_path_length
-
-
-def _mean_local_clustering(adj: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """mean_local_clustering of each graph of a (B, n, n) stack with (B, n) degrees."""
-    closed = ((adj @ adj) * adj).sum(axis=2)
-    pairs = degrees * (degrees - 1)
-    return np.where(pairs > 0, closed / np.maximum(pairs, 1), 0.0).mean(axis=1)
-
-
-def mean_local_clustering(g: Graph) -> float:
-    """Mean local clustering coefficient; degree-<2 nodes contribute 0.
-
-    A node's coefficient is (A^3)_ii / (d_i (d_i - 1)): the diagonal of
-    A^3 counts each triangle through i twice.
-    """
-    return float(_mean_local_clustering(g.adjacency[None], g.degrees[None])[0])
-
-
-def degree_stddev(g: Graph) -> float:
-    """Population standard deviation of the degree sequence."""
-    return float(np.std(g.degrees))
-
-
-def degree_histogram(g: Graph) -> list[int]:
-    """Count of nodes per degree value, indexed 0..n-1."""
-    return np.bincount(g.degrees, minlength=g.n).tolist()
-
-
 @dataclass(frozen=True)
 class GraphMetrics:
     """Structural summary used by the ensemble records."""
@@ -249,8 +192,11 @@ def _metric_columns(adj: np.ndarray) -> tuple[np.ndarray, ...]:
     # np.bincount counts all graphs at once when graph b's degrees are offset by b * n
     histograms = np.bincount((degrees + n * np.arange(count)[:, None]).ravel(),
                              minlength=count * n).reshape(count, n)
-    return (histograms, np.std(degrees, axis=1), path_lengths,
-            _mean_local_clustering(adj, degrees), connected)
+    # node i's clustering is (A^3)_ii / (d_i (d_i - 1)), 0 below degree 2
+    closed = ((adj @ adj) * adj).sum(axis=2)
+    pairs = degrees * (degrees - 1)
+    clusterings = np.where(pairs > 0, closed / np.maximum(pairs, 1), 0.0).mean(axis=1)
+    return histograms, np.std(degrees, axis=1), path_lengths, clusterings, connected
 
 
 def write_edge_list(g: Graph, path) -> None:

@@ -45,7 +45,7 @@ __all__ = [
     "centrality_gradient",
     "stability",
     "stability_from_gradients",
-    "check_direction",
+    "check_strategic",
     "classify_strategic",
 ]
 
@@ -217,8 +217,10 @@ def stability(
     return stability_from_gradients(dict(zip(entries, grads.tolist())), converged)
 
 
-def check_direction(direction: str) -> None:
-    """Reject a strategic direction other than 'low' or 'high'."""
+def check_strategic(fraction: float, direction: str) -> None:
+    """Reject a strategic fraction outside (0, 1) or a direction other than 'low' or 'high'."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     if direction not in ("low", "high"):
         raise ValueError(f"direction must be 'low' or 'high', got {direction!r}")
 
@@ -237,9 +239,7 @@ def classify_strategic(
     stabilities = np.asarray(stabilities, dtype=float)
     if not len(stabilities):
         raise ValueError("no records to classify")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    check_direction(direction)
+    check_strategic(fraction, direction)
     count = max(1, min(len(stabilities) - 1, int(round(fraction * len(stabilities)))))
     key = -stabilities if direction == "high" else stabilities
     chosen = np.argsort(key, kind="stable")[:count]

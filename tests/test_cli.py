@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from likenet.centrality import RateMatrix, write_rates_dense, write_rates_triplets
+from likenet import cli
 from likenet.cli import main
 from likenet.ensemble import EnsembleConfig, SystemRecord, config_to_dict, read_records
 from likenet.stability import StabilityResult
@@ -127,7 +128,8 @@ class TestSolve:
 
 class TestEnsembleCommand:
     def test_rerun_and_worker_invariance(self, tmp_path):
-        args = ["ensemble", "--samples", 25, "--seed", 5]
+        # three 32-record blocks, so that two workers start a pool
+        args = ["ensemble", "--samples", 70, "--seed", 5]
         assert run_cli(*args, "--workers", 1, "--out", tmp_path / "a") == 0
         assert run_cli(*args, "--workers", 1, "--out", tmp_path / "b") == 0
         assert run_cli(*args, "--workers", 2, "--out", tmp_path / "c") == 0
@@ -405,6 +407,36 @@ class TestStarCompareCommand:
             "star-compare", "--stars", 2, "--records", small_run / "records.jsonl", "--out", out
         ) == 1
         assert "'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOptionsCheckedBeforeRecords:
+    """A bad option fails with its own message before any record is read."""
+
+    @pytest.mark.parametrize(
+        "command, options, env, message",
+        [
+            ("analyze", ["--lambda", "-1"], None, "rate_lambda must be > 0, got -1.0"),
+            ("analyze", ["--bins", "0"], None, "need at least one bin, got 0"),
+            ("analyze", ["--strategic-fraction", "2"], None, "fraction must be in (0, 1), got 2.0"),
+            ("analyze", [], "bogus", "direction must be 'low' or 'high', got 'bogus'"),
+            ("star-compare", ["--stars", "0"], None, "star_samples must be >= 1"),
+            ("star-compare", [], "bogus", "direction must be 'low' or 'high', got 'bogus'"),
+        ],
+    )
+    def test_bad_option_fails_without_reading_records(
+        self, tmp_path, monkeypatch, capsys, command, options, env, message
+    ):
+        def refuse(path):
+            raise AssertionError(f"{command} read {path} before checking its options")
+
+        monkeypatch.setattr(cli, "read_records", refuse)
+        if env is not None:
+            monkeypatch.setenv("LIKENET_STRATEGIC_DIRECTION", env)
+        out = tmp_path / "out"
+        assert run_cli(command, *options, "--records", tmp_path / "records.jsonl",
+                       "--out", out) == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -96,7 +96,7 @@ class TestRecords:
 
     def test_json_roundtrip_and_field_names(self):
         rec = compute_record(EnsembleConfig(sample_count=1, master_seed=2), 0)
-        payload = rec.to_json_dict()
+        payload = json.loads(rec.to_line())
         assert set(payload) == {
             "record_index",
             "graph_seed",
@@ -110,7 +110,7 @@ class TestRecords:
             "outgoing_rates",
             "solver_converged",
         }
-        assert json.loads(json.dumps(payload)) == payload
+        assert SystemRecord.from_line(rec.to_line()) == rec
         assert_table_matches(RecordTable.from_records([rec]), [rec])
 
     def test_outgoing_rates_cover_both_directions(self):
@@ -136,13 +136,40 @@ class TestRunEnsemble:
         assert [r.record_index for r in first] == list(range(40))
 
     def test_worker_count_invariance(self):
-        cfg = EnsembleConfig(sample_count=30, master_seed=8)
+        # three 32-record desk blocks, so that two workers start a pool
+        cfg = EnsembleConfig(sample_count=70, master_seed=8)
         serial = list(run_ensemble(cfg, workers=1))
         parallel = list(run_ensemble(cfg, workers=2))
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "samples, workers, started",
+        [(10, 8, []), (32, 2, []), (33, 8, [2]), (70, 1, []), (70, 2, [2]), (200, 8, [7])],
+    )
+    def test_pool_has_no_more_processes_than_blocks(self, monkeypatch, samples, workers, started):
+        # desk blocks hold 32 records; one block runs in this process
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                pools.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, items):
+                return map(func, items)
+
+        monkeypatch.setattr(ensemble, "Pool", RecordingPool)
+        records = list(run_ensemble(EnsembleConfig(sample_count=samples), workers=workers))
+        assert [r.record_index for r in records] == list(range(samples))
+        assert pools == started
+
     def test_files_byte_identical_across_reruns(self, tmp_path):
-        cfg = EnsembleConfig(sample_count=25, master_seed=4)
+        cfg = EnsembleConfig(sample_count=70, master_seed=4)
         run_to_files(cfg, tmp_path / "a", workers=1)
         run_to_files(cfg, tmp_path / "b", workers=2)
         for name in ("records.jsonl", "summary.json"):

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -5,18 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from likenet.graphs import (
-    DisconnectedGraphError,
     Graph,
     GraphError,
     GraphMetrics,
     _metric_columns,
     compute_metrics,
-    degree_histogram,
-    degree_stddev,
     generate_ba,
     generate_star,
-    mean_local_clustering,
-    mean_path_length,
     read_edge_list,
     write_edge_list,
 )
@@ -72,7 +68,7 @@ class TestGenerateBa:
         if k < 1:
             k = 1
         g = generate_ba(n, k, seed)
-        assert g.is_connected()
+        assert compute_metrics(g).connected
         assert int(g.degrees.sum()) == 2 * len(g.edges)
         # arriving nodes carry exactly k attachment edges
         if n > k:
@@ -97,25 +93,25 @@ class TestGenerateStar:
 
 class TestMeanPathLength:
     def test_triangle(self):
-        assert mean_path_length(complete_graph(3)) == 1.0
+        assert compute_metrics(complete_graph(3)).mean_path_length == 1.0
 
     def test_path_of_three(self):
-        assert mean_path_length(path_graph(3)) == pytest.approx(4 / 3, abs=1e-15)
+        assert compute_metrics(path_graph(3)).mean_path_length == pytest.approx(4 / 3, abs=1e-15)
 
     def test_ten_star(self):
         # 9 hub-leaf pairs at distance 1, 36 leaf pairs at distance 2
-        assert mean_path_length(generate_star(10)) == pytest.approx(1.8, abs=1e-15)
+        assert compute_metrics(generate_star(10)).mean_path_length == pytest.approx(1.8, abs=1e-15)
 
     def test_exactly_one_iff_complete(self):
         for n in (3, 4, 5, 6):
-            assert mean_path_length(complete_graph(n)) == 1.0
+            assert compute_metrics(complete_graph(n)).mean_path_length == 1.0
         g = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2)))
-        assert mean_path_length(g) > 1.0
+        assert compute_metrics(g).mean_path_length > 1.0
 
-    def test_disconnected_raises(self):
-        g = Graph(4, ((0, 1), (2, 3)))
-        with pytest.raises(DisconnectedGraphError):
-            mean_path_length(g)
+    def test_disconnected_is_flagged_with_infinite_length(self):
+        metrics = compute_metrics(Graph(4, ((0, 1), (2, 3))))
+        assert metrics.connected is False
+        assert metrics.mean_path_length == math.inf
 
     def test_edge_deletion_never_shortens_paths(self):
         rng = np.random.default_rng(4)
@@ -123,37 +119,36 @@ class TestMeanPathLength:
 
         for _ in range(25):
             g = random_connected_graph(int(rng.integers(4, 9)), rng)
-            base = mean_path_length(g)
+            base = compute_metrics(g).mean_path_length
             drop = tuple(g.edges[int(rng.integers(len(g.edges)))])
             smaller = Graph(g.n, tuple(e for e in g.edges if e != drop))
-            if smaller.is_connected():
-                assert mean_path_length(smaller) >= base - 1e-12
+            # a disconnected graph's length is inf
+            assert compute_metrics(smaller).mean_path_length >= base - 1e-12
 
 
 class TestClustering:
     def test_triangle(self):
-        assert mean_local_clustering(complete_graph(3)) == 1.0
+        assert compute_metrics(complete_graph(3)).mean_local_clustering == 1.0
 
     def test_star_is_zero(self):
         for n in (3, 5, 10):
-            assert mean_local_clustering(generate_star(n)) == 0.0
+            assert compute_metrics(generate_star(n)).mean_local_clustering == 0.0
 
     def test_k4_minus_edge(self):
         g = Graph(4, ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
-        assert mean_local_clustering(g) == pytest.approx(5 / 6, abs=1e-15)
+        assert compute_metrics(g).mean_local_clustering == pytest.approx(5 / 6, abs=1e-15)
 
 
 class TestDegreeStats:
     def test_regular_graphs_zero_stddev(self):
-        assert degree_stddev(complete_graph(3)) == 0.0
-        assert degree_stddev(cycle_graph(10)) == 0.0
+        assert compute_metrics(complete_graph(3)).degree_stddev == 0.0
+        assert compute_metrics(cycle_graph(10)).degree_stddev == 0.0
 
     def test_ten_star(self):
-        assert degree_stddev(generate_star(10)) == pytest.approx(2.4, abs=1e-12)
+        assert compute_metrics(generate_star(10)).degree_stddev == pytest.approx(2.4, abs=1e-12)
 
     def test_histogram_sums_to_n(self):
-        g = generate_ba(10, 2, 3)
-        hist = degree_histogram(g)
+        hist = compute_metrics(generate_ba(10, 2, 3)).degree_histogram
         assert sum(hist) == 10
         assert hist[0] == 0
 
@@ -170,6 +165,12 @@ class TestGraphType:
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphError):
             Graph(3, ((0, 3),))
+
+    def test_degrees_are_read_only_int64(self):
+        degrees = generate_star(5).degrees
+        assert degrees.dtype == np.int64 and degrees.tolist() == [4, 1, 1, 1, 1]
+        with pytest.raises(ValueError):
+            degrees[0] = 0
 
     def test_has_edge_is_false_outside_the_node_range(self):
         g = Graph(3, ((0, 1), (1, 2), (0, 2)))
@@ -232,6 +233,11 @@ class TestNetworkxOracle:
             g = generate_ba(n, k, seed)
             reference = nx.Graph(list(g.edges))
             reference.add_nodes_from(range(n))
+            assert g.degrees.tolist() == [reference.degree(v) for v in range(n)]
+            if seed < 100:
+                for i in range(-1, n + 1):
+                    for j in range(-1, n + 1):
+                        assert g.has_edge(i, j) == reference.has_edge(i, j), (i, j)
             metrics = compute_metrics(g)
             assert metrics.connected == nx.is_connected(reference)
             assert metrics.mean_path_length == pytest.approx(

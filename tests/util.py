@@ -4,7 +4,7 @@ independent fixed-point oracle used to cross-check the solver."""
 import numpy as np
 
 from likenet.centrality import RateMatrix
-from likenet.graphs import Graph
+from likenet.graphs import Graph, compute_metrics
 
 
 def random_connected_graph(n, rng):
@@ -20,7 +20,7 @@ def random_connected_graph(n, rng):
             if a != b:
                 edges.add((min(a, b), max(a, b)))
         g = Graph(n=n, edges=tuple(sorted(edges)))
-        if g.is_connected():
+        if compute_metrics(g).connected:
             return g
 
 
