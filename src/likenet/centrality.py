@@ -438,7 +438,7 @@ def read_rates(path) -> RateMatrix:
                 rows.append(row)
         values = np.array(rows)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise SolverError(f"dense rate CSV must be square, got {values.shape}")
+            raise SolverError(f"{path}: dense rate CSV must be square, got {values.shape}")
         return RateMatrix(n=values.shape[0], values=values)
     with open(path, encoding="utf-8") as fh:
         n = read_node_count(fh, path, SolverError)

@@ -4,7 +4,9 @@ One binary, six subcommands: generate, solve, ensemble, analyze,
 coalition, star-compare. Every option resolves with the precedence
 flag > environment variable > config file > built-in default; env
 variables mirror flag names with the LIKENET_ prefix (--max-iter ->
-LIKENET_MAX_ITER). Each subcommand takes only the options it reads.
+LIKENET_MAX_ITER), and a config file's keys are the option names
+(max_iterations = 500). DEFAULTS is the one table of the options. Each
+subcommand takes, and resolves, only the options it reads.
 All randomness flows from --seed; nothing is ever seeded from the clock.
 """
 
@@ -28,9 +30,7 @@ from .centrality import (
 )
 from .ensemble import (
     EnsembleConfig,
-    config_from_dict,
     config_to_dict,
-    read_config_file,
     read_records,
     run_to_files,
     write_json,
@@ -46,18 +46,11 @@ ENV_PREFIX = "LIKENET_"
 # such as -1e-3, -.5 or -inf
 NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
-FIELD_DEFAULTS = config_to_dict(EnsembleConfig())
-
-# flag spellings of the config fields whose flag differs from the field name
-FIELD_FLAGS = {
-    "sample_count": "samples",
-    "rate_lambda": "lambda",
-    "master_seed": "seed",
-    "max_iterations": "max_iter",
-}
-
-# defaults of the options that are not config fields
-CLI_DEFAULTS = {
+# The one table of options. DEFAULTS holds every option's default; its type
+# is the type that the flag, the LIKENET_* variable and the config file cast
+# the option's value to. The run options' defaults are EnsembleConfig's.
+DEFAULTS = {
+    **config_to_dict(EnsembleConfig()),
     "workers": 1,
     "measure": "likedness",
     "model": "ba",
@@ -66,6 +59,31 @@ CLI_DEFAULTS = {
     "stars": 1000,
     "joint_rates": "0,0.5,1,2,4,8,16",
 }
+
+# flag spellings of the options whose flag differs from the option name
+FLAGS = {
+    "sample_count": "samples",
+    "rate_lambda": "lambda",
+    "master_seed": "seed",
+    "max_iterations": "max_iter",
+}
+
+CHOICES = {
+    "model": ("ba", "star"),
+    "measure": ("likedness", "eigenvector"),
+    "strategic_direction": ("low", "high"),
+}
+
+HELP = {
+    "master_seed": "master RNG seed",
+    "tolerance": "solver tolerance",
+    "max_iterations": "solver iteration cap",
+    "relaxation": "damping factor in (0,1]",
+    "strategic_direction": "which stability tail counts as strategic",
+}
+
+SOLVER_KEYS = tuple(f.name for f in fields(SolverOptions))
+RUN_KEYS = tuple(f.name for f in fields(EnsembleConfig) if f.name != "solver")
 
 
 class CliError(Exception):
@@ -76,29 +94,53 @@ def _env_name(flag: str) -> str:
     return ENV_PREFIX + flag.upper()
 
 
+def _cast(key: str, raw: str, where: str):
+    """raw as the type of key's default; a bad value names `where` it came from."""
+    cast = type(DEFAULTS[key])
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"{where} must be {cast.__name__}, got {raw!r}") from None
+
+
+def read_config_file(path) -> dict:
+    """Parse 'key = value' lines, each key an option name, into typed values."""
+    values = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            key, _, raw = line.partition("=")
+            key, raw = key.strip(), raw.strip()
+            if key not in DEFAULTS:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = _cast(key, raw, f"{path}:{lineno}: {key}")
+    return values
+
+
 def resolve(args: argparse.Namespace, key: str):
-    """Config field or CLI option `key`: flag > env > config file > default."""
-    flag = FIELD_FLAGS.get(key, key)
-    given = getattr(args, flag, None)
+    """Option `key` of the command: flag > env > config file > default."""
+    flag = FLAGS.get(key, key)
+    given = getattr(args, flag)
     if given is not None:
         return given
-    default = CLI_DEFAULTS[key] if key in CLI_DEFAULTS else FIELD_DEFAULTS[key]
     env_name = _env_name(flag)
     if env_name in os.environ:
-        raw = os.environ[env_name]
-        try:
-            return type(default)(raw)
-        except ValueError:
-            raise CliError(f"{env_name} must be {type(default).__name__}, got {raw!r}") from None
-    return getattr(args, "_config_values", {}).get(key, default)
+        return _cast(key, os.environ[env_name], env_name)
+    return args.config_values.get(key, DEFAULTS[key])
 
 
 def solver_options(args) -> SolverOptions:
-    return config_from_dict({f.name: resolve(args, f.name) for f in fields(SolverOptions)}).solver
+    return SolverOptions(**{key: resolve(args, key) for key in SOLVER_KEYS})
 
 
 def ensemble_config(args) -> EnsembleConfig:
-    return config_from_dict({key: resolve(args, key) for key in FIELD_DEFAULTS})
+    """The run options the command takes; the others keep their defaults."""
+    taken = {key: resolve(args, key) for key in RUN_KEYS if key in args.options}
+    return EnsembleConfig(solver=solver_options(args), **taken)
 
 
 class OutputGuard:
@@ -232,7 +274,10 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
 
 
 def _parse_joint_rates(text: str) -> list[float]:
-    rates = [float(x) for x in text.split(",") if x.strip()]
+    try:
+        rates = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise CliError(f"joint rates must be comma-separated numbers, got {text!r}") from None
     if not rates:
         raise CliError("empty --joint-rates")
     return rates
@@ -290,29 +335,16 @@ def cmd_star_compare(args, guard: OutputGuard) -> None:
 # -- parser -----------------------------------------------------------------
 
 
-# options that several subcommands take; each defaults to None so that
-# resolve() can tell an absent flag from a given one
-SHARED_OPTIONS = {
-    "--samples": {"type": int}, "--n": {"type": int}, "--k": {"type": int},
-    "--lambda": {"type": float}, "--workers": {"type": int},
-    "--strategic-fraction": {"type": float},
-    "--strategic-direction": {"choices": ("low", "high"),
-                              "help": "which stability tail counts as strategic (default high)"},
-    "--seed": {"type": int, "help": "master RNG seed"},
-    "--tolerance": {"type": float, "help": "solver tolerance"},
-    "--max-iter": {"type": int, "help": "solver iteration cap"},
-    "--relaxation": {"type": float, "help": "damping factor in (0,1]"},
-}
-SOLVER_FLAGS = ("--tolerance", "--max-iter", "--relaxation")
-
-
-def _add_command(sub, name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
-    """Subcommand `name` running func, with the named shared options and --config."""
+def _add_command(sub, name: str, func, help: str, *option_keys: str) -> argparse.ArgumentParser:
+    """Subcommand `name` running func, with --config and a flag per option key;
+    each flag defaults to None, so that resolve() tells an absent flag from a given one."""
     p = sub.add_parser(name, help=help)
-    for flag in shared:
-        p.add_argument(flag, default=None, **SHARED_OPTIONS[flag])
+    for key in option_keys:
+        flag = "--" + FLAGS.get(key, key).replace("_", "-")
+        p.add_argument(flag, type=type(DEFAULTS[key]), choices=CHOICES.get(key), default=None,
+                       help=f"{HELP.get(key, '')} (default {DEFAULTS[key]})".strip())
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, options=option_keys)
     return p
 
 
@@ -324,48 +356,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(sub, "generate", cmd_generate, "write a graph edge-list file",
-                     "--n", "--k", "--seed")
-    p.add_argument("--model", choices=("ba", "star"), default=None)
+                     "model", "n", "k", "master_seed")
     p.add_argument("--out", required=True)
 
     p = _add_command(sub, "solve", cmd_solve, "solve centralities for a graph + rate matrix",
-                     *SOLVER_FLAGS)
+                     "measure", *SOLVER_KEYS)
     p.add_argument("--graph", required=True)
     p.add_argument("--rates", required=True)
-    p.add_argument("--measure", choices=("likedness", "eigenvector"), default=None)
     p.add_argument("--out", required=True)
 
-    p = _add_command(
-        sub, "ensemble", cmd_ensemble, "run a Monte-Carlo ensemble to record files",
-        "--samples", "--n", "--k", "--lambda", "--workers", "--strategic-fraction",
-        "--seed", *SOLVER_FLAGS,
-    )
+    p = _add_command(sub, "ensemble", cmd_ensemble, "run a Monte-Carlo ensemble to record files",
+                     *RUN_KEYS, "workers", *SOLVER_KEYS)
     p.add_argument("--out", required=True, help="output directory")
 
-    p = _add_command(
-        sub, "analyze", cmd_analyze, "figure-style analyses over a record file",
-        "--strategic-fraction", "--strategic-direction", "--lambda",
-    )
+    p = _add_command(sub, "analyze", cmd_analyze, "figure-style analyses over a record file",
+                     "strategic_fraction", "strategic_direction", "rate_lambda", "bins")
     p.add_argument("--records", required=True, help="records.jsonl path")
-    p.add_argument("--bins", type=int, default=None)
     p.add_argument("--converged-only", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
 
     p = _add_command(sub, "coalition", cmd_coalition, "joint-rate sweep for a coalition pair",
-                     *SOLVER_FLAGS)
+                     "joint_rates", *SOLVER_KEYS)
     p.add_argument("--graph", required=True)
     p.add_argument("--rates", required=True)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
-    p.add_argument("--joint-rates", default=None)
     p.add_argument("--out", required=True)
 
     p = _add_command(
         sub, "star-compare", cmd_star_compare, "stars versus hub-bearing BA graphs",
-        "--n", "--lambda", "--strategic-fraction", "--strategic-direction",
-        "--seed", *SOLVER_FLAGS,
+        "n", "rate_lambda", "strategic_fraction", "strategic_direction", "master_seed", "stars",
+        *SOLVER_KEYS,
     )
-    p.add_argument("--stars", type=int, default=None)
     p.add_argument("--records", required=True, help="a `likenet ensemble` run's records.jsonl")
     p.add_argument("--out", required=True)
     return parser
@@ -399,7 +421,7 @@ def main(argv=None) -> int:
     guard = OutputGuard()
     try:
         config_path = args.config or os.environ.get(_env_name("config"))
-        args._config_values = read_config_file(config_path) if config_path else {}
+        args.config_values = read_config_file(config_path) if config_path else {}
         args.func(args, guard)
     except (CliError, OSError, ValueError, RuntimeError) as exc:
         guard.discard_partial()

@@ -47,8 +47,6 @@ __all__ = [
     "summarize_records",
     "run_to_files",
     "write_json",
-    "read_config_file",
-    "write_config_file",
 ]
 
 log = logging.getLogger("likenet")
@@ -458,56 +456,8 @@ def write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-# -- flat key=value config files ------------------------------------------
-
-
 def config_to_dict(config: EnsembleConfig) -> dict:
     """Flat field -> value view, the solver's fields following the run's own."""
     values = asdict(config)
     values.update(values.pop("solver"))
     return values
-
-
-def config_from_dict(values: dict) -> EnsembleConfig:
-    """Inverse of config_to_dict; absent keys keep their defaults.
-
-    Each value is cast to the type of its field's default.
-    """
-    base = config_to_dict(EnsembleConfig())
-    unknown = set(values) - set(base)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    typed = {key: type(default)(values.get(key, default)) for key, default in base.items()}
-    solver = SolverOptions(**{f.name: typed.pop(f.name) for f in fields(SolverOptions)})
-    return EnsembleConfig(solver=solver, **typed)
-
-
-def read_config_file(path) -> dict:
-    """Parse 'key = value' lines into values typed like the config's defaults."""
-    defaults = config_to_dict(EnsembleConfig())
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in defaults:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            cast = type(defaults[key])
-            try:
-                values[key] = cast(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: {key} must be {cast.__name__}, got {raw!r}"
-                ) from None
-    return values
-
-
-def write_config_file(config: EnsembleConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in config_to_dict(config).items():
-            fh.write(f"{key} = {value}\n")

@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,17 @@ from likenet.ensemble import EnsembleConfig, SystemRecord, config_to_dict, read_
 from likenet.stability import StabilityResult
 from likenet.graphs import generate_ba, read_edge_list
 from util import random_rates
+
+
+# the inputs each command requires that are not options
+REQUIRED = {
+    "generate": ["--out", "g.txt"],
+    "solve": ["--graph", "g.txt", "--rates", "r.csv", "--out", "s.csv"],
+    "ensemble": ["--out", "run"],
+    "analyze": ["--records", "records.jsonl", "--out", "analysis"],
+    "coalition": ["--graph", "g.txt", "--rates", "r.csv", "--out", "c.csv"],
+    "star-compare": ["--records", "records.jsonl", "--out", "stars.json"],
+}
 
 
 def run_cli(*argv):
@@ -114,6 +127,19 @@ class TestSolve:
         out = tmp_path / "sol.csv"
         assert run_cli("solve", "--graph", graph, "--rates", rates, "--out", out) == 1
         assert f"error: {graph}{message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, shape", [("", "(0,)"), ("0.0,1.0,2.0\n1.0,0.0,3.0\n", "(2, 3)")],
+        ids=["empty", "not_square"],
+    )
+    def test_bad_dense_rate_file_names_the_file(self, tmp_path, capsys, text, shape):
+        graph, rates = write_two_node_inputs(tmp_path)
+        rates.write_text(text)
+        out = tmp_path / "sol.csv"
+        assert run_cli("solve", "--graph", graph, "--rates", rates, "--out", out) == 1
+        message = f"error: {rates}: dense rate CSV must be square, got {shape}"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_triplet_rate_file_names_the_line(self, tmp_path, capsys):
@@ -410,6 +436,25 @@ class TestStarCompareCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "env, config",
+    [({"LIKENET_K": "0"}, None), ({"LIKENET_SAMPLES": "abc"}, None), ({}, "sample_count = 0\n")],
+    ids=["env_k", "env_samples", "config_sample_count"],
+)
+def test_star_compare_ignores_options_it_does_not_take(
+    tmp_path, small_run, monkeypatch, env, config
+):
+    args = ["star-compare", "--stars", 5, "--records", small_run / "records.jsonl"]
+    assert run_cli(*args, "--out", tmp_path / "plain.json") == 0
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args += ["--config", tmp_path / "run.cfg"]
+    assert run_cli(*args, "--out", tmp_path / "set.json") == 0
+    assert (tmp_path / "set.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
 class TestOptionsCheckedBeforeRecords:
     """A bad option fails with its own message before any record is read."""
 
@@ -498,6 +543,46 @@ class TestOptionResolution:
             with open(out, newline="") as fh:
                 assert [float(row["joint_rate"]) for row in csv.DictReader(fh)] == expected
 
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_bad_joint_rates_name_the_text(self, tmp_path, monkeypatch, capsys, via_env):
+        graph, rates = write_two_node_inputs(tmp_path)
+        given = ["--joint-rates", "a,1"]
+        if via_env:
+            monkeypatch.setenv("LIKENET_JOINT_RATES", "a,1")
+            given = []
+        out = tmp_path / "sweep.csv"
+        assert run_cli("coalition", "--graph", graph, "--rates", rates, *given, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "error: joint rates must be comma-separated numbers, got 'a,1'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, flag_value",
+        [
+            ("ensemble", "workers", 2, 3),
+            ("analyze", "bins", 10, 20),
+            ("star-compare", "stars", 7, 3),
+            ("coalition", "joint_rates", "0.5,2", "3"),
+            ("generate", "model", "star", "ba"),
+            ("solve", "measure", "eigenvector", "likedness"),
+            ("analyze", "strategic_direction", "low", "high"),
+        ],
+    )
+    def test_config_file_takes_every_option(
+        self, tmp_path, monkeypatch, command, key, value, flag_value
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        resolved = []
+        monkeypatch.setattr(
+            cli, "cmd_" + command.replace("-", "_"),
+            lambda args, guard: resolved.append(cli.resolve(args, key)),
+        )
+        flag = "--" + key.replace("_", "-")
+        assert run_cli(command, *REQUIRED[command], "--config", cfg) == 0
+        assert run_cli(command, *REQUIRED[command], "--config", cfg, flag, flag_value) == 0
+        assert resolved == [value, flag_value]
+
     def test_env_cast_error_names_the_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LIKENET_N", "abc")
         out = tmp_path / "g.txt"
@@ -551,6 +636,28 @@ def test_command_rejects_options_it_does_not_read(capsys, command, flag):
         main([command, *required, flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
+def test_help_shows_each_default(capsys, command):
+    options = cli.build_parser().parse_args([command, *REQUIRED[command]]).options
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key in options:
+        assert f"{cli.HELP.get(key, '')} (default {cli.DEFAULTS[key]})".strip() in text
+
+
+def test_readme_lists_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("The defaults"):]
+    paragraph = paragraph[:paragraph.index("\n\n")]
+    listed = re.findall(r"`--([a-z-]+) ([^`]+)`", paragraph)
+    keys = {cli.FLAGS.get(key, key).replace("_", "-"): key for key in cli.DEFAULTS}
+    defaults = {keys[flag]: cli._cast(keys[flag], value, flag) for flag, value in listed}
+    assert len(listed) == len(defaults)
+    assert defaults == cli.DEFAULTS
 
 
 def test_module_entry_point(tmp_path):

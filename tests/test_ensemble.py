@@ -10,19 +10,18 @@ from scipy import stats
 
 from likenet import ensemble
 from likenet.centrality import RateMatrix
+from likenet.cli import main, read_config_file
 from likenet.ensemble import (
     EnsembleConfig,
     RecordTable,
     SystemRecord,
     compute_record,
-    config_from_dict,
-    read_config_file,
+    config_to_dict,
     read_records,
     run_ensemble,
     run_to_files,
     sample_rates,
     summarize_records,
-    write_config_file,
     write_records,
 )
 from likenet.graphs import Graph, compute_metrics, generate_ba, generate_star
@@ -313,10 +312,13 @@ class TestRecordTable:
 
 class TestConfigFiles:
     def test_roundtrip(self, tmp_path):
-        cfg = EnsembleConfig(sample_count=123, master_seed=77, rate_lambda=2.0)
+        cfg = EnsembleConfig(sample_count=3, master_seed=77, rate_lambda=2.0)
         path = tmp_path / "run.cfg"
-        write_config_file(cfg, path)
-        assert config_from_dict(read_config_file(path)) == cfg
+        path.write_text("".join(f"{key} = {value}\n" for key, value in config_to_dict(cfg).items()))
+        assert read_config_file(path) == config_to_dict(cfg)
+        assert main(["ensemble", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["config"] == config_to_dict(cfg)
 
     def test_comments_and_blanks(self, tmp_path):
         path = tmp_path / "run.cfg"
