@@ -40,10 +40,8 @@ from .stability import (
 from .ensemble import (
     EnsembleConfig,
     RecordTable,
-    SystemRecord,
     compute_record,
     read_records,
-    run_ensemble,
     run_to_files,
     sample_rates,
     summarize_records,

@@ -26,7 +26,7 @@ from .ensemble import (
     check_rate_lambda,
     record_seeds,
 )
-from .graphs import Graph, generate_star
+from .graphs import Graph, GraphError, generate_star
 from .stability import _gradient_block, _stability_columns, check_strategic, classify_strategic
 
 __all__ = [
@@ -372,6 +372,8 @@ class CoalitionPoint:
 
 def pick_outlying_pair(g: Graph) -> tuple[int, int]:
     """Adjacent pair of minimum degree; else the lowest degree-sum edge."""
+    if not g.edges:
+        raise GraphError("the graph has no edges; a coalition needs an adjacent pair")
     degrees = g.degrees
     dmin = int(degrees.min())
     both_min = [e for e in g.edges if degrees[e[0]] == dmin and degrees[e[1]] == dmin]
@@ -397,12 +399,13 @@ def coalition_sweep(
         raise ValueError("coalition members must differ")
     if not g.has_edge(a, b):
         raise ValueError(f"({a}, {b}) is not an edge; a coalition needs adjacency")
+    for rho in joint_rates:
+        if not (rho >= 0 and math.isfinite(rho)):
+            raise ValueError(f"joint rate must be finite and nonnegative, got {rho}")
     opts = opts or SolverOptions()
     others = [v for v in range(g.n) if v not in (a, b)]
     points = []
     for rho in joint_rates:
-        if rho < 0:
-            raise ValueError(f"joint rate must be nonnegative, got {rho}")
         swept = rates.replace_entry(a, b, rho).replace_entry(b, a, rho)
         cv = likedness_centrality(g, swept, opts)
         points.append(

@@ -25,6 +25,7 @@ map as a rank-one term, so no rate matrix is built per perturbed system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,8 @@ class SolverOptions:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise SolverError(f"tolerance must be > 0, got {self.tolerance}")
+        if not math.isfinite(self.tolerance):
+            raise SolverError(f"tolerance must be finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise SolverError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not 0.0 < self.relaxation <= 1.0:

@@ -33,7 +33,6 @@ from .stability import _gradient_block, _stability_columns, stability
 
 __all__ = [
     "EnsembleConfig",
-    "SystemRecord",
     "RecordTable",
     "Block",
     "check_rate_lambda",
@@ -41,7 +40,6 @@ __all__ = [
     "sample_rates",
     "compute_block",
     "compute_record",
-    "run_ensemble",
     "write_records",
     "read_records",
     "summarize_records",
@@ -108,41 +106,13 @@ class EnsembleConfig:
             )
 
 
-@dataclass(frozen=True)
-class SystemRecord:
-    """One sampled system: stability plus the graph summary behind it.
-
-    outgoing_rates lists every directed rate as (i, j, rates[i, j]),
-    i.e. the rate at which agent j likes agent i, sorted by (i, j).
-    """
-
-    record_index: int
-    graph_seed: int
-    rate_seed: int
-    stability: float
-    gradient_sq_sum: float
-    degree_histogram: tuple[int, ...]
-    degree_stddev: float
-    mean_path_length: float
-    mean_local_clustering: float
-    outgoing_rates: tuple[tuple[int, int, float], ...]
-    solver_converged: bool
-
-    def to_line(self) -> str:
-        """The record's records.jsonl line, without its newline."""
-        return encode_record([getattr(self, name) for name in RECORD_FIELDS])
-
-    @classmethod
-    def from_line(cls, line: str) -> SystemRecord:
-        """Inverse of to_line."""
-        d = json.loads(line)
-        d["degree_histogram"] = tuple(d["degree_histogram"])
-        d["outgoing_rates"] = tuple(map(tuple, d["outgoing_rates"]))
-        return cls(**d)
-
-
-# a record line's fields, in order
-RECORD_FIELDS = tuple(f.name for f in fields(SystemRecord))
+# a record line's fields, in order. outgoing_rates lists every directed rate
+# as [i, j, rates[i, j]], the rate at which agent j likes agent i, sorted by (i, j).
+RECORD_FIELDS = (
+    "record_index", "graph_seed", "rate_seed", "stability", "gradient_sq_sum",
+    "degree_histogram", "degree_stddev", "mean_path_length", "mean_local_clustering",
+    "outgoing_rates", "solver_converged",
+)
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -251,9 +221,9 @@ def compute_block(config: EnsembleConfig, start: int, stop: int) -> Block:
     return Block(text, stabilities, count - int(converged.sum()))
 
 
-def compute_record(config: EnsembleConfig, record_index: int) -> SystemRecord:
-    """One record: compute_block with a block of one, decoded."""
-    return SystemRecord.from_line(compute_block(config, record_index, record_index + 1).text)
+def compute_record(config: EnsembleConfig, record_index: int) -> dict:
+    """One record's records.jsonl line, decoded: compute_block with a block of one."""
+    return json.loads(compute_block(config, record_index, record_index + 1).text)
 
 
 def _pool_worker(args: tuple[EnsembleConfig, int, int]) -> Block:
@@ -290,20 +260,12 @@ def _computed_blocks(config: EnsembleConfig, workers: int) -> Iterator[Block]:
             yield block
 
 
-def run_ensemble(config: EnsembleConfig, workers: int = 1) -> Iterator[SystemRecord]:
-    """Yield sample_count records in record_index order, decoded from the
-    lines compute_block encodes; records do not depend on the worker count."""
-    for block in _computed_blocks(config, workers):
-        for line in block.text.splitlines():
-            yield SystemRecord.from_line(line)
-
-
-def write_records(records: Iterable[SystemRecord], jsonl_path) -> int:
-    """Stream records to a JSONL file; returns the count."""
+def write_records(records: Iterable[dict], jsonl_path) -> int:
+    """Stream record dicts to a JSONL file, one encode_record line each; returns the count."""
     count = 0
     with open(jsonl_path, "w", encoding="utf-8") as jf:
         for record in records:
-            jf.write(record.to_line() + "\n")
+            jf.write(encode_record([record[name] for name in RECORD_FIELDS]) + "\n")
             count += 1
     return count
 
@@ -339,9 +301,9 @@ class RecordTable:
         return RecordTable(**rows, rates=self.rates_of(mask))
 
     @classmethod
-    def from_records(cls, records: Iterable[SystemRecord]) -> RecordTable:
-        """Tabulate in-memory records through their records.jsonl lines, as read_records does."""
-        return _tabulate((f"record {r.record_index}", json.loads(r.to_line())) for r in records)
+    def from_records(cls, records: Iterable[dict]) -> RecordTable:
+        """Tabulate record dicts, as read_records does the decoded lines."""
+        return _tabulate((f"record {position}", r) for position, r in enumerate(records))
 
 
 # array typecodes of the per-record scalar columns

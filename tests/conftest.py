@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from likenet.ensemble import EnsembleConfig, run_ensemble
+from likenet.ensemble import EnsembleConfig, run_to_files
 
 DESK_SEED = 19
 DESK_SAMPLES = 10_000
@@ -20,11 +20,13 @@ def desk_config():
 
 
 @pytest.fixture(scope="session")
-def desk_run(desk_config):
-    """The desk-scale ensemble shared by the acceptance criteria.
+def desk_run(desk_config, tmp_path_factory):
+    """The desk-scale ensemble shared by the acceptance criteria, written by
+    likenet ensemble's own writer.
 
-    Returns (records, elapsed_seconds).
+    Returns (records_path, elapsed_seconds).
     """
     start = time.time()
-    records = list(run_ensemble(desk_config, workers=worker_count()))
-    return records, time.time() - start
+    out = tmp_path_factory.mktemp("desk")
+    run_to_files(desk_config, out, workers=worker_count())
+    return out / "records.jsonl", time.time() - start

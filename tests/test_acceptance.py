@@ -8,6 +8,7 @@ tail: the stability functional equals 1 at perfect equilibrium, so
 Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 """
 
+import json
 import math
 import time
 from dataclasses import replace
@@ -25,7 +26,7 @@ from likenet.analysis import (
     star_comparison,
 )
 from likenet.centrality import RateMatrix, SolverOptions, likedness_centrality
-from likenet.ensemble import EnsembleConfig, RecordTable, run_to_files, sample_rates
+from likenet.ensemble import EnsembleConfig, RecordTable, read_records, run_to_files, sample_rates
 from likenet.graphs import Graph, generate_ba
 from likenet.stability import centrality_gradient, classify_strategic, stability_from_gradients
 from likenet.stability import _directed_entries, _gradient_batch
@@ -44,8 +45,8 @@ def report(criterion: str, ok: bool, detail: str) -> str:
 
 @pytest.fixture(scope="module")
 def desk_table(desk_run):
-    records, _ = desk_run
-    return RecordTable.from_records(records)
+    records_path, _ = desk_run
+    return read_records(records_path)
 
 
 @pytest.fixture(scope="module")
@@ -213,8 +214,7 @@ def test_criterion_7_stability_metric_signs(desk_table):
     assert ok, line
 
 
-def test_criterion_8_regression_signs(desk_run, desk_table):
-    records, _ = desk_run
+def test_criterion_8_regression_signs(desk_table):
     fit = logistic_fit(desk_table)
     signs_ok = (
         fit.coef_preferential > 0 and fit.coef_path_length < 0 and fit.coef_clustering < 0
@@ -227,20 +227,19 @@ def test_criterion_8_regression_signs(desk_run, desk_table):
     for i in range(300):
         x = (rng.uniform(0.5, 3.0), rng.uniform(1.2, 3.0), rng.uniform(0.0, 0.8))
         z = beta[0] + beta[1] * x[0] + beta[2] * x[1] + beta[3] * x[2]
-        rec = records[0].__class__(
-            record_index=i,
-            graph_seed=0,
-            rate_seed=0,
-            stability=1.0 / (1.0 + math.exp(-z)),
-            gradient_sq_sum=0.0,
-            degree_histogram=(0,) * 10,
-            degree_stddev=x[0],
-            mean_path_length=x[1],
-            mean_local_clustering=x[2],
-            outgoing_rates=(),
-            solver_converged=True,
-        )
-        synthetic.append(rec)
+        synthetic.append({
+            "record_index": i,
+            "graph_seed": 0,
+            "rate_seed": 0,
+            "stability": 1.0 / (1.0 + math.exp(-z)),
+            "gradient_sq_sum": 0.0,
+            "degree_histogram": [0] * 10,
+            "degree_stddev": x[0],
+            "mean_path_length": x[1],
+            "mean_local_clustering": x[2],
+            "outgoing_rates": [],
+            "solver_converged": True,
+        })
     recovered = logistic_fit(RecordTable.from_records(synthetic))
     recovery_err = max(
         abs(recovered.intercept - beta[0]),
@@ -279,17 +278,19 @@ def test_criterion_9_star_comparison(desk_table, desk_config):
 
 
 def test_criterion_10_coalition_sweep(desk_run, desk_config):
-    records, _ = desk_run
-    ranked = sorted(records, key=lambda r: (-r.stability, r.record_index))
+    records_path, _ = desk_run
+    with open(records_path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    ranked = sorted(records, key=lambda r: (-r["stability"], r["record_index"]))
     instance = graph = None
     for rec in ranked:
-        g = generate_ba(desk_config.n, desk_config.k, rec.graph_seed)
+        g = generate_ba(desk_config.n, desk_config.k, rec["graph_seed"])
         a, b = pick_outlying_pair(g)
         if int(g.degrees[a] + g.degrees[b]) <= 5:
             instance, graph, pair = rec, g, (a, b)
             break
     assert instance is not None
-    rates = sample_rates(graph, desk_config.rate_lambda, instance.rate_seed)
+    rates = sample_rates(graph, desk_config.rate_lambda, instance["rate_seed"])
     sweep = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
     points = coalition_sweep(graph, rates, *pair, sweep, desk_config.solver)
     member_a = [p.member_a for p in points]
@@ -303,7 +304,7 @@ def test_criterion_10_coalition_sweep(desk_run, desk_config):
     line = report(
         "10 coalition sweep",
         ok,
-        f"record {instance.record_index}, pair {pair} (degrees "
+        f"record {instance['record_index']}, pair {pair} (degrees "
         f"{int(graph.degrees[pair[0]])},{int(graph.degrees[pair[1]])}): members "
         f"{'non-decreasing' if members_up else 'NOT monotone'}, others "
         f"{'non-increasing' if others_down else 'NOT monotone'} over {sweep}",

@@ -27,10 +27,10 @@ from likenet.ensemble import (
     STAR_STREAM,
     EnsembleConfig,
     RecordTable,
-    SystemRecord,
     block_records,
+    read_records,
     record_seeds,
-    run_ensemble,
+    run_to_files,
     sample_rates,
 )
 from likenet.graphs import Graph, generate_ba, generate_star
@@ -39,19 +39,20 @@ from util import random_rates
 
 
 def make_record(index, stability, degree_histogram, rates=(), **metrics):
-    return SystemRecord(
-        record_index=index,
-        graph_seed=0,
-        rate_seed=0,
-        stability=stability,
-        gradient_sq_sum=-math.log(stability),
-        degree_histogram=tuple(degree_histogram),
-        degree_stddev=metrics.get("degree_stddev", 1.0),
-        mean_path_length=metrics.get("mean_path_length", 2.0),
-        mean_local_clustering=metrics.get("mean_local_clustering", 0.3),
-        outgoing_rates=tuple((0, 1, float(r)) for r in rates),
-        solver_converged=True,
-    )
+    """A record dict, as a records.jsonl line decodes."""
+    return {
+        "record_index": index,
+        "graph_seed": 0,
+        "rate_seed": 0,
+        "stability": stability,
+        "gradient_sq_sum": -math.log(stability),
+        "degree_histogram": list(degree_histogram),
+        "degree_stddev": metrics.get("degree_stddev", 1.0),
+        "mean_path_length": metrics.get("mean_path_length", 2.0),
+        "mean_local_clustering": metrics.get("mean_local_clustering", 0.3),
+        "outgoing_rates": [[0, 1, float(r)] for r in rates],
+        "solver_converged": True,
+    }
 
 
 def table(records):
@@ -157,8 +158,8 @@ class TestStabilityVsMetric:
         ]
         base = stability_vs_metric(table(records), "mean_path_length").spearman
         cubed = [
-            make_record(r.record_index, r.stability**3, [0] * 10,
-                        mean_path_length=r.mean_path_length)
+            make_record(r["record_index"], r["stability"] ** 3, [0] * 10,
+                        mean_path_length=r["mean_path_length"])
             for r in records
         ]
         assert stability_vs_metric(table(cubed), "mean_path_length").spearman == pytest.approx(base)
@@ -233,12 +234,12 @@ class TestLogisticFit:
         design = np.column_stack(
             [
                 np.ones(len(records)),
-                [r.degree_stddev for r in records],
-                [r.mean_path_length for r in records],
-                [r.mean_local_clustering for r in records],
+                [r["degree_stddev"] for r in records],
+                [r["mean_path_length"] for r in records],
+                [r["mean_local_clustering"] for r in records],
             ]
         )
-        target = np.array([r.stability for r in records])
+        target = np.array([r["stability"] for r in records])
         _, _, _, _, history = _lm_logistic(design, target)
         assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
 
@@ -246,11 +247,11 @@ class TestLogisticFit:
         records = self.synthetic_records((0.1, 0.3, -0.5, 0.2))
         flat = [
             make_record(
-                r.record_index,
-                r.stability,
+                r["record_index"],
+                r["stability"],
                 [0] * 10,
-                degree_stddev=r.degree_stddev,
-                mean_path_length=r.mean_path_length,
+                degree_stddev=r["degree_stddev"],
+                mean_path_length=r["mean_path_length"],
                 mean_local_clustering=0.25,
             )
             for r in records
@@ -402,8 +403,9 @@ class TestStarComparison:
         with pytest.raises(ValueError, match="hub"):
             star_comparison(3, config=EnsembleConfig(), ba_records=table([record]))
 
-    def test_degenerate_counts_warn_but_compute(self):
-        records = table(run_ensemble(EnsembleConfig(sample_count=40, master_seed=19)))
+    def test_degenerate_counts_warn_but_compute(self, tmp_path):
+        run_to_files(EnsembleConfig(sample_count=40, master_seed=19), tmp_path)
+        records = read_records(tmp_path / "records.jsonl")
         hubbed = records.select(records.degree_histogram[:, 9] > 0)
         assert len(hubbed), "expected at least one hub-9 sample in 40 draws"
         result = star_comparison(1, config=EnsembleConfig(master_seed=19), ba_records=hubbed)

@@ -332,6 +332,7 @@ class TestSolverOptions:
             {"max_iterations": 0},
             {"relaxation": 0.0},
             {"relaxation": 1.5},
+            {"tolerance": math.inf},
         ],
     )
     def test_validation(self, kwargs):

@@ -13,7 +13,7 @@ import pytest
 from likenet.centrality import RateMatrix, write_rates_dense, write_rates_triplets
 from likenet import cli
 from likenet.cli import main
-from likenet.ensemble import EnsembleConfig, SystemRecord, config_to_dict, read_records
+from likenet.ensemble import EnsembleConfig, config_to_dict, read_records
 from likenet.stability import StabilityResult
 from likenet.graphs import generate_ba, read_edge_list
 from util import random_rates
@@ -185,6 +185,13 @@ class TestEnsembleCommand:
         assert "error: rate_lambda must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_tolerance_fails_before_any_output(self, tmp_path, capsys):
+        # an infinite tolerance counts every row converged before its first step
+        out = tmp_path / "run"
+        assert run_cli("ensemble", "--samples", 5, "--tolerance", "inf", "--out", out) == 1
+        assert "error: tolerance must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("rate_lambda", ["-1e-3", "-inf"])
     def test_negative_lambda_fails_before_any_output(self, tmp_path, capsys, rate_lambda):
         # argparse takes these for options unless they are attached to --lambda
@@ -346,21 +353,6 @@ class TestRecordFileErrors:
         assert not out.exists()
 
 
-def test_record_analyses_build_no_system_records(tmp_path, small_run, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("an analysis built a SystemRecord")
-
-    monkeypatch.setattr(SystemRecord, "__init__", refuse)
-    records = small_run / "records.jsonl"
-    assert run_cli("analyze", "--records", records, "--out", tmp_path / "all") == 0
-    assert run_cli(
-        "analyze", "--records", records, "--converged-only", "--out", tmp_path / "converged"
-    ) == 0
-    assert run_cli(
-        "star-compare", "--stars", 5, "--records", records, "--out", tmp_path / "stars.json"
-    ) == 0
-
-
 class TestCoalitionCommand:
     def test_baseline_sweep_point(self, tmp_path):
         g = generate_ba(6, 2, 3)
@@ -399,6 +391,32 @@ class TestCoalitionCommand:
         ) == 1
         assert f"({a}, {b}) is not an edge" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "r.csv"]
+
+    def test_edgeless_graph_fails_without_output(self, tmp_path, capsys):
+        gpath, rpath = tmp_path / "g.txt", tmp_path / "r.csv"
+        gpath.write_text("n=3\n")
+        write_rates_dense(RateMatrix(3, np.zeros((3, 3))), rpath)
+        out = tmp_path / "sweep.csv"
+        assert run_cli("coalition", "--graph", gpath, "--rates", rpath, "--out", out) == 1
+        assert "error: the graph has no edges" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "r.csv"]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_joint_rate_fails_before_any_solve(self, tmp_path, monkeypatch, capsys, bad):
+        graph, rates = write_two_node_inputs(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the joint rates were checked")
+
+        monkeypatch.setattr("likenet.analysis.likedness_centrality", refuse)
+        out = tmp_path / "sweep.csv"
+        assert run_cli(
+            "coalition", "--graph", graph, "--rates", rates, "--joint-rates", f"1,{bad}",
+            "--out", out,
+        ) == 1
+        err = capsys.readouterr().err
+        assert f"error: joint rate must be finite and nonnegative, got {bad}" in err
+        assert not out.exists()
 
 
 class TestStarCompareCommand:

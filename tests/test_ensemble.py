@@ -12,13 +12,13 @@ from likenet import ensemble
 from likenet.centrality import RateMatrix
 from likenet.cli import main, read_config_file
 from likenet.ensemble import (
+    RECORD_FIELDS,
     EnsembleConfig,
     RecordTable,
-    SystemRecord,
     compute_record,
     config_to_dict,
+    encode_record,
     read_records,
-    run_ensemble,
     run_to_files,
     sample_rates,
     summarize_records,
@@ -31,14 +31,21 @@ from conftest import DESK_SEED
 
 
 def assert_table_matches(table, records):
-    """Every column of the table holds the records' values, in order."""
+    """Every column of the table holds the record dicts' values, in order."""
     assert len(table) == len(records)
     for name in ("record_index", "stability", "degree_stddev", "mean_path_length",
                  "mean_local_clustering", "solver_converged"):
-        assert getattr(table, name).tolist() == [getattr(r, name) for r in records]
-    assert table.degree_histogram.tolist() == [list(r.degree_histogram) for r in records]
-    assert table.rate_counts.tolist() == [len(r.outgoing_rates) for r in records]
-    assert table.rates.tolist() == [rate for r in records for _, _, rate in r.outgoing_rates]
+        assert getattr(table, name).tolist() == [r[name] for r in records]
+    assert table.degree_histogram.tolist() == [r["degree_histogram"] for r in records]
+    assert table.rate_counts.tolist() == [len(r["outgoing_rates"]) for r in records]
+    assert table.rates.tolist() == [rate for r in records for _, _, rate in r["outgoing_rates"]]
+
+
+def decoded_run(cfg, out, workers=1):
+    """The records run_to_files writes for cfg into out, each line decoded."""
+    run_to_files(cfg, out, workers=workers)
+    with open(out / "records.jsonl", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
 class TestSampleRates:
@@ -86,17 +93,17 @@ class TestRecords:
     def test_metrics_match_recomputation_from_seed(self):
         cfg = EnsembleConfig(sample_count=1, master_seed=11)
         rec = compute_record(cfg, 0)
-        g = generate_ba(cfg.n, cfg.k, rec.graph_seed)
+        g = generate_ba(cfg.n, cfg.k, rec["graph_seed"])
         met = compute_metrics(g)
-        assert rec.degree_histogram == met.degree_histogram
-        assert rec.degree_stddev == met.degree_stddev
-        assert rec.mean_path_length == met.mean_path_length
-        assert rec.mean_local_clustering == met.mean_local_clustering
+        assert rec["degree_histogram"] == list(met.degree_histogram)
+        assert rec["degree_stddev"] == met.degree_stddev
+        assert rec["mean_path_length"] == met.mean_path_length
+        assert rec["mean_local_clustering"] == met.mean_local_clustering
 
     def test_json_roundtrip_and_field_names(self):
         rec = compute_record(EnsembleConfig(sample_count=1, master_seed=2), 0)
-        payload = json.loads(rec.to_line())
-        assert set(payload) == {
+        assert tuple(rec) == RECORD_FIELDS
+        assert set(rec) == {
             "record_index",
             "graph_seed",
             "rate_seed",
@@ -109,43 +116,45 @@ class TestRecords:
             "outgoing_rates",
             "solver_converged",
         }
-        assert SystemRecord.from_line(rec.to_line()) == rec
+        assert json.loads(encode_record([rec[name] for name in RECORD_FIELDS])) == rec
         assert_table_matches(RecordTable.from_records([rec]), [rec])
 
     def test_outgoing_rates_cover_both_directions(self):
         rec = compute_record(EnsembleConfig(sample_count=1, master_seed=2), 0)
-        g = generate_ba(10, 2, rec.graph_seed)
-        assert len(rec.outgoing_rates) == 2 * len(g.edges)
-        rates = sample_rates(g, 1.0, rec.rate_seed)
-        for i, j, rate in rec.outgoing_rates:
+        g = generate_ba(10, 2, rec["graph_seed"])
+        assert len(rec["outgoing_rates"]) == 2 * len(g.edges)
+        rates = sample_rates(g, 1.0, rec["rate_seed"])
+        for i, j, rate in rec["outgoing_rates"]:
             assert rates.values[i, j] == rate
 
     def test_stability_in_unit_interval(self):
         for idx in range(5):
             rec = compute_record(EnsembleConfig(sample_count=1, master_seed=3), idx)
-            assert 0.0 < rec.stability <= 1.0
+            assert 0.0 < rec["stability"] <= 1.0
 
 
 class TestRunEnsemble:
-    def test_rerun_identical(self):
+    def test_rerun_identical(self, tmp_path):
         cfg = EnsembleConfig(sample_count=40, master_seed=6)
-        first = list(run_ensemble(cfg))
-        second = list(run_ensemble(cfg))
+        first = decoded_run(cfg, tmp_path / "first")
+        second = decoded_run(cfg, tmp_path / "second")
         assert first == second
-        assert [r.record_index for r in first] == list(range(40))
+        assert [r["record_index"] for r in first] == list(range(40))
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, tmp_path):
         # three 32-record desk blocks, so that two workers start a pool
         cfg = EnsembleConfig(sample_count=70, master_seed=8)
-        serial = list(run_ensemble(cfg, workers=1))
-        parallel = list(run_ensemble(cfg, workers=2))
+        serial = decoded_run(cfg, tmp_path / "serial", workers=1)
+        parallel = decoded_run(cfg, tmp_path / "parallel", workers=2)
         assert serial == parallel
 
     @pytest.mark.parametrize(
         "samples, workers, started",
         [(10, 8, []), (32, 2, []), (33, 8, [2]), (70, 1, []), (70, 2, [2]), (200, 8, [7])],
     )
-    def test_pool_has_no_more_processes_than_blocks(self, monkeypatch, samples, workers, started):
+    def test_pool_has_no_more_processes_than_blocks(
+        self, tmp_path, monkeypatch, samples, workers, started
+    ):
         # desk blocks hold 32 records; one block runs in this process
         pools = []
 
@@ -163,8 +172,9 @@ class TestRunEnsemble:
                 return map(func, items)
 
         monkeypatch.setattr(ensemble, "Pool", RecordingPool)
-        records = list(run_ensemble(EnsembleConfig(sample_count=samples), workers=workers))
-        assert [r.record_index for r in records] == list(range(samples))
+        run_to_files(EnsembleConfig(sample_count=samples), tmp_path, workers=workers)
+        records = read_records(tmp_path / "records.jsonl")
+        assert records.record_index.tolist() == list(range(samples))
         assert pools == started
 
     def test_files_byte_identical_across_reruns(self, tmp_path):
@@ -223,7 +233,7 @@ class TestRunEnsemble:
         def refuse(self, *args, **kwargs):
             raise AssertionError(f"the ensemble built a {type(self).__name__}")
 
-        for cls in (SystemRecord, Graph, RateMatrix, StabilityResult):
+        for cls in (Graph, RateMatrix, StabilityResult):
             monkeypatch.setattr(cls, "__init__", refuse)
         run_to_files(cfg, tmp_path / "guarded", workers=1)
         for name in ("records.jsonl", "summary.json"):
@@ -243,16 +253,16 @@ class TestRunEnsemble:
 
     def test_write_read_roundtrip(self, tmp_path):
         cfg = EnsembleConfig(sample_count=12, master_seed=9)
-        records = list(run_ensemble(cfg))
+        records = [compute_record(cfg, index) for index in range(12)]
         jsonl = tmp_path / "records.jsonl"
         assert write_records(records, jsonl) == 12
         assert_table_matches(read_records(jsonl), records)
 
-    def test_summary_consistent_with_records(self):
+    def test_summary_consistent_with_records(self, tmp_path):
         cfg = EnsembleConfig(sample_count=50, master_seed=10)
-        records = list(run_ensemble(cfg))
-        stabilities = np.array([r.stability for r in records])
-        summary = summarize_records(stabilities, sum(not r.solver_converged for r in records))
+        records = decoded_run(cfg, tmp_path)
+        stabilities = np.array([r["stability"] for r in records])
+        summary = summarize_records(stabilities, sum(not r["solver_converged"] for r in records))
         assert summary["count"] == 50
         assert summary["stability_min"] == stabilities.min()
         assert summary["stability_max"] == stabilities.max()
@@ -261,13 +271,12 @@ class TestRunEnsemble:
         )
 
     @pytest.mark.slow
-    def test_pilot_distribution_matches_desk_run(self, desk_run):
+    def test_pilot_distribution_matches_desk_run(self, desk_run, tmp_path):
         # self-consistency: a 10x smaller pilot draws from the same law
-        records, _ = desk_run
-        pilot = list(run_ensemble(EnsembleConfig(sample_count=1000, master_seed=DESK_SEED), workers=2))
-        ks = stats.ks_2samp(
-            [r.stability for r in pilot], [r.stability for r in records]
-        ).statistic
+        records_path, _ = desk_run
+        run_to_files(EnsembleConfig(sample_count=1000, master_seed=DESK_SEED), tmp_path, workers=2)
+        pilot = read_records(tmp_path / "records.jsonl")
+        ks = stats.ks_2samp(pilot.stability, read_records(records_path).stability).statistic
         assert ks < 0.05
 
 
@@ -277,8 +286,8 @@ class TestRecordTable:
         records = [
             rec
             for pair in zip(
-                run_ensemble(EnsembleConfig(sample_count=4, k=2, master_seed=3)),
-                run_ensemble(EnsembleConfig(sample_count=4, k=3, master_seed=4)),
+                decoded_run(EnsembleConfig(sample_count=4, k=2, master_seed=3), tmp_path / "k2"),
+                decoded_run(EnsembleConfig(sample_count=4, k=3, master_seed=4), tmp_path / "k3"),
             )
             for rec in pair
         ]
@@ -291,11 +300,11 @@ class TestRecordTable:
         chosen = [rec for rec, keep in zip(records, mask) if keep]
         assert_table_matches(table.select(mask), chosen)
         assert table.rates_of(mask).tolist() == [
-            rate for rec in chosen for _, _, rate in rec.outgoing_rates
+            rate for rec in chosen for _, _, rate in rec["outgoing_rates"]
         ]
 
     def test_blank_lines_skipped(self, tmp_path):
-        records = list(run_ensemble(EnsembleConfig(sample_count=2, master_seed=5)))
+        records = decoded_run(EnsembleConfig(sample_count=2, master_seed=5), tmp_path / "run")
         jsonl = tmp_path / "records.jsonl"
         write_records(records, jsonl)
         first, second = jsonl.read_text().splitlines(keepends=True)

@@ -6,7 +6,8 @@ sampler must consume the same random stream and build the same graph
 and rate matrix from every seed; old record files must still rebuild.
 compute_block builds, solves and encodes a whole block as arrays; its
 lines must equal records assembled one at a time from the library's
-single-system calls.
+single-system calls, and write_records must write the same bytes from
+the decoded lines.
 """
 
 import json
@@ -24,6 +25,7 @@ from likenet.ensemble import (
     compute_record,
     record_seeds,
     sample_rates,
+    write_records,
 )
 from likenet.graphs import compute_metrics, generate_ba
 from likenet.stability import stability
@@ -68,13 +70,6 @@ def reference_sample_rates(g, rate_lambda, seed):
     return values
 
 
-def reference_json_dict(record):
-    d = asdict(record)
-    d["degree_histogram"] = list(record.degree_histogram)
-    d["outgoing_rates"] = [[i, j, rate] for i, j, rate in record.outgoing_rates]
-    return d
-
-
 @pytest.mark.parametrize(
     "n, k, seeds",
     [(10, 2, 2000), (40, 3, 2000), (10, 1, 500), (25, 1, 200), (12, 5, 300), (5, 5, 50),
@@ -91,11 +86,11 @@ def test_generate_ba_and_sample_rates_match_reference(n, k, seeds):
 
 
 @pytest.mark.parametrize("n, k", [(10, 2), (40, 3)])
-def test_record_encoding_matches_asdict(n, k):
-    config = EnsembleConfig(sample_count=1, n=n, k=k, master_seed=23)
-    for index in range(3):
-        record = compute_record(config, index)
-        assert record.to_line() == json.dumps(reference_json_dict(record), separators=(",", ":"))
+def test_write_records_matches_block_text(n, k, tmp_path):
+    config = EnsembleConfig(n=n, k=k, master_seed=23)
+    path = tmp_path / "records.jsonl"
+    assert write_records([compute_record(config, index) for index in range(2, 5)], path) == 3
+    assert path.read_bytes() == compute_block(config, 2, 5).text.encode()
 
 
 def reference_line(config, index):
