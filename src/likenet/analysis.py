@@ -5,7 +5,7 @@ parameters: representation ratios of strategic systems against the
 population (rates and degrees), stability trends against discrete
 graph metrics, a logistic regression of stability on the three
 structural predictors by damped least squares, and the per-system
-reciprocity and coalition experiments.
+coalition experiment.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "degree_representation",
     "stability_vs_metric",
     "logistic_fit",
-    "reciprocity_curve",
     "coalition_sweep",
     "pick_outlying_pair",
     "check_star_comparison",
@@ -331,33 +330,6 @@ def logistic_fit(table: RecordTable) -> LogisticFit:
         residual_norm=residual_norm,
         iterations=iterations,
         converged=converged,
-    )
-
-
-def reciprocity_curve(g: Graph, rates: RateMatrix, bins=10) -> BinnedSeries:
-    """Mean like-rate received in return, binned by the outgoing rate.
-
-    For every ordered adjacent pair (i, j) the outgoing rate is
-    rates[j, i] (i likes j) and the return rate is rates[i, j].
-    `bins` is an equal-width bin count over the occupied outgoing
-    range, or explicit edges.
-    """
-    rates.check_support(g)
-    pairs = [pair for a, b in g.edges for pair in ((a, b), (b, a))]
-    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    outgoing, incoming = rates.values[j, i], rates.values[i, j]
-    if isinstance(bins, int):
-        top = float(outgoing.max()) if outgoing.size and outgoing.max() > 0.0 else 1.0
-        edges = np.linspace(0.0, top, bins + 1)
-        edges[-1] = np.nextafter(edges[-1], np.inf)
-    else:
-        edges = np.asarray(bins, dtype=float)
-    idx = np.clip(np.digitize(outgoing, edges) - 1, 0, len(edges) - 2)
-    masks = [idx == b for b in range(len(edges) - 1)]
-    return BinnedSeries(
-        bin_edges=tuple(float(e) for e in edges),
-        bin_values=tuple(float(incoming[m].mean()) if m.any() else float("nan") for m in masks),
-        bin_counts=tuple(int(m.sum()) for m in masks),
     )
 
 

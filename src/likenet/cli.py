@@ -30,6 +30,7 @@ from .centrality import (
 )
 from .ensemble import (
     EnsembleConfig,
+    check_master_seed,
     config_to_dict,
     read_records,
     run_to_files,
@@ -178,7 +179,9 @@ def cmd_generate(args, guard: OutputGuard) -> None:
     model = resolve(args, "model")
     n = resolve(args, "n")
     if model == "ba":
-        g = generate_ba(n, resolve(args, "k"), resolve(args, "master_seed"))
+        seed = resolve(args, "master_seed")
+        check_master_seed(seed)
+        g = generate_ba(n, resolve(args, "k"), seed)
     elif model == "star":
         g = generate_star(n)
     else:

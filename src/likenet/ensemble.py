@@ -36,6 +36,7 @@ __all__ = [
     "RecordTable",
     "Block",
     "check_rate_lambda",
+    "check_master_seed",
     "encode_record",
     "sample_rates",
     "compute_block",
@@ -78,6 +79,12 @@ def check_rate_lambda(rate_lambda: float) -> None:
         raise ValueError(f"rate_lambda must be finite, got {rate_lambda}")
 
 
+def check_master_seed(master_seed: int) -> None:
+    """Reject a negative master seed, which no SeedSequence takes."""
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Reproducible specification of one Monte-Carlo run.
@@ -100,6 +107,7 @@ class EnsembleConfig:
         if self.k < 1 or self.n < max(2, self.k):
             raise ValueError(f"require n >= max(2, k) and k >= 1, got n={self.n}, k={self.k}")
         check_rate_lambda(self.rate_lambda)
+        check_master_seed(self.master_seed)
         if not 0.0 < self.strategic_fraction < 1.0:
             raise ValueError(
                 f"strategic_fraction must be in (0, 1), got {self.strategic_fraction}"

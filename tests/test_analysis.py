@@ -18,7 +18,6 @@ from likenet.analysis import (
     logistic_fit,
     pick_outlying_pair,
     rate_representation,
-    reciprocity_curve,
     stability_vs_metric,
     star_comparison,
 )
@@ -267,37 +266,6 @@ class TestLogisticFit:
         z = np.array([-800.0, 0.0, 800.0])
         out = _sigmoid(z)
         assert out == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
-
-
-class TestReciprocityCurve:
-    def test_symmetric_rates_lie_on_diagonal(self):
-        g = generate_ba(6, 2, 1)
-        rng = np.random.default_rng(2)
-        values = np.zeros((6, 6))
-        for i, j in g.edges:
-            r = rng.uniform(0.2, 2.0)
-            values[i, j] = values[j, i] = r
-        rates = RateMatrix(6, values)
-        series = reciprocity_curve(g, rates, 4)
-        # mean return rate per bin equals the mean outgoing rate in that bin
-        outgoing = np.array([values[j, i] for a, b in g.edges for i, j in ((a, b), (b, a))])
-        edges = np.array(series.bin_edges)
-        idx = np.clip(np.digitize(outgoing, edges) - 1, 0, len(edges) - 2)
-        for b, (value, count) in enumerate(zip(series.bin_values, series.bin_counts)):
-            if count:
-                assert value == pytest.approx(outgoing[idx == b].mean(), rel=1e-12)
-
-    def test_one_way_rates_return_nothing(self):
-        g = Graph(3, ((0, 1), (1, 2)))
-        values = np.zeros((3, 3))
-        values[0, 1] = 1.0  # node 1 likes node 0; nothing comes back
-        values[2, 1] = 0.5
-        rates = RateMatrix(3, values)
-        series = reciprocity_curve(g, rates, 3)
-        # every positive outgoing rate sees zero in return; the zero-rate
-        # bin holds the two silent recipients
-        assert series.bin_values == (0.75, 0.0, 0.0)
-        assert series.bin_counts == (2, 1, 1)
 
 
 class TestCoalitionSweep:

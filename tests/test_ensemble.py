@@ -48,6 +48,21 @@ def decoded_run(cfg, out, workers=1):
         return [json.loads(line) for line in fh]
 
 
+def assert_files_independent(cfg, tmp_path, monkeypatch, blocks=(32,)):
+    """Check that cfg's records.jsonl and summary.json are the same bytes at
+    every records-per-block count in blocks, with one worker and with two."""
+    runs = []
+    for block in blocks:
+        # a desk record solves 34 systems of 10 values
+        monkeypatch.setattr(ensemble, "BLOCK_VALUES", block * 34 * 10)
+        assert ensemble.block_records(34, 10) == block
+        for workers in (1, 2):
+            out = tmp_path / f"block{block}-workers{workers}"
+            run_to_files(cfg, out, workers=workers)
+            runs.append([(out / n).read_bytes() for n in ("records.jsonl", "summary.json")])
+    assert all(run == runs[0] for run in runs[1:])
+
+
 class TestSampleRates:
     def test_exponential_statistics(self):
         g = generate_star(10)
@@ -141,13 +156,6 @@ class TestRunEnsemble:
         assert first == second
         assert [r["record_index"] for r in first] == list(range(40))
 
-    def test_worker_count_invariance(self, tmp_path):
-        # three 32-record desk blocks, so that two workers start a pool
-        cfg = EnsembleConfig(sample_count=70, master_seed=8)
-        serial = decoded_run(cfg, tmp_path / "serial", workers=1)
-        parallel = decoded_run(cfg, tmp_path / "parallel", workers=2)
-        assert serial == parallel
-
     @pytest.mark.parametrize(
         "samples, workers, started",
         [(10, 8, []), (32, 2, []), (33, 8, [2]), (70, 1, []), (70, 2, [2]), (200, 8, [7])],
@@ -177,26 +185,17 @@ class TestRunEnsemble:
         assert records.record_index.tolist() == list(range(samples))
         assert pools == started
 
-    def test_files_byte_identical_across_reruns(self, tmp_path):
-        cfg = EnsembleConfig(sample_count=70, master_seed=4)
-        run_to_files(cfg, tmp_path / "a", workers=1)
-        run_to_files(cfg, tmp_path / "b", workers=2)
-        for name in ("records.jsonl", "summary.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    def test_worker_count_invariance(self, tmp_path, monkeypatch):
+        # three of the default 32-record desk blocks, so that two workers start a pool
+        assert_files_independent(EnsembleConfig(sample_count=70, master_seed=8), tmp_path, monkeypatch)
+
+    def test_files_byte_identical_across_reruns(self, tmp_path, monkeypatch):
+        assert_files_independent(EnsembleConfig(sample_count=70, master_seed=4), tmp_path, monkeypatch)
 
     def test_files_independent_of_block_size_and_workers(self, tmp_path, monkeypatch):
         # 130 records: partial last blocks at 7 and 64, one-record blocks at 1
         cfg = EnsembleConfig(sample_count=130, master_seed=21)
-        runs = []
-        for block in (1, 7, 64):
-            # a desk record solves 34 systems of 10 values
-            monkeypatch.setattr(ensemble, "BLOCK_VALUES", block * 34 * 10)
-            assert ensemble.block_records(34, 10) == block
-            for workers in (1, 2):
-                out = tmp_path / f"block{block}-workers{workers}"
-                run_to_files(cfg, out, workers=workers)
-                runs.append([(out / n).read_bytes() for n in ("records.jsonl", "summary.json")])
-        assert all(run == runs[0] for run in runs[1:])
+        assert_files_independent(cfg, tmp_path, monkeypatch, blocks=(1, 7, 64))
 
     def test_run_to_files_streams_records(self, tmp_path, monkeypatch):
         # four blocks of up to 32 desk records; a full block's text is past the
@@ -354,6 +353,8 @@ class TestConfigFiles:
             EnsembleConfig(rate_lambda=-1.0)
         with pytest.raises(ValueError, match="rate_lambda must be finite, got inf"):
             EnsembleConfig(rate_lambda=math.inf)
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            EnsembleConfig(master_seed=-1)
         with pytest.raises(ValueError):
             EnsembleConfig(strategic_fraction=1.0)
         for n, k in [(10, 0), (10, -1), (3, 5), (1, 1), (0, 1)]:
