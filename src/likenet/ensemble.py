@@ -17,10 +17,11 @@ import time
 from array import array
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from multiprocessing import Pool
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +30,13 @@ from .centrality import RateMatrix, SolverOptions
 # perfbench/tracing.py patches them by name, with the other layer calls,
 # at this call site
 from .graphs import Graph, _attach, _metric_columns, compute_metrics, generate_ba
-from .stability import _gradient_block, _stability_columns, stability
+from .stability import (
+    _gradient_block,
+    _stability_columns,
+    chunk_records,
+    records_within,
+    stability,
+)
 
 __all__ = [
     "EnsembleConfig",
@@ -56,19 +63,22 @@ STABILITY_QUANTILES = (0.001, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 MAIN_STREAM = 0
 STAR_STREAM = 1
 
-# Solver values per block: records x perturbed systems x nodes. A block is
-# solved as one batch, so a solver iteration's per-call NumPy overhead is
-# paid once per block, while the solver holds about 14 arrays of the
-# block's values. 10880 makes 32-record desk blocks (n=10, k=2: 34 systems
-# of 10 values), past which speed gains little and memory keeps growing;
-# a wide record (n=40, k=3: 228 systems of 40 values) is a block of its
-# own, as blocking it gains nothing.
-BLOCK_VALUES = 10_880
+# Solver values per block: records x perturbed systems x nodes. A block's
+# graphs, rates, metrics, baseline solves and record lines are built as one
+# batch, so their per-call NumPy overhead is paid once per block; its
+# perturbed solves run in chunks of stability.CHUNK_VALUES. 43520 makes
+# 128-record desk blocks (n=10, k=2: 34 systems of 10 values) and 4-record
+# wide blocks (n=40, k=3: 228 systems of 40 values). At 10880, 21760 and
+# 43520 values, serial compute_block took 0.168, 0.156 and 0.150 ms a desk
+# record and 2.16, 1.81 and 1.55 ms a wide record, and perfbench's desk
+# peak_rss_mb read 73.2, 74.7 and 76.5 MB: 43520 is the fastest for wide
+# records within about 5% of the desk memory at 10880.
+BLOCK_VALUES = 43_520
 
 
 def block_records(systems: int, n: int) -> int:
     """Records per block when each record solves `systems` systems on n nodes."""
-    return max(1, BLOCK_VALUES // max(1, systems * n))
+    return records_within(BLOCK_VALUES, systems, n)
 
 
 def check_rate_lambda(rate_lambda: float) -> None:
@@ -243,6 +253,7 @@ def _computed_blocks(config: EnsembleConfig, workers: int) -> Iterator[Block]:
 
     Blocks hold BLOCK_VALUES solver values each, and each is one pool
     task. A record does not depend on its block or on the worker count.
+    The block layout and the process count are logged at the start.
     Progress, throughput and the time left are logged every tenth of the run.
     """
     count = config.sample_count
@@ -253,6 +264,8 @@ def _computed_blocks(config: EnsembleConfig, workers: int) -> Iterator[Block]:
     blocks = ((config, start, min(start + size, count)) for start in starts)
     # no more processes than blocks; a single one is this process
     processes = min(workers, len(starts))
+    log.info("ensemble blocks: %d records each, solved in chunks of %d, on %d process(es)",
+             size, chunk_records(2 * edges, config.n), processes)
     step = max(1, count // 10)
     done = 0
     began = time.perf_counter()
@@ -311,7 +324,7 @@ class RecordTable:
     @classmethod
     def from_records(cls, records: Iterable[dict]) -> RecordTable:
         """Tabulate record dicts, as read_records does the decoded lines."""
-        return _tabulate((f"record {position}", r) for position, r in enumerate(records))
+        return _tabulate(records, lambda position: f"record {position}")
 
 
 # array typecodes of the per-record scalar columns
@@ -319,15 +332,16 @@ _SCALARS = {"record_index": "q", "stability": "d", "degree_stddev": "d", "mean_p
             "mean_local_clustering": "d", "solver_converged": "b"}
 
 
-def _tabulate(items: Iterable[tuple[str, dict]]) -> RecordTable:
-    """A RecordTable from (location, record dict) pairs; errors name the location.
+def _tabulate(records: Iterable[dict], locate: Callable[[int], str]) -> RecordTable:
+    """A RecordTable from record dicts; errors name locate(position) of the
+    record at that position.
 
     Values go straight into typed arrays: 8 bytes a number, not a Python object.
     """
     columns = {name: array(code) for name, code in _SCALARS.items()}
     histograms, rate_counts, rates = array("q"), array("q"), array("d")
     width = 0
-    for where, d in items:
+    for position, d in enumerate(records):
         try:
             for name, column in columns.items():
                 column.append(d[name])
@@ -335,23 +349,32 @@ def _tabulate(items: Iterable[tuple[str, dict]]) -> RecordTable:
             if not rate_counts:
                 width = len(d[name])
             if len(d[name]) != width:
-                raise ValueError(f"{where}: degree_histogram has {len(d[name])} entries, "
-                                 f"the first record's has {width}")
+                raise ValueError(f"{locate(position)}: degree_histogram has {len(d[name])} "
+                                 f"entries, the first record's has {width}")
             histograms.extend(d[name])
             name = "outgoing_rates"
             rates.extend(map(itemgetter(2), d[name]))
             rate_counts.append(len(d[name]))
         except KeyError:
-            raise ValueError(f"{where}: missing field {name!r}") from None
+            raise ValueError(f"{locate(position)}: missing field {name!r}") from None
         except (TypeError, IndexError, OverflowError) as exc:
-            raise ValueError(f"{where}: field {name!r} has the wrong type ({exc})") from None
+            raise ValueError(
+                f"{locate(position)}: field {name!r} has the wrong type ({exc})"
+            ) from None
     table = {name: np.frombuffer(col, dtype=col.typecode) for name, col in columns.items()}
     table["solver_converged"] = table["solver_converged"] != 0
+    rate_counts, rates = np.frombuffer(rate_counts, np.int64), np.frombuffer(rates, np.float64)
+    # np.histogram would drop a negative or NaN rate from the analyses' counts
+    valid = (rates >= 0.0) & (rates < math.inf)
+    if not valid.all():
+        first = int(np.argmin(valid))
+        position = int(np.searchsorted(np.cumsum(rate_counts), first, side="right"))
+        raise ValueError(f"{locate(position)}: outgoing rate {rates[first]} is not finite and >= 0")
     return RecordTable(
         **table,
         degree_histogram=np.frombuffer(histograms, np.int64).reshape(len(rate_counts), width),
-        rate_counts=np.frombuffer(rate_counts, np.int64),
-        rates=np.frombuffer(rates, np.float64),
+        rate_counts=rate_counts,
+        rates=rates,
     )
 
 
@@ -359,24 +382,31 @@ def read_records(jsonl_path) -> RecordTable:
     """Stream a records.jsonl file into a RecordTable, one line at a time.
 
     Errors name the file and line: bad JSON, a missing or mistyped
-    field, a degree histogram unlike the first record's in length.
+    field, a degree histogram unlike the first record's in length, a
+    negative or non-finite outgoing rate.
     """
 
-    def parsed() -> Iterator[tuple[str, dict]]:
+    def parsed() -> Iterator[dict]:
         with open(jsonl_path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if line.isspace():
                     continue
-                where = f"{jsonl_path}:{lineno}"
                 try:
                     d = json.loads(line)
                 except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
+                    raise ValueError(f"{jsonl_path}:{lineno}: {exc}") from None
                 if not isinstance(d, dict):
-                    raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
-                yield where, d
+                    raise ValueError(f"{jsonl_path}:{lineno}: expected a JSON object, "
+                                     f"got {type(d).__name__}")
+                yield d
 
-    return _tabulate(parsed())
+    def locate(position: int) -> str:
+        # read again on an error only: the line of the record at position
+        with open(jsonl_path, encoding="utf-8") as fh:
+            lines = (lineno for lineno, line in enumerate(fh, start=1) if not line.isspace())
+            return f"{jsonl_path}:{next(islice(lines, position, None))}"
+
+    return _tabulate(parsed(), locate)
 
 
 def summarize_records(stabilities: Sequence[float], non_converged: int) -> dict:

@@ -13,7 +13,13 @@ import pytest
 from likenet.centrality import RateMatrix, write_rates_dense, write_rates_triplets
 from likenet import cli
 from likenet.cli import main
-from likenet.ensemble import EnsembleConfig, compute_record, config_to_dict, read_records
+from likenet.ensemble import (
+    EnsembleConfig,
+    block_records,
+    compute_record,
+    config_to_dict,
+    read_records,
+)
 from likenet.stability import StabilityResult
 from likenet.graphs import generate_ba, read_edge_list
 from util import random_rates
@@ -166,9 +172,9 @@ class TestSolve:
 
 class TestEnsembleCommand:
     def test_rerun_and_worker_invariance(self, tmp_path):
-        # three 32-record blocks, so that two workers start a pool; reruns at
-        # one worker are criterion 11's
-        args = ["ensemble", "--samples", 70, "--seed", 5]
+        # three default desk blocks, so that two workers start a pool; reruns
+        # at one worker are criterion 11's
+        args = ["ensemble", "--samples", 2 * block_records(34, 10) + 6, "--seed", 5]
         assert run_cli(*args, "--workers", 1, "--out", tmp_path / "a") == 0
         assert run_cli(*args, "--workers", 2, "--out", tmp_path / "b") == 0
         for name in ("records.jsonl", "summary.json"):
@@ -336,6 +342,13 @@ def set_field(line, name, value):
     return json.dumps({**json.loads(line), name: value})
 
 
+def set_rate(line, value):
+    """The line with its fourth outgoing rate set to value."""
+    record = json.loads(line)
+    record["outgoing_rates"][3][2] = value
+    return json.dumps(record)
+
+
 class TestRecordFileErrors:
     """A malformed records file exits 1 with `error: path:line: ...` and writes nothing."""
 
@@ -351,8 +364,11 @@ class TestRecordFileErrors:
                 lambda line: set_field(line, "degree_histogram", [1, 2, 3]),
                 "degree_histogram has 3 entries, the first record's has 10",
             ),
+            (lambda line: set_rate(line, -1.0), "outgoing rate -1.0 is not finite and >= 0"),
+            (lambda line: set_rate(line, math.nan), "outgoing rate nan is not finite and >= 0"),
         ],
-        ids=["bad_json", "not_object", "missing_field", "wrong_type", "histogram_length"],
+        ids=["bad_json", "not_object", "missing_field", "wrong_type", "histogram_length",
+             "negative_rate", "nan_rate"],
     )
     def test_error_names_file_and_line(self, tmp_path, small_run, capsys, command, edit, message):
         records = corrupt_second_line(small_run, tmp_path, edit)

@@ -1,7 +1,9 @@
+import importlib
 import json
 import logging
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,6 +17,7 @@ from likenet.ensemble import (
     RECORD_FIELDS,
     EnsembleConfig,
     RecordTable,
+    compute_block,
     compute_record,
     config_to_dict,
     encode_record,
@@ -25,9 +28,12 @@ from likenet.ensemble import (
     write_records,
 )
 from likenet.graphs import Graph, compute_metrics, generate_ba, generate_star
-from likenet.stability import StabilityResult
+from likenet.stability import StabilityResult, chunk_records
 
 from conftest import DESK_SEED
+
+# the module: likenet.stability, as a package attribute, is the function
+stability_module = importlib.import_module("likenet.stability")
 
 
 def assert_table_matches(table, records):
@@ -48,16 +54,23 @@ def decoded_run(cfg, out, workers=1):
         return [json.loads(line) for line in fh]
 
 
-def assert_files_independent(cfg, tmp_path, monkeypatch, blocks=(32,)):
-    """Check that cfg's records.jsonl and summary.json are the same bytes at
-    every records-per-block count in blocks, with one worker and with two."""
+# records in a default desk block, and in a chunk of its perturbed solves
+DESK_BLOCK = ensemble.block_records(34, 10)
+DESK_CHUNK = chunk_records(34, 10)
+
+
+def assert_files_independent(cfg, tmp_path, monkeypatch, layouts):
+    """Check that cfg's records.jsonl and summary.json are the same bytes in
+    every (records per block, records per solver chunk) layout, with one
+    worker and with two."""
     runs = []
-    for block in blocks:
+    for block, chunk in layouts:
         # a desk record solves 34 systems of 10 values
         monkeypatch.setattr(ensemble, "BLOCK_VALUES", block * 34 * 10)
-        assert ensemble.block_records(34, 10) == block
+        monkeypatch.setattr(stability_module, "CHUNK_VALUES", chunk * 34 * 10)
+        assert (ensemble.block_records(34, 10), chunk_records(34, 10)) == (block, chunk)
         for workers in (1, 2):
-            out = tmp_path / f"block{block}-workers{workers}"
+            out = tmp_path / f"block{block}-chunk{chunk}-workers{workers}"
             run_to_files(cfg, out, workers=workers)
             runs.append([(out / n).read_bytes() for n in ("records.jsonl", "summary.json")])
     assert all(run == runs[0] for run in runs[1:])
@@ -163,7 +176,9 @@ class TestRunEnsemble:
     def test_pool_has_no_more_processes_than_blocks(
         self, tmp_path, monkeypatch, samples, workers, started
     ):
-        # desk blocks hold 32 records; one block runs in this process
+        # the test sets 32-record desk blocks; one block runs in this process
+        monkeypatch.setattr(ensemble, "BLOCK_VALUES", 32 * 34 * 10)
+        assert ensemble.block_records(34, 10) == 32
         pools = []
 
         class RecordingPool:
@@ -185,22 +200,29 @@ class TestRunEnsemble:
         assert records.record_index.tolist() == list(range(samples))
         assert pools == started
 
-    def test_worker_count_invariance(self, tmp_path, monkeypatch):
-        # three of the default 32-record desk blocks, so that two workers start a pool
-        assert_files_independent(EnsembleConfig(sample_count=70, master_seed=8), tmp_path, monkeypatch)
-
-    def test_files_byte_identical_across_reruns(self, tmp_path, monkeypatch):
-        assert_files_independent(EnsembleConfig(sample_count=70, master_seed=4), tmp_path, monkeypatch)
-
-    def test_files_independent_of_block_size_and_workers(self, tmp_path, monkeypatch):
-        # 130 records: partial last blocks at 7 and 64, one-record blocks at 1
-        cfg = EnsembleConfig(sample_count=130, master_seed=21)
-        assert_files_independent(cfg, tmp_path, monkeypatch, blocks=(1, 7, 64))
+    @pytest.mark.parametrize(
+        "samples, seed, layouts",
+        [
+            # partial last blocks at 7 and 64, one-record blocks at 1; chunks
+            # of 1 and 7 records split the 7- and 64-record blocks
+            (130, 21, [(1, DESK_CHUNK), (7, 1), (64, 7)]),
+            # three default blocks, so that two workers start a pool
+            (2 * DESK_BLOCK + 6, 8, [(DESK_BLOCK, DESK_CHUNK)]),
+            (2 * DESK_BLOCK + 6, 4, [(DESK_BLOCK, DESK_CHUNK)]),
+        ],
+        ids=["sizes-seed21", "default-seed8", "default-seed4"],
+    )
+    def test_files_independent_of_block_size_and_workers(
+        self, tmp_path, monkeypatch, samples, seed, layouts
+    ):
+        cfg = EnsembleConfig(sample_count=samples, master_seed=seed)
+        assert_files_independent(cfg, tmp_path, monkeypatch, layouts)
 
     def test_run_to_files_streams_records(self, tmp_path, monkeypatch):
-        # four blocks of up to 32 desk records; a full block's text is past the
-        # 8 KB a text file keeps unwritten, so writing it lets it go
-        cfg = EnsembleConfig(sample_count=100, master_seed=12)
+        # four default desk blocks, the last one partial; a full block's text
+        # is past the 8 KB a text file keeps unwritten, so writing it lets it go
+        samples = 3 * DESK_BLOCK + 4
+        cfg = EnsembleConfig(sample_count=samples, master_seed=12)
         alive = weakref.WeakSet()
         held = []
 
@@ -221,7 +243,7 @@ class TestRunEnsemble:
         # asked for a block, the parent holds at most the text it wrote last
         assert len(held) == 4 and max(held) <= 1
         records = read_records(tmp_path / "records.jsonl")
-        assert records.record_index.tolist() == list(range(100))
+        assert records.record_index.tolist() == list(range(samples))
         stabilities = records.stability
         assert summary == {**summarize_records(stabilities, 0), "config": summary["config"]}
 
@@ -249,6 +271,31 @@ class TestRunEnsemble:
         assert all(re.fullmatch(r"ensemble progress: \d+/20, \d+ records/s, about \d+ s left", m)
                    for m in progress)
         assert progress[-1].startswith("ensemble progress: 20/20, ")
+
+    def test_run_start_logs_block_layout(self, tmp_path, caplog):
+        # one block: four workers start no pool
+        cfg = EnsembleConfig(sample_count=20, master_seed=12)
+        with caplog.at_level(logging.INFO, logger="likenet"):
+            run_to_files(cfg, tmp_path, workers=4)
+        assert caplog.records[0].getMessage() == (
+            f"ensemble blocks: {DESK_BLOCK} records each, solved in chunks of {DESK_CHUNK}, "
+            "on 1 process(es)"
+        )
+
+    @pytest.mark.parametrize("n, k, bound_mib", [(10, 2, 3.2), (40, 3, 2.1)])
+    def test_block_memory_is_bounded(self, n, k, bound_mib):
+        # a default block's peak of traced allocations, NumPy's arrays among
+        # them, measured at 1.6 MiB for desk and 1.0 MiB for wide records
+        cfg = EnsembleConfig(n=n, k=k)
+        size = ensemble.block_records(2 * (k * (k - 1) // 2 + k * (n - k)), n)
+        compute_block(cfg, 0, size)
+        tracemalloc.start()
+        try:
+            compute_block(cfg, size, 2 * size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
     def test_write_read_roundtrip(self, tmp_path):
         cfg = EnsembleConfig(sample_count=12, master_seed=9)
@@ -309,6 +356,20 @@ class TestRecordTable:
         first, second = jsonl.read_text().splitlines(keepends=True)
         jsonl.write_text("\n" + first + "  \n" + second)
         assert_table_matches(read_records(jsonl), records)
+
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
+    def test_bad_rate_names_its_record(self, tmp_path, rate):
+        records = decoded_run(EnsembleConfig(sample_count=2, master_seed=5), tmp_path / "run")
+        records[1]["outgoing_rates"][5][2] = rate
+        message = re.escape(f"outgoing rate {rate} is not finite and >= 0")
+        with pytest.raises(ValueError, match=f"^record 1: {message}$"):
+            RecordTable.from_records(records)
+        jsonl = tmp_path / "records.jsonl"
+        write_records(records, jsonl)
+        first, second = jsonl.read_text().splitlines(keepends=True)
+        jsonl.write_text("\n" + first + "  \n" + second)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(jsonl))}:4: {message}$"):
+            read_records(jsonl)
 
     def test_empty_file_gives_empty_table(self, tmp_path):
         jsonl = tmp_path / "records.jsonl"

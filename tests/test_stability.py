@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from likenet.stability import (
     RELATIVE_STEP,
     ZERO_RATE_FLOOR,
     centrality_gradient,
+    chunk_records,
     classify_strategic,
     stability,
     stability_from_gradients,
@@ -24,6 +26,9 @@ from likenet.stability import (
     _gradient_block,
 )
 from util import random_connected_graph, random_rates
+
+# the module: likenet.stability, as a package attribute, is the function
+stability_module = importlib.import_module("likenet.stability")
 
 
 def two_node(a, b):
@@ -257,6 +262,18 @@ class TestStabilityBlock:
         systems = desk_systems(12)
         for *row, (g, r) in zip(*gradient_block(systems, scheme), systems):
             assert_same_bytes(*row, solved_alone(g, r, scheme))
+
+    @pytest.mark.parametrize("scheme, points", [("forward", 1), ("central", 2)])
+    def test_chunks_change_nothing(self, monkeypatch, scheme, points):
+        # 20 records in chunks of 1, of 7 (7, 7 and 6) and of all 20; a desk
+        # record has 34 perturbed entries, one system per stencil point each
+        systems = desk_systems(20)
+        results = []
+        for chunk in (1, 7, 20):
+            monkeypatch.setattr(stability_module, "CHUNK_VALUES", chunk * points * 34 * 10)
+            assert chunk_records(points * 34, 10) == chunk
+            results.append([part.tobytes() for part in gradient_block(systems, scheme)])
+        assert results[1] == results[0] and results[2] == results[0]
 
     def test_singular_system_affects_only_its_own_record(self, monkeypatch):
         # LAPACK fails a whole batched inv or solve for one singular matrix;
