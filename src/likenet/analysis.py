@@ -16,7 +16,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .centrality import RateMatrix, SolverOptions, likedness_centrality
+from .centrality import RateMatrix, SolverOptions, _normalize_rows, solve_rate_batch
 from .ensemble import (
     STAR_STREAM,
     EnsembleConfig,
@@ -37,7 +37,6 @@ __all__ = [
     "StarComparison",
     "RankDeficientError",
     "exponential_quantile",
-    "exponential_cdf",
     "rate_representation",
     "degree_representation",
     "stability_vs_metric",
@@ -104,33 +103,16 @@ def exponential_quantile(p: float, rate_lambda: float) -> float:
     return -math.log1p(-p) / rate_lambda
 
 
-def exponential_cdf(x: float, rate_lambda: float) -> float:
-    return -math.expm1(-rate_lambda * x)
-
-
-def _percentile_edges(bins, rate_lambda: float) -> tuple[np.ndarray, np.ndarray]:
-    """(probability_edges, rate_edges) for a percentile bin spec.
-
-    `bins` is either an equal-probability bin count or an explicit
-    increasing sequence of probabilities spanning [0, 1].
-    """
+def _percentile_edges(bins: int, rate_lambda: float) -> np.ndarray:
+    """Rate edges of `bins` bins of equal Exp(rate_lambda) probability."""
     check_rate_lambda(rate_lambda)
-    if isinstance(bins, int):
-        if bins < 1:
-            raise ValueError(f"need at least one bin, got {bins}")
-        probs = np.linspace(0.0, 1.0, bins + 1)
-    else:
-        probs = np.asarray(bins, dtype=float)
-        if probs.ndim != 1 or len(probs) < 2 or (np.diff(probs) <= 0).any():
-            raise ValueError("bin probabilities must be increasing")
-        if probs[0] != 0.0 or probs[-1] != 1.0:
-            raise ValueError("bin probabilities must span [0, 1]")
-    edges = np.array([exponential_quantile(p, rate_lambda) for p in probs])
-    return probs, edges
+    if bins < 1:
+        raise ValueError(f"need at least one bin, got {bins}")
+    return np.array([exponential_quantile(p, rate_lambda) for p in np.linspace(0.0, 1.0, bins + 1)])
 
 
 def rate_representation(
-    table: RecordTable, strategic: np.ndarray, rate_lambda: float = 1.0, bins=50
+    table: RecordTable, strategic: np.ndarray, rate_lambda: float = 1.0, bins: int = 50
 ) -> BinnedSeries:
     """Strategic over population frequency ratio per rate-percentile bin.
 
@@ -141,7 +123,7 @@ def rate_representation(
     """
     if strategic.all() or not strategic.any():
         raise ValueError("both record sets must be non-empty")
-    _, edges = _percentile_edges(bins, rate_lambda)
+    edges = _percentile_edges(bins, rate_lambda)
     strategic_rates = table.rates_of(strategic)
     s_counts, _ = np.histogram(strategic_rates, bins=edges)
     # counts are integers: the population's are the whole table's minus the
@@ -365,7 +347,7 @@ def coalition_sweep(
     """Re-solve centralities as nodes a and b like each other at a joint rate.
 
     Both directed rates between a and b are set to each sweep value;
-    all other rates stay fixed.
+    all other rates stay fixed, and the sweep is solved as one batch.
     """
     if a == b:
         raise ValueError("coalition members must differ")
@@ -374,22 +356,21 @@ def coalition_sweep(
     for rho in joint_rates:
         if not (rho >= 0 and math.isfinite(rho)):
             raise ValueError(f"joint rate must be finite and nonnegative, got {rho}")
-    opts = opts or SolverOptions()
+    rates.check_support(g)
+    swept = np.repeat(rates.values[None], len(joint_rates), axis=0)
+    swept[:, a, b] = swept[:, b, a] = joint_rates
+    raw, converged, _ = solve_rate_batch(g, swept, opts or SolverOptions())
     others = [v for v in range(g.n) if v not in (a, b)]
-    points = []
-    for rho in joint_rates:
-        swept = rates.replace_entry(a, b, rho).replace_entry(b, a, rho)
-        cv = likedness_centrality(g, swept, opts)
-        points.append(
-            CoalitionPoint(
-                joint_rate=float(rho),
-                member_a=float(cv.values[a]),
-                member_b=float(cv.values[b]),
-                others_mean=float(np.mean(cv.values[others])) if others else float("nan"),
-                converged=cv.converged,
-            )
+    return [
+        CoalitionPoint(
+            joint_rate=float(rho),
+            member_a=float(row[a]),
+            member_b=float(row[b]),
+            others_mean=float(np.mean(row[others])) if others else float("nan"),
+            converged=bool(ok),
         )
-    return points
+        for rho, row, ok in zip(joint_rates, _normalize_rows(raw), converged)
+    ]
 
 
 @dataclass(frozen=True)

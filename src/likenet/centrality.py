@@ -286,7 +286,7 @@ def _solve_block(
     converged = np.zeros(shape[:2], dtype=bool)
     iterations = np.zeros(shape[:2], dtype=np.int64)
     polished = np.zeros(shape[:2], dtype=bool)
-    previous = None  # (values, fixed, residual, denom) before the last step
+    previous = None  # (values, fixed, residual) before the last step
 
     for _ in range(opts.max_iterations + 1):
         fixed, denom = _fixed_map(rates, adj, values, scatter)
@@ -299,7 +299,6 @@ def _solve_block(
                 values[rejected] = previous[0][rejected]
                 fixed[rejected] = previous[1][rejected]
                 residual[rejected] = previous[2][rejected]
-                denom[rejected] = previous[3][rejected]
 
         settled = active & (residual <= opts.tolerance)
         converged |= settled
@@ -324,7 +323,7 @@ def _solve_block(
             damped_only[record[~ok], 0] = True
             polished[record[~ok], 0] = False
         delta[~step] = 0.0
-        previous = (values, fixed, residual, denom)
+        previous = (values, fixed, residual)
         values = values + delta
         iterations += step
 
@@ -391,10 +390,8 @@ def eigenvector_centrality(
     vec = np.full(g.n, 1.0 / g.n)
     for it in range(1, opts.max_iterations + 1):
         nxt = shifted @ vec
-        total = nxt.sum()
-        if total <= 0.0:
-            raise DegenerateSystemError("power iteration collapsed to zero")
-        nxt /= total
+        # entries are >= 0 and vec sums to 1, so the sum is at least shift > 0
+        nxt /= nxt.sum()
         if np.abs(nxt - vec).max() <= opts.tolerance:
             return CentralityVector(values=nxt, raw=nxt, converged=True, iterations=it)
         vec = nxt

@@ -235,6 +235,8 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
     table = read_records(args.records)
     if not len(table):
         raise CliError(f"no records in {args.records}")
+    # counted before --converged-only drops them
+    non_converged = len(table) - int(table.solver_converged.sum())
     if args.converged_only:
         table = table.select(table.solver_converged)
         if not len(table):
@@ -252,7 +254,7 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
         series[f"stability_vs_{metric}"] = trend.series
     summary = {
         "record_count": len(table),
-        "non_converged": len(table) - int(table.solver_converged.sum()),
+        "non_converged": non_converged,
         "strategic_fraction": fraction,
         "strategic_direction": direction,
         "strategic_count": int(strategic.sum()),
@@ -260,7 +262,7 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
         "spearman": correlations,
         "logistic_fit": asdict(fit),
     }
-    if 0 < summary["non_converged"] < len(table):
+    if 0 < non_converged < len(table) and not args.converged_only:
         converged = table.select(table.solver_converged)
         summary["spearman_converged_only"] = {
             metric: an.stability_vs_metric(converged, metric).spearman
@@ -375,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "analyze", cmd_analyze, "figure-style analyses over a record file",
                      "strategic_fraction", "strategic_direction", "rate_lambda", "bins")
     p.add_argument("--records", required=True, help="records.jsonl path")
-    p.add_argument("--converged-only", action="store_true")
+    p.add_argument("--converged-only", action="store_true", help="analyze converged records only")
     p.add_argument("--out", required=True, help="output directory")
 
     p = _add_command(sub, "coalition", cmd_coalition, "joint-rate sweep for a coalition pair",

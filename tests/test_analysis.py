@@ -13,7 +13,6 @@ from likenet.analysis import (
     _sigmoid,
     coalition_sweep,
     degree_representation,
-    exponential_cdf,
     exponential_quantile,
     logistic_fit,
     pick_outlying_pair,
@@ -66,14 +65,14 @@ def split(strategic, population):
 
 class TestExponentialReference:
     def test_rate_one_sits_at_63_2_percentile(self):
-        assert exponential_cdf(1.0, 1.0) == pytest.approx(1 - math.exp(-1), abs=1e-12)
+        assert exponential_quantile(1 - math.exp(-1), 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_95_3_percentile_rate(self):
         assert exponential_quantile(0.953, 1.0) == pytest.approx(3.058, abs=1e-3)
 
     def test_quantile_cdf_inverse(self):
         for p in (0.1, 0.5, 0.9):
-            assert exponential_cdf(exponential_quantile(p, 2.0), 2.0) == pytest.approx(p)
+            assert -math.expm1(-2.0 * exponential_quantile(p, 2.0)) == pytest.approx(p)
 
 
 class TestRateRepresentation:
@@ -290,6 +289,16 @@ class TestCoalitionSweep:
         points = coalition_sweep(g, rates, a, b, [0.0])
         assert points[0].member_a == pytest.approx(expected.values[a], abs=1e-12)
         assert points[0].member_b == pytest.approx(expected.values[b], abs=1e-12)
+
+    def test_points_equal_single_solves(self):
+        g = generate_ba(10, 2, 4)
+        rates = random_rates(g, np.random.default_rng(8))
+        a, b = pick_outlying_pair(g)
+        sweep = [0.0, 0.5, 2.0, 1e-9, 1e6]
+        for rho, point in zip(sweep, coalition_sweep(g, rates, a, b, sweep)):
+            single = likedness_centrality(g, rates.replace_entry(a, b, rho).replace_entry(b, a, rho))
+            assert (point.member_a, point.member_b) == (single.values[a], single.values[b])
+            assert point.converged == single.converged
 
     def test_errors(self):
         g = Graph(3, ((0, 1), (1, 2)))

@@ -322,6 +322,41 @@ class TestAnalyzeCommand:
     def test_missing_records_fails(self, tmp_path):
         assert run_cli("analyze", "--records", tmp_path / "nope.jsonl", "--out", tmp_path) != 0
 
+    def test_converged_only_counts_the_records_it_drops(self, tmp_path, small_run):
+        records = flag_non_converged(small_run, tmp_path, [7])
+        out = tmp_path / "analysis"
+        assert run_cli("analyze", "--records", records, "--converged-only", "--out", out) == 0
+        summary = json.loads((out / "analysis_summary.json").read_text())
+        assert (summary["record_count"], summary["non_converged"]) == (299, 1)
+        assert "spearman_converged_only" not in summary
+
+    def test_mixed_records_add_the_converged_only_spearman(self, tmp_path, small_run):
+        records = flag_non_converged(small_run, tmp_path, [7])
+        mixed, only = tmp_path / "mixed", tmp_path / "only"
+        assert run_cli("analyze", "--records", records, "--out", mixed) == 0
+        assert run_cli("analyze", "--records", records, "--converged-only", "--out", only) == 0
+        summary = json.loads((mixed / "analysis_summary.json").read_text())
+        assert (summary["record_count"], summary["non_converged"]) == (300, 1)
+        expected = json.loads((only / "analysis_summary.json").read_text())["spearman"]
+        assert summary["spearman_converged_only"] == expected
+
+    def test_converged_only_without_converged_records_fails(self, tmp_path, small_run, capsys):
+        records = flag_non_converged(small_run, tmp_path, range(300))
+        out = tmp_path / "analysis"
+        assert run_cli("analyze", "--records", records, "--converged-only", "--out", out) == 1
+        assert "error: no converged records to analyze" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def flag_non_converged(small_run, tmp_path, indices):
+    """A copy of the run with the records at `indices` flagged not converged."""
+    lines = (small_run / "records.jsonl").read_text().splitlines()
+    for index in indices:
+        lines[index] = set_field(lines[index], "solver_converged", False)
+    path = tmp_path / "flagged.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
 
 def corrupt_second_line(small_run, tmp_path, edit):
     """A three-record copy of the run whose second line is edit(line)."""
@@ -377,6 +412,37 @@ class TestRecordFileErrors:
         assert run_cli(command, "--records", records, *argv, "--out", out) == 1
         assert f"error: {records}:2: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "star-compare"])
+    def test_empty_file_fails(self, tmp_path, capsys, command):
+        records = tmp_path / "records.jsonl"
+        records.write_text("")
+        out = tmp_path / "out"
+        assert run_cli(command, "--records", records, "--out", out) == 1
+        assert f"error: no records in {records}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestFailedCommandRemovesPartialOutputs:
+    """The last output is a directory, so writing it fails after the others are written."""
+
+    def test_analyze(self, tmp_path, small_run):
+        out = tmp_path / "analysis"
+        (out / "analysis_summary.json").mkdir(parents=True)
+        assert run_cli("analyze", "--records", small_run / "records.jsonl", "--out", out) == 1
+        assert [p.name for p in out.iterdir()] == ["analysis_summary.json"]
+
+    def test_ensemble(self, tmp_path):
+        (tmp_path / "summary.json").mkdir()
+        assert run_cli("ensemble", "--samples", 5, "--out", tmp_path) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+    def test_coalition(self, tmp_path):
+        graph, rates = write_two_node_inputs(tmp_path)
+        out = tmp_path / "sweep.csv"
+        Path(str(out) + ".json").mkdir()
+        assert run_cli("coalition", "--graph", graph, "--rates", rates, "--out", out) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.txt", "rates.csv", "sweep.csv.json"]
 
 
 class TestCoalitionCommand:
@@ -434,7 +500,7 @@ class TestCoalitionCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("solved before the joint rates were checked")
 
-        monkeypatch.setattr("likenet.analysis.likedness_centrality", refuse)
+        monkeypatch.setattr("likenet.analysis.solve_rate_batch", refuse)
         out = tmp_path / "sweep.csv"
         assert run_cli(
             "coalition", "--graph", graph, "--rates", rates, "--joint-rates", f"1,{bad}",
