@@ -66,14 +66,17 @@ STAR_STREAM = 1
 # Solver values per block: records x perturbed systems x nodes. A block's
 # graphs, rates, metrics, baseline solves and record lines are built as one
 # batch, so their per-call NumPy overhead is paid once per block; its
-# perturbed solves run in chunks of stability.CHUNK_VALUES. 43520 makes
-# 128-record desk blocks (n=10, k=2: 34 systems of 10 values) and 4-record
-# wide blocks (n=40, k=3: 228 systems of 40 values). At 10880, 21760 and
-# 43520 values, serial compute_block took 0.168, 0.156 and 0.150 ms a desk
-# record and 2.16, 1.81 and 1.55 ms a wide record, and perfbench's desk
-# peak_rss_mb read 73.2, 74.7 and 76.5 MB: 43520 is the fastest for wide
-# records within about 5% of the desk memory at 10880.
-BLOCK_VALUES = 43_520
+# perturbed solves run in chunks of stability.CHUNK_VALUES. 87040 makes
+# 256-record desk blocks (n=10, k=2: 34 systems of 10 values) and 9-record
+# wide blocks (n=40, k=3: 228 systems of 40 values). At 43520, 87040 and
+# 174080 values, serial compute_block took 0.297, 0.299 and 0.286 ms a desk
+# record and 3.45, 3.33 and 2.93 ms a wide record (medians of 3 runs on a
+# 2-vCPU VM), perfbench's desk peak_rss_mb read 76.7-77.0, 76.2-76.6 and
+# 76.3-76.5 MB, and a block's traced allocations peaked at 1.6, 2.0 and
+# 3.8 MiB for desk records: 87040 shares graphs._attach's per-draw cost
+# over 9 wide records, and 174080 would double a desk block's memory again
+# for 4% a desk and 12% a wide record.
+BLOCK_VALUES = 87_040
 
 
 def block_records(systems: int, n: int) -> int:
@@ -205,10 +208,9 @@ def _block_systems(
     """Records start..stop-1's (graph_seed, rate_seed) pairs, then _systems
     of their generate_ba graphs."""
     seeds = [record_seeds(config.master_seed, index) for index in range(start, stop)]
-    edges = np.array([_attach(config.n, config.k, graph_seed) for graph_seed, _ in seeds],
-                     dtype=np.intp)
-    return seeds, *_systems(config.n, edges, config.rate_lambda,
-                            [rate_seed for _, rate_seed in seeds])
+    graph_seeds, rate_seeds = zip(*seeds)
+    edges = _attach(config.n, config.k, graph_seeds)
+    return seeds, *_systems(config.n, edges, config.rate_lambda, rate_seeds)
 
 
 def compute_block(config: EnsembleConfig, start: int, stop: int) -> Block:
@@ -251,15 +253,17 @@ def _pool_worker(args: tuple[EnsembleConfig, int, int]) -> Block:
 def _computed_blocks(config: EnsembleConfig, workers: int) -> Iterator[Block]:
     """compute_block over the run's consecutive blocks, in record_index order.
 
-    Blocks hold BLOCK_VALUES solver values each, and each is one pool
-    task. A record does not depend on its block or on the worker count.
-    The block layout and the process count are logged at the start.
-    Progress, throughput and the time left are logged every tenth of the run.
+    Blocks hold BLOCK_VALUES solver values each, or count / workers
+    records if that is fewer, and each is one pool task. A record does not
+    depend on its block or on the worker count. The block layout and the
+    process count are logged at the start. Progress, throughput and the
+    time left are logged every tenth of the run.
     """
     count = config.sample_count
     # every BA graph of the run has k(k-1)/2 + k(n-k) edges, two systems each
     edges = config.k * (config.k - 1) // 2 + config.k * (config.n - config.k)
-    size = block_records(2 * edges, config.n)
+    # a small run is split evenly over the workers rather than into full blocks
+    size = min(block_records(2 * edges, config.n), math.ceil(count / workers))
     starts = range(0, count, size)
     blocks = ((config, start, min(start + size, count)) for start in starts)
     # no more processes than blocks; a single one is this process

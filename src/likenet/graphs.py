@@ -2,18 +2,20 @@
 
 Graphs here are small (tens of nodes), immutable, and always indexed
 0..n-1. Generators cover the two topologies used by the ensemble
-experiments: preferential-attachment graphs and stars. Metrics are
-exact and computed as columns of a stack of adjacency matrices, one
-graph being a stack of one: path lengths by a breadth-first search from
-all nodes at once, clustering from the diagonal of A^3.
+experiments: preferential-attachment graphs and stars. A block of
+preferential-attachment graphs is grown at once, each draw one set of
+array operations over all of them, one graph being a block of one.
+Metrics are exact and computed as columns of a stack of adjacency
+matrices, one graph being a stack of one: path lengths by a
+breadth-first search from all nodes at once, clustering from the
+diagonal of A^3.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -94,45 +96,51 @@ def generate_ba(n: int, k: int, seed) -> Graph:
     for k=2). Each subsequent node attaches to k distinct existing
     nodes, drawn sequentially without replacement with probability
     proportional to current degree. Deterministic for a given seed.
+    It is _attach's graph for a block of one seed.
     """
-    return Graph(n=n, edges=tuple(_attach(n, k, seed)))
+    return Graph(n=n, edges=tuple(map(tuple, _attach(n, k, [seed])[0].tolist())))
 
 
-def _attach(n: int, k: int, seed) -> list[tuple[int, int]]:
-    """generate_ba's edges in the order they are made: the first k nodes'
-    clique as (i, j), i < j, then each new node's (target, new) pairs."""
+def _attach(n: int, k: int, seeds: Sequence) -> np.ndarray:
+    """generate_ba's edges for each seed, grown as one block: a (B, E, 2)
+    array holding, per graph, the first k nodes' clique as (i, j), i < j,
+    then each new node's (target, new) pairs in the order they are drawn."""
     if k < 1 or n < k:
         raise GraphError(f"require n >= k >= 1, got n={n}, k={k}")
-    rng = np.random.default_rng(seed)
-    # Each draw repeats Generator.choice(m, p=probs) on plain floats: one
-    # uniform u, cdf = cumsum(probs) / cdf[-1], index = searchsorted(cdf, u,
-    # 'right'). Drawing all uniforms at once consumes the same stream.
-    uniforms = iter(rng.random(k * (n - k)).tolist())
-    degrees = [k - 1] * k + [0] * (n - k)
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    count = len(seeds)
+    rows = np.arange(count)
+    # Each draw repeats Generator.choice(m, p=probs) on every graph at once:
+    # one uniform u, cdf = cumsum(probs) / cdf[-1], index = searchsorted(cdf,
+    # u, 'right'), the count of cdf entries <= u. Drawing a graph's uniforms
+    # at once consumes the same stream. The totals are sums of integer
+    # degrees, so exact in any order; np.add.accumulate adds in sequence.
+    uniforms = np.empty((count, n - k, k))
+    for row, seed in zip(uniforms, seeds):
+        np.random.default_rng(seed).random(out=row)
+    degrees = np.zeros((count, n))
+    degrees[:, :k] = k - 1
+    clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges = np.empty((count, len(clique) + k * (n - k), 2), dtype=np.intp)
+    edges[:, :len(clique)] = np.reshape(clique, (-1, 2))
+    edges[:, len(clique):, 1] = np.repeat(np.arange(k, n), k)
+    targets = np.empty((count, n - k, k), dtype=np.intp)
     for new in range(k, n):
-        # a picked node keeps its slot with weight 0: adding 0.0 leaves the
-        # cumulative sums unchanged, so the same node is picked as if it
-        # had been removed from the pool
-        weights = [float(d) for d in degrees[:new]]
-        targets = []
-        for _ in range(k):
-            total = sum(weights)
-            if total > 0.0:
-                probs = [w / total for w in weights]
-            else:
-                # all-zero degrees (k=1 seed, whose one pick per node leaves
-                # nothing picked yet): fall back to uniform
-                probs = [1.0 / new] * new
-            cdf = list(accumulate(probs))
-            last = cdf[-1]
-            pick = bisect_right(cdf, next(uniforms), key=lambda c: c / last)
-            targets.append(pick)
-            weights[pick] = 0.0
-        for t in targets:
-            edges.append((t, new))
-            degrees[new] += 1
-            degrees[t] += 1
+        # only k=1's first new node meets all-zero degrees: its one
+        # candidate has no edge yet, and it picks uniformly rather than
+        # divide 0 by 0
+        weights = degrees[:, :new].copy() if new > 1 else np.ones((count, 1))
+        for draw in range(k):
+            probs = weights / np.add.reduce(weights, axis=1, keepdims=True)
+            cdf = np.add.accumulate(probs, axis=1)
+            pick = np.add.reduce(cdf / cdf[:, -1:] <= uniforms[:, new - k, draw, None], axis=1)
+            # a picked node keeps its slot with weight 0: adding 0.0 leaves
+            # the cumulative sums unchanged, so the same node is picked as
+            # if it had been removed from the pool
+            weights[rows, pick] = 0.0
+            targets[:, new - k, draw] = pick
+        degrees[rows[:, None], targets[:, new - k]] += 1.0
+        degrees[:, new] = k
+    edges[:, len(clique):, 0] = targets.reshape(count, -1)
     return edges
 
 

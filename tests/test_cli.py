@@ -76,6 +76,12 @@ class TestGenerate:
         assert "error: master_seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_k_above_n_fails_with_the_generators_message(self, tmp_path, capsys):
+        out = tmp_path / "bad.txt"
+        assert run_cli("generate", "--n", 5, "--k", 6, "--out", out) == 1
+        assert capsys.readouterr().err == "error: require n >= k >= 1, got n=5, k=6\n"
+        assert not out.exists()
+
     def test_seed_gives_a_records_graph(self, tmp_path):
         # a record's graph_seed rebuilds its graph, the edges of its outgoing rates
         record = compute_record(EnsembleConfig(sample_count=1), 0)

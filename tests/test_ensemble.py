@@ -171,12 +171,14 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize(
         "samples, workers, started",
-        [(10, 8, []), (32, 2, []), (33, 8, [2]), (70, 1, []), (70, 2, [2]), (200, 8, [7])],
+        [(10, 8, [5]), (32, 2, [2]), (33, 8, [7]), (70, 1, []), (70, 2, [2]), (200, 8, [8]),
+         (1, 8, [])],
     )
     def test_pool_has_no_more_processes_than_blocks(
         self, tmp_path, monkeypatch, samples, workers, started
     ):
-        # the test sets 32-record desk blocks; one block runs in this process
+        # the test sets 32-record desk blocks, or samples / workers records if
+        # that is fewer; one block runs in this process
         monkeypatch.setattr(ensemble, "BLOCK_VALUES", 32 * 34 * 10)
         assert ensemble.block_records(34, 10) == 32
         pools = []
@@ -273,19 +275,23 @@ class TestRunEnsemble:
         assert progress[-1].startswith("ensemble progress: 20/20, ")
 
     def test_run_start_logs_block_layout(self, tmp_path, caplog):
-        # one block: four workers start no pool
-        cfg = EnsembleConfig(sample_count=20, master_seed=12)
-        with caplog.at_level(logging.INFO, logger="likenet"):
-            run_to_files(cfg, tmp_path, workers=4)
-        assert caplog.records[0].getMessage() == (
-            f"ensemble blocks: {DESK_BLOCK} records each, solved in chunks of {DESK_CHUNK}, "
-            "on 1 process(es)"
-        )
+        # a run smaller than a default block is one block at one worker, and
+        # is split evenly over two
+        for samples, workers, size in ((20, 1, 20), (300, 2, 150)):
+            assert samples < DESK_BLOCK * workers
+            caplog.clear()
+            cfg = EnsembleConfig(sample_count=samples, master_seed=12)
+            with caplog.at_level(logging.INFO, logger="likenet"):
+                run_to_files(cfg, tmp_path / f"workers{workers}", workers=workers)
+            assert caplog.records[0].getMessage() == (
+                f"ensemble blocks: {size} records each, solved in chunks of {DESK_CHUNK}, "
+                f"on {workers} process(es)"
+            )
 
     @pytest.mark.parametrize("n, k, bound_mib", [(10, 2, 3.2), (40, 3, 2.1)])
     def test_block_memory_is_bounded(self, n, k, bound_mib):
         # a default block's peak of traced allocations, NumPy's arrays among
-        # them, measured at 1.6 MiB for desk and 1.0 MiB for wide records
+        # them, measured at 2.0 MiB for desk and 1.2 MiB for wide records
         cfg = EnsembleConfig(n=n, k=k)
         size = ensemble.block_records(2 * (k * (k - 1) // 2 + k * (n - k)), n)
         compute_block(cfg, 0, size)

@@ -9,6 +9,7 @@ from likenet.graphs import (
     Graph,
     GraphError,
     GraphMetrics,
+    _attach,
     _metric_columns,
     compute_metrics,
     generate_ba,
@@ -55,6 +56,15 @@ class TestGenerateBa:
             generate_ba(1, 2, 0)
         with pytest.raises(GraphError):
             generate_ba(5, 0, 0)
+
+    @pytest.mark.parametrize("n, k", [(5, 0), (5, -1), (5, 6), (1, 2)])
+    def test_attach_rejects_n_and_k_before_any_draw(self, n, k, monkeypatch):
+        def refuse(seed):
+            raise AssertionError("a seed's generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(GraphError, match=re.escape(f"require n >= k >= 1, got n={n}, k={k}")):
+            _attach(n, k, [0, 1])
 
     @given(
         n=st.integers(min_value=2, max_value=25),

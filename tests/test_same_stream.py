@@ -4,6 +4,8 @@ frozen copies of their earlier, straightforward implementations.
 Records store only their graph and rate seeds, so a rewrite of either
 sampler must consume the same random stream and build the same graph
 and rate matrix from every seed; old record files must still rebuild.
+The generator grows a block of graphs at once; a seed's graph must not
+depend on the block it is grown in.
 compute_block builds, solves and encodes a whole block as arrays; its
 lines must equal records assembled one at a time from the library's
 single-system calls, and write_records must write the same bytes from
@@ -27,7 +29,7 @@ from likenet.ensemble import (
     sample_rates,
     write_records,
 )
-from likenet.graphs import compute_metrics, generate_ba
+from likenet.graphs import Graph, _attach, compute_metrics, generate_ba
 from likenet.stability import stability
 
 
@@ -76,10 +78,24 @@ def reference_sample_rates(g, rate_lambda, seed):
      (3, 1, 200), (1, 1, 5)],
 )
 def test_generate_ba_and_sample_rates_match_reference(n, k, seeds):
+    expected = [reference_generate_ba(n, k, seed) for seed in range(seeds)]
+    # the ensemble's default block, and blocks of 7 that put each seed at
+    # another position in another block: a seed's edges depend on neither
+    default = ensemble.block_records(k * (k - 1) + 2 * k * (n - k), n)
+    grown = [
+        np.concatenate([_attach(n, k, range(start, min(start + size, seeds)))
+                        for start in range(0, seeds, size)])
+        for size in (default, 7)
+    ]
+    assert np.array_equal(grown[0], grown[1]), (n, k)
+    # each graph's edges (i, j), i < j, as sorted codes i * n + j
+    codes = np.sort(grown[0][..., 0] * n + grown[0][..., 1], axis=1)
+    assert np.array_equal(codes, [[i * n + j for i, j in edges] for edges in expected]), (n, k)
     for seed in range(seeds):
-        g = generate_ba(n, k, seed)
-        assert g.edges == reference_generate_ba(n, k, seed), (n, k, seed)
         rate_seed = 10_000 + seed
+        # generate_ba, a block of one, on every 20th seed
+        g = generate_ba(n, k, seed) if seed % 20 == 0 else Graph(n=n, edges=expected[seed])
+        assert g.edges == expected[seed], (n, k, seed)
         assert np.array_equal(
             sample_rates(g, 1.7, rate_seed).values, reference_sample_rates(g, 1.7, rate_seed)
         ), (n, k, seed)
