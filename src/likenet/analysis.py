@@ -24,9 +24,9 @@ from .ensemble import (
     _systems,
     block_records,
     check_rate_lambda,
-    record_seeds,
 )
 from .graphs import Graph, GraphError, generate_star
+from .seeding import spawned_seeds
 from .stability import _gradient_block, _stability_columns, check_strategic, classify_strategic
 
 __all__ = [
@@ -396,11 +396,10 @@ def _sample_stars(count: int, config: EnsembleConfig) -> tuple[np.ndarray, np.nd
     size = block_records(2 * len(edges), config.n)
     stabilities, centralities = [], []
     for start in range(0, count, size):
-        seeds = [record_seeds(config.master_seed, index, stream=STAR_STREAM)[1]
-                 for index in range(start, min(start + size, count))]
+        indices = range(start, min(start + size, count))
+        _, seeds = spawned_seeds(config.master_seed, STAR_STREAM, indices)
         adj, rates, entries = _systems(
-            config.n, np.broadcast_to(edges, (len(seeds), *edges.shape)), config.rate_lambda,
-            seeds,
+            config.n, np.broadcast_to(edges, (len(seeds), *edges.shape)), config.rate_lambda, seeds
         )
         grads, _, centrality = _gradient_block(adj, rates, entries, config.solver, "forward")
         stabilities += _stability_columns(grads)[0]

@@ -17,6 +17,7 @@ import time
 from array import array
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from itertools import islice
 from multiprocessing import Pool
 from operator import itemgetter
@@ -30,6 +31,7 @@ from .centrality import RateMatrix, SolverOptions
 # perfbench/tracing.py patches them by name, with the other layer calls,
 # at this call site
 from .graphs import Graph, _attach, _metric_columns, compute_metrics, generate_ba
+from .seeding import generators, spawned_seeds
 from .stability import (
     _gradient_block,
     _stability_columns,
@@ -134,13 +136,55 @@ RECORD_FIELDS = (
     "degree_histogram", "degree_stddev", "mean_path_length", "mean_local_clustering",
     "outgoing_rates", "solver_converged",
 )
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# a record line: each slot holds a field's value as JSON spells it
+_LINE = "{" + ",".join(f'"{name}":%s' for name in RECORD_FIELDS) + "}\n"
+_FLOAT = float.__repr__  # what json writes for a finite float
+_BOOL = ("false", "true")
+
+
+def _rate_list(heads: list[str], rates: list[float]) -> str:
+    """outgoing_rates from each triple's "[i,j," head and its rate."""
+    return "[" + "],".join(map(str.__add__, heads, map(_FLOAT, rates))) + "]]" if heads else "[]"
+
+
+@cache
+def _heads(n: int) -> np.ndarray:
+    """The "[i,j," head of every outgoing rate triple on n nodes, at i * n + j."""
+    return np.array([f"[{i},{j}," for i in range(n) for j in range(n)], dtype=object)
+
+
+def _lines(index, graph_seed, rate_seed, stability, sq_sum, histogram, stddev, path_length,
+           clustering, outgoing, converged, finite) -> Iterator[str]:
+    """records.jsonl lines, newlines included, of the columns of RECORD_FIELDS'
+    values, formatted one record at a time.
+
+    Each line is what json.JSONEncoder(separators=(",", ":")) writes for
+    ints, floats, lists of them and bools: floats as float.__repr__, which
+    json calls, then NaN, Infinity and -Infinity in a line where finite is
+    false. outgoing holds each record's ("[i,j," heads, rates) lists.
+    """
+    columns = zip(index, graph_seed, rate_seed, map(_FLOAT, stability), map(_FLOAT, sq_sum),
+                  ("[" + ",".join(map(str, row)) + "]" for row in histogram), map(_FLOAT, stddev),
+                  map(_FLOAT, path_length), map(_FLOAT, clustering),
+                  (_rate_list(heads, rates) for heads, rates in outgoing),
+                  map(_BOOL.__getitem__, converged))
+    for line, plain in zip(map(_LINE.__mod__, columns), finite):
+        # float reprs are the only non-finite spellings a line can hold:
+        # no field name holds "nan" or "inf"
+        yield line if plain else line.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def encode_record(values: Sequence) -> str:
     """One records.jsonl line, without its newline: the values of
-    RECORD_FIELDS, in that order, as a compact JSON object."""
-    return _ENCODER.encode(dict(zip(RECORD_FIELDS, values, strict=True)))
+    RECORD_FIELDS, in that order, as a compact JSON object. It is _lines'
+    line for a block of one."""
+    *scalars, outgoing, converged = values
+    heads = [f"[{i},{j}," for i, j, _ in outgoing]
+    rates = [rate for _, _, rate in outgoing]
+    floats = [value for value in scalars if isinstance(value, float)] + rates
+    line, = _lines(*([value] for value in scalars), [(heads, rates)], [converged],
+                   [all(map(math.isfinite, floats))])
+    return line[:-1]
 
 
 def sample_rates(g: Graph, rate_lambda: float, seed) -> RateMatrix:
@@ -158,10 +202,12 @@ def sample_rates(g: Graph, rate_lambda: float, seed) -> RateMatrix:
 
 
 def record_seeds(master_seed: int, record_index: int, stream: int = MAIN_STREAM) -> tuple[int, int]:
-    """Counter-based (graph_seed, rate_seed) split of the master seed."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, record_index))
-    graph_seed, rate_seed = ss.generate_state(2, dtype=np.uint64)
-    return int(graph_seed), int(rate_seed)
+    """Counter-based (graph_seed, rate_seed) split of the master seed: the
+    two words of SeedSequence(entropy=master_seed, spawn_key=(stream,
+    record_index)).generate_state(2, np.uint64). spawned_seeds computes
+    them for a block of records; this is its block of one."""
+    graph_seeds, rate_seeds = spawned_seeds(master_seed, stream, [record_index])
+    return int(graph_seeds[0]), int(rate_seeds[0])
 
 
 class Block(NamedTuple):
@@ -179,7 +225,8 @@ def _systems(
     """(B, n, n) adjacency and rate stacks of B graphs on n nodes, given as
     (B, E, 2) edge arrays of (i, j), i < j, in any order; graph b's rates
     are drawn i.i.d. Exp(rate_lambda) from rate_seeds[b], a row of two,
-    (i, j) then (j, i), per edge of its sorted edge list.
+    (i, j) then (j, i), per edge of its sorted edge list. Rate seeds are
+    non-negative ints, or a uint64 array, as seeding.generators takes them.
 
     Also returns every graph's ordered adjacent pairs, sorted, as a
     (B, 2E, 2) array: the perturbed entries (j, i) of its stability, and
@@ -190,8 +237,11 @@ def _systems(
     adj = np.zeros((count, n, n))
     adj[own, edges[..., 0], edges[..., 1]] = 1.0
     adj[own, edges[..., 1], edges[..., 0]] = 1.0
-    draws = np.array([np.random.default_rng(seed).exponential(1.0 / rate_lambda, (edge_count, 2))
-                      for seed in rate_seeds])
+    # Generator.exponential(scale) draws scale * standard_exponential()
+    draws = np.empty((count, edge_count, 2))
+    for row, rng in zip(draws, generators(rate_seeds)):
+        rng.standard_exponential(out=row)
+    draws *= 1.0 / rate_lambda
     # the upper triangle's nonzeros in row-major order are each graph's
     # sorted edges (i, j), i < j: the draw order
     rows, upper, lower = np.nonzero(np.triu(adj))
@@ -204,13 +254,12 @@ def _systems(
 
 def _block_systems(
     config: EnsembleConfig, start: int, stop: int
-) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
-    """Records start..stop-1's (graph_seed, rate_seed) pairs, then _systems
-    of their generate_ba graphs."""
-    seeds = [record_seeds(config.master_seed, index) for index in range(start, stop)]
-    graph_seeds, rate_seeds = zip(*seeds)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Records start..stop-1's graph and rate seeds, as uint64 columns, then
+    _systems of their generate_ba graphs."""
+    graph_seeds, rate_seeds = spawned_seeds(config.master_seed, MAIN_STREAM, range(start, stop))
     edges = _attach(config.n, config.k, graph_seeds)
-    return seeds, *_systems(config.n, edges, config.rate_lambda, rate_seeds)
+    return graph_seeds, rate_seeds, *_systems(config.n, edges, config.rate_lambda, rate_seeds)
 
 
 def compute_block(config: EnsembleConfig, start: int, stop: int) -> Block:
@@ -221,23 +270,23 @@ def compute_block(config: EnsembleConfig, start: int, stop: int) -> Block:
     metrics and the stability of the block's records are computed at
     once. A record does not depend on the block it is computed in.
     """
-    seeds, adj, rates, pairs = _block_systems(config, start, stop)
-    count = len(seeds)
-    own = np.arange(count)[:, None]
+    graph_seeds, rate_seeds, adj, rates, pairs = _block_systems(config, start, stop)
+    count, n, _ = adj.shape
     grads, converged, _ = _gradient_block(adj, rates, pairs, config.solver, "forward")
     stabilities, sq_sums = _stability_columns(grads)
     histograms, stddevs, path_lengths, clusterings, _ = _metric_columns(adj)
-    # one record's rate triples at a time: as lists for the whole block they
-    # would be the largest thing a worker holds
-    outgoing = (
-        [[i, j, rate] for (i, j), rate in zip(ij.tolist(), values.tolist())]
-        for ij, values in zip(pairs, rates[own, pairs[..., 0], pairs[..., 1]])
-    )
-    graph_seeds, rate_seeds = zip(*seeds)
-    columns = zip(range(start, stop), graph_seeds, rate_seeds, stabilities, sq_sums,
-                  histograms.tolist(), stddevs.tolist(), path_lengths.tolist(),
-                  clusterings.tolist(), outgoing, converged.tolist())
-    text = "".join([encode_record(values) + "\n" for values in columns])
+    outgoing = rates[np.arange(count)[:, None], pairs[..., 0], pairs[..., 1]]
+    finite = np.isfinite(np.column_stack(
+        [stabilities, sq_sums, stddevs, path_lengths, clusterings, outgoing]
+    )).all(axis=1)
+    # one record's rates at a time: as lists for the whole block they would
+    # be the largest thing a worker holds
+    triples = ((heads.tolist(), values.tolist())
+               for heads, values in zip(_heads(n)[pairs[..., 0] * n + pairs[..., 1]], outgoing))
+    text = "".join(_lines(range(start, stop), graph_seeds.tolist(), rate_seeds.tolist(),
+                          stabilities, sq_sums, histograms.tolist(), stddevs.tolist(),
+                          path_lengths.tolist(), clusterings.tolist(), triples,
+                          converged.tolist(), finite.tolist()))
     return Block(text, stabilities, count - int(converged.sum()))
 
 
@@ -254,22 +303,26 @@ def _computed_blocks(config: EnsembleConfig, workers: int) -> Iterator[Block]:
     """compute_block over the run's consecutive blocks, in record_index order.
 
     Blocks hold BLOCK_VALUES solver values each, or count / workers
-    records if that is fewer, and each is one pool task. A record does not
-    depend on its block or on the worker count. The block layout and the
+    records if that is fewer, but no fewer than a solver chunk nor more
+    than the run; each is one pool task. A record does not depend on its
+    block or on the worker count. The block layout and the
     process count are logged at the start. Progress, throughput and the
     time left are logged every tenth of the run.
     """
     count = config.sample_count
     # every BA graph of the run has k(k-1)/2 + k(n-k) edges, two systems each
     edges = config.k * (config.k - 1) // 2 + config.k * (config.n - config.k)
-    # a small run is split evenly over the workers rather than into full blocks
-    size = min(block_records(2 * edges, config.n), math.ceil(count / workers))
+    chunk = chunk_records(2 * edges, config.n)
+    # a small run is split evenly over the workers rather than into full
+    # blocks, but a process gets at least a chunk: below that, one more
+    # process costs more than it saves
+    size = min(block_records(2 * edges, config.n), max(chunk, math.ceil(count / workers)), count)
     starts = range(0, count, size)
     blocks = ((config, start, min(start + size, count)) for start in starts)
     # no more processes than blocks; a single one is this process
     processes = min(workers, len(starts))
     log.info("ensemble blocks: %d records each, solved in chunks of %d, on %d process(es)",
-             size, chunk_records(2 * edges, config.n), processes)
+             size, chunk, processes)
     step = max(1, count // 10)
     done = 0
     began = time.perf_counter()

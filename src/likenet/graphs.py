@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .seeding import generators
+
 __all__ = [
     "Graph",
     "GraphMetrics",
@@ -104,7 +106,9 @@ def generate_ba(n: int, k: int, seed) -> Graph:
 def _attach(n: int, k: int, seeds: Sequence) -> np.ndarray:
     """generate_ba's edges for each seed, grown as one block: a (B, E, 2)
     array holding, per graph, the first k nodes' clique as (i, j), i < j,
-    then each new node's (target, new) pairs in the order they are drawn."""
+    then each new node's (target, new) pairs in the order they are drawn.
+    Seeds are non-negative ints, or a uint64 array, as seeding.generators
+    takes them."""
     if k < 1 or n < k:
         raise GraphError(f"require n >= k >= 1, got n={n}, k={k}")
     count = len(seeds)
@@ -115,8 +119,8 @@ def _attach(n: int, k: int, seeds: Sequence) -> np.ndarray:
     # at once consumes the same stream. The totals are sums of integer
     # degrees, so exact in any order; np.add.accumulate adds in sequence.
     uniforms = np.empty((count, n - k, k))
-    for row, seed in zip(uniforms, seeds):
-        np.random.default_rng(seed).random(out=row)
+    for row, rng in zip(uniforms, generators(seeds)):
+        rng.random(out=row)
     degrees = np.zeros((count, n))
     degrees[:, :k] = k - 1
     clique = [(i, j) for i in range(k) for j in range(i + 1, k)]

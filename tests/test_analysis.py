@@ -1,3 +1,4 @@
+import importlib
 import math
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from likenet import analysis
+from likenet import analysis, ensemble
 from likenet.analysis import (
     BinnedSeries,
     RankDeficientError,
@@ -34,6 +35,8 @@ from likenet.ensemble import (
 from likenet.graphs import Graph, generate_ba, generate_star
 from likenet.stability import classify_strategic, stability
 from util import random_rates
+
+stability_module = importlib.import_module("likenet.stability")
 
 
 def make_record(index, stability, degree_histogram, rates=(), **metrics):
@@ -359,11 +362,16 @@ class TestStarComparison:
         assert np.ptp(cv.values[1:]) < 1e-12
 
     @pytest.mark.parametrize("n, rate_lambda", [(10, 1.0), (6, 1.0), (10, 2.5)])
-    def test_stars_equal_stars_solved_one_at_a_time(self, n, rate_lambda):
+    def test_stars_equal_stars_solved_one_at_a_time(self, n, rate_lambda, monkeypatch):
         config = EnsembleConfig(n=n, rate_lambda=rate_lambda, master_seed=7,
                                 strategic_fraction=0.05)
+        # 20-star blocks solved in 7-star chunks: a star solves 2(n-1)
+        # systems of n values
+        monkeypatch.setattr(ensemble, "BLOCK_VALUES", 20 * 2 * (n - 1) * n)
+        monkeypatch.setattr(stability_module, "CHUNK_VALUES", 7 * 2 * (n - 1) * n)
         # one whole block of stars and part of the next
         count = block_records(2 * (n - 1), n) + 3
+        assert count == 23
         stabilities, centralities = stars_one_at_a_time(count, config)
         sampled = analysis._sample_stars(count, config)
         assert sampled[0].tobytes() == stabilities.tobytes()

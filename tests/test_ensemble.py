@@ -171,16 +171,17 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize(
         "samples, workers, started",
-        [(10, 8, [5]), (32, 2, [2]), (33, 8, [7]), (70, 1, []), (70, 2, [2]), (200, 8, [8]),
-         (1, 8, [])],
+        [(10, 8, []), (32, 2, []), (33, 8, [2]), (70, 1, []), (70, 2, [2]), (200, 8, [7]),
+         (1, 8, []), (130, 2, [2])],
     )
     def test_pool_has_no_more_processes_than_blocks(
         self, tmp_path, monkeypatch, samples, workers, started
     ):
-        # the test sets 32-record desk blocks, or samples / workers records if
-        # that is fewer; one block runs in this process
-        monkeypatch.setattr(ensemble, "BLOCK_VALUES", 32 * 34 * 10)
-        assert ensemble.block_records(34, 10) == 32
+        # the test sets 64-record desk blocks, or samples / workers records if
+        # that is fewer, but no fewer than a 32-record chunk nor more than the
+        # run; one block runs in this process
+        monkeypatch.setattr(ensemble, "BLOCK_VALUES", 64 * 34 * 10)
+        assert (ensemble.block_records(34, 10), DESK_CHUNK) == (64, 32)
         pools = []
 
         class RecordingPool:
@@ -276,16 +277,17 @@ class TestRunEnsemble:
 
     def test_run_start_logs_block_layout(self, tmp_path, caplog):
         # a run smaller than a default block is one block at one worker, and
-        # is split evenly over two
-        for samples, workers, size in ((20, 1, 20), (300, 2, 150)):
+        # is split evenly over two unless that leaves a worker less than a chunk
+        for samples, workers, size, processes in ((20, 1, 20, 1), (300, 2, 150, 2),
+                                                  (30, 2, 30, 1)):
             assert samples < DESK_BLOCK * workers
             caplog.clear()
             cfg = EnsembleConfig(sample_count=samples, master_seed=12)
             with caplog.at_level(logging.INFO, logger="likenet"):
-                run_to_files(cfg, tmp_path / f"workers{workers}", workers=workers)
+                run_to_files(cfg, tmp_path / f"run{samples}-{workers}", workers=workers)
             assert caplog.records[0].getMessage() == (
                 f"ensemble blocks: {size} records each, solved in chunks of {DESK_CHUNK}, "
-                f"on {workers} process(es)"
+                f"on {processes} process(es)"
             )
 
     @pytest.mark.parametrize("n, k, bound_mib", [(10, 2, 3.2), (40, 3, 2.1)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from likenet import graphs
 from likenet.graphs import (
     Graph,
     GraphError,
@@ -59,10 +60,10 @@ class TestGenerateBa:
 
     @pytest.mark.parametrize("n, k", [(5, 0), (5, -1), (5, 6), (1, 2)])
     def test_attach_rejects_n_and_k_before_any_draw(self, n, k, monkeypatch):
-        def refuse(seed):
-            raise AssertionError("a seed's generator was made")
+        def refuse(seeds):
+            raise AssertionError("the seeds' generators were made")
 
-        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(graphs, "generators", refuse)
         with pytest.raises(GraphError, match=re.escape(f"require n >= k >= 1, got n={n}, k={k}")):
             _attach(n, k, [0, 1])
 
