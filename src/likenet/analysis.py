@@ -59,7 +59,9 @@ class RankDeficientError(ValueError):
 class BinnedSeries:
     """Plot-ready binned data: len(values) == len(counts) == len(edges) - 1.
 
-    Missing values (empty reference bins) are NaN, never zero.
+    Missing values (empty reference bins) are NaN, never zero. The fields
+    take any sequences of numbers and hold them as tuples of Python floats
+    and ints.
     """
 
     bin_edges: tuple[float, ...]
@@ -67,6 +69,8 @@ class BinnedSeries:
     bin_counts: tuple[int, ...]
 
     def __post_init__(self):
+        for name, cast in (("bin_edges", float), ("bin_values", float), ("bin_counts", int)):
+            object.__setattr__(self, name, tuple(map(cast, getattr(self, name))))
         values = len(self.bin_values)
         if values != len(self.bin_edges) - 1 or values != len(self.bin_counts):
             raise ValueError("inconsistent bin arrays")
@@ -111,6 +115,19 @@ def _percentile_edges(bins: int, rate_lambda: float) -> np.ndarray:
     return np.array([exponential_quantile(p, rate_lambda) for p in np.linspace(0.0, 1.0, bins + 1)])
 
 
+def _representation(edges, strategic_counts: np.ndarray, counts: np.ndarray) -> BinnedSeries:
+    """Strategic over population frequency ratio per bin, from each bin's
+    strategic and total counts; NaN where the population has no count."""
+    population_counts = counts - strategic_counts
+    if not strategic_counts.any() or not population_counts.any():
+        raise ValueError("both record sets must be non-empty")
+    s_freq = strategic_counts / strategic_counts.sum()
+    p_freq = population_counts / population_counts.sum()
+    present = population_counts > 0
+    values = np.where(present, s_freq / np.where(present, p_freq, 1.0), np.nan)
+    return BinnedSeries(edges, values, strategic_counts)
+
+
 def rate_representation(
     table: RecordTable, strategic: np.ndarray, rate_lambda: float = 1.0, bins: int = 50
 ) -> BinnedSeries:
@@ -120,23 +137,13 @@ def rate_representation(
     population. Bins partition the Exp(rate_lambda) reference
     distribution by equal probability mass; ratio 1 means the strategic
     systems' outgoing rates look exactly like the population's in that bin.
+    The edges span [0, inf], so every rate (the reader takes only finite,
+    nonnegative ones) falls in a bin.
     """
-    if strategic.all() or not strategic.any():
-        raise ValueError("both record sets must be non-empty")
     edges = _percentile_edges(bins, rate_lambda)
-    strategic_rates = table.rates_of(strategic)
-    s_counts, _ = np.histogram(strategic_rates, bins=edges)
-    # counts are integers: the population's are the whole table's minus the
-    # strategic ones, without copying the population's rates
-    p_counts = np.histogram(table.rates, bins=edges)[0] - s_counts
-    s_freq = s_counts / len(strategic_rates)
-    p_freq = p_counts / (len(table.rates) - len(strategic_rates))
-    values = np.where(p_counts > 0, s_freq / np.where(p_counts > 0, p_freq, 1.0), np.nan)
-    return BinnedSeries(
-        bin_edges=tuple(float(e) for e in edges),
-        bin_values=tuple(float(v) for v in values),
-        bin_counts=tuple(int(c) for c in s_counts),
-    )
+    strategic_counts = np.histogram(table.rates_of(strategic), bins=edges)[0]
+    # counting the whole table's rates copies none of the population's
+    return _representation(edges, strategic_counts, np.histogram(table.rates, bins=edges)[0])
 
 
 def degree_representation(table: RecordTable, strategic: np.ndarray) -> BinnedSeries:
@@ -144,18 +151,9 @@ def degree_representation(table: RecordTable, strategic: np.ndarray) -> BinnedSe
 
     `strategic` masks the strategic records; the rest are the population.
     """
-    if strategic.all() or not strategic.any():
-        raise ValueError("both record sets must be non-empty")
-    s_hist = table.degree_histogram[strategic].sum(axis=0)
-    p_hist = table.degree_histogram.sum(axis=0) - s_hist
-    s_freq = s_hist / s_hist.sum()
-    p_freq = p_hist / p_hist.sum()
-    values = np.where(p_hist > 0, s_freq / np.where(p_hist > 0, p_freq, 1.0), np.nan)
-    return BinnedSeries(
-        bin_edges=tuple(float(d) for d in range(len(s_hist) + 1)),
-        bin_values=tuple(float(v) for v in values),
-        bin_counts=tuple(int(c) for c in s_hist),
-    )
+    hist = table.degree_histogram
+    edges = np.arange(hist.shape[1] + 1)
+    return _representation(edges, hist[strategic].sum(axis=0), hist.sum(axis=0))
 
 
 def stability_vs_metric(table: RecordTable, metric: str) -> MetricTrend:
@@ -181,7 +179,6 @@ def stability_vs_metric(table: RecordTable, metric: str) -> MetricTrend:
     counts = np.bincount(group, minlength=len(keys))
     # each group's stabilities in record order
     members = np.split(ys[np.argsort(group, kind="stable")], np.cumsum(counts)[:-1])
-    means = [float(np.mean(m)) for m in members]
     if _is_constant(xs) or _is_constant(ys):
         rho = 0.0
     elif np.isnan(xs).any() or np.isnan(ys).any():
@@ -191,11 +188,7 @@ def stability_vs_metric(table: RecordTable, metric: str) -> MetricTrend:
         rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
     return MetricTrend(
         metric=metric,
-        series=BinnedSeries(
-            bin_edges=tuple(_discrete_edges(keys)),
-            bin_values=tuple(means),
-            bin_counts=tuple(counts.tolist()),
-        ),
+        series=BinnedSeries(_discrete_edges(keys), [np.mean(m) for m in members], counts),
         spearman=rho,
     )
 

@@ -96,12 +96,17 @@ def _env_name(flag: str) -> str:
 
 
 def _cast(key: str, raw: str, where: str):
-    """raw as the type of key's default; a bad value names `where` it came from."""
+    """raw as the type of key's default, and one of key's CHOICES if it has
+    them; a bad value names `where` it came from."""
     cast = type(DEFAULTS[key])
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise ValueError(f"{where} must be {cast.__name__}, got {raw!r}") from None
+    choices = CHOICES.get(key)
+    if choices and value not in choices:
+        raise ValueError(f"{where} must be one of {', '.join(choices)}, got {raw!r}")
+    return value
 
 
 def read_config_file(path) -> dict:
@@ -164,12 +169,12 @@ class OutputGuard:
                 log.warning("could not remove partial output %s", p)
 
 
-def write_series_csv(series: an.BinnedSeries, path) -> None:
-    """(bin_low, bin_high, value, count) rows; csv writes each float as its repr."""
+def write_csv(path, header, rows) -> None:
+    """A header row, then the rows; csv writes each float as its repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "value", "count"])
-        writer.writerows(series.rows())
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -182,10 +187,8 @@ def cmd_generate(args, guard: OutputGuard) -> None:
         seed = resolve(args, "master_seed")
         check_master_seed(seed)
         g = generate_ba(n, resolve(args, "k"), seed)
-    elif model == "star":
-        g = generate_star(n)
     else:
-        raise CliError(f"unknown model {model!r} (choose ba or star)")
+        g = generate_star(n)
     out = guard.track(args.out)
     write_edge_list(g, out)
     log.info("wrote %d-node graph with %d edges to %s", g.n, len(g.edges), out)
@@ -196,18 +199,12 @@ def cmd_solve(args, guard: OutputGuard) -> None:
     rates = read_rates(args.rates)
     opts = solver_options(args)
     measure = resolve(args, "measure")
-    if measure == "likedness":
-        cv = likedness_centrality(g, rates, opts)
-    elif measure == "eigenvector":
-        cv = eigenvector_centrality(g, rates, opts)
-    else:
-        raise CliError(f"unknown measure {measure!r} (choose likedness or eigenvector)")
+    solve = likedness_centrality if measure == "likedness" else eigenvector_centrality
+    cv = solve(g, rates, opts)
     out = guard.track(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "value", "converged", "iterations"])
-        for node, value in enumerate(cv.values):
-            writer.writerow([node, repr(float(value)), cv.converged, cv.iterations])
+    write_csv(out, ("node", "value", "converged", "iterations"),
+              [(node, value, cv.converged, cv.iterations)
+               for node, value in enumerate(cv.values.tolist())])
     log.info("wrote %s centralities to %s (converged=%s)", measure, out, cv.converged)
 
 
@@ -273,7 +270,8 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, binned in series.items():
-        write_series_csv(binned, guard.track(out_dir / f"{name}.csv"))
+        write_csv(guard.track(out_dir / f"{name}.csv"), ("bin_low", "bin_high", "value", "count"),
+                  binned.rows())
     write_json(summary, guard.track(out_dir / "analysis_summary.json"))
     log.info("analysis written to %s", out_dir)
 
@@ -298,10 +296,7 @@ def cmd_coalition(args, guard: OutputGuard) -> None:
         g, rates, a, b, _parse_joint_rates(resolve(args, "joint_rates")), solver_options(args)
     )
     out = guard.track(args.out)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(an.CoalitionPoint)])
-        writer.writerows(astuple(p) for p in points)
+    write_csv(out, [f.name for f in fields(an.CoalitionPoint)], map(astuple, points))
     summary_path = guard.track(Path(str(out) + ".json"))
     write_json(
         {

@@ -105,8 +105,9 @@ class TestRateRepresentation:
 
     def test_requires_non_empty(self):
         records = [make_record(0, 0.9, [0] * 10, rates=[1.0])]
-        with pytest.raises(ValueError):
-            rate_representation(*split([], records))
+        for sets in ([], records), (records, []):
+            with pytest.raises(ValueError, match="both record sets must be non-empty"):
+                rate_representation(*split(*sets))
 
 
 class TestDegreeRepresentation:
@@ -130,6 +131,12 @@ class TestDegreeRepresentation:
         population = [make_record(1, 0.9, [0, 0, 10, 0, 0, 0, 0, 0, 0, 0])]
         series = degree_representation(*split(strategic, population))
         assert math.isnan(series.bin_values[9])
+
+    def test_requires_non_empty(self):
+        records = [make_record(0, 0.9, [0, 0, 10, 0, 0, 0, 0, 0, 0, 0])]
+        for sets in ([], records), (records, []):
+            with pytest.raises(ValueError, match="both record sets must be non-empty"):
+                degree_representation(*split(*sets))
 
 
 class TestStabilityVsMetric:
@@ -418,6 +425,15 @@ class TestBinnedSeries:
     def test_rows(self):
         series = BinnedSeries(bin_edges=(0.0, 1.0, 2.0), bin_values=(0.5, 0.7), bin_counts=(3, 4))
         assert series.rows() == [(0.0, 1.0, 0.5, 3), (1.0, 2.0, 0.7, 4)]
+
+    def test_holds_python_numbers(self):
+        series = BinnedSeries(
+            bin_edges=np.arange(3), bin_values=np.array([0.5, np.nan]), bin_counts=np.array([3, 4])
+        )
+        assert series.bin_edges == (0.0, 1.0, 2.0)
+        assert series.bin_counts == (3, 4)
+        for row in series.rows():
+            assert list(map(type, row)) == [float, float, float, int]
 
 
 def test_import_loads_no_scipy():

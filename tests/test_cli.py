@@ -552,6 +552,77 @@ class TestStarCompareCommand:
         assert not out.exists()
 
 
+class TestCsvFormat:
+    """Each CSV the CLI writes, byte for byte: a header row, then one row per
+    value, floats spelled as their repr, bools as True/False, CRLF line ends.
+    The expected text is built from the library's own return values."""
+
+    @staticmethod
+    def expected(header, rows):
+        return "".join(",".join(row) + "\r\n" for row in [header, *rows])
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        g = generate_ba(8, 2, 3)
+        gpath, rpath = tmp_path / "g.txt", tmp_path / "r.csv"
+        from likenet.graphs import write_edge_list
+
+        write_edge_list(g, gpath)
+        write_rates_dense(random_rates(g, np.random.default_rng(5)), rpath)
+        return gpath, rpath
+
+    @pytest.mark.parametrize("measure", ["likedness", "eigenvector"])
+    def test_solve(self, tmp_path, inputs, measure):
+        from likenet.centrality import eigenvector_centrality, likedness_centrality, read_rates
+
+        gpath, rpath = inputs
+        out = tmp_path / "sol.csv"
+        assert run_cli("solve", "--graph", gpath, "--rates", rpath, "--measure", measure,
+                       "--out", out) == 0
+        solve = likedness_centrality if measure == "likedness" else eigenvector_centrality
+        cv = solve(read_edge_list(gpath), read_rates(rpath))
+        rows = [[str(node), repr(float(value)), str(cv.converged), str(cv.iterations)]
+                for node, value in enumerate(cv.values)]
+        assert out.read_bytes().decode() == self.expected(
+            ["node", "value", "converged", "iterations"], rows
+        )
+
+    def test_coalition(self, tmp_path, inputs):
+        from likenet.analysis import coalition_sweep, pick_outlying_pair
+        from likenet.centrality import read_rates
+
+        gpath, rpath = inputs
+        out = tmp_path / "sweep.csv"
+        assert run_cli("coalition", "--graph", gpath, "--rates", rpath,
+                       "--joint-rates", "0,0.5,3", "--out", out) == 0
+        g = read_edge_list(gpath)
+        points = coalition_sweep(g, read_rates(rpath), *pick_outlying_pair(g), [0.0, 0.5, 3.0])
+        rows = [[repr(p.joint_rate), repr(p.member_a), repr(p.member_b), repr(p.others_mean),
+                 str(p.converged)] for p in points]
+        assert out.read_bytes().decode() == self.expected(
+            ["joint_rate", "member_a", "member_b", "others_mean", "converged"], rows
+        )
+
+    def test_analyze_series(self, tmp_path, small_run):
+        from likenet.analysis import rate_representation
+        from likenet.stability import classify_strategic
+
+        out = tmp_path / "analysis"
+        records = small_run / "records.jsonl"
+        assert run_cli("analyze", "--records", records, "--strategic-fraction", 0.01,
+                       "--out", out) == 0
+        table = read_records(records)
+        strategic, _ = classify_strategic(table.stability, 0.01, "high")
+        series = rate_representation(table, strategic, 1.0, 50)
+        edges, values, counts = series.bin_edges, series.bin_values, series.bin_counts
+        rows = [[repr(float(low)), repr(float(high)), repr(float(value)), str(int(count))]
+                for low, high, value, count in zip(edges, edges[1:], values, counts)]
+        assert rows[-1][1] == "inf"
+        assert (out / "rate_representation.csv").read_bytes().decode() == self.expected(
+            ["bin_low", "bin_high", "value", "count"], rows
+        )
+
+
 @pytest.mark.parametrize(
     "env, config",
     [({"LIKENET_K": "0"}, None), ({"LIKENET_SAMPLES": "abc"}, None), ({}, "sample_count = 0\n")],
@@ -580,9 +651,11 @@ class TestOptionsCheckedBeforeRecords:
             ("analyze", ["--lambda", "-1"], None, "rate_lambda must be > 0, got -1.0"),
             ("analyze", ["--bins", "0"], None, "need at least one bin, got 0"),
             ("analyze", ["--strategic-fraction", "2"], None, "fraction must be in (0, 1), got 2.0"),
-            ("analyze", [], "bogus", "direction must be 'low' or 'high', got 'bogus'"),
+            ("analyze", [], "bogus",
+             "LIKENET_STRATEGIC_DIRECTION must be one of low, high, got 'bogus'"),
             ("star-compare", ["--stars", "0"], None, "star_samples must be >= 1"),
-            ("star-compare", [], "bogus", "direction must be 'low' or 'high', got 'bogus'"),
+            ("star-compare", [], "bogus",
+             "LIKENET_STRATEGIC_DIRECTION must be one of low, high, got 'bogus'"),
             ("star-compare", ["--seed", "-3"], None, "master_seed must be >= 0, got -3"),
         ],
     )
@@ -706,6 +779,23 @@ class TestOptionResolution:
         assert run_cli("generate", "--model", "ba", "--out", out) == 1
         assert capsys.readouterr().err.startswith("error: LIKENET_N must be int, got 'abc'")
         assert not out.exists()
+
+    def test_env_choice_error_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LIKENET_MODEL", "tree")
+        out = tmp_path / "g.txt"
+        assert run_cli("generate", "--out", out) == 1
+        assert capsys.readouterr().err == "error: LIKENET_MODEL must be one of ba, star, got 'tree'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    def test_config_choice_error_names_the_line(self, tmp_path, monkeypatch, capsys, command):
+        # a config value is checked whether or not the command takes its key
+        monkeypatch.chdir(tmp_path)
+        Path("c.cfg").write_text("measure = foo\n")
+        assert run_cli(command, *REQUIRED[command], "--config", "c.cfg") == 1
+        err = capsys.readouterr().err
+        assert err == "error: c.cfg:1: measure must be one of likedness, eigenvector, got 'foo'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
     @pytest.mark.parametrize(
         "text, message",

@@ -147,6 +147,11 @@ class TestRecords:
         assert json.loads(encode_record([rec[name] for name in RECORD_FIELDS])) == rec
         assert_table_matches(RecordTable.from_records([rec]), [rec])
 
+    def test_no_field_name_holds_a_non_finite_spelling(self):
+        # a line with a non-finite value re-spells every "nan" and "inf" in it,
+        # field names included
+        assert [name for name in RECORD_FIELDS if "nan" in name or "inf" in name] == []
+
     def test_outgoing_rates_cover_both_directions(self):
         rec = compute_record(EnsembleConfig(sample_count=1, master_seed=2), 0)
         g = generate_ba(10, 2, rec["graph_seed"])
