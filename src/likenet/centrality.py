@@ -416,8 +416,17 @@ def write_rates_triplets(rates: RateMatrix, path) -> None:
             fh.write(f"{i} {j} {float(rates.values[i, j])!r}\n")
 
 
+def _check_rate(where: str, i: int, j: int, rate: float) -> None:
+    """RateMatrix's rules for entry (i, j), read at `where` (path:line)."""
+    if not 0.0 <= rate < math.inf:
+        raise SolverError(f"{where}: rate {rate} is not finite and >= 0")
+    if i == j and rate:
+        raise SolverError(f"{where}: diagonal rate ({i}, {j}) must be zero, got {rate}")
+
+
 def read_rates(path) -> RateMatrix:
-    """Read a rate matrix from dense CSV (.csv) or sparse triplet text."""
+    """Read a rate matrix from dense CSV (.csv) or sparse triplet text; each
+    value is checked as it is read, so that a bad one names its line."""
     path = str(path)
     if path.endswith(".csv"):
         rows = []
@@ -435,6 +444,8 @@ def read_rates(path) -> RateMatrix:
                         f"{path}:{lineno}: row {len(rows) + 1} has {len(row)} entries, "
                         f"expected {len(rows[0])}"
                     )
+                for j, rate in enumerate(row):
+                    _check_rate(f"{path}:{lineno}", len(rows), j, rate)
                 rows.append(row)
         values = np.array(rows)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -463,6 +474,7 @@ def read_rates(path) -> RateMatrix:
                 )
             if (i, j) in seen:
                 raise SolverError(f"{path}:{lineno}: duplicate triplet for entry ({i}, {j})")
+            _check_rate(f"{path}:{lineno}", i, j, rate)
             seen.add((i, j))
             values[i, j] = rate
     return RateMatrix(n=n, values=values)

@@ -366,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = _add_command(sub, "ensemble", cmd_ensemble, "run a Monte-Carlo ensemble to record files",
-                     *RUN_KEYS, "workers", *SOLVER_KEYS)
+                     "sample_count", "n", "k", "rate_lambda", "master_seed", "workers",
+                     *SOLVER_KEYS)
     p.add_argument("--out", required=True, help="output directory")
 
     p = _add_command(sub, "analyze", cmd_analyze, "figure-style analyses over a record file",

@@ -1,4 +1,3 @@
-import importlib
 import math
 import subprocess
 import sys
@@ -33,10 +32,9 @@ from likenet.ensemble import (
     sample_rates,
 )
 from likenet.graphs import Graph, generate_ba, generate_star
+import likenet.stability as stability_module
 from likenet.stability import classify_strategic, stability
 from util import random_rates
-
-stability_module = importlib.import_module("likenet.stability")
 
 
 def make_record(index, stability, degree_histogram, rates=(), **metrics):

@@ -423,9 +423,17 @@ class TestRateMatrixIO:
             ("rates.txt", "n=3.5\n0 1 0.5\n", 1, "node count must be an integer, got 'n=3.5'"),
             ("rates.csv", "0.0,1.0\nx,0.0\n", 2, "non-numeric entry in 'x,0.0'"),
             ("rates.csv", "0.0,1.0\n\n1.0\n", 3, "row 2 has 1 entries, expected 2"),
+            ("rates.txt", "n=2\n1 0 1.0\n0 1 -1.0\n", 3, "rate -1.0 is not finite and >= 0"),
+            ("rates.txt", "n=2\n0 1 nan\n", 2, "rate nan is not finite and >= 0"),
+            ("rates.txt", "n=2\n0 1 inf\n", 2, "rate inf is not finite and >= 0"),
+            ("rates.txt", "n=2\n1 1 1.0\n", 2, "diagonal rate (1, 1) must be zero, got 1.0"),
+            ("rates.csv", "0.0,1.0\n-1.0,0.0\n", 2, "rate -1.0 is not finite and >= 0"),
+            ("rates.csv", "0.0,nan\n1.0,0.0\n", 1, "rate nan is not finite and >= 0"),
+            ("rates.csv", "0.0,1.0\n\n1.0,2.0\n", 3, "diagonal rate (1, 1) must be zero, got 2.0"),
         ],
         ids=["triplet_fields", "triplet_index", "triplet_rate", "header", "dense_entry",
-             "dense_ragged"],
+             "dense_ragged", "triplet_negative", "triplet_nan", "triplet_inf",
+             "triplet_diagonal", "dense_negative", "dense_nan", "dense_diagonal"],
     )
     def test_malformed_file_reports_path_and_line(self, tmp_path, name, text, lineno, detail):
         path = tmp_path / name

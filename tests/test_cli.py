@@ -827,6 +827,7 @@ class TestOptionResolution:
         ("generate", "--relaxation"),
         ("solve", "--seed"),
         ("coalition", "--seed"),
+        ("ensemble", "--strategic-fraction"),
         ("analyze", "--seed"),
         ("analyze", "--tolerance"),
         ("analyze", "--max-iter"),
@@ -838,6 +839,7 @@ def test_command_rejects_options_it_does_not_read(capsys, command, flag):
         "generate": ["--out", "g.txt"],
         "solve": ["--graph", "g.txt", "--rates", "r.csv", "--out", "s.csv"],
         "coalition": ["--graph", "g.txt", "--rates", "r.csv", "--out", "c.csv"],
+        "ensemble": ["--out", "run"],
         "analyze": ["--records", "records.jsonl", "--out", "analysis"],
     }[command]
     with pytest.raises(SystemExit) as exc:

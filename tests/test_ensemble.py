@@ -1,4 +1,3 @@
-import importlib
 import json
 import logging
 import math
@@ -28,12 +27,10 @@ from likenet.ensemble import (
     write_records,
 )
 from likenet.graphs import Graph, compute_metrics, generate_ba, generate_star
+import likenet.stability as stability_module
 from likenet.stability import StabilityResult, chunk_records
 
 from conftest import DESK_SEED
-
-# the module: likenet.stability, as a package attribute, is the function
-stability_module = importlib.import_module("likenet.stability")
 
 
 def assert_table_matches(table, records):

@@ -237,7 +237,7 @@ class TestEdgeListIO:
 
 
 class TestNetworkxOracle:
-    @pytest.mark.parametrize("n, k", [(10, 2), (40, 3)])
+    @pytest.mark.parametrize("n, k", [(10, 2), pytest.param(40, 3, marks=pytest.mark.slow)])
     def test_metrics_match_networkx(self, n, k):
         nx = pytest.importorskip("networkx")
         for seed in range(1000):

@@ -74,8 +74,8 @@ def reference_sample_rates(g, rate_lambda, seed):
 
 @pytest.mark.parametrize(
     "n, k, seeds",
-    [(10, 2, 2000), (40, 3, 2000), (10, 1, 500), (25, 1, 200), (12, 5, 300), (5, 5, 50),
-     (3, 1, 200), (1, 1, 5)],
+    [(10, 2, 2000), pytest.param(40, 3, 2000, marks=pytest.mark.slow), (10, 1, 500),
+     (25, 1, 200), (12, 5, 300), (5, 5, 50), (3, 1, 200), (1, 1, 5)],
 )
 def test_generate_ba_and_sample_rates_match_reference(n, k, seeds):
     expected = [reference_generate_ba(n, k, seed) for seed in range(seeds)]

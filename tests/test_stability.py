@@ -1,5 +1,7 @@
-import importlib
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ from likenet.centrality import (
     newton_matrix,
     solve_rate_batch,
 )
-from likenet.ensemble import record_seeds, sample_rates
+from likenet.ensemble import EnsembleConfig, compute_block, record_seeds, sample_rates
 from likenet.graphs import Graph, GraphError, generate_ba
+import likenet.stability as stability_module
 from likenet.stability import (
     ABSOLUTE_STEP,
     RELATIVE_STEP,
@@ -25,10 +28,8 @@ from likenet.stability import (
     _directed_entries,
     _gradient_block,
 )
+from conftest import DESK_SEED
 from util import random_connected_graph, random_rates
-
-# the module: likenet.stability, as a package attribute, is the function
-stability_module = importlib.import_module("likenet.stability")
 
 
 def two_node(a, b):
@@ -221,6 +222,28 @@ class TestStability:
         assert not result.solver_converged
         assert math.isfinite(result.stability)
 
+    def test_halving_the_rates_doubles_the_gradients(self):
+        """A record at lambda = 2 has half the rates of the same seed at lambda = 1.
+        Its centralities do not change and each sensitivity doubles, so
+        gradient_sq_sum grows 4-fold; its graph and strategic class stay."""
+
+        def run(rate_lambda):
+            config = EnsembleConfig(rate_lambda=rate_lambda, master_seed=DESK_SEED)
+            records = [json.loads(line) for line in compute_block(config, 0, 500).text.splitlines()]
+            moved = [[record.pop(name) for record in records]
+                     for name in ("outgoing_rates", "stability", "gradient_sq_sum")]
+            return records, *moved
+
+        records_1, rates_1, stability_1, sq_sums_1 = run(1.0)
+        records_2, rates_2, stability_2, sq_sums_2 = run(2.0)
+        assert rates_2 == [[[i, j, rate / 2] for i, j, rate in rates] for rates in rates_1]
+        assert records_2 == records_1
+        assert np.array(sq_sums_2) / np.array(sq_sums_1) == pytest.approx(4.0, rel=1e-4)
+        for fraction in (0.001, 0.01, 0.05):
+            for direction in ("low", "high"):
+                assert (classify_strategic(stability_2, fraction, direction)[0]
+                        == classify_strategic(stability_1, fraction, direction)[0]).all()
+
 
 def desk_systems(count, seed=19):
     systems = []
@@ -377,3 +400,14 @@ class TestClassifyStrategic:
             classify_strategic([], 0.1)
         with pytest.raises(ValueError):
             classify_strategic([0.5], 1.5)
+
+
+def test_package_root_imports_no_submodule():
+    """The package re-exports nothing, so likenet.stability is this module,
+    whichever way it is imported, and never its stability function."""
+    code = ("import sys, likenet; "
+            "print(sorted(m for m in sys.modules if m.startswith('likenet.'))); "
+            "import likenet.stability as m; print(m is sys.modules['likenet.stability'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "True"]
+    assert stability_module is sys.modules["likenet.stability"]
