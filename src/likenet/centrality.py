@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, read_node_count
+from .graphs import Graph, content_lines, read_node_count
 
 __all__ = [
     "RateMatrix",
@@ -282,7 +282,6 @@ def _solve_block(
         damped_only = np.repeat(~usable[:, None], width, axis=1)
     shape = values.shape
     values[np.broadcast_to(~adj.any(axis=2)[:, None, :], shape)] = 0.0
-    active = np.ones(shape[:2], dtype=bool)
     converged = np.zeros(shape[:2], dtype=bool)
     iterations = np.zeros(shape[:2], dtype=np.int64)
     polished = np.zeros(shape[:2], dtype=bool)
@@ -300,10 +299,8 @@ def _solve_block(
                 fixed[rejected] = previous[1][rejected]
                 residual[rejected] = previous[2][rejected]
 
-        settled = active & (residual <= opts.tolerance)
-        converged |= settled
-        active &= ~settled
-        step = active & (iterations < opts.max_iterations)
+        converged |= residual <= opts.tolerance
+        step = ~converged & (iterations < opts.max_iterations)
         if not step.any():
             break
 
@@ -431,21 +428,18 @@ def read_rates(path) -> RateMatrix:
     if path.endswith(".csv"):
         rows = []
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+            for where, line in content_lines(fh, path):
                 try:
                     row = [float(x) for x in line.split(",")]
                 except ValueError:
-                    raise SolverError(f"{path}:{lineno}: non-numeric entry in {line!r}") from None
+                    raise SolverError(f"{where}: non-numeric entry in {line!r}") from None
                 if rows and len(row) != len(rows[0]):
                     raise SolverError(
-                        f"{path}:{lineno}: row {len(rows) + 1} has {len(row)} entries, "
+                        f"{where}: row {len(rows) + 1} has {len(row)} entries, "
                         f"expected {len(rows[0])}"
                     )
                 for j, rate in enumerate(row):
-                    _check_rate(f"{path}:{lineno}", len(rows), j, rate)
+                    _check_rate(where, len(rows), j, rate)
                 rows.append(row)
         values = np.array(rows)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
@@ -455,26 +449,19 @@ def read_rates(path) -> RateMatrix:
         n = read_node_count(fh, path, SolverError)
         values = np.zeros((n, n))
         seen = set()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for where, line in content_lines(fh, path, start=2):
             parts = line.split()
             if len(parts) != 3:
-                raise SolverError(f"{path}:{lineno}: expected 'i j rate', got {line!r}")
+                raise SolverError(f"{where}: expected 'i j rate', got {line!r}")
             try:
                 i, j, rate = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
-                raise SolverError(
-                    f"{path}:{lineno}: non-numeric index or rate in {line!r}"
-                ) from None
+                raise SolverError(f"{where}: non-numeric index or rate in {line!r}") from None
             if not (0 <= i < n and 0 <= j < n):
-                raise SolverError(
-                    f"{path}:{lineno}: triplet index ({i}, {j}) out of range for n={n}"
-                )
+                raise SolverError(f"{where}: triplet index ({i}, {j}) out of range for n={n}")
             if (i, j) in seen:
-                raise SolverError(f"{path}:{lineno}: duplicate triplet for entry ({i}, {j})")
-            _check_rate(f"{path}:{lineno}", i, j, rate)
+                raise SolverError(f"{where}: duplicate triplet for entry ({i}, {j})")
+            _check_rate(where, i, j, rate)
             seen.add((i, j))
             values[i, j] = rate
     return RateMatrix(n=n, values=values)

@@ -18,7 +18,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 from . import analysis as an
@@ -36,7 +36,7 @@ from .ensemble import (
     run_to_files,
     write_json,
 )
-from .graphs import generate_ba, generate_star, read_edge_list, write_edge_list
+from .graphs import content_lines, generate_ba, generate_star, read_edge_list, write_edge_list
 from .stability import check_strategic, classify_strategic
 
 log = logging.getLogger("likenet")
@@ -113,17 +113,14 @@ def read_config_file(path) -> dict:
     """Parse 'key = value' lines, each key an option name, into typed values."""
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for where, line in content_lines(fh, path):
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+                raise ValueError(f"{where}: expected 'key = value', got {line!r}")
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
             if key not in DEFAULTS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _cast(key, raw, f"{path}:{lineno}: {key}")
+                raise ValueError(f"{where}: unknown config key {key!r}")
+            values[key] = _cast(key, raw, f"{where}: {key}")
     return values
 
 
@@ -321,6 +318,8 @@ def cmd_star_compare(args, guard: OutputGuard) -> None:
     ba_records = read_records(args.records)
     if not len(ba_records):
         raise CliError(f"no records in {args.records}")
+    # the stars are of the records' graph size
+    config = replace(config, n=ba_records.degree_histogram.shape[1])
     result = an.star_comparison(star_samples, ba_records, config, direction)
     for warning in result.warnings:
         log.warning("%s", warning)
@@ -386,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(
         sub, "star-compare", cmd_star_compare, "stars versus hub-bearing BA graphs",
-        "n", "rate_lambda", "strategic_fraction", "strategic_direction", "master_seed", "stars",
+        "rate_lambda", "strategic_fraction", "strategic_direction", "master_seed", "stars",
         *SOLVER_KEYS,
     )
     p.add_argument("--records", required=True, help="a `likenet ensemble` run's records.jsonl")

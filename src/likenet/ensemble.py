@@ -30,7 +30,7 @@ from .centrality import RateMatrix, SolverOptions
 # compute_metrics, generate_ba and stability are unused here:
 # perfbench/tracing.py patches them by name, with the other layer calls,
 # at this call site
-from .graphs import Graph, _attach, _metric_columns, compute_metrics, generate_ba
+from .graphs import Graph, _attach, _metric_columns, compute_metrics, content_lines, generate_ba
 from .seeding import generators, spawned_seeds
 from .stability import (
     _gradient_block,
@@ -445,23 +445,19 @@ def read_records(jsonl_path) -> RecordTable:
 
     def parsed() -> Iterator[dict]:
         with open(jsonl_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if line.isspace():
-                    continue
+            for where, line in content_lines(fh, jsonl_path):
                 try:
                     d = json.loads(line)
                 except ValueError as exc:
-                    raise ValueError(f"{jsonl_path}:{lineno}: {exc}") from None
+                    raise ValueError(f"{where}: {exc}") from None
                 if not isinstance(d, dict):
-                    raise ValueError(f"{jsonl_path}:{lineno}: expected a JSON object, "
-                                     f"got {type(d).__name__}")
+                    raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
                 yield d
 
     def locate(position: int) -> str:
         # read again on an error only: the line of the record at position
         with open(jsonl_path, encoding="utf-8") as fh:
-            lines = (lineno for lineno, line in enumerate(fh, start=1) if not line.isspace())
-            return f"{jsonl_path}:{next(islice(lines, position, None))}"
+            return next(islice(content_lines(fh, jsonl_path), position, None))[0]
 
     return _tabulate(parsed(), locate)
 

@@ -8,14 +8,14 @@ array operations over all of them, one graph being a block of one.
 Metrics are exact and computed as columns of a stack of adjacency
 matrices, one graph being a stack of one: path lengths by a
 breadth-first search from all nodes at once, clustering from the
-diagonal of A^3.
+diagonal of A^3. content_lines is the line reader of every text input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "compute_metrics",
     "write_edge_list",
     "read_edge_list",
+    "content_lines",
 ]
 
 
@@ -233,21 +234,27 @@ def read_node_count(fh, path, error: type[ValueError] = GraphError) -> int:
     return n
 
 
+def content_lines(fh, path, start: int = 1) -> Iterator[tuple[str, str]]:
+    """('path:line', stripped text) for each line of fh, numbered from start,
+    that is neither blank nor a '#' comment: the line rule of every text input."""
+    for lineno, line in enumerate(fh, start=start):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield f"{path}:{lineno}", line
+
+
 def read_edge_list(path) -> Graph:
     """Read the text edge-list format; errors name the file and line."""
     with open(path, encoding="utf-8") as fh:
         n = read_node_count(fh, path)
         seen = set()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for where, line in content_lines(fh, path, start=2):
             try:
                 i, j = map(int, line.split())
             except ValueError:
-                raise GraphError(f"{path}:{lineno}: expected 'i j', got {line!r}") from None
+                raise GraphError(f"{where}: expected 'i j', got {line!r}") from None
             try:
                 _add_edge(n, (i, j), seen)
             except GraphError as exc:
-                raise GraphError(f"{path}:{lineno}: {exc}") from None
+                raise GraphError(f"{where}: {exc}") from None
     return Graph(n=n, edges=tuple(seen))

@@ -4,12 +4,13 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from likenet.analysis import star_comparison
 from likenet.centrality import RateMatrix, write_rates_dense, write_rates_triplets
 from likenet import cli
 from likenet.cli import main
@@ -19,6 +20,7 @@ from likenet.ensemble import (
     compute_record,
     config_to_dict,
     read_records,
+    write_json,
 )
 from likenet.stability import StabilityResult
 from likenet.graphs import generate_ba, read_edge_list
@@ -542,6 +544,18 @@ class TestStarCompareCommand:
         assert run_cli(*args, "--out", tmp_path / "guarded.json") == 0
         assert (tmp_path / "guarded.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
+    def test_node_count_comes_from_the_records(self, tmp_path):
+        run = tmp_path / "run"
+        assert run_cli("ensemble", "--n", 6, "--k", 2, "--samples", 200, "--seed", 3,
+                       "--out", run) == 0
+        out = tmp_path / "stars.json"
+        assert run_cli("star-compare", "--stars", 20, "--records", run / "records.jsonl",
+                       "--out", out) == 0
+        result = star_comparison(20, read_records(run / "records.jsonl"), EnsembleConfig(n=6))
+        expected = tmp_path / "expected.json"
+        write_json({**asdict(result), "strategic_direction": "high"}, expected)
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_unknown_direction_fails_without_output(self, tmp_path, small_run, monkeypatch, capsys):
         monkeypatch.setenv("LIKENET_STRATEGIC_DIRECTION", "bogus")
         out = tmp_path / "stars.json"
@@ -832,18 +846,12 @@ class TestOptionResolution:
         ("analyze", "--tolerance"),
         ("analyze", "--max-iter"),
         ("analyze", "--relaxation"),
+        ("star-compare", "--n"),
     ],
 )
 def test_command_rejects_options_it_does_not_read(capsys, command, flag):
-    required = {
-        "generate": ["--out", "g.txt"],
-        "solve": ["--graph", "g.txt", "--rates", "r.csv", "--out", "s.csv"],
-        "coalition": ["--graph", "g.txt", "--rates", "r.csv", "--out", "c.csv"],
-        "ensemble": ["--out", "run"],
-        "analyze": ["--records", "records.jsonl", "--out", "analysis"],
-    }[command]
     with pytest.raises(SystemExit) as exc:
-        main([command, *required, flag, "1"])
+        main([command, *REQUIRED[command], flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 

@@ -1,5 +1,7 @@
+import json
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from likenet.graphs import (
     read_edge_list,
     write_edge_list,
 )
+from likenet.centrality import read_rates
+from likenet.cli import read_config_file
+from likenet.ensemble import read_records
 
 
 def complete_graph(n):
@@ -234,6 +239,51 @@ class TestEdgeListIO:
         path.write_text(text)
         with pytest.raises(GraphError, match=re.escape(f"{path}{message}")):
             read_edge_list(path)
+
+
+def two_node_record(index):
+    """A records.jsonl line of a 2-node graph, with the fields read_records reads."""
+    return json.dumps({
+        "record_index": index, "stability": 0.5, "degree_stddev": 0.0, "mean_path_length": 1.0,
+        "mean_local_clustering": 0.0, "solver_converged": True, "degree_histogram": [0, 2],
+        "outgoing_rates": [[0, 1, 0.5], [1, 0, 2.0]],
+    })
+
+
+# each text input: its file name, its reader, the read result as plain values,
+# the lines before and after the bad line, the bad line and its error
+TEXT_INPUTS = {
+    "edge_list": ("graph.txt", read_edge_list, lambda g: g,
+                  ["n=3", "0 1"], ["1 2"], "2", "expected 'i j', got '2'"),
+    "triplet_rates": ("rates.txt", read_rates, lambda r: r.values.tolist(),
+                      ["n=2", "0 1 0.5"], ["1 0 2.0"], "0 1", "expected 'i j rate', got '0 1'"),
+    "dense_rates": ("rates.csv", read_rates, lambda r: r.values.tolist(),
+                    ["0.0,0.5"], ["2.0,0.0"], "x,0.0", "non-numeric entry in 'x,0.0'"),
+    "config": ("run.cfg", read_config_file, lambda values: values,
+               ["sample_count = 55"], ["master_seed = 3"], "seed 3",
+               "expected 'key = value', got 'seed 3'"),
+    "records": ("records.jsonl", read_records,
+                lambda t: {f.name: getattr(t, f.name).tolist() for f in fields(t)},
+                [two_node_record(0)], [two_node_record(1)], "[1, 2]",
+                "expected a JSON object, got list"),
+}
+
+
+@pytest.mark.parametrize("name, read, plain, before, after, bad, message",
+                         TEXT_INPUTS.values(), ids=list(TEXT_INPUTS))
+def test_every_text_input_skips_blank_and_comment_lines(
+    tmp_path, name, read, plain, before, after, bad, message
+):
+    path = tmp_path / name
+
+    def read_lines(lines):
+        path.write_text("".join(line + "\n" for line in lines))
+        return read(path)
+
+    with pytest.raises(ValueError) as info:
+        read_lines([*before, "", "# note", bad, *after])
+    assert str(info.value) == f"{path}:{len(before) + 3}: {message}"
+    assert plain(read_lines([*before, "", "# note", *after])) == plain(read_lines([*before, *after]))
 
 
 class TestNetworkxOracle:
