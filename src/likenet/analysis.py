@@ -401,18 +401,19 @@ def _sample_stars(count: int, config: EnsembleConfig) -> tuple[np.ndarray, np.nd
 
 
 def check_star_comparison(
-    star_samples: int, config: EnsembleConfig, direction: Literal["low", "high"]
+    star_samples: int, fraction: float, direction: Literal["low", "high"]
 ) -> None:
-    """Reject star_comparison's arguments other than the records."""
+    """Reject star_comparison's sample count and strategic class."""
     if star_samples < 1:
         raise ValueError("star_samples must be >= 1")
-    check_strategic(config.strategic_fraction, direction)
+    check_strategic(fraction, direction)
 
 
 def star_comparison(
     star_samples: int,
     ba_records: RecordTable,
-    config: EnsembleConfig | None = None,
+    config: EnsembleConfig,
+    fraction: float,
     direction: Literal["low", "high"] = "high",
 ) -> StarComparison:
     """Random-rate stars versus preferential-attachment graphs with a full hub.
@@ -420,13 +421,12 @@ def star_comparison(
     Stars are sampled fresh from a dedicated seed stream of the config.
     The comparison set is the subset of `ba_records` (a prior run of
     n-node graphs) with a vertex of degree n-1. Also reports, within
-    the strategic stars (classify_strategic at the config's
-    strategic_fraction), the ratio of mean branch centrality to mean hub
+    the strategic stars (classify_strategic at `fraction` and
+    `direction`), the ratio of mean branch centrality to mean hub
     centrality. The arguments and the records are checked before any
     star is sampled.
     """
-    config = config or EnsembleConfig()
-    check_star_comparison(star_samples, config, direction)
+    check_star_comparison(star_samples, fraction, direction)
     width = ba_records.degree_histogram.shape[1]
     if width != config.n:
         raise ValueError(f"the records are of {width}-node graphs, the stars of {config.n}")
@@ -450,7 +450,7 @@ def star_comparison(
     star_mean = float(np.mean(star_stability))
     hub_mean = float(np.mean(ba_records.stability[in_hub]))
 
-    strategic, _ = classify_strategic(star_stability, config.strategic_fraction, direction)
+    strategic, _ = classify_strategic(star_stability, fraction, direction)
     branch_mean = float(np.mean(branch_centrality[strategic]))
     hub_centrality_mean = float(np.mean(hub_centrality[strategic]))
     ratio = branch_mean / hub_centrality_mean if hub_centrality_mean > 0 else float("inf")

@@ -66,13 +66,11 @@ class SolverOptions:
     """Fixed-point solver controls.
 
     tolerance bounds the fixed-point residual max|F(v) - v| at the
-    returned raw iterate. `relaxation` is the damping factor of the
-    successive-substitution steps taken far from the fixed point.
+    returned raw iterate.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 10_000
-    relaxation: float = 0.5
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -81,8 +79,6 @@ class SolverOptions:
             raise SolverError(f"tolerance must be finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise SolverError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not 0.0 < self.relaxation <= 1.0:
-            raise SolverError(f"relaxation must be in (0, 1], got {self.relaxation}")
 
 
 @dataclass(eq=False)
@@ -142,9 +138,10 @@ class CentralityVector:
     iterations: int
 
 
-# A row switches from damped steps to Newton or chord steps once its
-# residual is below POLISH_RESIDUAL times max|F(v)|; a polished step must
-# at least halve the residual or it is undone.
+# A row takes damped steps, RELAXATION times the fixed-point gap, until its
+# residual is below POLISH_RESIDUAL times max|F(v)|, then Newton or chord
+# steps; a polished step must at least halve the residual or it is undone.
+RELAXATION = 0.5
 POLISH_RESIDUAL = 0.03
 POLISH_CONTRACTION = 0.5
 
@@ -249,7 +246,7 @@ def _solve_block(
       term (see _fixed_map), so no rate matrix is built per row.
 
     Every row updates v <- v + P (F(v) - v). While its residual is at
-    least POLISH_RESIDUAL * max|F(v)|, P = relaxation * I (damped
+    least POLISH_RESIDUAL * max|F(v)|, P = RELAXATION * I (damped
     substitution); below that P is the Newton or chord matrix. A polished
     step that fails to halve the row's residual is undone, and the row
     takes damped steps from then on; so does a row whose Newton system is
@@ -305,7 +302,7 @@ def _solve_block(
             break
 
         gap = fixed - values
-        delta = opts.relaxation * gap
+        delta = RELAXATION * gap
         polished = step & ~damped_only & (residual < POLISH_RESIDUAL * np.abs(fixed).max(axis=2))
         if polished.any() and around is not None:
             # every record's rows in one product, so a row's arithmetic

@@ -56,6 +56,7 @@ DEFAULTS = {
     "measure": "likedness",
     "model": "ba",
     "bins": 50,
+    "strategic_fraction": 0.001,
     "strategic_direction": "high",
     "stars": 1000,
     "joint_rates": "0,0.5,1,2,4,8,16",
@@ -79,7 +80,6 @@ HELP = {
     "master_seed": "master RNG seed",
     "tolerance": "solver tolerance",
     "max_iterations": "solver iteration cap",
-    "relaxation": "damping factor in (0,1]",
     "strategic_direction": "which stability tail counts as strategic",
 }
 
@@ -311,19 +311,21 @@ def cmd_coalition(args, guard: OutputGuard) -> None:
 
 def cmd_star_compare(args, guard: OutputGuard) -> None:
     config = ensemble_config(args)
+    fraction = resolve(args, "strategic_fraction")
     direction = resolve(args, "strategic_direction")
     star_samples = resolve(args, "stars")
     # the options are checked before the records are read
-    an.check_star_comparison(star_samples, config, direction)
+    an.check_star_comparison(star_samples, fraction, direction)
     ba_records = read_records(args.records)
     if not len(ba_records):
         raise CliError(f"no records in {args.records}")
     # the stars are of the records' graph size
     config = replace(config, n=ba_records.degree_histogram.shape[1])
-    result = an.star_comparison(star_samples, ba_records, config, direction)
+    result = an.star_comparison(star_samples, ba_records, config, fraction, direction)
     for warning in result.warnings:
         log.warning("%s", warning)
-    write_json({**asdict(result), "strategic_direction": direction}, guard.track(args.out))
+    write_json({**asdict(result), "strategic_fraction": fraction, "strategic_direction": direction},
+               guard.track(args.out))
     log.info(
         "star comparison: advantage %+.4f%%, branch/hub %.3f",
         100 * result.stability_advantage,

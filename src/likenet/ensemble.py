@@ -102,7 +102,8 @@ def check_master_seed(master_seed: int) -> None:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Reproducible specification of one Monte-Carlo run.
+    """Reproducible specification of one Monte-Carlo run: every field,
+    the solver's included, changes the run's records.
 
     Desk-scale default is 10^4 samples; the full-scale 10^6 run is the
     same configuration with a larger sample_count.
@@ -114,7 +115,6 @@ class EnsembleConfig:
     rate_lambda: float = 1.0
     master_seed: int = 19
     solver: SolverOptions = field(default_factory=SolverOptions)
-    strategic_fraction: float = 0.001
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -123,10 +123,6 @@ class EnsembleConfig:
             raise ValueError(f"require n >= max(2, k) and k >= 1, got n={self.n}, k={self.k}")
         check_rate_lambda(self.rate_lambda)
         check_master_seed(self.master_seed)
-        if not 0.0 < self.strategic_fraction < 1.0:
-            raise ValueError(
-                f"strategic_fraction must be in (0, 1), got {self.strategic_fraction}"
-            )
 
 
 # a record line's fields, in order. outgoing_rates lists every directed rate

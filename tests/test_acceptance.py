@@ -11,7 +11,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,7 +259,8 @@ def test_criterion_8_regression_signs(desk_table):
 def test_criterion_9_star_comparison(desk_table, desk_config):
     result = star_comparison(
         star_samples=1000,
-        config=replace(desk_config, strategic_fraction=0.01),
+        config=desk_config,
+        fraction=0.01,
         ba_records=desk_table,
         direction="high",
     )

@@ -368,8 +368,7 @@ class TestStarComparison:
 
     @pytest.mark.parametrize("n, rate_lambda", [(10, 1.0), (6, 1.0), (10, 2.5)])
     def test_stars_equal_stars_solved_one_at_a_time(self, n, rate_lambda, monkeypatch):
-        config = EnsembleConfig(n=n, rate_lambda=rate_lambda, master_seed=7,
-                                strategic_fraction=0.05)
+        config = EnsembleConfig(n=n, rate_lambda=rate_lambda, master_seed=7)
         # 20-star blocks solved in 7-star chunks: a star solves 2(n-1)
         # systems of n values
         monkeypatch.setattr(ensemble, "BLOCK_VALUES", 20 * 2 * (n - 1) * n)
@@ -382,7 +381,7 @@ class TestStarComparison:
         assert sampled[0].tobytes() == stabilities.tobytes()
         assert sampled[1].tobytes() == centralities.tobytes()
 
-        result = star_comparison(count, table([hub_record(n)]), config)
+        result = star_comparison(count, table([hub_record(n)]), config, 0.05)
         strategic, _ = classify_strategic(stabilities, 0.05)
         assert result.star_mean_stability == float(np.mean(stabilities))
         branch = float(np.mean(centralities[strategic, 1:].mean(axis=1)))
@@ -391,14 +390,16 @@ class TestStarComparison:
     def test_empty_hub_subset_is_an_error(self, refuse_sampling):
         record = make_record(0, 0.9, [0, 0, 10, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ValueError, match="hub"):
-            star_comparison(3, config=EnsembleConfig(), ba_records=table([record]))
+            star_comparison(3, config=EnsembleConfig(), fraction=0.001, ba_records=table([record]))
 
     def test_degenerate_counts_warn_but_compute(self, tmp_path):
         run_to_files(EnsembleConfig(sample_count=40, master_seed=19), tmp_path)
         records = read_records(tmp_path / "records.jsonl")
         hubbed = records.select(records.degree_histogram[:, 9] > 0)
         assert len(hubbed), "expected at least one hub-9 sample in 40 draws"
-        result = star_comparison(1, config=EnsembleConfig(master_seed=19), ba_records=hubbed)
+        result = star_comparison(
+            1, config=EnsembleConfig(master_seed=19), fraction=0.001, ba_records=hubbed
+        )
         assert result.warnings
         assert 0.0 < result.star_mean_stability <= 1.0
         assert result.strategic_star_count == 1
@@ -406,13 +407,15 @@ class TestStarComparison:
     def test_direction_checked_before_any_sample(self, refuse_sampling):
         with pytest.raises(ValueError, match="direction must be 'low' or 'high', got 'bogus'"):
             star_comparison(
-                5, config=EnsembleConfig(), ba_records=table([hub_record(10)]), direction="bogus"
+                5, config=EnsembleConfig(), fraction=0.001, ba_records=table([hub_record(10)]),
+                direction="bogus",
             )
 
     def test_records_must_match_the_star_size(self, refuse_sampling):
         record = make_record(0, 0.9, [0, 0, 10, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ValueError, match="10-node graphs, the stars of 12"):
-            star_comparison(1, config=EnsembleConfig(n=12), ba_records=table([record]))
+            star_comparison(1, config=EnsembleConfig(n=12), fraction=0.001,
+                            ba_records=table([record]))
 
 
 class TestBinnedSeries:

@@ -330,8 +330,6 @@ class TestSolverOptions:
             {"tolerance": 0.0},
             {"tolerance": -1e-3},
             {"max_iterations": 0},
-            {"relaxation": 0.0},
-            {"relaxation": 1.5},
             {"tolerance": math.inf},
         ],
     )

@@ -551,9 +551,10 @@ class TestStarCompareCommand:
         out = tmp_path / "stars.json"
         assert run_cli("star-compare", "--stars", 20, "--records", run / "records.jsonl",
                        "--out", out) == 0
-        result = star_comparison(20, read_records(run / "records.jsonl"), EnsembleConfig(n=6))
+        result = star_comparison(20, read_records(run / "records.jsonl"), EnsembleConfig(n=6), 0.001)
         expected = tmp_path / "expected.json"
-        write_json({**asdict(result), "strategic_direction": "high"}, expected)
+        write_json({**asdict(result), "strategic_fraction": 0.001, "strategic_direction": "high"},
+                   expected)
         assert out.read_bytes() == expected.read_bytes()
 
     def test_unknown_direction_fails_without_output(self, tmp_path, small_run, monkeypatch, capsys):
@@ -668,6 +669,8 @@ class TestOptionsCheckedBeforeRecords:
             ("analyze", [], "bogus",
              "LIKENET_STRATEGIC_DIRECTION must be one of low, high, got 'bogus'"),
             ("star-compare", ["--stars", "0"], None, "star_samples must be >= 1"),
+            ("star-compare", ["--strategic-fraction", "2"], None,
+             "fraction must be in (0, 1), got 2.0"),
             ("star-compare", [], "bogus",
              "LIKENET_STRATEGIC_DIRECTION must be one of low, high, got 'bogus'"),
             ("star-compare", ["--seed", "-3"], None, "master_seed must be >= 0, got -3"),
@@ -838,14 +841,12 @@ class TestOptionResolution:
     [
         ("generate", "--tolerance"),
         ("generate", "--max-iter"),
-        ("generate", "--relaxation"),
         ("solve", "--seed"),
         ("coalition", "--seed"),
         ("ensemble", "--strategic-fraction"),
         ("analyze", "--seed"),
         ("analyze", "--tolerance"),
         ("analyze", "--max-iter"),
-        ("analyze", "--relaxation"),
         ("star-compare", "--n"),
     ],
 )

@@ -4,13 +4,14 @@ import math
 import re
 import tracemalloc
 import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from likenet import ensemble
-from likenet.centrality import RateMatrix
+from likenet.centrality import RateMatrix, SolverOptions
 from likenet.cli import main, read_config_file
 from likenet.ensemble import (
     RECORD_FIELDS,
@@ -426,10 +427,27 @@ class TestConfigFiles:
             EnsembleConfig(rate_lambda=math.inf)
         with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
             EnsembleConfig(master_seed=-1)
-        with pytest.raises(ValueError):
-            EnsembleConfig(strategic_fraction=1.0)
         for n, k in [(10, 0), (10, -1), (3, 5), (1, 1), (0, 1)]:
             with pytest.raises(ValueError, match=rf"got n={n}, k={k}"):
                 EnsembleConfig(n=n, k=k)
         EnsembleConfig(n=2, k=1)
         EnsembleConfig(n=5, k=5)
+
+
+# a valid value other than the default of each run config field
+OTHER_VALUES = {"sample_count": 6, "n": 11, "k": 3, "rate_lambda": 2.0, "master_seed": 20,
+                "tolerance": 1e-6, "max_iterations": 5}
+
+
+@pytest.mark.parametrize("key", list(config_to_dict(EnsembleConfig())))
+def test_every_config_field_changes_the_records(tmp_path, key):
+    """The run config holds only values that a run's records depend on."""
+    base = EnsembleConfig(sample_count=5)
+    if key in {f.name for f in fields(SolverOptions)}:
+        changed = replace(base, solver=replace(base.solver, **{key: OTHER_VALUES[key]}))
+    else:
+        changed = replace(base, **{key: OTHER_VALUES[key]})
+    run_to_files(base, tmp_path / "base")
+    run_to_files(changed, tmp_path / "changed")
+    records = [(tmp_path / run / "records.jsonl").read_bytes() for run in ("base", "changed")]
+    assert records[0] != records[1]
