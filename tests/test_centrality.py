@@ -330,6 +330,8 @@ class TestSolverOptions:
             {"tolerance": 0.0},
             {"tolerance": -1e-3},
             {"max_iterations": 0},
+            {"tolerance": math.nan},
+            {"max_iterations": -1},
             {"tolerance": math.inf},
         ],
     )
