@@ -224,13 +224,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+# _lm_logistic starts at LM_DAMPING and takes at most LM_MAX_ITERATIONS
+# steps; it stops when an accepted step lowers the cost by less than
+# LM_COST_RTOL of it or moves beta by less than LM_STEP_ATOL.
+LM_DAMPING = 1e-3
+LM_MAX_ITERATIONS = 500
+LM_COST_RTOL = 1e-10
+LM_STEP_ATOL = 1e-12
+
+
 def _lm_logistic(
-    design: np.ndarray,
-    target: np.ndarray,
-    damping: float = 1e-3,
-    max_iterations: int = 500,
-    cost_rtol: float = 1e-10,
-    step_atol: float = 1e-12,
+    design: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, float, int, bool, list[float]]:
     """Damped least squares for target ~ sigmoid(design @ beta).
 
@@ -238,6 +242,7 @@ def _lm_logistic(
     an accepted one; accepted steps never increase the residual norm.
     Returns (beta, residual_norm, iterations, converged, history).
     """
+    damping = LM_DAMPING
     beta = np.zeros(design.shape[1])
     pred = _sigmoid(design @ beta)
     resid = target - pred
@@ -245,7 +250,7 @@ def _lm_logistic(
     history = [math.sqrt(cost)]
     iterations = 0
     converged = False
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, LM_MAX_ITERATIONS + 1):
         slope = pred * (1.0 - pred)
         jac = slope[:, None] * design
         gram = jac.T @ jac
@@ -264,7 +269,7 @@ def _lm_logistic(
             beta, pred, resid, cost = trial, trial_pred, trial_resid, trial_cost
             history.append(math.sqrt(cost))
             damping = max(damping / 10.0, 1e-300)
-            if rel_change < cost_rtol or float(np.linalg.norm(delta)) < step_atol:
+            if rel_change < LM_COST_RTOL or float(np.linalg.norm(delta)) < LM_STEP_ATOL:
                 converged = True
                 break
         else:

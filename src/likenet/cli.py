@@ -4,7 +4,8 @@ One binary, six subcommands: generate, solve, ensemble, analyze,
 coalition, star-compare. Every option resolves with the precedence
 flag > environment variable > config file > built-in default; env
 variables mirror flag names with the LIKENET_ prefix (--max-iter ->
-LIKENET_MAX_ITER), and a config file's keys are the option names
+LIKENET_MAX_ITER), a LIKENET_ variable that names no option is a usage
+error, and a config file's keys are the option names
 (max_iterations = 500). DEFAULTS is the one table of the options. Each
 subcommand takes, and resolves, only the options it reads.
 All randomness flows from --seed; nothing is ever seeded from the clock.
@@ -418,7 +419,13 @@ def main(argv=None) -> int:
         level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s", stream=sys.stderr
     )
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_negative_values(argv))
+    parser = build_parser()
+    args = parser.parse_args(_attach_negative_values(argv))
+    # a misspelt variable would otherwise leave its option at another value
+    known = {_env_name(FLAGS.get(key, key)) for key in DEFAULTS} | {_env_name("config")}
+    for name in sorted(os.environ):
+        if name.startswith(ENV_PREFIX) and name not in known:
+            parser.error(f"{name} is not a likenet option")
 
     guard = OutputGuard()
     try:

@@ -22,7 +22,7 @@ from itertools import islice
 from multiprocessing import Pool
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -352,7 +352,6 @@ class RecordTable:
     rate_counts[r] of them for record r.
     """
 
-    record_index: np.ndarray
     stability: np.ndarray
     degree_stddev: np.ndarray
     mean_path_length: np.ndarray
@@ -374,46 +373,48 @@ class RecordTable:
         rows = {f.name: getattr(self, f.name)[mask] for f in fields(self) if f.name != "rates"}
         return RecordTable(**rows, rates=self.rates_of(mask))
 
-    @classmethod
-    def from_records(cls, records: Iterable[dict]) -> RecordTable:
-        """Tabulate record dicts, as read_records does the decoded lines."""
-        return _tabulate(records, lambda position: f"record {position}")
-
 
 # array typecodes of the per-record scalar columns
-_SCALARS = {"record_index": "q", "stability": "d", "degree_stddev": "d", "mean_path_length": "d",
+_SCALARS = {"stability": "d", "degree_stddev": "d", "mean_path_length": "d",
             "mean_local_clustering": "d", "solver_converged": "b"}
 
 
-def _tabulate(records: Iterable[dict], locate: Callable[[int], str]) -> RecordTable:
-    """A RecordTable from record dicts; errors name locate(position) of the
-    record at that position.
+def read_records(jsonl_path) -> RecordTable:
+    """Stream a records.jsonl file into a RecordTable, one line at a time.
 
-    Values go straight into typed arrays: 8 bytes a number, not a Python object.
+    Values go straight into typed arrays: 8 bytes a number, not a Python
+    object. Errors name the file and line: bad JSON, a missing or
+    mistyped field, a degree histogram unlike the first record's in
+    length, a negative or non-finite outgoing rate.
     """
     columns = {name: array(code) for name, code in _SCALARS.items()}
     histograms, rate_counts, rates = array("q"), array("q"), array("d")
     width = 0
-    for position, d in enumerate(records):
-        try:
-            for name, column in columns.items():
-                column.append(d[name])
-            name = "degree_histogram"
-            if not rate_counts:
-                width = len(d[name])
-            if len(d[name]) != width:
-                raise ValueError(f"{locate(position)}: degree_histogram has {len(d[name])} "
-                                 f"entries, the first record's has {width}")
-            histograms.extend(d[name])
-            name = "outgoing_rates"
-            rates.extend(map(itemgetter(2), d[name]))
-            rate_counts.append(len(d[name]))
-        except KeyError:
-            raise ValueError(f"{locate(position)}: missing field {name!r}") from None
-        except (TypeError, IndexError, OverflowError) as exc:
-            raise ValueError(
-                f"{locate(position)}: field {name!r} has the wrong type ({exc})"
-            ) from None
+    with open(jsonl_path, encoding="utf-8") as fh:
+        for where, line in content_lines(fh, jsonl_path):
+            try:
+                d = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not isinstance(d, dict):
+                raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
+            try:
+                for name, column in columns.items():
+                    column.append(d[name])
+                name = "degree_histogram"
+                if not rate_counts:
+                    width = len(d[name])
+                if len(d[name]) != width:
+                    raise ValueError(f"{where}: degree_histogram has {len(d[name])} "
+                                     f"entries, the first record's has {width}")
+                histograms.extend(d[name])
+                name = "outgoing_rates"
+                rates.extend(map(itemgetter(2), d[name]))
+                rate_counts.append(len(d[name]))
+            except KeyError:
+                raise ValueError(f"{where}: missing field {name!r}") from None
+            except (TypeError, IndexError, OverflowError) as exc:
+                raise ValueError(f"{where}: field {name!r} has the wrong type ({exc})") from None
     table = {name: np.frombuffer(col, dtype=col.typecode) for name, col in columns.items()}
     table["solver_converged"] = table["solver_converged"] != 0
     rate_counts, rates = np.frombuffer(rate_counts, np.int64), np.frombuffer(rates, np.float64)
@@ -422,40 +423,16 @@ def _tabulate(records: Iterable[dict], locate: Callable[[int], str]) -> RecordTa
     if not valid.all():
         first = int(np.argmin(valid))
         position = int(np.searchsorted(np.cumsum(rate_counts), first, side="right"))
-        raise ValueError(f"{locate(position)}: outgoing rate {rates[first]} is not finite and >= 0")
+        # read again on an error only: the line of the record at position
+        with open(jsonl_path, encoding="utf-8") as fh:
+            where, _ = next(islice(content_lines(fh, jsonl_path), position, None))
+        raise ValueError(f"{where}: outgoing rate {rates[first]} is not finite and >= 0")
     return RecordTable(
         **table,
         degree_histogram=np.frombuffer(histograms, np.int64).reshape(len(rate_counts), width),
         rate_counts=rate_counts,
         rates=rates,
     )
-
-
-def read_records(jsonl_path) -> RecordTable:
-    """Stream a records.jsonl file into a RecordTable, one line at a time.
-
-    Errors name the file and line: bad JSON, a missing or mistyped
-    field, a degree histogram unlike the first record's in length, a
-    negative or non-finite outgoing rate.
-    """
-
-    def parsed() -> Iterator[dict]:
-        with open(jsonl_path, encoding="utf-8") as fh:
-            for where, line in content_lines(fh, jsonl_path):
-                try:
-                    d = json.loads(line)
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
-                if not isinstance(d, dict):
-                    raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
-                yield d
-
-    def locate(position: int) -> str:
-        # read again on an error only: the line of the record at position
-        with open(jsonl_path, encoding="utf-8") as fh:
-            return next(islice(content_lines(fh, jsonl_path), position, None))[0]
-
-    return _tabulate(parsed(), locate)
 
 
 def summarize_records(stabilities: Sequence[float], non_converged: int) -> dict:

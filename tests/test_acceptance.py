@@ -25,7 +25,7 @@ from likenet.analysis import (
     star_comparison,
 )
 from likenet.centrality import RateMatrix, SolverOptions, likedness_centrality
-from likenet.ensemble import EnsembleConfig, RecordTable, read_records, run_to_files, sample_rates
+from likenet.ensemble import EnsembleConfig, read_records, run_to_files, sample_rates, write_records
 from likenet.graphs import Graph, generate_ba
 from likenet.stability import centrality_gradient, classify_strategic, stability_from_gradients
 from likenet.stability import _directed_entries, _gradient_batch
@@ -213,7 +213,7 @@ def test_criterion_7_stability_metric_signs(desk_table):
     assert ok, line
 
 
-def test_criterion_8_regression_signs(desk_table):
+def test_criterion_8_regression_signs(desk_table, tmp_path):
     fit = logistic_fit(desk_table)
     signs_ok = (
         fit.coef_preferential > 0 and fit.coef_path_length < 0 and fit.coef_clustering < 0
@@ -239,7 +239,8 @@ def test_criterion_8_regression_signs(desk_table):
             "outgoing_rates": [],
             "solver_converged": True,
         })
-    recovered = logistic_fit(RecordTable.from_records(synthetic))
+    write_records(synthetic, tmp_path / "synthetic.jsonl")
+    recovered = logistic_fit(read_records(tmp_path / "synthetic.jsonl"))
     recovery_err = max(
         abs(recovered.intercept - beta[0]),
         abs(recovered.coef_preferential - beta[1]),

@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,12 +26,12 @@ from likenet.centrality import RateMatrix, likedness_centrality
 from likenet.ensemble import (
     STAR_STREAM,
     EnsembleConfig,
-    RecordTable,
     block_records,
     read_records,
     record_seeds,
     run_to_files,
     sample_rates,
+    write_records,
 )
 from likenet.graphs import Graph, generate_ba, generate_star
 import likenet.stability as stability_module
@@ -55,7 +57,11 @@ def make_record(index, stability, degree_histogram, rates=(), **metrics):
 
 
 def table(records):
-    return RecordTable.from_records(records)
+    """The RecordTable that read_records makes of the records' lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        jsonl = Path(tmp) / "records.jsonl"
+        write_records(records, jsonl)
+        return read_records(jsonl)
 
 
 def split(strategic, population):

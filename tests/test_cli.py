@@ -858,6 +858,26 @@ def test_command_rejects_options_it_does_not_read(capsys, command, flag):
 
 
 @pytest.mark.parametrize("command", list(REQUIRED))
+def test_unknown_environment_variable_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("LIKENET_TOLERENCE", "1e-13")
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command]])
+    assert exc.value.code == 2
+    assert "error: LIKENET_TOLERENCE is not a likenet option" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_named_by_environment(tmp_path, monkeypatch):
+    (tmp_path / "run.cfg").write_text("master_seed = 5\n")
+    monkeypatch.setenv("LIKENET_CONFIG", str(tmp_path / "run.cfg"))
+    assert run_cli("generate", "--out", tmp_path / "env.txt") == 0
+    monkeypatch.delenv("LIKENET_CONFIG")
+    assert run_cli("generate", "--seed", 5, "--out", tmp_path / "flag.txt") == 0
+    assert (tmp_path / "env.txt").read_bytes() == (tmp_path / "flag.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
 def test_help_shows_each_default(capsys, command):
     options = cli.build_parser().parse_args([command, *REQUIRED[command]]).options
     with pytest.raises(SystemExit) as exc:

@@ -241,10 +241,10 @@ class TestEdgeListIO:
             read_edge_list(path)
 
 
-def two_node_record(index):
+def two_node_record(stability):
     """A records.jsonl line of a 2-node graph, with the fields read_records reads."""
     return json.dumps({
-        "record_index": index, "stability": 0.5, "degree_stddev": 0.0, "mean_path_length": 1.0,
+        "stability": stability, "degree_stddev": 0.0, "mean_path_length": 1.0,
         "mean_local_clustering": 0.0, "solver_converged": True, "degree_histogram": [0, 2],
         "outgoing_rates": [[0, 1, 0.5], [1, 0, 2.0]],
     })
@@ -264,7 +264,7 @@ TEXT_INPUTS = {
                "expected 'key = value', got 'seed 3'"),
     "records": ("records.jsonl", read_records,
                 lambda t: {f.name: getattr(t, f.name).tolist() for f in fields(t)},
-                [two_node_record(0)], [two_node_record(1)], "[1, 2]",
+                [two_node_record(0.5)], [two_node_record(0.25)], "[1, 2]",
                 "expected a JSON object, got list"),
 }
 
