@@ -7,7 +7,8 @@ variables mirror flag names with the LIKENET_ prefix (--max-iter ->
 LIKENET_MAX_ITER), a LIKENET_ variable that names no option is a usage
 error, and a config file's keys are the option names
 (max_iterations = 500). DEFAULTS is the one table of the options. Each
-subcommand takes, and resolves, only the options it reads.
+subcommand takes, and resolves, only the options it reads; a variable or
+config key of an option it does not take is logged as not applied.
 All randomness flows from --seed; nothing is ever seeded from the clock.
 """
 
@@ -421,16 +422,27 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(argv))
+    options = {_env_name(FLAGS.get(key, key)): key for key in DEFAULTS}
+    variables = sorted(name for name in os.environ
+                       if name.startswith(ENV_PREFIX) and name != _env_name("config"))
     # a misspelt variable would otherwise leave its option at another value
-    known = {_env_name(FLAGS.get(key, key)) for key in DEFAULTS} | {_env_name("config")}
-    for name in sorted(os.environ):
-        if name.startswith(ENV_PREFIX) and name not in known:
+    for name in variables:
+        if name not in options:
             parser.error(f"{name} is not a likenet option")
+    # another command's option stays ignored, so that a shared environment
+    # or config file keeps working, but the run says so
+    for name in variables:
+        if options[name] not in args.options:
+            log.warning("%s is not applied: %s does not take it", name, args.command)
 
     guard = OutputGuard()
     try:
         config_path = args.config or os.environ.get(_env_name("config"))
         args.config_values = read_config_file(config_path) if config_path else {}
+        for key in args.config_values:
+            if key not in args.options:
+                log.warning("%s: %s is not applied: %s does not take it",
+                            config_path, key, args.command)
         args.func(args, guard)
     except (CliError, OSError, ValueError, RuntimeError) as exc:
         guard.discard_partial()

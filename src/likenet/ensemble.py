@@ -4,8 +4,12 @@ Each record is fully determined by (master_seed, record_index, config):
 per-record seeds come from a counter-based split of the master seed, so
 records can be recomputed independently and in parallel without shared
 RNG state. Records are written as JSON lines, one record per line, to
-the run's one record file. A worker computes a block of consecutive
-records as arrays and encodes their lines; the parent writes the text.
+the run's one record file. A block of consecutive records is computed
+as arrays and encoded as its lines. In one process the lines are written
+to the record file as each block is done; in a pool each worker writes
+its block's lines to a part file, and the parent splices the parts into
+the record file in record order, so no record text crosses the pool's
+result pipe.
 """
 
 from __future__ import annotations
@@ -13,16 +17,18 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import shutil
 import time
 from array import array
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 from itertools import islice
 from multiprocessing import Pool
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from tempfile import TemporaryDirectory
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -208,7 +214,8 @@ def record_seeds(master_seed: int, record_index: int, stream: int = MAIN_STREAM)
 
 class Block(NamedTuple):
     """compute_block's result: the block's records.jsonl lines, their
-    stability column and how many of them did not converge."""
+    stability column and how many of them did not converge. A pool worker
+    returns it without its lines (_part_worker)."""
 
     text: str
     stability: list[float]
@@ -291,12 +298,59 @@ def compute_record(config: EnsembleConfig, record_index: int) -> dict:
     return json.loads(compute_block(config, record_index, record_index + 1).text)
 
 
-def _pool_worker(args: tuple[EnsembleConfig, int, int]) -> Block:
-    return compute_block(*args)
+def _part_worker(args: tuple[EnsembleConfig, int, int, str]) -> Block:
+    """compute_block in a pool worker: the block's lines go to the part file
+    args[3], and the block returns without them."""
+    config, start, stop, part = args
+    block = compute_block(config, start, stop)
+    Path(part).write_text(block.text, encoding="utf-8")
+    return block._replace(text="")
 
 
-def _computed_blocks(config: EnsembleConfig, workers: int) -> Iterator[Block]:
-    """compute_block over the run's consecutive blocks, in record_index order.
+def _serial_blocks(config: EnsembleConfig, spans: list[tuple[int, int]],
+                   records: BinaryIO) -> Iterator[Block]:
+    """compute_block over spans in this process, each block's lines written to records."""
+    for start, stop in spans:
+        block = compute_block(config, start, stop)
+        records.write(block.text.encode())
+        yield block
+
+
+def _splice(path: str, records: BinaryIO) -> None:
+    """Append the file at path to records, whose buffer is empty, and delete
+    it. Linux copies it in the kernel (os.copy_file_range): at 10^6 desk
+    records on a 2-vCPU VM that spent about 0.5 s less of the parent's CPU
+    than shutil.copyfileobj, which stays for systems without it."""
+    with open(path, "rb") as part:
+        if hasattr(os, "copy_file_range"):
+            while os.copy_file_range(part.fileno(), records.fileno(), 1 << 30):
+                pass
+        else:
+            shutil.copyfileobj(part, records)
+    os.unlink(path)
+
+
+def _pooled_blocks(config: EnsembleConfig, spans: list[tuple[int, int]], processes: int,
+                   records: BinaryIO) -> Iterator[Block]:
+    """compute_block over spans on a pool of processes, each block's lines
+    appended to records from the part file its worker wrote, then deleted.
+
+    The part files live in a temporary directory next to records; it goes,
+    with any part left in it, once the pool has stopped, whether the run
+    ends or fails.
+    """
+    with TemporaryDirectory(prefix="parts-", dir=Path(records.name).parent) as parts:
+        paths = [os.path.join(parts, f"{start}.part") for start, _ in spans]
+        tasks = ((config, start, stop, path) for (start, stop), path in zip(spans, paths))
+        with Pool(processes=processes) as pool:
+            for path, block in zip(paths, pool.imap(_part_worker, tasks)):
+                _splice(path, records)
+                yield block
+
+
+def _computed_blocks(config: EnsembleConfig, workers: int, records: BinaryIO) -> Iterator[Block]:
+    """compute_block over the run's consecutive blocks, in record_index
+    order, each block's lines appended to records before it is yielded.
 
     Blocks hold BLOCK_VALUES solver values each, or count / workers
     records if that is fewer, but no fewer than a solver chunk nor more
@@ -313,25 +367,26 @@ def _computed_blocks(config: EnsembleConfig, workers: int) -> Iterator[Block]:
     # blocks, but a process gets at least a chunk: below that, one more
     # process costs more than it saves
     size = min(block_records(2 * edges, config.n), max(chunk, math.ceil(count / workers)), count)
-    starts = range(0, count, size)
-    blocks = ((config, start, min(start + size, count)) for start in starts)
+    spans = [(start, min(start + size, count)) for start in range(0, count, size)]
     # no more processes than blocks; a single one is this process
-    processes = min(workers, len(starts))
+    processes = min(workers, len(spans))
     log.info("ensemble blocks: %d records each, solved in chunks of %d, on %d process(es)",
              size, chunk, processes)
+    if processes == 1:
+        blocks = _serial_blocks(config, spans, records)
+    else:
+        blocks = _pooled_blocks(config, spans, processes, records)
     step = max(1, count // 10)
     done = 0
     began = time.perf_counter()
-    with Pool(processes=processes) if processes > 1 else nullcontext() as pool:
-        computed = map(_pool_worker, blocks) if pool is None else pool.imap(_pool_worker, blocks)
-        for block in computed:
-            mark = done // step
-            done += len(block.stability)
-            if done // step > mark or done == count:
-                rate = done / max(time.perf_counter() - began, 1e-9)
-                log.info("ensemble progress: %d/%d, %.0f records/s, about %.0f s left",
-                         done, count, rate, (count - done) / rate)
-            yield block
+    for block in blocks:
+        mark = done // step
+        done += len(block.stability)
+        if done // step > mark or done == count:
+            rate = done / max(time.perf_counter() - began, 1e-9)
+            log.info("ensemble progress: %d/%d, %.0f records/s, about %.0f s left",
+                     done, count, rate, (count - done) / rate)
+        yield block
 
 
 def write_records(records: Iterable[dict], jsonl_path) -> int:
@@ -455,7 +510,7 @@ def summarize_records(stabilities: Sequence[float], non_converged: int) -> dict:
 def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
     """Run the ensemble, writing records.jsonl and summary.json.
 
-    Each block's text is written as it arrives from the workers; only its
+    Each block's lines reach records.jsonl as the block is done; only its
     stability column and non-converged count are kept for the summary.
     """
     if workers < 1:
@@ -464,9 +519,8 @@ def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     stabilities = array("d")
     non_converged = 0
-    with open(out / "records.jsonl", "w", encoding="utf-8") as fh:
-        for text, stability, failed in _computed_blocks(config, workers):
-            fh.write(text)
+    with open(out / "records.jsonl", "wb") as records:
+        for _, stability, failed in _computed_blocks(config, workers, records):
             stabilities.extend(stability)
             non_converged += failed
     summary = summarize_records(stabilities, non_converged)

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 from likenet.analysis import star_comparison
 from likenet.centrality import RateMatrix, write_rates_dense, write_rates_triplets
-from likenet import cli
+from likenet import cli, ensemble
 from likenet.cli import main
 from likenet.ensemble import (
     EnsembleConfig,
@@ -187,6 +188,24 @@ class TestEnsembleCommand:
         assert run_cli(*args, "--workers", 2, "--out", tmp_path / "b") == 0
         for name in ("records.jsonl", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_failed_pool_block_leaves_no_part_files(self, tmp_path, monkeypatch, capsys):
+        # three default desk blocks on two workers, forked from this process
+        # with the failing compute_block; the second block fails
+        size = block_records(34, 10)
+        compute = ensemble.compute_block
+
+        def fail_second(config, start, stop):
+            if start == size:
+                raise RuntimeError("second block failed")
+            return compute(config, start, stop)
+
+        monkeypatch.setattr(ensemble, "compute_block", fail_second)
+        out = tmp_path / "run"
+        assert run_cli("ensemble", "--samples", 2 * size + 6, "--workers", 2, "--out", out) == 1
+        assert "error: second block failed" in capsys.readouterr().err
+        # the partial records.jsonl is discarded; the directory stays
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("workers", [0, -4])
     def test_workers_below_one_fail_before_any_output(self, tmp_path, capsys, workers):
@@ -866,6 +885,28 @@ def test_unknown_environment_variable_is_a_usage_error(tmp_path, monkeypatch, ca
     assert exc.value.code == 2
     assert "error: LIKENET_TOLERENCE is not a likenet option" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "env, config, message",
+    [({"LIKENET_SAMPLES": "5"}, None, "LIKENET_SAMPLES is not applied: analyze does not take it"),
+     ({}, "sample_count = 5\n", "run.cfg: sample_count is not applied: analyze does not take it")],
+    ids=["env_samples", "config_sample_count"],
+)
+def test_option_the_command_does_not_take_is_logged_as_not_applied(
+    tmp_path, small_run, monkeypatch, caplog, env, config, message
+):
+    args = ["analyze", "--records", small_run / "records.jsonl", "--out", tmp_path / "analysis"]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if config is not None:
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(config)
+        args += ["--config", "run.cfg"]
+    with caplog.at_level(logging.WARNING, logger="likenet"):
+        assert run_cli(*args) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [message]
 
 
 def test_config_file_named_by_environment(tmp_path, monkeypatch):

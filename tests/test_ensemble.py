@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import pickle
 import re
 import tracemalloc
 import weakref
@@ -63,19 +64,47 @@ DESK_CHUNK = chunk_records(34, 10)
 
 def assert_files_independent(cfg, tmp_path, monkeypatch, layouts):
     """Check that cfg's records.jsonl and summary.json are the same bytes in
-    every (records per block, records per solver chunk) layout, with one
-    worker and with two."""
+    every (records per block, records per solver chunk) layout, with one,
+    two and three workers, and that a run leaves no other file."""
     runs = []
     for block, chunk in layouts:
         # a desk record solves 34 systems of 10 values
         monkeypatch.setattr(ensemble, "BLOCK_VALUES", block * 34 * 10)
         monkeypatch.setattr(stability_module, "CHUNK_VALUES", chunk * 34 * 10)
         assert (ensemble.block_records(34, 10), chunk_records(34, 10)) == (block, chunk)
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             out = tmp_path / f"block{block}-chunk{chunk}-workers{workers}"
             run_to_files(cfg, out, workers=workers)
+            assert sorted(path.name for path in out.iterdir()) == ["records.jsonl", "summary.json"]
             runs.append([(out / n).read_bytes() for n in ("records.jsonl", "summary.json")])
     assert all(run == runs[0] for run in runs[1:])
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """The ensemble's Pool replaced by one that runs its tasks in this
+    process: returns the process counts asked for and each task's result
+    as the pool's pipe would carry it, pickled."""
+    started, results = [], []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, items):
+            for item in items:
+                result = func(item)
+                results.append(pickle.dumps(result))
+                yield result
+
+    monkeypatch.setattr(ensemble, "Pool", InProcessPool)
+    return started, results
 
 
 class TestSampleRates:
@@ -176,32 +205,28 @@ class TestRunEnsemble:
          (1, 8, []), (130, 2, [2])],
     )
     def test_pool_has_no_more_processes_than_blocks(
-        self, tmp_path, monkeypatch, samples, workers, started
+        self, tmp_path, monkeypatch, in_process_pool, samples, workers, started
     ):
         # the test sets 64-record desk blocks, or samples / workers records if
         # that is fewer, but no fewer than a 32-record chunk nor more than the
         # run; one block runs in this process
         monkeypatch.setattr(ensemble, "BLOCK_VALUES", 64 * 34 * 10)
         assert (ensemble.block_records(34, 10), DESK_CHUNK) == (64, 32)
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                pools.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, func, items):
-                return map(func, items)
-
-        monkeypatch.setattr(ensemble, "Pool", RecordingPool)
         records = decoded_run(EnsembleConfig(sample_count=samples), tmp_path, workers=workers)
         assert [r["record_index"] for r in records] == list(range(samples))
+        pools, _ = in_process_pool
         assert pools == started
+
+    def test_pool_results_carry_no_record_text(self, tmp_path, in_process_pool):
+        # three default desk blocks on two workers; a full block's lines are
+        # about 311 KB, its stability column 9 bytes a record pickled
+        cfg = EnsembleConfig(sample_count=2 * DESK_BLOCK + 6, master_seed=8)
+        run_to_files(cfg, tmp_path, workers=2)
+        started, results = in_process_pool
+        assert started == [2]
+        sizes = [(len(pickle.loads(result).stability), len(result)) for result in results]
+        assert [records for records, _ in sizes] == [DESK_BLOCK, DESK_BLOCK, 6]
+        assert all(size < 16 * records + 1024 for records, size in sizes)
 
     @pytest.mark.parametrize(
         "samples, seed, layouts",
