@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import math
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -191,7 +192,8 @@ class TestEnsembleCommand:
 
     def test_failed_pool_block_leaves_no_part_files(self, tmp_path, monkeypatch, capsys):
         # three default desk blocks on two workers, forked from this process
-        # with the failing compute_block; the second block fails
+        # with the failing compute_block (forkserver and spawn workers would
+        # import it unpatched); the second block fails
         size = block_records(34, 10)
         compute = ensemble.compute_block
 
@@ -201,6 +203,7 @@ class TestEnsembleCommand:
             return compute(config, start, stop)
 
         monkeypatch.setattr(ensemble, "compute_block", fail_second)
+        monkeypatch.setattr(ensemble, "Pool", multiprocessing.get_context("fork").Pool)
         out = tmp_path / "run"
         assert run_cli("ensemble", "--samples", 2 * size + 6, "--workers", 2, "--out", out) == 1
         assert "error: second block failed" in capsys.readouterr().err
