@@ -383,26 +383,31 @@ class StarComparison:
     warnings: tuple[str, ...]
 
 
-def _sample_stars(count: int, config: EnsembleConfig) -> tuple[np.ndarray, np.ndarray]:
+def _sample_stars(count: int, config: EnsembleConfig) -> tuple[np.ndarray, np.ndarray, int]:
     """Stars 0..count-1 of the config's star seed stream, on config.n nodes
-    with Exp(rate_lambda) rates: their stabilities (count,) and baseline
-    centralities (count, n), normalized, hub first.
+    with Exp(rate_lambda) rates: their stabilities (count,), baseline
+    centralities (count, n), normalized, hub first, and how many of them
+    have a solve that did not converge.
 
     The stars are solved in blocks, as the ensemble solves its records.
     """
     edges = np.array(generate_star(config.n).edges)
     size = block_records(2 * len(edges), config.n)
     stabilities, centralities = [], []
+    non_converged = 0
     for start in range(0, count, size):
         indices = range(start, min(start + size, count))
         _, seeds = spawned_seeds(config.master_seed, STAR_STREAM, indices)
         adj, rates, entries = _systems(
             config.n, np.broadcast_to(edges, (len(seeds), *edges.shape)), config.rate_lambda, seeds
         )
-        grads, _, centrality = _gradient_block(adj, rates, entries, config.solver, "forward")
+        grads, converged, centrality = _gradient_block(
+            adj, rates, entries, config.solver, "forward"
+        )
         stabilities += _stability_columns(grads)[0]
         centralities.append(centrality)
-    return np.array(stabilities), np.concatenate(centralities)
+        non_converged += len(seeds) - int(converged.sum())
+    return np.array(stabilities), np.concatenate(centralities), non_converged
 
 
 def check_star_comparison(
@@ -449,7 +454,10 @@ def star_comparison(
     if star_samples < 30:
         warnings.append(f"only {star_samples} star samples; wide uncertainty")
 
-    star_stability, centrality = _sample_stars(star_samples, config)
+    star_stability, centrality, non_converged = _sample_stars(star_samples, config)
+    if non_converged:
+        warnings.append(f"{non_converged} of {star_samples} stars have a solve that did not "
+                        "converge; their stability is not reliable")
     branch_centrality = centrality[:, 1:].mean(axis=1)
     hub_centrality = centrality[:, 0]
     star_mean = float(np.mean(star_stability))

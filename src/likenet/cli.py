@@ -19,8 +19,11 @@ import csv
 import logging
 import os
 import re
+import signal
 import sys
+from contextlib import suppress
 from dataclasses import asdict, astuple, fields, replace
+from itertools import takewhile
 from pathlib import Path
 
 from . import analysis as an
@@ -33,6 +36,7 @@ from .centrality import (
 from .ensemble import (
     EnsembleConfig,
     check_master_seed,
+    check_workers,
     config_to_dict,
     read_records,
     run_to_files,
@@ -149,14 +153,24 @@ def ensemble_config(args) -> EnsembleConfig:
 
 
 class OutputGuard:
-    """Track written artifacts; drop the partial ones if the command fails."""
+    """Track written artifacts and the directories made for them; if the
+    command fails, drop the partial artifacts, then each of those
+    directories that is left empty."""
 
     def __init__(self):
         self.paths: list[Path] = []
+        self.dirs: list[Path] = []
 
     def track(self, path) -> Path:
         p = Path(path)
         self.paths.append(p)
+        return p
+
+    def track_dir(self, path) -> Path:
+        """path, a directory the command writes into; it and its missing
+        parents, deepest first, are the directories the command makes."""
+        p = Path(path)
+        self.dirs += takewhile(lambda d: not d.exists(), (p, *p.parents))
         return p
 
     def discard_partial(self):
@@ -166,6 +180,10 @@ class OutputGuard:
                     p.unlink()
             except OSError:
                 log.warning("could not remove partial output %s", p)
+        for d in self.dirs:
+            # a directory that was not made, or holds anything, stays
+            with suppress(OSError):
+                d.rmdir()
 
 
 def write_csv(path, header, rows) -> None:
@@ -209,10 +227,13 @@ def cmd_solve(args, guard: OutputGuard) -> None:
 
 def cmd_ensemble(args, guard: OutputGuard) -> None:
     config = ensemble_config(args)
-    out_dir = Path(args.out)
+    workers = resolve(args, "workers")
+    # checked before an earlier run's files are tracked for removal
+    check_workers(workers)
+    out_dir = guard.track_dir(args.out)
     for name in ("records.jsonl", "summary.json"):
         guard.track(out_dir / name)
-    summary = run_to_files(config, out_dir, workers=resolve(args, "workers"))
+    summary = run_to_files(config, out_dir, workers=workers)
     log.info(
         "ensemble complete: %d records, %d non-converged",
         summary["count"],
@@ -266,7 +287,7 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
         }
 
     # every result is computed: a failing analysis leaves no output behind
-    out_dir = Path(args.out)
+    out_dir = guard.track_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, binned in series.items():
         write_csv(guard.track(out_dir / f"{name}.csv"), ("bin_low", "bin_high", "value", "count"),
@@ -416,6 +437,9 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    # SIGTERM unwinds like Ctrl-C: the pool's workers are stopped and its
+    # part files removed, and the partial records.jsonl stays
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s", stream=sys.stderr
     )

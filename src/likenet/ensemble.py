@@ -5,20 +5,21 @@ per-record seeds come from a counter-based split of the master seed, so
 records can be recomputed independently and in parallel without shared
 RNG state. Records are written as JSON lines, one record per line, to
 the run's one record file. A block of consecutive records is computed
-as arrays and encoded as its lines. In one process the lines are written
-to the record file as each block is done; in a pool each worker writes
-its block's lines to a part file, and the parent splices the parts into
-the record file in record order, so no record text crosses the pool's
-result pipe.
+as arrays, and compute_block writes its lines to the file it is given:
+in one process the record file itself, in a pool a part file that the
+parent splices into the record file in record order, so no record text
+crosses the pool's result pipe.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
 import os
 import shutil
+import signal
 import time
 from array import array
 from dataclasses import asdict, dataclass, field, fields
@@ -28,7 +29,7 @@ from multiprocessing import Pool
 from operator import itemgetter
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,9 +50,9 @@ from .stability import (
 __all__ = [
     "EnsembleConfig",
     "RecordTable",
-    "Block",
     "check_rate_lambda",
     "check_master_seed",
+    "check_workers",
     "encode_record",
     "sample_rates",
     "compute_block",
@@ -104,6 +105,12 @@ def check_master_seed(master_seed: int) -> None:
     """Reject a negative master seed, which no SeedSequence takes."""
     if master_seed < 0:
         raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+
+
+def check_workers(workers: int) -> None:
+    """Reject a worker count below one."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 @dataclass(frozen=True)
@@ -212,16 +219,6 @@ def record_seeds(master_seed: int, record_index: int, stream: int = MAIN_STREAM)
     return int(graph_seeds[0]), int(rate_seeds[0])
 
 
-class Block(NamedTuple):
-    """compute_block's result: the block's records.jsonl lines, their
-    stability column and how many of them did not converge. A pool worker
-    returns it without its lines (_part_worker)."""
-
-    text: str
-    stability: list[float]
-    non_converged: int
-
-
 def _systems(
     n: int, edges: np.ndarray, rate_lambda: float, rate_seeds: Sequence
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,9 +262,12 @@ def _block_systems(
     return graph_seeds, rate_seeds, *_systems(config.n, edges, config.rate_lambda, rate_seeds)
 
 
-def compute_block(config: EnsembleConfig, start: int, stop: int) -> Block:
-    """Records start..stop-1, computed as arrays for the whole block and
-    encoded as their records.jsonl lines.
+def compute_block(
+    config: EnsembleConfig, start: int, stop: int, out: BinaryIO
+) -> tuple[list[float], int]:
+    """Records start..stop-1, computed as arrays for the whole block, their
+    records.jsonl lines written to the binary file out. Returns the block's
+    stability column and how many of its records did not converge.
 
     Each record's graph and rates come from its own derived seeds; the
     metrics and the stability of the block's records are computed at
@@ -286,34 +286,25 @@ def compute_block(config: EnsembleConfig, start: int, stop: int) -> Block:
     # be the largest thing a worker holds
     triples = ((heads.tolist(), values.tolist())
                for heads, values in zip(_heads(n)[pairs[..., 0] * n + pairs[..., 1]], outgoing))
-    text = "".join(_lines(range(start, stop), graph_seeds.tolist(), rate_seeds.tolist(),
-                          stabilities, sq_sums, histograms.tolist(), stddevs.tolist(),
-                          path_lengths.tolist(), clusterings.tolist(), triples,
-                          converged.tolist(), finite.tolist()))
-    return Block(text, stabilities, count - int(converged.sum()))
+    out.write("".join(_lines(range(start, stop), graph_seeds.tolist(), rate_seeds.tolist(),
+                             stabilities, sq_sums, histograms.tolist(), stddevs.tolist(),
+                             path_lengths.tolist(), clusterings.tolist(), triples,
+                             converged.tolist(), finite.tolist())).encode())
+    return stabilities, count - int(converged.sum())
 
 
 def compute_record(config: EnsembleConfig, record_index: int) -> dict:
     """One record's records.jsonl line, decoded: compute_block with a block of one."""
-    return json.loads(compute_block(config, record_index, record_index + 1).text)
+    line = io.BytesIO()
+    compute_block(config, record_index, record_index + 1, line)
+    return json.loads(line.getvalue())
 
 
-def _part_worker(args: tuple[EnsembleConfig, int, int, str]) -> Block:
-    """compute_block in a pool worker: the block's lines go to the part file
-    args[3], and the block returns without them."""
+def _part_worker(args: tuple[EnsembleConfig, int, int, str]) -> tuple[list[float], int]:
+    """compute_block in a pool worker, its lines written to the part file args[3]."""
     config, start, stop, part = args
-    block = compute_block(config, start, stop)
-    Path(part).write_text(block.text, encoding="utf-8")
-    return block._replace(text="")
-
-
-def _serial_blocks(config: EnsembleConfig, spans: list[tuple[int, int]],
-                   records: BinaryIO) -> Iterator[Block]:
-    """compute_block over spans in this process, each block's lines written to records."""
-    for start, stop in spans:
-        block = compute_block(config, start, stop)
-        records.write(block.text.encode())
-        yield block
+    with open(part, "wb") as out:
+        return compute_block(config, start, stop, out)
 
 
 def _splice(path: str, records: BinaryIO) -> None:
@@ -324,7 +315,7 @@ def _splice(path: str, records: BinaryIO) -> None:
 
 
 def _pooled_blocks(config: EnsembleConfig, spans: list[tuple[int, int]], processes: int,
-                   records: BinaryIO) -> Iterator[Block]:
+                   records: BinaryIO) -> Iterator[tuple[list[float], int]]:
     """compute_block over spans on a pool of processes, each block's lines
     appended to records from the part file its worker wrote, then deleted.
 
@@ -335,15 +326,21 @@ def _pooled_blocks(config: EnsembleConfig, spans: list[tuple[int, int]], process
     with TemporaryDirectory(prefix="parts-", dir=Path(records.name).parent) as parts:
         paths = [os.path.join(parts, f"{start}.part") for start, _ in spans]
         tasks = ((config, start, stop, path) for (start, stop), path in zip(spans, paths))
-        with Pool(processes=processes) as pool:
-            for path, block in zip(paths, pool.imap(_part_worker, tasks)):
+        # the pool stops its workers with SIGTERM, and a forked worker that
+        # kept a Python handler for it (the CLI's) could miss it, landing
+        # just before it waits on the task queue's lock, and hang the pool
+        with Pool(processes=processes, initializer=signal.signal,
+                  initargs=(signal.SIGTERM, signal.SIG_DFL)) as pool:
+            for path, result in zip(paths, pool.imap(_part_worker, tasks)):
                 _splice(path, records)
-                yield block
+                yield result
 
 
-def _computed_blocks(config: EnsembleConfig, workers: int, records: BinaryIO) -> Iterator[Block]:
-    """compute_block over the run's consecutive blocks, in record_index
-    order, each block's lines appended to records before it is yielded.
+def _computed_blocks(config: EnsembleConfig, workers: int,
+                     records: BinaryIO) -> Iterator[tuple[list[float], int]]:
+    """compute_block's results over the run's consecutive blocks, in
+    record_index order, each block's lines appended to records before its
+    result is yielded.
 
     Blocks hold BLOCK_VALUES solver values each, or count / workers
     records if that is fewer, but no fewer than a solver chunk nor more
@@ -366,20 +363,20 @@ def _computed_blocks(config: EnsembleConfig, workers: int, records: BinaryIO) ->
     log.info("ensemble blocks: %d records each, solved in chunks of %d, on %d process(es)",
              size, chunk, processes)
     if processes == 1:
-        blocks = _serial_blocks(config, spans, records)
+        blocks = (compute_block(config, start, stop, records) for start, stop in spans)
     else:
         blocks = _pooled_blocks(config, spans, processes, records)
     step = max(1, count // 10)
     done = 0
     began = time.perf_counter()
-    for block in blocks:
+    for stabilities, failed in blocks:
         mark = done // step
-        done += len(block.stability)
+        done += len(stabilities)
         if done // step > mark or done == count:
             rate = done / max(time.perf_counter() - began, 1e-9)
             log.info("ensemble progress: %d/%d, %.0f records/s, about %.0f s left",
                      done, count, rate, (count - done) / rate)
-        yield block
+        yield stabilities, failed
 
 
 def write_records(records: Iterable[dict], jsonl_path) -> int:
@@ -506,14 +503,13 @@ def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
     Each block's lines reach records.jsonl as the block is done; only its
     stability column and non-converged count are kept for the summary.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stabilities = array("d")
     non_converged = 0
     with open(out / "records.jsonl", "wb") as records:
-        for _, stability, failed in _computed_blocks(config, workers, records):
+        for stability, failed in _computed_blocks(config, workers, records):
             stabilities.extend(stability)
             non_converged += failed
     summary = summarize_records(stabilities, non_converged)

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,7 +23,7 @@ from likenet.analysis import (
     stability_vs_metric,
     star_comparison,
 )
-from likenet.centrality import RateMatrix, likedness_centrality
+from likenet.centrality import RateMatrix, SolverOptions, likedness_centrality
 from likenet.ensemble import (
     STAR_STREAM,
     EnsembleConfig,
@@ -409,6 +410,15 @@ class TestStarComparison:
         assert result.warnings
         assert 0.0 < result.star_mean_stability <= 1.0
         assert result.strategic_star_count == 1
+
+    def test_non_converged_stars_are_a_warning(self):
+        records = table([hub_record(10)])
+        capped = EnsembleConfig(solver=SolverOptions(max_iterations=1))
+        warnings = star_comparison(40, records, capped, 0.05).warnings
+        assert any(re.fullmatch(r"\d+ of 40 stars have a solve that did not converge; "
+                                "their stability is not reliable", w) for w in warnings)
+        # the other warning is the one-record hub subset's
+        assert len(star_comparison(40, records, EnsembleConfig(), 0.05).warnings) == 1
 
     def test_direction_checked_before_any_sample(self, refuse_sampling):
         with pytest.raises(ValueError, match="direction must be 'low' or 'high', got 'bogus'"):

@@ -3,9 +3,12 @@ import json
 import logging
 import math
 import multiprocessing
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -197,18 +200,80 @@ class TestEnsembleCommand:
         size = block_records(34, 10)
         compute = ensemble.compute_block
 
-        def fail_second(config, start, stop):
+        def fail_second(config, start, stop, lines):
             if start == size:
                 raise RuntimeError("second block failed")
-            return compute(config, start, stop)
+            return compute(config, start, stop, lines)
 
         monkeypatch.setattr(ensemble, "compute_block", fail_second)
         monkeypatch.setattr(ensemble, "Pool", multiprocessing.get_context("fork").Pool)
         out = tmp_path / "run"
         assert run_cli("ensemble", "--samples", 2 * size + 6, "--workers", 2, "--out", out) == 1
         assert "error: second block failed" in capsys.readouterr().err
-        # the partial records.jsonl is discarded; the directory stays
-        assert list(out.iterdir()) == []
+        # the partial records.jsonl is discarded, and the directory the run made
+        assert not out.exists()
+
+    def test_failed_run_removes_only_the_directories_it_made(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise RuntimeError("block failed")
+
+        monkeypatch.setattr(ensemble, "compute_block", fail)
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("kept\n")
+        assert run_cli("ensemble", "--samples", 5, "--out", kept) == 1
+        assert run_cli("ensemble", "--samples", 5, "--out", tmp_path / "a" / "b") == 1
+        assert capsys.readouterr().err.count("error: block failed") == 2
+        assert [path.name for path in tmp_path.iterdir()] == ["kept"]
+        assert [path.name for path in kept.iterdir()] == ["notes.txt"]
+        assert (kept / "notes.txt").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_rejected_workers_keep_an_earlier_run(self, tmp_path, monkeypatch, capsys, via_env):
+        out = tmp_path / "run"
+        assert run_cli("ensemble", "--samples", 20, "--out", out) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        if via_env:
+            monkeypatch.setenv("LIKENET_WORKERS", "0")
+            workers = []
+        else:
+            workers = ["--workers", 0]
+        assert run_cli("ensemble", "--samples", 20, *workers, "--out", out) == 1
+        assert "error: workers must be >= 1, got 0" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_sigterm_stops_the_pool_and_removes_its_part_files(self, tmp_path):
+        # a paper-scale run on two workers, in a session of its own, is sent
+        # SIGTERM once its first block is in records.jsonl
+        out = tmp_path / "run"
+        records = out / "records.jsonl"
+        src = str(Path(ensemble.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "likenet", "ensemble", "--samples", "1000000",
+             "--workers", "2", "--out", str(out)],
+            env=env, start_new_session=True, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (records.exists() and records.stat().st_size):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            assert list(out.glob("parts-*"))
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+            # the workers ended with the run, and its part files went; the
+            # partial records.jsonl stays, as after Ctrl-C
+            with pytest.raises(ProcessLookupError):
+                os.killpg(proc.pid, 0)
+            assert [path.name for path in out.iterdir()] == ["records.jsonl"]
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
 
     @pytest.mark.parametrize("workers", [0, -4])
     def test_workers_below_one_fail_before_any_output(self, tmp_path, capsys, workers):
@@ -326,6 +391,15 @@ class TestAnalyzeCommand:
             "analyze", "--records", small_run / "records.jsonl", "--bins", 0, "--out", out
         ) == 1
         assert "need at least one bin, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_write_removes_the_directory_it_made(self, tmp_path, small_run, monkeypatch):
+        def fail(*args):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "write_json", fail)
+        out = tmp_path / "analysis"
+        assert run_cli("analyze", "--records", small_run / "records.jsonl", "--out", out) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("rate_lambda", ["-1", "0", "nan", "-1e-3", "-inf"])

@@ -1,10 +1,12 @@
+import io
 import json
 import logging
 import math
+import multiprocessing
+import os
 import pickle
 import re
 import tracemalloc
-import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -88,7 +90,7 @@ def in_process_pool(monkeypatch):
     started, results = [], []
 
     class InProcessPool:
-        def __init__(self, processes):
+        def __init__(self, processes, **worker_setup):
             started.append(processes)
 
         def __enter__(self):
@@ -224,7 +226,7 @@ class TestRunEnsemble:
         run_to_files(cfg, tmp_path, workers=2)
         started, results = in_process_pool
         assert started == [2]
-        sizes = [(len(pickle.loads(result).stability), len(result)) for result in results]
+        sizes = [(len(pickle.loads(result)[0]), len(result)) for result in results]
         assert [records for records, _ in sizes] == [DESK_BLOCK, DESK_BLOCK, 6]
         assert all(size < 16 * records + 1024 for records, size in sizes)
 
@@ -245,31 +247,44 @@ class TestRunEnsemble:
         cfg = EnsembleConfig(sample_count=samples, master_seed=seed)
         assert_files_independent(cfg, tmp_path, monkeypatch, layouts)
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_start_method_keeps_the_files(self, tmp_path, monkeypatch, method):
+        # spawn starts macOS's pools, forkserver Linux's from Python 3.14: the
+        # workers import likenet afresh; three default desk blocks start a pool
+        cfg = EnsembleConfig(sample_count=2 * DESK_BLOCK + 6, master_seed=8)
+        run_to_files(cfg, tmp_path / "serial", workers=1)
+        monkeypatch.setattr(ensemble, "Pool", multiprocessing.get_context(method).Pool)
+        run_to_files(cfg, tmp_path / method, workers=2)
+        names = ["records.jsonl", "summary.json"]
+        assert sorted(path.name for path in (tmp_path / method).iterdir()) == names
+        for name in names:
+            assert (tmp_path / method / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes()
+
     def test_run_to_files_streams_records(self, tmp_path, monkeypatch):
-        # four default desk blocks, the last one partial; a full block's text
-        # is past the 8 KB a text file keeps unwritten, so writing it lets it go
+        # four default desk blocks, the last one partial; a full block's lines
+        # are past the io.DEFAULT_BUFFER_SIZE bytes a file keeps unwritten
         samples = 3 * DESK_BLOCK + 4
         cfg = EnsembleConfig(sample_count=samples, master_seed=12)
-        alive = weakref.WeakSet()
-        held = []
-
-        class Text(str):
-            """A block's text that a weak reference can track."""
-
+        jsonl = tmp_path / "records.jsonl"
+        sizes = []
         compute = ensemble.compute_block
 
-        def tracked(config, start, stop):
-            held.append(len(alive))
-            block = compute(config, start, stop)
-            text = Text(block.text)
-            alive.add(text)
-            return block._replace(text=text)
+        def tracked(config, start, stop, out):
+            sizes.append(jsonl.stat().st_size)
+            return compute(config, start, stop, out)
 
         monkeypatch.setattr(ensemble, "compute_block", tracked)
         summary = run_to_files(cfg, tmp_path, workers=1)
-        # asked for a block, the parent holds at most the text it wrote last
-        assert len(held) == 4 and max(held) <= 1
-        records = decoded(tmp_path / "records.jsonl")
+        # asked for a block, records.jsonl holds the blocks before it, but
+        # for what its buffer keeps
+        lines = jsonl.read_bytes().splitlines(keepends=True)
+        ends = [sum(map(len, lines[:start])) for start in range(0, samples, DESK_BLOCK)]
+        assert len(sizes) == 4
+        assert all(end - io.DEFAULT_BUFFER_SIZE <= size <= end for size, end in zip(sizes, ends))
+        records = decoded(jsonl)
         assert [r["record_index"] for r in records] == list(range(samples))
         stabilities = [r["stability"] for r in records]
         assert summary == {**summarize_records(stabilities, 0), "config": summary["config"]}
@@ -320,13 +335,14 @@ class TestRunEnsemble:
         # them, measured at 2.0 MiB for desk and 1.2 MiB for wide records
         cfg = EnsembleConfig(n=n, k=k)
         size = ensemble.block_records(2 * (k * (k - 1) // 2 + k * (n - k)), n)
-        compute_block(cfg, 0, size)
-        tracemalloc.start()
-        try:
-            compute_block(cfg, size, 2 * size)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with open(os.devnull, "wb") as sink:
+            compute_block(cfg, 0, size, sink)
+            tracemalloc.start()
+            try:
+                compute_block(cfg, size, 2 * size, sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert peak < bound_mib * 2**20
 
     def test_write_read_roundtrip(self, tmp_path):

@@ -12,6 +12,7 @@ single-system calls, and write_records must write the same bytes from
 the decoded lines.
 """
 
+import io
 import json
 import math
 from dataclasses import asdict
@@ -31,6 +32,8 @@ from likenet.ensemble import (
 )
 from likenet.graphs import Graph, _attach, compute_metrics, generate_ba
 from likenet.stability import stability
+
+from util import block_text
 
 
 def reference_generate_ba(n, k, seed):
@@ -106,7 +109,7 @@ def test_write_records_matches_block_text(n, k, tmp_path):
     config = EnsembleConfig(n=n, k=k, master_seed=23)
     path = tmp_path / "records.jsonl"
     assert write_records([compute_record(config, index) for index in range(2, 5)], path) == 3
-    assert path.read_bytes() == compute_block(config, 2, 5).text.encode()
+    assert path.read_bytes() == block_text(config, 2, 5).encode()
 
 
 def reference_line(config, index):
@@ -149,7 +152,8 @@ def test_block_text_matches_records_assembled_one_at_a_time(
 
     gradient_block = ensemble._gradient_block
     monkeypatch.setattr(ensemble, "_gradient_block", recording)
-    block = compute_block(config, start, stop)
+    lines = io.BytesIO()
+    stabilities, non_converged = compute_block(config, start, stop, lines)
     (adj, rates), = stacks
     expected = []
     for b, index in enumerate(range(start, stop)):
@@ -159,7 +163,7 @@ def test_block_text_matches_records_assembled_one_at_a_time(
         # what RateMatrix and check_support require: finite, >= 0, zero off the edges
         RateMatrix(n=n, values=rates[b]).check_support(g)
         assert np.array_equal(rates[b], reference_rates.values)
-    assert block.text == "".join(expected)
+    assert lines.getvalue().decode() == "".join(expected)
     records = [json.loads(line) for line in expected]
-    assert block.stability == [r["stability"] for r in records]
-    assert block.non_converged == sum(not r["solver_converged"] for r in records)
+    assert stabilities == [r["stability"] for r in records]
+    assert non_converged == sum(not r["solver_converged"] for r in records)

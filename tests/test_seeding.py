@@ -16,13 +16,14 @@ from likenet.ensemble import (
     RECORD_FIELDS,
     STAR_STREAM,
     EnsembleConfig,
-    compute_block,
     encode_record,
     record_seeds,
     sample_rates,
 )
 from likenet.graphs import generate_ba, generate_star
 from likenet.seeding import generators, spawned_seeds
+
+from util import block_text
 
 ENCODER = json.JSONEncoder(separators=(",", ":"))
 
@@ -66,14 +67,14 @@ def test_bad_seed_is_an_error(seed, error, message):
 
 def test_blocks_build_no_seed_sequence(monkeypatch):
     config = EnsembleConfig(n=8, k=2, master_seed=5)
-    text = compute_block(config, 3, 20).text
+    text = block_text(config, 3, 20)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a SeedSequence or default_rng was built")
 
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    assert compute_block(config, 3, 20).text == text
+    assert block_text(config, 3, 20) == text
 
 
 def json_line(values):
@@ -104,7 +105,7 @@ def test_block_lines_spell_non_finite_values_as_json(monkeypatch):
         return histograms, stddevs, path_lengths, clusterings, connected
 
     monkeypatch.setattr(ensemble, "_metric_columns", disconnected)
-    lines = compute_block(EnsembleConfig(master_seed=9), 0, 3).text.splitlines()
+    lines = block_text(EnsembleConfig(master_seed=9), 0, 3).splitlines()
     records = [json.loads(line) for line in lines]
     assert records[1]["mean_path_length"] == math.inf
     assert '"mean_path_length":Infinity,' in lines[1]

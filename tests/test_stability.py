@@ -13,7 +13,7 @@ from likenet.centrality import (
     newton_matrix,
     solve_rate_batch,
 )
-from likenet.ensemble import EnsembleConfig, compute_block, record_seeds, sample_rates
+from likenet.ensemble import EnsembleConfig, record_seeds, sample_rates
 from likenet.graphs import Graph, GraphError, generate_ba
 import likenet.stability as stability_module
 from likenet.stability import (
@@ -29,7 +29,7 @@ from likenet.stability import (
     _gradient_block,
 )
 from conftest import DESK_SEED
-from util import random_connected_graph, random_rates
+from util import block_text, random_connected_graph, random_rates
 
 
 def two_node(a, b):
@@ -229,7 +229,7 @@ class TestStability:
 
         def run(rate_lambda):
             config = EnsembleConfig(rate_lambda=rate_lambda, master_seed=DESK_SEED)
-            records = [json.loads(line) for line in compute_block(config, 0, 500).text.splitlines()]
+            records = [json.loads(line) for line in block_text(config, 0, 500).splitlines()]
             moved = [[record.pop(name) for record in records]
                      for name in ("outgoing_rates", "stability", "gradient_sq_sum")]
             return records, *moved

@@ -1,10 +1,21 @@
-"""Shared helpers for the test suite: random instances and the
-independent fixed-point oracle used to cross-check the solver."""
+"""Shared helpers for the test suite: random instances, the independent
+fixed-point oracle used to cross-check the solver, and a block's record
+lines."""
+
+import io
 
 import numpy as np
 
 from likenet.centrality import RateMatrix
+from likenet.ensemble import compute_block
 from likenet.graphs import Graph, compute_metrics
+
+
+def block_text(config, start, stop):
+    """The records.jsonl lines that compute_block writes for records start..stop-1."""
+    lines = io.BytesIO()
+    compute_block(config, start, stop, lines)
+    return lines.getvalue().decode()
 
 
 def random_connected_graph(n, rng):
