@@ -7,7 +7,9 @@ Likedness centrality is the fixed point of
 where rates[i, j] is the rate at which agent j "likes" agent i. The
 right-hand side is invariant to rescaling the whole vector, but the
 equation itself pins the raw magnitudes to rate units; the reported
-vector is normalized to sum to 1.
+vector is normalized to sum to 1. Eigenvector centrality, R v = lambda v
+with v scaled to sum to lambda, is the same fixed point with an all-ones
+adjacency, so both measures go through one solver.
 
 No closed form is available in general. The solver takes damped
 successive-substitution steps while far from the fixed point, then
@@ -38,7 +40,6 @@ __all__ = [
     "SolverOptions",
     "SolverError",
     "DegenerateSystemError",
-    "NonConvergenceError",
     "likedness_centrality",
     "eigenvector_centrality",
     "newton_matrix",
@@ -54,19 +55,16 @@ class SolverError(ValueError):
 
 
 class DegenerateSystemError(SolverError):
-    """Every candidate denominator is zero (graph has no edges)."""
-
-
-class NonConvergenceError(RuntimeError):
-    """Iteration budget exhausted where the contract requires convergence."""
+    """No nonzero solution: the graph has no edges, or the rates no cycle."""
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Fixed-point solver controls.
+    """Fixed-point solver controls, the same for every measure.
 
     tolerance bounds the fixed-point residual max|F(v) - v| at the
-    returned raw iterate.
+    returned raw iterate. A solve that does not reach it in
+    max_iterations steps returns converged=False; it never raises.
     """
 
     tolerance: float = 1e-10
@@ -129,7 +127,8 @@ class CentralityVector:
 
     `values` is normalized to sum to 1 (all-zero vectors stay zero);
     `raw` carries the unnormalized fixed-point iterate in rate units,
-    which is what the solver's residual guarantee refers to.
+    which is what the solver's residual guarantee refers to, and for
+    either measure `converged` says whether that guarantee was met.
     """
 
     values: np.ndarray
@@ -341,10 +340,21 @@ def solve_rate_batch(
     return raw[:, 0], converged[:, 0], iterations[:, 0]
 
 
+def _centrality(adj: np.ndarray, rates: np.ndarray, opts: SolverOptions) -> CentralityVector:
+    """The plain solve of one system, its values normalized to sum to 1."""
+    raw, conv, iters = _solve_block(adj[None], rates[None], opts)
+    return CentralityVector(
+        values=_normalize_rows(raw[0, 0]),
+        raw=raw[0, 0],
+        converged=bool(conv[0, 0]),
+        iterations=int(iters[0, 0]),
+    )
+
+
 def likedness_centrality(
     g: Graph, rates: RateMatrix, opts: SolverOptions | None = None
 ) -> CentralityVector:
-    """Solve for likedness centrality (see solve_rate_batch).
+    """Solve for likedness centrality (see _solve_block's plain mode).
 
     Starts from the uniform vector, holds isolated nodes at exactly
     zero, and normalizes the reported values to sum to 1. When the
@@ -352,46 +362,27 @@ def likedness_centrality(
     converged=False rather than raising; ensemble records carry the
     flag.
     """
-    opts = opts or SolverOptions()
     rates.check_support(g)
-    raw, conv, iters = solve_rate_batch(g, rates.values[None, :, :], opts)
-    return CentralityVector(
-        values=_normalize_rows(raw)[0],
-        raw=raw[0],
-        converged=bool(conv[0]),
-        iterations=int(iters[0]),
-    )
+    return _centrality(g.adjacency, rates.values, opts or SolverOptions())
 
 
 def eigenvector_centrality(
     g: Graph, rates: RateMatrix, opts: SolverOptions | None = None
 ) -> CentralityVector:
-    """Dominant-eigenvector centrality of the rate matrix, by power iteration.
+    """Dominant-eigenvector centrality of the rate matrix, the inflation-prone
+    reference model that likedness centrality replaces.
 
-    This is the inflation-prone reference model that likedness
-    centrality replaces. The iteration runs on rates + shift*I (shift
-    equal to the largest entry) so that periodic structures such as
-    bipartite graphs cannot stall it; the shift leaves eigenvectors
-    unchanged. Raises NonConvergenceError at the iteration cap.
+    R v = lambda v with sum(v) = lambda is the fixed point v = R v / sum(v),
+    the likedness map over an all-ones adjacency (self-pairs included), so
+    raw sums to the dominant eigenvalue. A support with no directed cycle
+    (a zero n-th power) has spectral radius 0 and raises
+    DegenerateSystemError. Entries are not clipped: a weaker component's
+    entries sit within tolerance of 0 and can be slightly negative.
     """
-    opts = opts or SolverOptions()
     rates.check_support(g)
-    matrix = rates.values
-    shift = float(matrix.max())
-    if shift <= 0.0:
-        raise DegenerateSystemError("rate matrix is zero; no dominant eigenvector")
-    shifted = matrix + shift * np.eye(g.n)
-    vec = np.full(g.n, 1.0 / g.n)
-    for it in range(1, opts.max_iterations + 1):
-        nxt = shifted @ vec
-        # entries are >= 0 and vec sums to 1, so the sum is at least shift > 0
-        nxt /= nxt.sum()
-        if np.abs(nxt - vec).max() <= opts.tolerance:
-            return CentralityVector(values=nxt, raw=nxt, converged=True, iterations=it)
-        vec = nxt
-    raise NonConvergenceError(
-        f"power iteration did not converge in {opts.max_iterations} iterations"
-    )
+    if not np.linalg.matrix_power(rates.values > 0, g.n).any():
+        raise DegenerateSystemError("rate support has no directed cycle; no dominant eigenvalue")
+    return _centrality(np.ones((g.n, g.n)), rates.values, opts or SolverOptions())
 
 
 def write_rates_dense(rates: RateMatrix, path) -> None:

@@ -84,6 +84,7 @@ CHOICES = {
 
 HELP = {
     "master_seed": "master RNG seed",
+    "measure": "likedness centrality, or the eigenvector-centrality contrast model",
     "tolerance": "solver tolerance",
     "max_iterations": "solver iteration cap",
     "strategic_direction": "which stability tail counts as strategic",
@@ -222,6 +223,8 @@ def cmd_solve(args, guard: OutputGuard) -> None:
     write_csv(out, ("node", "value", "converged", "iterations"),
               [(node, value, cv.converged, cv.iterations)
                for node, value in enumerate(cv.values.tolist())])
+    if not cv.converged:
+        log.warning("%s solve did not converge (%d iterations)", measure, cv.iterations)
     log.info("wrote %s centralities to %s (converged=%s)", measure, out, cv.converged)
 
 
@@ -315,6 +318,9 @@ def cmd_coalition(args, guard: OutputGuard) -> None:
     points = an.coalition_sweep(
         g, rates, a, b, _parse_joint_rates(resolve(args, "joint_rates")), solver_options(args)
     )
+    unconverged = sum(not p.converged for p in points)
+    if unconverged:
+        log.warning("%d of %d sweep points did not converge", unconverged, len(points))
     out = guard.track(args.out)
     write_csv(out, [f.name for f in fields(an.CoalitionPoint)], map(astuple, points))
     summary_path = guard.track(Path(str(out) + ".json"))
@@ -325,7 +331,7 @@ def cmd_coalition(args, guard: OutputGuard) -> None:
             "degree_a": int(g.degrees[a]),
             "degree_b": int(g.degrees[b]),
             "points": len(points),
-            "all_converged": all(p.converged for p in points),
+            "all_converged": not unconverged,
         },
         summary_path,
     )
@@ -437,9 +443,19 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    # SIGTERM unwinds like Ctrl-C: the pool's workers are stopped and its
-    # part files removed, and the partial records.jsonl stays
-    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    # SIGTERM unwinds like Ctrl-C while the command runs: the pool's workers
+    # are stopped and its part files removed, and the partial records.jsonl
+    # stays. The handler the process had is put back afterwards.
+    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    try:
+        return _run(argv)
+    finally:
+        # None: the handler was not set from Python, and cannot be put back
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _run(argv) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s", stream=sys.stderr
     )

@@ -1,4 +1,5 @@
 import os
+import signal
 import time
 
 import pytest
@@ -8,6 +9,19 @@ from likenet.ensemble import EnsembleConfig, run_to_files
 DESK_SEED = 19
 DESK_SAMPLES = 10_000
 STRATEGIC_FRACTION = 0.001
+
+
+@pytest.fixture(autouse=True)
+def sigterm_handler_kept():
+    """Fail a test that leaves the process's SIGTERM handler other than it
+    found it: a handler left behind changes how every later test, and each
+    process it forks, ends on SIGTERM."""
+    found = signal.getsignal(signal.SIGTERM)
+    yield
+    left = signal.getsignal(signal.SIGTERM)
+    if left != found:
+        signal.signal(signal.SIGTERM, found)
+        pytest.fail(f"the SIGTERM handler was left as {left!r}, not {found!r}")
 
 
 def worker_count():

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from likenet import centrality
 from likenet.centrality import (
     DegenerateSystemError,
-    NonConvergenceError,
     RateMatrix,
     SolverError,
     SolverOptions,
@@ -365,15 +364,52 @@ class TestEigenvectorCentrality:
         cv2 = eigenvector_centrality(g, RateMatrix(g.n, rates.values * 11.0))
         assert cv2.values == pytest.approx(cv1.values, abs=1e-8)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_is_flagged(self):
         g, rates = two_node_system(4.0, 1.0)
-        with pytest.raises(NonConvergenceError):
-            eigenvector_centrality(g, rates, SolverOptions(tolerance=1e-16, max_iterations=1))
+        cv = eigenvector_centrality(g, rates, SolverOptions(tolerance=1e-16, max_iterations=1))
+        assert cv.converged is False
+        assert cv.iterations == 1
 
     def test_zero_matrix_degenerate(self):
         g = Graph(2, ((0, 1),))
         with pytest.raises(DegenerateSystemError):
             eigenvector_centrality(g, RateMatrix(2, np.zeros((2, 2))))
+
+    @pytest.mark.parametrize(
+        "n, entries",
+        [(2, [(0, 1)]), (3, [(0, 1), (1, 2)])],
+        ids=["one_way_pair", "one_way_path"],
+    )
+    def test_acyclic_support_degenerate_without_iterating(self, monkeypatch, n, entries):
+        # an acyclic support has spectral radius 0: no dominant eigenvector
+        values = np.zeros((n, n))
+        for i, j in entries:
+            values[i, j] = 1.0
+        g = Graph(n, tuple((min(i, j), max(i, j)) for i, j in entries))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(centrality, "_solve_block", refuse)
+        with pytest.raises(DegenerateSystemError):
+            eigenvector_centrality(g, RateMatrix(n, values))
+
+    @pytest.mark.parametrize("n, k", [(10, 2), (40, 3)], ids=["desk", "wide"])
+    def test_matches_the_perron_pair_of_eig(self, n, k):
+        opts = SolverOptions()
+        for seed in range(200):
+            g = generate_ba(n, k, seed)
+            rates = sample_rates(g, 1.0, seed)
+            cv = eigenvector_centrality(g, rates, opts)
+            eigenvalues, vectors = np.linalg.eig(rates.values)
+            top = np.argmax(eigenvalues.real)
+            perron = np.abs(vectors[:, top].real)
+            assert cv.converged
+            assert np.abs(cv.values - perron / perron.sum()).max() <= 1e-10, seed
+            assert cv.raw.sum() == pytest.approx(eigenvalues[top].real, rel=1e-9), seed
+            # the tolerance bounds the residual of v = R v / sum(v), as for likedness
+            residual = rates.values @ cv.raw / cv.raw.sum() - cv.raw
+            assert np.abs(residual).max() <= opts.tolerance, seed
 
 
 class TestRateMatrixIO:

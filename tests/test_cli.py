@@ -119,6 +119,17 @@ class TestSolve:
         assert values == pytest.approx([s / (1 + s), 1 / (1 + s)], abs=1e-3)
         assert values == pytest.approx([0.634, 0.366], abs=1e-3)
 
+    @pytest.mark.parametrize("measure", ["likedness", "eigenvector"])
+    def test_unconverged_solve_warns_and_writes(self, tmp_path, caplog, measure):
+        graph, rates = write_two_node_inputs(tmp_path)
+        out = tmp_path / "sol.csv"
+        with caplog.at_level(logging.WARNING, logger="likenet"):
+            assert run_cli("solve", "--graph", graph, "--rates", rates, "--measure", measure,
+                           "--max-iter", 1, "--out", out) == 0
+        assert read_solution(out)[1] == "False"
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"{measure} solve did not converge (1 iterations)"]
+
     def test_triplet_rates_accepted(self, tmp_path):
         g = generate_ba(6, 2, 3)
         rng = np.random.default_rng(0)
@@ -274,6 +285,27 @@ class TestEnsembleCommand:
             except ProcessLookupError:
                 pass
             proc.wait()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["generate", "--model", "star", "--n", "4"], 0),
+         (["generate", "--n", "1"], 1),
+         (["generate", "--bogus"], 2)],
+        ids=["done", "failed", "usage_error"],
+    )
+    def test_main_puts_back_the_sigterm_handler_it_found(self, tmp_path, argv, code):
+        def handler(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGTERM, handler)
+        try:
+            try:
+                assert main([*argv, "--out", str(tmp_path / "g.txt")]) == code
+            except SystemExit as exc:
+                assert exc.code == code
+            assert signal.getsignal(signal.SIGTERM) is handler
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
     @pytest.mark.parametrize("workers", [0, -4])
     def test_workers_below_one_fail_before_any_output(self, tmp_path, capsys, workers):
@@ -574,6 +606,17 @@ class TestCoalitionCommand:
         assert float(row["member_a"]) == pytest.approx(baseline.values[a], abs=1e-12)
         assert float(row["member_b"]) == pytest.approx(baseline.values[b], abs=1e-12)
         assert json.loads((tmp_path / "sweep.csv.json").read_text())["all_converged"]
+
+    def test_unconverged_sweep_points_are_warned_about(self, tmp_path, caplog):
+        graph, rates = write_two_node_inputs(tmp_path)
+        out = tmp_path / "sweep.csv"
+        with caplog.at_level(logging.WARNING, logger="likenet"):
+            assert run_cli("coalition", "--graph", graph, "--rates", rates, "--a", 0, "--b", 1,
+                           "--joint-rates", "0.5,1,2", "--max-iter", 1, "--out", out) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        # at 0.5 the uniform start is the fixed point
+        assert warnings == ["2 of 3 sweep points did not converge"]
+        assert not json.loads((tmp_path / "sweep.csv.json").read_text())["all_converged"]
 
     @pytest.mark.parametrize("a, b", [(-1, 4), (99, 0)])
     def test_node_outside_the_graph_fails_without_output(self, tmp_path, capsys, a, b):
