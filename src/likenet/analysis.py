@@ -129,7 +129,7 @@ def _representation(edges, strategic_counts: np.ndarray, counts: np.ndarray) -> 
 
 
 def rate_representation(
-    table: RecordTable, strategic: np.ndarray, rate_lambda: float = 1.0, bins: int = 50
+    table: RecordTable, strategic: np.ndarray, rate_lambda: float, bins: int
 ) -> BinnedSeries:
     """Strategic over population frequency ratio per rate-percentile bin.
 

@@ -44,8 +44,6 @@ __all__ = [
     "eigenvector_centrality",
     "newton_matrix",
     "solve_rate_batch",
-    "write_rates_dense",
-    "write_rates_triplets",
     "read_rates",
 ]
 
@@ -114,11 +112,6 @@ class RateMatrix:
         if off_support.any():
             i, j = np.argwhere(off_support)[0]
             raise SolverError(f"nonzero rate at non-edge ({i}, {j})")
-
-    def replace_entry(self, row: int, col: int, value: float) -> "RateMatrix":
-        v = self.values.copy()
-        v[row, col] = value
-        return RateMatrix(n=self.n, values=v)
 
 
 @dataclass(frozen=True)
@@ -383,22 +376,6 @@ def eigenvector_centrality(
     if not np.linalg.matrix_power(rates.values > 0, g.n).any():
         raise DegenerateSystemError("rate support has no directed cycle; no dominant eigenvalue")
     return _centrality(np.ones((g.n, g.n)), rates.values, opts or SolverOptions())
-
-
-def write_rates_dense(rates: RateMatrix, path) -> None:
-    """Dense CSV: n rows of n comma-separated entries."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rates.values:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def write_rates_triplets(rates: RateMatrix, path) -> None:
-    """Sparse text: one 'i j rate' line per nonzero entry, plus header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n={rates.n}\n")
-        rows, cols = np.nonzero(rates.values)
-        for i, j in zip(rows, cols):
-            fh.write(f"{i} {j} {float(rates.values[i, j])!r}\n")
 
 
 def _check_rate(where: str, i: int, j: int, rate: float) -> None:

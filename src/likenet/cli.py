@@ -443,22 +443,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    # SIGTERM unwinds like Ctrl-C while the command runs: the pool's workers
-    # are stopped and its part files removed, and the partial records.jsonl
-    # stays. The handler the process had is put back afterwards.
-    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
-    try:
-        return _run(argv)
-    finally:
-        # None: the handler was not set from Python, and cannot be put back
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
-
-
-def _run(argv) -> int:
-    logging.basicConfig(
-        level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s", stream=sys.stderr
-    )
+    """Run one command and return its exit code; logging and SIGTERM are entry()'s."""
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(argv))
@@ -491,5 +476,16 @@ def _run(argv) -> int:
     return 0
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """The likenet process: progress logged to stderr, and SIGTERM unwinding
+    like Ctrl-C while the command runs, so that the pool's workers are
+    stopped and its part files removed, and the partial records.jsonl stays."""
+    logging.basicConfig(
+        level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s", stream=sys.stderr
+    )
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

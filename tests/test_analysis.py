@@ -37,7 +37,7 @@ from likenet.ensemble import (
 from likenet.graphs import Graph, generate_ba, generate_star
 import likenet.stability as stability_module
 from likenet.stability import classify_strategic, stability
-from util import random_rates
+from util import random_rates, with_pair_rate
 
 
 def make_record(index, stability, degree_histogram, rates=(), **metrics):
@@ -112,7 +112,7 @@ class TestRateRepresentation:
         records = [make_record(0, 0.9, [0] * 10, rates=[1.0])]
         for sets in ([], records), (records, []):
             with pytest.raises(ValueError, match="both record sets must be non-empty"):
-                rate_representation(*split(*sets))
+                rate_representation(*split(*sets), 1.0, 50)
 
 
 class TestDegreeRepresentation:
@@ -151,6 +151,14 @@ class TestStabilityVsMetric:
         ]
         trend = stability_vs_metric(table(records), "mean_path_length")
         assert all(v == 0.5 for v in trend.series.bin_values)
+        assert trend.spearman == 0.0
+
+    def test_constant_metric_is_one_bin_with_zero_correlation(self):
+        records = [make_record(i, 0.2 * (i + 1), [0] * 10, mean_path_length=2.0) for i in range(4)]
+        trend = stability_vs_metric(table(records), "mean_path_length")
+        assert trend.series.bin_edges == (1.5, 2.5)
+        assert trend.series.bin_values == (pytest.approx(0.5),)
+        assert trend.series.bin_counts == (4,)
         assert trend.spearman == 0.0
 
     def test_groups_by_distinct_value(self):
@@ -253,8 +261,13 @@ class TestLogisticFit:
             ]
         )
         target = np.array([r["stability"] for r in records])
-        _, _, _, _, history = _lm_logistic(design, target)
-        assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
+        x = np.random.default_rng(2).normal(size=(400, 3))
+        separable = _lm_logistic(np.column_stack([np.ones(400), x]), (x[:, 0] > 0).astype(float))
+        for *_, history in (_lm_logistic(design, target), separable):
+            assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
+        # a separable target has no finite optimum, and some of its steps are rejected
+        _, _, iterations, _, history = separable
+        assert iterations > len(history) - 1
 
     def test_rank_deficient_reports_constant_column(self):
         records = self.synthetic_records((0.1, 0.3, -0.5, 0.2))
@@ -288,7 +301,7 @@ class TestCoalitionSweep:
         rng = np.random.default_rng(5)
         rates = random_rates(g, rng)
         a, b = g.edges[0]
-        symmetric = rates.replace_entry(a, b, 0.8).replace_entry(b, a, 0.8)
+        symmetric = with_pair_rate(rates, a, b, 0.8)
         baseline = likedness_centrality(g, symmetric)
         points = coalition_sweep(g, symmetric, a, b, [0.8])
         assert points[0].member_a == pytest.approx(baseline.values[a], abs=1e-12)
@@ -299,7 +312,7 @@ class TestCoalitionSweep:
         rng = np.random.default_rng(6)
         rates = random_rates(g, rng)
         a, b = g.edges[0]
-        zeroed = rates.replace_entry(a, b, 0.0).replace_entry(b, a, 0.0)
+        zeroed = with_pair_rate(rates, a, b, 0.0)
         expected = likedness_centrality(g, zeroed)
         points = coalition_sweep(g, rates, a, b, [0.0])
         assert points[0].member_a == pytest.approx(expected.values[a], abs=1e-12)
@@ -311,7 +324,7 @@ class TestCoalitionSweep:
         a, b = pick_outlying_pair(g)
         sweep = [0.0, 0.5, 2.0, 1e-9, 1e6]
         for rho, point in zip(sweep, coalition_sweep(g, rates, a, b, sweep)):
-            single = likedness_centrality(g, rates.replace_entry(a, b, rho).replace_entry(b, a, rho))
+            single = likedness_centrality(g, with_pair_rate(rates, a, b, rho))
             assert (point.member_a, point.member_b) == (single.values[a], single.values[b])
             assert point.converged == single.converged
 

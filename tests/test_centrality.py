@@ -15,8 +15,6 @@ from likenet.centrality import (
     newton_matrix,
     read_rates,
     solve_rate_batch,
-    write_rates_dense,
-    write_rates_triplets,
 )
 from likenet.ensemble import sample_rates
 from likenet.graphs import Graph, generate_ba, generate_star
@@ -418,7 +416,7 @@ class TestRateMatrixIO:
         g = random_connected_graph(5, rng)
         rates = random_rates(g, rng)
         path = tmp_path / "rates.csv"
-        write_rates_dense(rates, path)
+        np.savetxt(path, rates.values, delimiter=",")
         loaded = read_rates(path)
         assert (loaded.values == rates.values).all()
 
@@ -427,7 +425,9 @@ class TestRateMatrixIO:
         g = generate_star(6)
         rates = random_rates(g, rng)
         path = tmp_path / "rates.txt"
-        write_rates_triplets(rates, path)
+        lines = [f"{i} {j} {rate!r}" for i, row in enumerate(rates.values.tolist())
+                 for j, rate in enumerate(row) if rate]
+        path.write_text("\n".join([f"n={rates.n}", *lines]) + "\n")
         loaded = read_rates(path)
         assert (loaded.values == rates.values).all()
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from likenet.analysis import star_comparison
-from likenet.centrality import RateMatrix, write_rates_dense, write_rates_triplets
+from likenet.centrality import RateMatrix
 from likenet import cli, ensemble
 from likenet.cli import main
 from likenet.ensemble import (
@@ -29,7 +29,7 @@ from likenet.ensemble import (
 )
 from likenet.stability import StabilityResult
 from likenet.graphs import generate_ba, read_edge_list
-from util import random_rates
+from util import random_rates, with_pair_rate
 
 
 # the inputs each command requires that are not options
@@ -51,7 +51,7 @@ def write_two_node_inputs(tmp_path, a=3.0, b=1.0):
     graph = tmp_path / "pair.txt"
     graph.write_text("n=2\n0 1\n")
     rates = tmp_path / "rates.csv"
-    write_rates_dense(RateMatrix(2, np.array([[0.0, a], [b, 0.0]])), rates)
+    np.savetxt(rates, [[0.0, a], [b, 0.0]], delimiter=",")
     return graph, rates
 
 
@@ -131,17 +131,13 @@ class TestSolve:
         assert warnings == [f"{measure} solve did not converge (1 iterations)"]
 
     def test_triplet_rates_accepted(self, tmp_path):
-        g = generate_ba(6, 2, 3)
-        rng = np.random.default_rng(0)
-        rates = random_rates(g, rng)
-        gpath = tmp_path / "g.txt"
-        from likenet.graphs import write_edge_list
-
-        write_edge_list(g, gpath)
-        rpath = tmp_path / "rates.txt"
-        write_rates_triplets(rates, rpath)
+        # write_two_node_inputs' rates as triplets
+        graph, _ = write_two_node_inputs(tmp_path)
+        rates = tmp_path / "rates.txt"
+        rates.write_text("n=2\n0 1 3.0\n1 0 1.0\n")
         out = tmp_path / "sol.csv"
-        assert run_cli("solve", "--graph", gpath, "--rates", rpath, "--out", out) == 0
+        assert run_cli("solve", "--graph", graph, "--rates", rates, "--out", out) == 0
+        assert read_solution(out) == (pytest.approx([0.75, 0.25], abs=1e-9), "True")
 
     def test_missing_rate_file_fails_cleanly(self, tmp_path, capsys):
         graph, _ = write_two_node_inputs(tmp_path)
@@ -293,19 +289,34 @@ class TestEnsembleCommand:
          (["generate", "--bogus"], 2)],
         ids=["done", "failed", "usage_error"],
     )
-    def test_main_puts_back_the_sigterm_handler_it_found(self, tmp_path, argv, code):
+    def test_main_sets_no_process_state(self, tmp_path, monkeypatch, argv, code):
+        # the command runs under the SIGTERM handler the caller set, and no
+        # logging handler is added: both are entry()'s to set
         def handler(signum, frame):
             pass
 
+        seen = []
+        build_parser = cli.build_parser
+
+        def spy():
+            seen.append(signal.getsignal(signal.SIGTERM))
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
         previous = signal.signal(signal.SIGTERM, handler)
+        handlers = logging.root.handlers[:]
+        logging.root.handlers.clear()
         try:
             try:
                 assert main([*argv, "--out", str(tmp_path / "g.txt")]) == code
             except SystemExit as exc:
                 assert exc.code == code
-            assert signal.getsignal(signal.SIGTERM) is handler
+            added = logging.root.handlers[:]
         finally:
+            logging.root.handlers[:] = handlers
             signal.signal(signal.SIGTERM, previous)
+        assert seen == [handler]
+        assert added == []
 
     @pytest.mark.parametrize("workers", [0, -4])
     def test_workers_below_one_fail_before_any_output(self, tmp_path, capsys, workers):
@@ -587,12 +598,12 @@ class TestCoalitionCommand:
         rng = np.random.default_rng(5)
         rates = random_rates(g, rng)
         a, b = g.edges[0]
-        symmetric = rates.replace_entry(a, b, 0.9).replace_entry(b, a, 0.9)
+        symmetric = with_pair_rate(rates, a, b, 0.9)
         gpath, rpath = tmp_path / "g.txt", tmp_path / "r.csv"
         from likenet.graphs import write_edge_list
 
         write_edge_list(g, gpath)
-        write_rates_dense(symmetric, rpath)
+        np.savetxt(rpath, symmetric.values, delimiter=",")
         out = tmp_path / "sweep.csv"
         assert run_cli(
             "coalition", "--graph", gpath, "--rates", rpath,
@@ -623,7 +634,8 @@ class TestCoalitionCommand:
         gpath = tmp_path / "g.txt"
         assert run_cli("generate", "--n", 10, "--k", 2, "--seed", 7, "--out", gpath) == 0
         rpath = tmp_path / "r.csv"
-        write_rates_dense(random_rates(read_edge_list(gpath), np.random.default_rng(7)), rpath)
+        rates = random_rates(read_edge_list(gpath), np.random.default_rng(7))
+        np.savetxt(rpath, rates.values, delimiter=",")
         out = tmp_path / "sweep.csv"
         assert run_cli(
             "coalition", "--graph", gpath, "--rates", rpath, "--a", a, "--b", b, "--out", out,
@@ -634,11 +646,24 @@ class TestCoalitionCommand:
     def test_edgeless_graph_fails_without_output(self, tmp_path, capsys):
         gpath, rpath = tmp_path / "g.txt", tmp_path / "r.csv"
         gpath.write_text("n=3\n")
-        write_rates_dense(RateMatrix(3, np.zeros((3, 3))), rpath)
+        np.savetxt(rpath, np.zeros((3, 3)), delimiter=",")
         out = tmp_path / "sweep.csv"
         assert run_cli("coalition", "--graph", gpath, "--rates", rpath, "--out", out) == 1
         assert "error: the graph has no edges" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "r.csv"]
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [(["--a", 0], "give both --a and --b, or neither"),
+         (["--joint-rates", ","], "empty --joint-rates")],
+        ids=["a_without_b", "empty_joint_rates"],
+    )
+    def test_input_error_fails_without_output(self, tmp_path, capsys, given, message):
+        graph, rates = write_two_node_inputs(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert run_cli("coalition", "--graph", graph, "--rates", rates, *given, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.txt", "rates.csv"]
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_joint_rate_fails_before_any_solve(self, tmp_path, monkeypatch, capsys, bad):
@@ -722,7 +747,7 @@ class TestCsvFormat:
         from likenet.graphs import write_edge_list
 
         write_edge_list(g, gpath)
-        write_rates_dense(random_rates(g, np.random.default_rng(5)), rpath)
+        np.savetxt(rpath, random_rates(g, np.random.default_rng(5)).values, delimiter=",")
         return gpath, rpath
 
     @pytest.mark.parametrize("measure", ["likedness", "eigenvector"])
@@ -1069,3 +1094,13 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert read_edge_list(out).n == 4
+
+
+def test_console_script_is_the_module_entry_point():
+    # `likenet` and `python -m likenet` run the one process entry, cli.entry
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'likenet = "likenet.cli:entry"'
+    module_main = (root / "src" / "likenet" / "__main__.py").read_text()
+    assert module_main == "from .cli import entry\n\nentry()\n"

@@ -298,6 +298,10 @@ class TestStabilityBlock:
             results.append([part.tobytes() for part in gradient_block(systems, scheme)])
         assert results[1] == results[0] and results[2] == results[0]
 
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="unknown difference scheme 'backward'"):
+            gradient_block(desk_systems(1), "backward")
+
     def test_singular_system_affects_only_its_own_record(self, monkeypatch):
         # LAPACK fails a whole batched inv or solve for one singular matrix;
         # that must not change the other records of the block

@@ -43,6 +43,13 @@ def random_rates(g, rng, low=0.05, high=3.0):
     return RateMatrix(n=g.n, values=values)
 
 
+def with_pair_rate(rates, a, b, rho):
+    """rates with the rates of a and b for each other both set to rho."""
+    values = rates.values.copy()
+    values[a, b] = values[b, a] = rho
+    return RateMatrix(n=rates.n, values=values)
+
+
 def undamped_fixed_point(g, rates, tol, max_iter=500_000):
     """Independent oracle: plain substitution, no damping, no batching.
 
