@@ -36,7 +36,7 @@ __all__ = [
     "CoalitionPoint",
     "StarComparison",
     "RankDeficientError",
-    "exponential_quantile",
+    "percentile_edges",
     "rate_representation",
     "degree_representation",
     "stability_vs_metric",
@@ -100,19 +100,14 @@ class MetricTrend:
     spearman: float
 
 
-def exponential_quantile(p: float, rate_lambda: float) -> float:
-    """Inverse CDF of Exp(rate_lambda)."""
-    if p >= 1.0:
-        return math.inf
-    return -math.log1p(-p) / rate_lambda
-
-
-def _percentile_edges(bins: int, rate_lambda: float) -> np.ndarray:
-    """Rate edges of `bins` bins of equal Exp(rate_lambda) probability."""
+def percentile_edges(bins: int, rate_lambda: float) -> np.ndarray:
+    """Rate edges of `bins` bins of equal Exp(rate_lambda) probability: the
+    inverse CDF -log1p(-p) / rate_lambda at p = k / bins, and inf at p = 1."""
     check_rate_lambda(rate_lambda)
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
-    return np.array([exponential_quantile(p, rate_lambda) for p in np.linspace(0.0, 1.0, bins + 1)])
+    ps = np.linspace(0.0, 1.0, bins + 1)[:-1]
+    return np.append([-math.log1p(-p) / rate_lambda for p in ps], math.inf)
 
 
 def _representation(edges, strategic_counts: np.ndarray, counts: np.ndarray) -> BinnedSeries:
@@ -128,19 +123,15 @@ def _representation(edges, strategic_counts: np.ndarray, counts: np.ndarray) -> 
     return BinnedSeries(edges, values, strategic_counts)
 
 
-def rate_representation(
-    table: RecordTable, strategic: np.ndarray, rate_lambda: float, bins: int
-) -> BinnedSeries:
-    """Strategic over population frequency ratio per rate-percentile bin.
+def rate_representation(table: RecordTable, strategic: np.ndarray, edges) -> BinnedSeries:
+    """Strategic over population frequency ratio per rate bin.
 
-    `strategic` masks the strategic records; the rest are the
-    population. Bins partition the Exp(rate_lambda) reference
-    distribution by equal probability mass; ratio 1 means the strategic
-    systems' outgoing rates look exactly like the population's in that bin.
-    The edges span [0, inf], so every rate (the reader takes only finite,
-    nonnegative ones) falls in a bin.
+    `strategic` masks the strategic records; the rest are the population.
+    The paper's bins (percentile_edges) hold equal Exp(rate_lambda)
+    probability mass; ratio 1 means the strategic systems' outgoing rates
+    look exactly like the population's in that bin. Edges spanning [0, inf]
+    put every rate (the reader takes only finite, nonnegative ones) in a bin.
     """
-    edges = _percentile_edges(bins, rate_lambda)
     strategic_counts = np.histogram(table.rates_of(strategic), bins=edges)[0]
     # counting the whole table's rates copies none of the population's
     return _representation(edges, strategic_counts, np.histogram(table.rates, bins=edges)[0])

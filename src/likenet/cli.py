@@ -6,9 +6,9 @@ flag > environment variable > config file > built-in default; env
 variables mirror flag names with the LIKENET_ prefix (--max-iter ->
 LIKENET_MAX_ITER), a LIKENET_ variable that names no option is a usage
 error, and a config file's keys are the option names
-(max_iterations = 500). DEFAULTS is the one table of the options. Each
-subcommand takes, and resolves, only the options it reads; a variable or
-config key of an option it does not take is logged as not applied.
+(max_iterations = 500). DEFAULTS is the one table of the options. main
+resolves the options a command reads, and only those, before it reads any
+input; a variable or config key of another option is logged as not applied.
 All randomness flows from --seed; nothing is ever seeded from the clock.
 """
 
@@ -144,12 +144,12 @@ def resolve(args: argparse.Namespace, key: str):
 
 
 def solver_options(args) -> SolverOptions:
-    return SolverOptions(**{key: resolve(args, key) for key in SOLVER_KEYS})
+    return SolverOptions(**{key: getattr(args, key) for key in SOLVER_KEYS})
 
 
 def ensemble_config(args) -> EnsembleConfig:
     """The run options the command takes; the others keep their defaults."""
-    taken = {key: resolve(args, key) for key in RUN_KEYS if key in args.options}
+    taken = {key: getattr(args, key) for key in RUN_KEYS if key in args.options}
     return EnsembleConfig(solver=solver_options(args), **taken)
 
 
@@ -199,44 +199,39 @@ def write_csv(path, header, rows) -> None:
 
 
 def cmd_generate(args, guard: OutputGuard) -> None:
-    model = resolve(args, "model")
-    n = resolve(args, "n")
-    if model == "ba":
-        seed = resolve(args, "master_seed")
-        check_master_seed(seed)
-        g = generate_ba(n, resolve(args, "k"), seed)
+    if args.model == "ba":
+        check_master_seed(args.master_seed)
+        g = generate_ba(args.n, args.k, args.master_seed)
     else:
-        g = generate_star(n)
+        g = generate_star(args.n)
     out = guard.track(args.out)
     write_edge_list(g, out)
     log.info("wrote %d-node graph with %d edges to %s", g.n, len(g.edges), out)
 
 
 def cmd_solve(args, guard: OutputGuard) -> None:
+    opts = solver_options(args)
     g = read_edge_list(args.graph)
     rates = read_rates(args.rates)
-    opts = solver_options(args)
-    measure = resolve(args, "measure")
-    solve = likedness_centrality if measure == "likedness" else eigenvector_centrality
+    solve = likedness_centrality if args.measure == "likedness" else eigenvector_centrality
     cv = solve(g, rates, opts)
     out = guard.track(args.out)
     write_csv(out, ("node", "value", "converged", "iterations"),
               [(node, value, cv.converged, cv.iterations)
                for node, value in enumerate(cv.values.tolist())])
     if not cv.converged:
-        log.warning("%s solve did not converge (%d iterations)", measure, cv.iterations)
-    log.info("wrote %s centralities to %s (converged=%s)", measure, out, cv.converged)
+        log.warning("%s solve did not converge (%d iterations)", args.measure, cv.iterations)
+    log.info("wrote %s centralities to %s (converged=%s)", args.measure, out, cv.converged)
 
 
 def cmd_ensemble(args, guard: OutputGuard) -> None:
     config = ensemble_config(args)
-    workers = resolve(args, "workers")
     # checked before an earlier run's files are tracked for removal
-    check_workers(workers)
+    check_workers(args.workers)
     out_dir = guard.track_dir(args.out)
     for name in ("records.jsonl", "summary.json"):
         guard.track(out_dir / name)
-    summary = run_to_files(config, out_dir, workers=workers)
+    summary = run_to_files(config, out_dir, workers=args.workers)
     log.info(
         "ensemble complete: %d records, %d non-converged",
         summary["count"],
@@ -245,13 +240,10 @@ def cmd_ensemble(args, guard: OutputGuard) -> None:
 
 
 def cmd_analyze(args, guard: OutputGuard) -> None:
-    fraction = resolve(args, "strategic_fraction")
-    direction = resolve(args, "strategic_direction")
-    rate_lambda = resolve(args, "rate_lambda")
-    bins = resolve(args, "bins")
+    fraction, direction = args.strategic_fraction, args.strategic_direction
     # the options are checked before the records are read
     check_strategic(fraction, direction)
-    an._percentile_edges(bins, rate_lambda)
+    edges = an.percentile_edges(args.bins, args.rate_lambda)
     table = read_records(args.records)
     if not len(table):
         raise CliError(f"no records in {args.records}")
@@ -264,7 +256,7 @@ def cmd_analyze(args, guard: OutputGuard) -> None:
     strategic, threshold = classify_strategic(table.stability, fraction, direction)
     fit = an.logistic_fit(table)
     series = {
-        "rate_representation": an.rate_representation(table, strategic, rate_lambda, bins),
+        "rate_representation": an.rate_representation(table, strategic, edges),
         "degree_representation": an.degree_representation(table, strategic),
     }
     correlations = {}
@@ -310,14 +302,14 @@ def _parse_joint_rates(text: str) -> list[float]:
 
 
 def cmd_coalition(args, guard: OutputGuard) -> None:
-    g = read_edge_list(args.graph)
-    rates = read_rates(args.rates)
+    opts = solver_options(args)
+    joint_rates = _parse_joint_rates(args.joint_rates)
     if (args.a is None) != (args.b is None):
         raise CliError("give both --a and --b, or neither")
+    g = read_edge_list(args.graph)
+    rates = read_rates(args.rates)
     a, b = an.pick_outlying_pair(g) if args.a is None else (args.a, args.b)
-    points = an.coalition_sweep(
-        g, rates, a, b, _parse_joint_rates(resolve(args, "joint_rates")), solver_options(args)
-    )
+    points = an.coalition_sweep(g, rates, a, b, joint_rates, opts)
     unconverged = sum(not p.converged for p in points)
     if unconverged:
         log.warning("%d of %d sweep points did not converge", unconverged, len(points))
@@ -340,17 +332,15 @@ def cmd_coalition(args, guard: OutputGuard) -> None:
 
 def cmd_star_compare(args, guard: OutputGuard) -> None:
     config = ensemble_config(args)
-    fraction = resolve(args, "strategic_fraction")
-    direction = resolve(args, "strategic_direction")
-    star_samples = resolve(args, "stars")
+    fraction, direction = args.strategic_fraction, args.strategic_direction
     # the options are checked before the records are read
-    an.check_star_comparison(star_samples, fraction, direction)
+    an.check_star_comparison(args.stars, fraction, direction)
     ba_records = read_records(args.records)
     if not len(ba_records):
         raise CliError(f"no records in {args.records}")
     # the stars are of the records' graph size
     config = replace(config, n=ba_records.degree_histogram.shape[1])
-    result = an.star_comparison(star_samples, ba_records, config, fraction, direction)
+    result = an.star_comparison(args.stars, ba_records, config, fraction, direction)
     for warning in result.warnings:
         log.warning("%s", warning)
     write_json({**asdict(result), "strategic_fraction": fraction, "strategic_direction": direction},
@@ -468,6 +458,7 @@ def main(argv=None) -> int:
             if key not in args.options:
                 log.warning("%s: %s is not applied: %s does not take it",
                             config_path, key, args.command)
+        vars(args).update({key: resolve(args, key) for key in args.options})
         args.func(args, guard)
     except (CliError, OSError, ValueError, RuntimeError) as exc:
         guard.discard_partial()

@@ -50,11 +50,13 @@ from .stability import (
 __all__ = [
     "EnsembleConfig",
     "RecordTable",
+    "block_records",
     "check_rate_lambda",
     "check_master_seed",
     "check_workers",
     "encode_record",
     "sample_rates",
+    "record_seeds",
     "compute_block",
     "compute_record",
     "write_records",
@@ -62,6 +64,7 @@ __all__ = [
     "summarize_records",
     "run_to_files",
     "write_json",
+    "config_to_dict",
 ]
 
 log = logging.getLogger("likenet")

@@ -29,6 +29,7 @@ __all__ = [
     "generate_star",
     "compute_metrics",
     "write_edge_list",
+    "read_node_count",
     "read_edge_list",
     "content_lines",
 ]

@@ -43,6 +43,8 @@ __all__ = [
     "RELATIVE_STEP",
     "ZERO_RATE_FLOOR",
     "ABSOLUTE_STEP",
+    "records_within",
+    "chunk_records",
     "centrality_gradient",
     "stability",
     "stability_from_gradients",

@@ -19,6 +19,7 @@ from likenet.analysis import (
     coalition_sweep,
     degree_representation,
     logistic_fit,
+    percentile_edges,
     pick_outlying_pair,
     rate_representation,
     stability_vs_metric,
@@ -147,7 +148,7 @@ def test_criterion_4_stability_identities():
 def test_criterion_5_rate_representation(desk_run, desk_table, strategic_split):
     _, elapsed = desk_run
     strategic, _ = strategic_split
-    series = rate_representation(desk_table, strategic, rate_lambda=1.0, bins=50)
+    series = rate_representation(desk_table, strategic, percentile_edges(50, 1.0))
     probs = np.linspace(0.0, 1.0, 51)
     values = np.array(series.bin_values)
 

@@ -16,8 +16,8 @@ from likenet.analysis import (
     _sigmoid,
     coalition_sweep,
     degree_representation,
-    exponential_quantile,
     logistic_fit,
+    percentile_edges,
     pick_outlying_pair,
     rate_representation,
     stability_vs_metric,
@@ -72,22 +72,32 @@ def split(strategic, population):
 
 
 class TestExponentialReference:
+    """percentile_edges(bins, rate_lambda)[k] is the Exp(rate_lambda) quantile at k / bins."""
+
     def test_rate_one_sits_at_63_2_percentile(self):
-        assert exponential_quantile(1 - math.exp(-1), 1.0) == pytest.approx(1.0, abs=1e-12)
+        edges = percentile_edges(1000, 1.0)
+        assert edges[632] < 1.0 < edges[633]
 
     def test_95_3_percentile_rate(self):
-        assert exponential_quantile(0.953, 1.0) == pytest.approx(3.058, abs=1e-3)
+        assert percentile_edges(1000, 1.0)[953] == pytest.approx(3.058, abs=1e-3)
 
     def test_quantile_cdf_inverse(self):
-        for p in (0.1, 0.5, 0.9):
-            assert -math.expm1(-2.0 * exponential_quantile(p, 2.0)) == pytest.approx(p)
+        for bins, rate_lambda in ((10, 2.0), (37, 1.3), (50, 1.0)):
+            edges = percentile_edges(bins, rate_lambda)
+            for k in range(1, bins):
+                assert -math.expm1(-rate_lambda * edges[k]) == pytest.approx(k / bins)
+
+    def test_edges_run_from_zero_to_infinity(self):
+        edges = percentile_edges(4, 2.0)
+        assert len(edges) == 5
+        assert edges[0] == 0.0 and edges[-1] == math.inf
 
 
 class TestRateRepresentation:
     def test_identical_sets_give_unity(self):
         rng = np.random.default_rng(0)
         records = [make_record(i, 0.9, [0] * 10, rates=rng.exponential(size=30)) for i in range(20)]
-        series = rate_representation(*split(records, records), 1.0, 10)
+        series = rate_representation(*split(records, records), percentile_edges(10, 1.0))
         for value, count in zip(series.bin_values, series.bin_counts):
             if count > 0:
                 assert value == pytest.approx(1.0, abs=1e-12)
@@ -95,7 +105,7 @@ class TestRateRepresentation:
     def test_empty_population_bins_are_nan(self):
         strategic = [make_record(0, 0.9, [0] * 10, rates=[5.0])]
         population = [make_record(1, 0.9, [0] * 10, rates=[0.1, 0.2])]
-        series = rate_representation(*split(strategic, population), 1.0, 4)
+        series = rate_representation(*split(strategic, population), percentile_edges(4, 1.0))
         # population occupies only the first quartile bin; the rest are
         # missing (NaN), even where strategic rates land
         assert series.bin_values[0] == 0.0
@@ -104,7 +114,7 @@ class TestRateRepresentation:
 
     def test_last_edge_is_infinite(self):
         records = [make_record(0, 0.9, [0] * 10, rates=[1.0])]
-        series = rate_representation(*split(records, records), 1.0, 5)
+        series = rate_representation(*split(records, records), percentile_edges(5, 1.0))
         assert series.bin_edges[-1] == math.inf
         assert len(series.bin_values) == 5
 
@@ -112,7 +122,7 @@ class TestRateRepresentation:
         records = [make_record(0, 0.9, [0] * 10, rates=[1.0])]
         for sets in ([], records), (records, []):
             with pytest.raises(ValueError, match="both record sets must be non-empty"):
-                rate_representation(*split(*sets), 1.0, 50)
+                rate_representation(*split(*sets), percentile_edges(50, 1.0))
 
 
 class TestDegreeRepresentation:
@@ -188,6 +198,12 @@ class TestStabilityVsMetric:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
             stability_vs_metric(table([make_record(0, 0.5, [0] * 10)]), "stability")
+
+    def test_empty_table_rejected(self):
+        records = table([make_record(0, 0.5, [0] * 10)])
+        empty = records.select(np.zeros(len(records), dtype=bool))
+        with pytest.raises(ValueError, match="no records"):
+            stability_vs_metric(empty, "mean_path_length")
 
     @pytest.mark.parametrize("seed, size", [(0, 2), (1, 2), (2, 3), (3, 40), (4, 300)])
     def test_spearman_matches_scipy_exactly(self, seed, size):

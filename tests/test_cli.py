@@ -591,6 +591,20 @@ class TestFailedCommandRemovesPartialOutputs:
         assert run_cli("coalition", "--graph", graph, "--rates", rates, "--out", out) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.txt", "rates.csv", "sweep.csv.json"]
 
+    def test_output_that_cannot_be_removed_is_logged(self, tmp_path, monkeypatch, caplog):
+        graph, rates = write_two_node_inputs(tmp_path)
+        out = tmp_path / "sweep.csv"
+        Path(str(out) + ".json").mkdir()
+
+        def refuse(path, missing_ok=False):
+            raise PermissionError(f"cannot remove {path}")
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        with caplog.at_level(logging.WARNING, logger="likenet"):
+            assert run_cli("coalition", "--graph", graph, "--rates", rates, "--out", out) == 1
+        assert f"could not remove partial output {out}" in [r.getMessage() for r in caplog.records]
+        assert out.is_file()
+
 
 class TestCoalitionCommand:
     def test_baseline_sweep_point(self, tmp_path):
@@ -783,7 +797,7 @@ class TestCsvFormat:
         )
 
     def test_analyze_series(self, tmp_path, small_run):
-        from likenet.analysis import rate_representation
+        from likenet.analysis import percentile_edges, rate_representation
         from likenet.stability import classify_strategic
 
         out = tmp_path / "analysis"
@@ -792,7 +806,7 @@ class TestCsvFormat:
                        "--out", out) == 0
         table = read_records(records)
         strategic, _ = classify_strategic(table.stability, 0.01, "high")
-        series = rate_representation(table, strategic, 1.0, 50)
+        series = rate_representation(table, strategic, percentile_edges(50, 1.0))
         edges, values, counts = series.bin_edges, series.bin_values, series.bin_counts
         rows = [[repr(float(low)), repr(float(high)), repr(float(value)), str(int(count))]
                 for low, high, value, count in zip(edges, edges[1:], values, counts)]
@@ -854,6 +868,36 @@ class TestOptionsCheckedBeforeRecords:
                        "--out", out) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOptionsCheckedBeforeInputs:
+    """solve and coalition check their options before they read --graph or --rates."""
+
+    @pytest.mark.parametrize(
+        "command, options, message",
+        [
+            ("solve", ["--tolerance", "-1"], "tolerance must be > 0, got -1.0"),
+            ("solve", ["--max-iter", "0"], "max_iterations must be >= 1, got 0"),
+            ("coalition", ["--tolerance", "-1"], "tolerance must be > 0, got -1.0"),
+            ("coalition", ["--max-iter", "0"], "max_iterations must be >= 1, got 0"),
+            ("coalition", ["--joint-rates", ","], "empty --joint-rates"),
+        ],
+        ids=["solve_tolerance", "solve_max_iter", "coalition_tolerance", "coalition_max_iter",
+             "coalition_joint_rates"],
+    )
+    def test_bad_option_fails_without_reading_inputs(
+        self, tmp_path, monkeypatch, capsys, command, options, message
+    ):
+        def refuse(path):
+            raise AssertionError(f"{command} read {path} before checking its options")
+
+        monkeypatch.setattr(cli, "read_edge_list", refuse)
+        monkeypatch.setattr(cli, "read_rates", refuse)
+        out = tmp_path / "out.csv"
+        assert run_cli(command, *options, "--graph", tmp_path / "g.txt",
+                       "--rates", tmp_path / "r.csv", "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOptionResolution:
@@ -947,7 +991,7 @@ class TestOptionResolution:
         resolved = []
         monkeypatch.setattr(
             cli, "cmd_" + command.replace("-", "_"),
-            lambda args, guard: resolved.append(cli.resolve(args, key)),
+            lambda args, guard: resolved.append(getattr(args, key)),
         )
         flag = "--" + key.replace("_", "-")
         assert run_cli(command, *REQUIRED[command], "--config", cfg) == 0
@@ -959,6 +1003,14 @@ class TestOptionResolution:
         out = tmp_path / "g.txt"
         assert run_cli("generate", "--model", "ba", "--out", out) == 1
         assert capsys.readouterr().err.startswith("error: LIKENET_N must be int, got 'abc'")
+        assert not out.exists()
+
+    def test_env_cast_error_fails_where_the_option_is_unused(self, tmp_path, monkeypatch, capsys):
+        # a star uses no seed, but generate takes --seed, so its value is resolved all the same
+        monkeypatch.setenv("LIKENET_SEED", "abc")
+        out = tmp_path / "g.txt"
+        assert run_cli("generate", "--model", "star", "--out", out) == 1
+        assert capsys.readouterr().err == "error: LIKENET_SEED must be int, got 'abc'\n"
         assert not out.exists()
 
     def test_env_choice_error_names_the_variable(self, tmp_path, monkeypatch, capsys):

@@ -182,6 +182,10 @@ class TestGraphType:
         with pytest.raises(GraphError):
             Graph(3, ((0, 3),))
 
+    def test_rejects_no_nodes(self):
+        with pytest.raises(GraphError, match="node count must be positive, got 0"):
+            Graph(n=0, edges=())
+
     def test_degrees_are_read_only_int64(self):
         degrees = generate_star(5).degrees
         assert degrees.dtype == np.int64 and degrees.tolist() == [4, 1, 1, 1, 1]
