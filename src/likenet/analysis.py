@@ -21,12 +21,11 @@ from .ensemble import (
     STAR_STREAM,
     EnsembleConfig,
     RecordTable,
-    _systems,
+    _block_systems,
     block_records,
     check_rate_lambda,
 )
 from .graphs import Graph, GraphError, generate_star
-from .seeding import spawned_seeds
 from .stability import _gradient_block, _stability_columns, check_strategic, classify_strategic
 
 __all__ = [
@@ -380,24 +379,22 @@ def _sample_stars(count: int, config: EnsembleConfig) -> tuple[np.ndarray, np.nd
     centralities (count, n), normalized, hub first, and how many of them
     have a solve that did not converge.
 
-    The stars are solved in blocks, as the ensemble solves its records.
+    The stars are solved in blocks that ensemble._block_systems builds.
     """
     edges = np.array(generate_star(config.n).edges)
     size = block_records(2 * len(edges), config.n)
     stabilities, centralities = [], []
     non_converged = 0
     for start in range(0, count, size):
-        indices = range(start, min(start + size, count))
-        _, seeds = spawned_seeds(config.master_seed, STAR_STREAM, indices)
-        adj, rates, entries = _systems(
-            config.n, np.broadcast_to(edges, (len(seeds), *edges.shape)), config.rate_lambda, seeds
+        _, _, adj, rates, pairs = _block_systems(
+            config, STAR_STREAM,
+            lambda n, k, seeds: np.broadcast_to(edges, (len(seeds), *edges.shape)),
+            start, min(start + size, count),
         )
-        grads, converged, centrality = _gradient_block(
-            adj, rates, entries, config.solver, "forward"
-        )
+        grads, converged, centrality = _gradient_block(adj, rates, pairs, config.solver, "forward")
         stabilities += _stability_columns(grads)[0]
         centralities.append(centrality)
-        non_converged += len(seeds) - int(converged.sum())
+        non_converged += len(adj) - int(converged.sum())
     return np.array(stabilities), np.concatenate(centralities), non_converged
 
 

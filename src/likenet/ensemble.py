@@ -256,12 +256,14 @@ def _systems(
 
 
 def _block_systems(
-    config: EnsembleConfig, start: int, stop: int
+    config: EnsembleConfig, stream: int, grow, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Records start..stop-1's graph and rate seeds, as uint64 columns, then
-    _systems of their generate_ba graphs."""
-    graph_seeds, rate_seeds = spawned_seeds(config.master_seed, MAIN_STREAM, range(start, stop))
-    edges = _attach(config.n, config.k, graph_seeds)
+    """Systems start..stop-1 of the config's seed stream: their graph and
+    rate seeds, as uint64 columns, then _systems of the graphs that
+    grow(n, k, graph_seeds) returns as a (B, E, 2) edge array, as
+    graphs._attach does."""
+    graph_seeds, rate_seeds = spawned_seeds(config.master_seed, stream, range(start, stop))
+    edges = grow(config.n, config.k, graph_seeds)
     return graph_seeds, rate_seeds, *_systems(config.n, edges, config.rate_lambda, rate_seeds)
 
 
@@ -276,7 +278,8 @@ def compute_block(
     metrics and the stability of the block's records are computed at
     once. A record does not depend on the block it is computed in.
     """
-    graph_seeds, rate_seeds, adj, rates, pairs = _block_systems(config, start, stop)
+    graph_seeds, rate_seeds, adj, rates, pairs = _block_systems(
+        config, MAIN_STREAM, _attach, start, stop)
     count, n, _ = adj.shape
     grads, converged, _ = _gradient_block(adj, rates, pairs, config.solver, "forward")
     stabilities, sq_sums = _stability_columns(grads)
@@ -337,49 +340,6 @@ def _pooled_blocks(config: EnsembleConfig, spans: list[tuple[int, int]], process
             for path, result in zip(paths, pool.imap(_part_worker, tasks)):
                 _splice(path, records)
                 yield result
-
-
-def _computed_blocks(config: EnsembleConfig, workers: int,
-                     records: BinaryIO) -> Iterator[tuple[list[float], int]]:
-    """compute_block's results over the run's consecutive blocks, in
-    record_index order, each block's lines appended to records before its
-    result is yielded.
-
-    Blocks hold BLOCK_VALUES solver values each, or count / workers
-    records if that is fewer, but no fewer than a solver chunk nor more
-    than the run; each is one pool task. A record does not depend on its
-    block or on the worker count. The block layout and the
-    process count are logged at the start. Progress, throughput and the
-    time left are logged every tenth of the run.
-    """
-    count = config.sample_count
-    # every BA graph of the run has k(k-1)/2 + k(n-k) edges, two systems each
-    edges = config.k * (config.k - 1) // 2 + config.k * (config.n - config.k)
-    chunk = chunk_records(2 * edges, config.n)
-    # a small run is split evenly over the workers rather than into full
-    # blocks, but a process gets at least a chunk: below that, one more
-    # process costs more than it saves
-    size = min(block_records(2 * edges, config.n), max(chunk, math.ceil(count / workers)), count)
-    spans = [(start, min(start + size, count)) for start in range(0, count, size)]
-    # no more processes than blocks; a single one is this process
-    processes = min(workers, len(spans))
-    log.info("ensemble blocks: %d records each, solved in chunks of %d, on %d process(es)",
-             size, chunk, processes)
-    if processes == 1:
-        blocks = (compute_block(config, start, stop, records) for start, stop in spans)
-    else:
-        blocks = _pooled_blocks(config, spans, processes, records)
-    step = max(1, count // 10)
-    done = 0
-    began = time.perf_counter()
-    for stabilities, failed in blocks:
-        mark = done // step
-        done += len(stabilities)
-        if done // step > mark or done == count:
-            rate = done / max(time.perf_counter() - began, 1e-9)
-            log.info("ensemble progress: %d/%d, %.0f records/s, about %.0f s left",
-                     done, count, rate, (count - done) / rate)
-        yield stabilities, failed
 
 
 def write_records(records: Iterable[dict], jsonl_path) -> int:
@@ -503,18 +463,50 @@ def summarize_records(stabilities: Sequence[float], non_converged: int) -> dict:
 def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
     """Run the ensemble, writing records.jsonl and summary.json.
 
-    Each block's lines reach records.jsonl as the block is done; only its
+    The run is laid out in consecutive blocks of BLOCK_VALUES solver
+    values, or count / workers records if that is fewer, but no fewer
+    than a solver chunk nor more than the run. They are computed in
+    record_index order, one pool task each, or in this process when
+    there is one block or one worker; a record depends on neither. Each
+    block's lines reach records.jsonl as the block is done; only its
     stability column and non-converged count are kept for the summary.
+    The layout and the process count are logged at the start; progress,
+    throughput and the time left every tenth of the run.
     """
     check_workers(workers)
+    count = config.sample_count
+    # every BA graph of the run has k(k-1)/2 + k(n-k) edges, two systems each
+    edges = config.k * (config.k - 1) // 2 + config.k * (config.n - config.k)
+    chunk = chunk_records(2 * edges, config.n)
+    # a small run is split evenly over the workers rather than into full
+    # blocks, but a process gets at least a chunk: below that, one more
+    # process costs more than it saves
+    size = min(block_records(2 * edges, config.n), max(chunk, math.ceil(count / workers)), count)
+    spans = [(start, min(start + size, count)) for start in range(0, count, size)]
+    # no more processes than blocks; a single one is this process
+    processes = min(workers, len(spans))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stabilities = array("d")
     non_converged = 0
+    step = max(1, count // 10)
     with open(out / "records.jsonl", "wb") as records:
-        for stability, failed in _computed_blocks(config, workers, records):
+        log.info("ensemble blocks: %d records each, solved in chunks of %d, on %d process(es)",
+                 size, chunk, processes)
+        if processes == 1:
+            blocks = (compute_block(config, start, stop, records) for start, stop in spans)
+        else:
+            blocks = _pooled_blocks(config, spans, processes, records)
+        began = time.perf_counter()
+        for stability, failed in blocks:
+            mark = len(stabilities) // step
             stabilities.extend(stability)
             non_converged += failed
+            done = len(stabilities)
+            if done // step > mark or done == count:
+                rate = done / max(time.perf_counter() - began, 1e-9)
+                log.info("ensemble progress: %d/%d, %.0f records/s, about %.0f s left",
+                         done, count, rate, (count - done) / rate)
     summary = summarize_records(stabilities, non_converged)
     summary["config"] = config_to_dict(config)
     write_json(summary, out / "summary.json")

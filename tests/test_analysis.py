@@ -265,7 +265,7 @@ class TestLogisticFit:
         assert recovered == pytest.approx(beta, abs=1e-6)
         assert fit.residual_norm < 1e-6
 
-    def test_accepted_steps_never_increase_residual(self):
+    def test_accepted_steps_never_increase_residual(self, monkeypatch):
         beta = (0.2, 0.5, -0.7, 0.3)
         records = self.synthetic_records(beta, noise=0.05, seed=4)
         design = np.column_stack(
@@ -278,12 +278,42 @@ class TestLogisticFit:
         )
         target = np.array([r["stability"] for r in records])
         x = np.random.default_rng(2).normal(size=(400, 3))
-        separable = _lm_logistic(np.column_stack([np.ones(400), x]), (x[:, 0] > 0).astype(float))
-        for *_, history in (_lm_logistic(design, target), separable):
+        labels = (x[:, 0] > 0).astype(float)
+        separable = _lm_logistic(np.column_stack([np.ones(400), x]), labels)
+        singular_solves = []
+        solve = np.linalg.solve
+
+        def counting_solve(*args):
+            try:
+                return solve(*args)
+            except np.linalg.LinAlgError:
+                singular_solves.append(args)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        # three equal columns: once the damping has shrunk, the damped
+        # system is singular, and the step is rejected as if it failed
+        repeated = _lm_logistic(np.column_stack([x[:, 0]] * 3), labels)
+        assert singular_solves
+        for *_, history in (_lm_logistic(design, target), separable, repeated):
             assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
         # a separable target has no finite optimum, and some of its steps are rejected
         _, _, iterations, _, history = separable
         assert iterations > len(history) - 1
+
+    def test_nan_target_gives_up(self):
+        # every step is rejected, so the damping grows past its cap
+        x = np.random.default_rng(2).normal(size=(400, 3))
+        target = np.full(400, 0.5)
+        target[0] = math.nan
+        beta, residual_norm, iterations, converged, history = _lm_logistic(
+            np.column_stack([np.ones(400), x]), target
+        )
+        assert not converged
+        assert iterations == 103
+        assert len(history) == 1
+        assert not beta.any()
+        assert math.isnan(residual_norm)
 
     def test_rank_deficient_reports_constant_column(self):
         records = self.synthetic_records((0.1, 0.3, -0.5, 0.2))

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -1135,6 +1136,17 @@ def test_readme_lists_the_defaults():
     defaults = {keys[flag]: cli._cast(keys[flag], value, flag) for flag, value in listed}
     assert len(listed) == len(defaults)
     assert defaults == cli.DEFAULTS
+
+
+def test_readme_examples_parse():
+    # a renamed or removed option would leave a README example that fails
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("likenet ")]
+    parser = cli.build_parser()
+    parsed = {parser.parse_args(cli._attach_negative_values(argv)).command for argv in commands}
+    assert parsed == {"generate", "solve", "ensemble", "analyze", "coalition", "star-compare"}
 
 
 def test_module_entry_point(tmp_path):
