@@ -144,23 +144,41 @@ def _normalize_rows(raw: np.ndarray) -> np.ndarray:
     return np.where(total > 0, raw / np.where(total > 0, total, 1.0), 0.0)
 
 
+def _normalized_at(raw: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """_normalize_rows(raw) at one entry per vector: raw (..., n), index (...);
+    each vector's sum divides only its picked entry."""
+    total = raw.sum(axis=-1)
+    picked = np.take_along_axis(raw, index[..., None], axis=-1)[..., 0]
+    return np.where(total > 0, picked / np.where(total > 0, total, 1.0), 0.0)
+
+
 def _fixed_map(
-    rates: np.ndarray, adj: np.ndarray, values: np.ndarray, scatter: tuple | None = None
+    rates_t: np.ndarray, adj_t: np.ndarray, values: np.ndarray, scatter: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(F(v), A v) for rows (B, R, n) over record b's (B, n, n) rates and adjacency.
+    """(F(v), A v) for rows (B, R, n) over record b's transposed (B, n, n)
+    rates and adjacency, rates_t[b] = R_b^T and adj_t[b] = A_b^T.
 
     F is 0 where A v is 0 (isolated nodes). `scatter` = (into, source,
     deltas), flat indices into the rows: a perturbed row adds delta to one
     entry (t, a) of its record's rates, so its numerator gains
     delta * v_a at node t, and no rate matrix is built per row.
     """
-    numer = values @ np.swapaxes(rates, 1, 2)
+    numer = values @ rates_t
     if scatter is not None:
         into, source, deltas = scatter
         numer.reshape(-1)[into] += deltas * values.reshape(-1)[source]
-    denom = values @ np.swapaxes(adj, 1, 2)
+    denom = values @ adj_t
     safe = denom > 0.0
+    if safe.all():
+        return numer / denom, denom
     return np.where(safe, numer / np.where(safe, denom, 1.0), 0.0), denom
+
+
+def _row_max_abs(rows: np.ndarray) -> np.ndarray:
+    """max |rows| along the last axis of (B, R, n), reduced over a node-major
+    copy: several times faster than a max along the short last axis, and
+    exact in any order."""
+    return np.abs(rows.transpose(2, 0, 1), order="C").max(axis=0)
 
 
 def _jacobian_stack(
@@ -199,7 +217,7 @@ def _chord_matrices(
     adj: np.ndarray, rates: np.ndarray, raw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """((I - dF/dv)^-1 at raw (B, n) for each record, invertible (B,)); see newton_matrix."""
-    fixed, denom = _fixed_map(rates, adj, raw[:, None, :])
+    fixed, denom = _fixed_map(np.swapaxes(rates, 1, 2), np.swapaxes(adj, 1, 2), raw[:, None, :])
     jac = _jacobian_stack(rates, adj, fixed[:, 0], denom[:, 0])
     return _each_matrix(np.linalg.inv, np.eye(raw.shape[1]) - jac)
 
@@ -256,6 +274,9 @@ def _solve_block(
     count, n = rates.shape[0], rates.shape[2]
     if around is None:
         scatter = None
+        # one row per record: the product keeps the swapped-axis views, since
+        # a one-row product with contiguous operands can round differently
+        rates_t, adj_t = np.swapaxes(rates, 1, 2), np.swapaxes(adj, 1, 2)
         values = np.full((count, 1, n), 1.0 / n)
         damped_only = np.zeros((count, 1), dtype=bool)
     else:
@@ -267,7 +288,11 @@ def _solve_block(
         scatter = ((offsets + targets).ravel(), (offsets + agents).ravel(), deltas.ravel())
         values = np.repeat(baseline[:, None, :], width, axis=1)
         chord, usable = _chord_matrices(adj, rates, baseline)
-        chord_t = np.swapaxes(chord, 1, 2)
+        # contiguous product operands: the same bits as swapped-axis views,
+        # in about half the time
+        rates_t, adj_t, chord_t = (
+            np.ascontiguousarray(np.swapaxes(m, 1, 2)) for m in (rates, adj, chord)
+        )
         damped_only = np.repeat(~usable[:, None], width, axis=1)
     shape = values.shape
     values[np.broadcast_to(~adj.any(axis=2)[:, None, :], shape)] = 0.0
@@ -277,29 +302,30 @@ def _solve_block(
     previous = None  # (values, fixed, residual) before the last step
 
     for _ in range(opts.max_iterations + 1):
-        fixed, denom = _fixed_map(rates, adj, values, scatter)
-        residual = np.abs(fixed - values).max(axis=2)
+        fixed, denom = _fixed_map(rates_t, adj_t, values, scatter)
+        gap = fixed - values
+        residual = _row_max_abs(gap)
         if polished.any():
             # undo polished steps that did not halve the residual
             rejected = polished & ~(residual <= POLISH_CONTRACTION * previous[2])
             if rejected.any():
                 damped_only |= rejected
-                values[rejected] = previous[0][rejected]
-                fixed[rejected] = previous[1][rejected]
-                residual[rejected] = previous[2][rejected]
+                np.copyto(values, previous[0], where=rejected[:, :, None])
+                np.copyto(fixed, previous[1], where=rejected[:, :, None])
+                np.copyto(residual, previous[2], where=rejected)
+                gap = fixed - values
 
         converged |= residual <= opts.tolerance
         step = ~converged & (iterations < opts.max_iterations)
         if not step.any():
             break
 
-        gap = fixed - values
         delta = RELAXATION * gap
-        polished = step & ~damped_only & (residual < POLISH_RESIDUAL * np.abs(fixed).max(axis=2))
+        polished = step & ~damped_only & (residual < POLISH_RESIDUAL * _row_max_abs(fixed))
         if polished.any() and around is not None:
             # every record's rows in one product, so a row's arithmetic
             # does not depend on which other rows are polished
-            delta[polished] = (gap @ chord_t)[polished]
+            np.copyto(delta, gap @ chord_t, where=polished[:, :, None])
         elif polished.any():
             record = np.flatnonzero(polished[:, 0])
             jac = _jacobian_stack(rates[record], adj[record], fixed[polished], denom[polished])
@@ -308,7 +334,8 @@ def _solve_block(
             delta[record[ok], 0] = solved[ok, :, 0]
             damped_only[record[~ok], 0] = True
             polished[record[~ok], 0] = False
-        delta[~step] = 0.0
+        if not step.all():
+            np.copyto(delta, 0.0, where=~step[:, :, None])
         previous = (values, fixed, residual)
         values = values + delta
         iterations += step

@@ -33,6 +33,7 @@ from .centrality import (
     RateMatrix,
     SolverOptions,
     _normalize_rows,
+    _normalized_at,
     _solve_block,
     solve_rate_batch,  # unused here; perfbench/tracing.py patches it at this call site
 )
@@ -64,10 +65,11 @@ CENTRAL_RELATIVE_STEP = 0.001
 # nodes. The solver holds about a dozen arrays of a chunk's values; at most
 # 10880 values keeps each float64 (chunk, R, n) array at 85 KiB, under
 # glibc's 128 KiB mmap threshold, so they reuse heap memory rather than take
-# fresh pages that fault in on first touch. Solving 2, 4 and 9 wide records
-# (n=40, k=3) in one piece cost 192, 271 and 284 minor faults and 1.81, 1.73
-# and 1.68 ms a record; in chunks of one record, 98, 32 and 0 faults and
-# 1.81, 1.55 and 1.38 ms.
+# fresh pages that fault in on first touch. On a 2-vCPU VM, serial
+# compute_block over blocks of 9 wide records (n=40, k=3) cost 96 minor faults
+# and 0.73 ms a record in chunks of one record, 210 faults and 0.69-0.72 ms
+# with the block in one piece, and 0.64-0.66 ms in chunks of 2 or 3 records;
+# desk records cost 47-49 us at 32 to 256 records a chunk.
 CHUNK_VALUES = 10_880
 
 
@@ -163,10 +165,7 @@ def _gradient_block(
         raw, conv, _ = _solve_block(
             adj[chunk], rates[chunk], opts, around=(base_raw[chunk], perturbation)
         )
-        normalized = _normalize_rows(raw).reshape(len(raw), len(stencil), width, -1)
-        picked[chunk] = np.take_along_axis(
-            normalized, agents[chunk][:, None, :, None], axis=3
-        )[..., 0]
+        picked[chunk] = _normalized_at(raw, perturbation[1]).reshape(len(raw), len(stencil), width)
         converged[chunk] &= conv.all(axis=1)
     if scheme == "forward":
         lower = centrality[own, agents]

@@ -10,6 +10,9 @@ compute_block builds, solves and encodes a whole block as arrays; its
 lines must equal records assembled one at a time from the library's
 single-system calls, and write_records must write the same bytes from
 the decoded lines.
+The solver loop and the normalization of the perturbed rows are rewritten
+for speed with operations that give the same bits; their results must
+equal those of the straightforward loop, frozen here, value for value.
 """
 
 import io
@@ -21,7 +24,17 @@ import numpy as np
 import pytest
 
 from likenet import ensemble
-from likenet.centrality import RateMatrix
+from likenet import stability as stability_module
+from likenet.centrality import (
+    POLISH_CONTRACTION,
+    POLISH_RESIDUAL,
+    RELAXATION,
+    RateMatrix,
+    SolverOptions,
+    _each_matrix,
+    _jacobian_stack,
+    _normalized_at,
+)
 from likenet.ensemble import (
     EnsembleConfig,
     compute_block,
@@ -31,7 +44,7 @@ from likenet.ensemble import (
     write_records,
 )
 from likenet.graphs import Graph, _attach, compute_metrics, generate_ba
-from likenet.stability import stability
+from likenet.stability import _gradient_block, stability
 
 from util import block_text
 
@@ -167,3 +180,150 @@ def test_block_text_matches_records_assembled_one_at_a_time(
     records = [json.loads(line) for line in expected]
     assert stabilities == [r["stability"] for r in records]
     assert non_converged == sum(not r["solver_converged"] for r in records)
+
+
+def reference_fixed_map(rates, adj, values, scatter=None):
+    """(F(v), A v) for rows (B, R, n), multiplied by swapped-axis views of
+    the rates and adjacency; every quotient through a mask."""
+    numer = values @ np.swapaxes(rates, 1, 2)
+    if scatter is not None:
+        into, source, deltas = scatter
+        numer.reshape(-1)[into] += deltas * values.reshape(-1)[source]
+    denom = values @ np.swapaxes(adj, 1, 2)
+    safe = denom > 0.0
+    return np.where(safe, numer / np.where(safe, denom, 1.0), 0.0), denom
+
+
+def reference_solve_block(adj, rates, opts, around=None):
+    """The fixed-point loop with row maxima along the node axis, swapped-axis
+    product operands and boolean-mask gathers and scatters."""
+    count, n = rates.shape[0], rates.shape[2]
+    if around is None:
+        scatter = None
+        values = np.full((count, 1, n), 1.0 / n)
+        damped_only = np.zeros((count, 1), dtype=bool)
+    else:
+        baseline, (targets, agents, entries) = around
+        width = targets.shape[1]
+        own = np.arange(count)[:, None]
+        offsets = np.arange(count * width).reshape(count, width) * n
+        deltas = entries - rates[own, targets, agents]
+        scatter = ((offsets + targets).ravel(), (offsets + agents).ravel(), deltas.ravel())
+        values = np.repeat(baseline[:, None, :], width, axis=1)
+        fixed, denom = reference_fixed_map(rates, adj, baseline[:, None, :])
+        jac = _jacobian_stack(rates, adj, fixed[:, 0], denom[:, 0])
+        chord, usable = _each_matrix(np.linalg.inv, np.eye(n) - jac)
+        chord_t = np.swapaxes(chord, 1, 2)
+        damped_only = np.repeat(~usable[:, None], width, axis=1)
+    shape = values.shape
+    values[np.broadcast_to(~adj.any(axis=2)[:, None, :], shape)] = 0.0
+    converged = np.zeros(shape[:2], dtype=bool)
+    iterations = np.zeros(shape[:2], dtype=np.int64)
+    polished = np.zeros(shape[:2], dtype=bool)
+    previous = None
+
+    for _ in range(opts.max_iterations + 1):
+        fixed, denom = reference_fixed_map(rates, adj, values, scatter)
+        residual = np.abs(fixed - values).max(axis=2)
+        if polished.any():
+            rejected = polished & ~(residual <= POLISH_CONTRACTION * previous[2])
+            if rejected.any():
+                damped_only |= rejected
+                values[rejected] = previous[0][rejected]
+                fixed[rejected] = previous[1][rejected]
+                residual[rejected] = previous[2][rejected]
+
+        converged |= residual <= opts.tolerance
+        step = ~converged & (iterations < opts.max_iterations)
+        if not step.any():
+            break
+
+        gap = fixed - values
+        delta = RELAXATION * gap
+        polished = step & ~damped_only & (residual < POLISH_RESIDUAL * np.abs(fixed).max(axis=2))
+        if polished.any() and around is not None:
+            delta[polished] = (gap @ chord_t)[polished]
+        elif polished.any():
+            record = np.flatnonzero(polished[:, 0])
+            jac = _jacobian_stack(rates[record], adj[record], fixed[polished], denom[polished])
+            solved, ok = _each_matrix(np.linalg.solve, np.eye(n) - jac, gap[polished][:, :, None])
+            delta[record[ok], 0] = solved[ok, :, 0]
+            damped_only[record[~ok], 0] = True
+            polished[record[~ok], 0] = False
+        delta[~step] = 0.0
+        previous = (values, fixed, residual)
+        values = values + delta
+        iterations += step
+
+    return values, converged, iterations
+
+
+def reference_normalized_at(raw, index):
+    """Every vector of raw (..., n) normalized to sum to 1, then the entry
+    at index (...) taken from each."""
+    total = raw.sum(axis=-1, keepdims=True)
+    normalized = np.where(total > 0, raw / np.where(total > 0, total, 1.0), 0.0)
+    return np.take_along_axis(normalized, index[..., None], axis=-1)[..., 0]
+
+
+def ensemble_systems(n, k, count, seed=41):
+    """(adj, rates, pairs) of records 0..count-1 of an ensemble."""
+    config = EnsembleConfig(n=n, k=k, master_seed=seed)
+    return ensemble._block_systems(config, ensemble.MAIN_STREAM, _attach, 0, count)[2:]
+
+
+def with_isolated_node(adj, rates, pairs):
+    """The systems with one more node, which has no edges."""
+    pad = ((0, 0), (0, 1), (0, 1))
+    return np.pad(adj, pad), np.pad(rates, pad), pairs
+
+
+def all_ones(adj, rates, pairs):
+    """The systems over the all-ones adjacency that eigenvector centrality solves."""
+    return np.ones_like(adj), rates, pairs
+
+
+# the default budget; one so short that rows stop unconverged; and a tolerance
+# below the rounding floor, where polished steps are undone and rows run out
+# of iterations
+CAPPED = SolverOptions(max_iterations=3)
+BELOW_ROUNDING = SolverOptions(tolerance=1e-16, max_iterations=40)
+
+
+@pytest.mark.parametrize("scheme", ["forward", "central"])
+@pytest.mark.parametrize(
+    "n, k, count, shape, opts",
+    [(10, 2, 300, None, SolverOptions()),
+     pytest.param(40, 3, 9, None, SolverOptions(), marks=pytest.mark.slow),
+     (6, 5, 200, None, SolverOptions()), (10, 1, 200, None, SolverOptions()),
+     (10, 2, 100, all_ones, SolverOptions()), (6, 2, 100, with_isolated_node, SolverOptions()),
+     (10, 2, 100, None, CAPPED), (10, 2, 100, None, BELOW_ROUNDING)],
+    ids=["desk", "wide", "6-5", "10-1", "all-ones", "isolated-node", "capped", "below-rounding"],
+)
+def test_solver_loop_matches_reference(n, k, count, shape, opts, scheme, monkeypatch):
+    adj, rates, pairs = ensemble_systems(n, k, count)
+    if shape is not None:
+        adj, rates, pairs = shape(adj, rates, pairs)
+    calls = []
+
+    def recording(adj, rates, opts, around=None):
+        result = solve_block(adj, rates, opts, around)
+        calls.append(((adj.copy(), rates.copy(), opts, around), result))
+        return result
+
+    solve_block = stability_module._solve_block
+    monkeypatch.setattr(stability_module, "_solve_block", recording)
+    _gradient_block(adj, rates, pairs, opts, scheme)
+    # the baseline solve (plain mode), then the perturbed rows in chunks (around mode)
+    assert [around is None for (*_, around), _ in calls] == [True] + [False] * (len(calls) - 1)
+    assert len(calls) > 1
+    for args, (raw, converged, iterations) in calls:
+        expected_raw, expected_converged, expected_iterations = reference_solve_block(*args)
+        assert np.array_equal(raw, expected_raw)
+        assert np.array_equal(converged, expected_converged)
+        assert np.array_equal(iterations, expected_iterations)
+        if args[3] is not None:
+            agents = args[3][1][1]
+            assert np.array_equal(_normalized_at(raw, agents), reference_normalized_at(raw, agents))
+    every_row = np.concatenate([converged.ravel() for _, (_, converged, _) in calls])
+    assert every_row.all() == (opts == SolverOptions())
