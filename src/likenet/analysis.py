@@ -382,7 +382,7 @@ def _sample_stars(count: int, config: EnsembleConfig) -> tuple[np.ndarray, np.nd
     The stars are solved in blocks that ensemble._block_systems builds.
     """
     edges = np.array(generate_star(config.n).edges)
-    size = block_records(2 * len(edges), config.n)
+    size = block_records(config.n)
     stabilities, centralities = [], []
     non_converged = 0
     for start in range(0, count, size):

@@ -75,25 +75,25 @@ STABILITY_QUANTILES = (0.001, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 MAIN_STREAM = 0
 STAR_STREAM = 1
 
-# Solver values per block: records x perturbed systems x nodes. A block's
-# graphs, rates, metrics, baseline solves and record lines are built as one
-# batch, so their per-call NumPy overhead is paid once per block; its
-# perturbed solves run in chunks of stability.CHUNK_VALUES. 87040 makes
-# 256-record desk blocks (n=10, k=2: 34 systems of 10 values) and 9-record
-# wide blocks (n=40, k=3: 228 systems of 40 values). At 43520, 87040 and
-# 174080 values, serial compute_block took 0.297, 0.299 and 0.286 ms a desk
-# record and 3.45, 3.33 and 2.93 ms a wide record (medians of 3 runs on a
-# 2-vCPU VM), perfbench's desk peak_rss_mb read 76.7-77.0, 76.2-76.6 and
-# 76.3-76.5 MB, and a block's traced allocations peaked at 1.6, 2.0 and
-# 3.8 MiB for desk records: 87040 shares graphs._attach's per-draw cost
-# over 9 wide records, and 174080 would double a desk block's memory again
-# for 4% a desk and 12% a wide record.
-BLOCK_VALUES = 87_040
+# Values per block: records x nodes x nodes, the (B, n, n) stacks of
+# adjacency, rates, plain-mode Jacobians and metric distances that a block
+# holds at once; its perturbed solves run in chunks of stability.CHUNK_VALUES,
+# which do not grow with the block. A block's graphs, rates, metrics,
+# baseline solves and record lines are built as one batch, so their fixed
+# costs (graphs._attach's growth loop, the baseline loop's passes, the metric
+# BFS, the seeding) are paid once per block. 25600 makes 256-record desk
+# blocks (n=10) and 16-record wide blocks (n=40, k=3). Over 288 wide records
+# in blocks of 9, 16 and 24, serial compute_block took 0.68-0.73, 0.64-0.65
+# and 0.58 ms a record (medians of 3 runs, two sessions on a 2-vCPU VM) and a
+# block's traced allocations peaked at 1.10, 1.54 and 2.39 MiB; desk blocks
+# of 256 took 0.048-0.049 ms a record and peaked at 1.92 MiB. Blocks of 24
+# wide records would pass the 2.1 MiB that tests/test_ensemble.py allows one.
+BLOCK_VALUES = 25_600
 
 
-def block_records(systems: int, n: int) -> int:
-    """Records per block when each record solves `systems` systems on n nodes."""
-    return records_within(BLOCK_VALUES, systems, n)
+def block_records(n: int) -> int:
+    """Records per block on n nodes: BLOCK_VALUES over n * n, at least one."""
+    return records_within(BLOCK_VALUES, n, n)
 
 
 def check_rate_lambda(rate_lambda: float) -> None:
@@ -463,8 +463,8 @@ def summarize_records(stabilities: Sequence[float], non_converged: int) -> dict:
 def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
     """Run the ensemble, writing records.jsonl and summary.json.
 
-    The run is laid out in consecutive blocks of BLOCK_VALUES solver
-    values, or count / workers records if that is fewer, but no fewer
+    The run is laid out in consecutive blocks of block_records(n)
+    records, or count / workers records if that is fewer, but no fewer
     than a solver chunk nor more than the run. They are computed in
     record_index order, one pool task each, or in this process when
     there is one block or one worker; a record depends on neither. Each
@@ -481,7 +481,7 @@ def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
     # a small run is split evenly over the workers rather than into full
     # blocks, but a process gets at least a chunk: below that, one more
     # process costs more than it saves
-    size = min(block_records(2 * edges, config.n), max(chunk, math.ceil(count / workers)), count)
+    size = min(block_records(config.n), max(chunk, math.ceil(count / workers)), count)
     spans = [(start, min(start + size, count)) for start in range(0, count, size)]
     # no more processes than blocks; a single one is this process
     processes = min(workers, len(spans))

@@ -66,10 +66,12 @@ CENTRAL_RELATIVE_STEP = 0.001
 # 10880 values keeps each float64 (chunk, R, n) array at 85 KiB, under
 # glibc's 128 KiB mmap threshold, so they reuse heap memory rather than take
 # fresh pages that fault in on first touch. On a 2-vCPU VM, serial
-# compute_block over blocks of 9 wide records (n=40, k=3) cost 96 minor faults
-# and 0.73 ms a record in chunks of one record, 210 faults and 0.69-0.72 ms
-# with the block in one piece, and 0.64-0.66 ms in chunks of 2 or 3 records;
-# desk records cost 47-49 us at 32 to 256 records a chunk.
+# compute_block over 288 wide records (n=40, k=3) in blocks of 16 cost
+# 0.66-0.75 ms a record and 99 minor faults in chunks of one record,
+# 0.63-0.68 and 0.62-0.66 ms in chunks of 2 and 3, and 0.61-0.71 ms and 182
+# faults with the block in one piece (quartiles of 7 fresh processes); run
+# in turn in one process, chunks of 2 or 3 were as often slower as faster
+# than chunks of one. Desk records cost 44-48 us at 32 to 256 records a chunk.
 CHUNK_VALUES = 10_880
 
 

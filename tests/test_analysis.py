@@ -37,7 +37,7 @@ from likenet.ensemble import (
 from likenet.graphs import Graph, generate_ba, generate_star
 import likenet.stability as stability_module
 from likenet.stability import classify_strategic, stability
-from util import random_rates, with_pair_rate
+from util import child_env, random_rates, with_pair_rate
 
 
 def make_record(index, stability, degree_histogram, rates=(), **metrics):
@@ -435,12 +435,12 @@ class TestStarComparison:
     @pytest.mark.parametrize("n, rate_lambda", [(10, 1.0), (6, 1.0), (10, 2.5)])
     def test_stars_equal_stars_solved_one_at_a_time(self, n, rate_lambda, monkeypatch):
         config = EnsembleConfig(n=n, rate_lambda=rate_lambda, master_seed=7)
-        # 20-star blocks solved in 7-star chunks: a star solves 2(n-1)
-        # systems of n values
-        monkeypatch.setattr(ensemble, "BLOCK_VALUES", 20 * 2 * (n - 1) * n)
+        # 20-star blocks solved in 7-star chunks: a block holds n x n values
+        # a star, a chunk 2(n-1) systems of n values
+        monkeypatch.setattr(ensemble, "BLOCK_VALUES", 20 * n * n)
         monkeypatch.setattr(stability_module, "CHUNK_VALUES", 7 * 2 * (n - 1) * n)
         # one whole block of stars and part of the next
-        count = block_records(2 * (n - 1), n) + 3
+        count = block_records(n) + 3
         assert count == 23
         stabilities, centralities = stars_one_at_a_time(count, config)
         sampled = analysis._sample_stars(count, config)
@@ -452,6 +452,19 @@ class TestStarComparison:
         assert result.star_mean_stability == float(np.mean(stabilities))
         branch = float(np.mean(centralities[strategic, 1:].mean(axis=1)))
         assert result.branch_hub_ratio == branch / float(np.mean(centralities[strategic, 0]))
+
+    def test_stars_are_solved_in_default_blocks(self, monkeypatch):
+        # stars on 10 nodes, 256 to a block as desk records
+        sizes = []
+        gradient_block = analysis._gradient_block
+
+        def tracked(adj, *args):
+            sizes.append(len(adj))
+            return gradient_block(adj, *args)
+
+        monkeypatch.setattr(analysis, "_gradient_block", tracked)
+        analysis._sample_stars(300, EnsembleConfig())
+        assert sizes == [256, 44]
 
     def test_empty_hub_subset_is_an_error(self, refuse_sampling):
         record = make_record(0, 0.9, [0, 0, 10, 0, 0, 0, 0, 0, 0, 0])
@@ -517,5 +530,6 @@ def test_import_loads_no_scipy():
         "import sys, likenet, likenet.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -30,7 +30,7 @@ from likenet.ensemble import (
 )
 from likenet.stability import StabilityResult
 from likenet.graphs import generate_ba, read_edge_list
-from util import random_rates, with_pair_rate
+from util import child_env, random_rates, with_pair_rate
 
 
 # the inputs each command requires that are not options
@@ -195,7 +195,7 @@ class TestEnsembleCommand:
     def test_rerun_and_worker_invariance(self, tmp_path):
         # three default desk blocks, so that two workers start a pool; reruns
         # at one worker are criterion 11's
-        args = ["ensemble", "--samples", 2 * block_records(34, 10) + 6, "--seed", 5]
+        args = ["ensemble", "--samples", 2 * block_records(10) + 6, "--seed", 5]
         assert run_cli(*args, "--workers", 1, "--out", tmp_path / "a") == 0
         assert run_cli(*args, "--workers", 2, "--out", tmp_path / "b") == 0
         for name in ("records.jsonl", "summary.json"):
@@ -205,7 +205,7 @@ class TestEnsembleCommand:
         # three default desk blocks on two workers, forked from this process
         # with the failing compute_block (forkserver and spawn workers would
         # import it unpatched); the second block fails
-        size = block_records(34, 10)
+        size = block_records(10)
         compute = ensemble.compute_block
 
         def fail_second(config, start, stop, lines):
@@ -255,13 +255,10 @@ class TestEnsembleCommand:
         # SIGTERM once its first block is in records.jsonl
         out = tmp_path / "run"
         records = out / "records.jsonl"
-        src = str(Path(ensemble.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.Popen(
             [sys.executable, "-m", "likenet", "ensemble", "--samples", "1000000",
              "--workers", "2", "--out", str(out)],
-            env=env, start_new_session=True, stderr=subprocess.DEVNULL,
+            env=child_env(), start_new_session=True, stderr=subprocess.DEVNULL,
         )
         try:
             deadline = time.monotonic() + 60
@@ -1153,6 +1150,7 @@ def test_module_entry_point(tmp_path):
     out = tmp_path / "g.txt"
     proc = subprocess.run(
         [sys.executable, "-m", "likenet", "generate", "--model", "star", "--n", "4", "--out", str(out)],
+        env=child_env(),
         capture_output=True,
         text=True,
     )

@@ -60,23 +60,25 @@ def decoded_run(cfg, out, workers=1):
 
 
 # records in a default desk block, and in a chunk of its perturbed solves
-DESK_BLOCK = ensemble.block_records(34, 10)
+DESK_BLOCK = ensemble.block_records(10)
 DESK_CHUNK = chunk_records(34, 10)
 
 
-def assert_files_independent(cfg, tmp_path, monkeypatch, layouts):
+def assert_files_independent(cfg, tmp_path, monkeypatch, layouts, workers):
     """Check that cfg's records.jsonl and summary.json are the same bytes in
-    every (records per block, records per solver chunk) layout, with one,
-    two and three workers, and that a run leaves no other file."""
+    every (records per block, records per solver chunk) layout, with each
+    worker count, and that a run leaves no other file."""
+    n, k = cfg.n, cfg.k
+    systems = 2 * (k * (k - 1) // 2 + k * (n - k))
     runs = []
     for block, chunk in layouts:
-        # a desk record solves 34 systems of 10 values
-        monkeypatch.setattr(ensemble, "BLOCK_VALUES", block * 34 * 10)
-        monkeypatch.setattr(stability_module, "CHUNK_VALUES", chunk * 34 * 10)
-        assert (ensemble.block_records(34, 10), chunk_records(34, 10)) == (block, chunk)
-        for workers in (1, 2, 3):
-            out = tmp_path / f"block{block}-chunk{chunk}-workers{workers}"
-            run_to_files(cfg, out, workers=workers)
+        # a block holds n x n values a record, a chunk `systems` systems of n
+        monkeypatch.setattr(ensemble, "BLOCK_VALUES", block * n * n)
+        monkeypatch.setattr(stability_module, "CHUNK_VALUES", chunk * systems * n)
+        assert (ensemble.block_records(n), chunk_records(systems, n)) == (block, chunk)
+        for count in workers:
+            out = tmp_path / f"block{block}-chunk{chunk}-workers{count}"
+            run_to_files(cfg, out, workers=count)
             assert sorted(path.name for path in out.iterdir()) == ["records.jsonl", "summary.json"]
             runs.append([(out / n).read_bytes() for n in ("records.jsonl", "summary.json")])
     assert all(run == runs[0] for run in runs[1:])
@@ -212,8 +214,8 @@ class TestRunEnsemble:
         # the test sets 64-record desk blocks, or samples / workers records if
         # that is fewer, but no fewer than a 32-record chunk nor more than the
         # run; one block runs in this process
-        monkeypatch.setattr(ensemble, "BLOCK_VALUES", 64 * 34 * 10)
-        assert (ensemble.block_records(34, 10), DESK_CHUNK) == (64, 32)
+        monkeypatch.setattr(ensemble, "BLOCK_VALUES", 64 * 10 * 10)
+        assert (ensemble.block_records(10), DESK_CHUNK) == (64, 32)
         records = decoded_run(EnsembleConfig(sample_count=samples), tmp_path, workers=workers)
         assert [r["record_index"] for r in records] == list(range(samples))
         pools, _ = in_process_pool
@@ -231,21 +233,27 @@ class TestRunEnsemble:
         assert all(size < 16 * records + 1024 for records, size in sizes)
 
     @pytest.mark.parametrize(
-        "samples, seed, layouts",
+        "cfg, layouts, workers",
         [
             # partial last blocks at 7 and 64, one-record blocks at 1; chunks
             # of 1 and 7 records split the 7- and 64-record blocks
-            (130, 21, [(1, DESK_CHUNK), (7, 1), (64, 7)]),
+            (EnsembleConfig(sample_count=130, master_seed=21),
+             [(1, DESK_CHUNK), (7, 1), (64, 7)], (1, 2, 3)),
             # three default blocks, so that two workers start a pool
-            (2 * DESK_BLOCK + 6, 8, [(DESK_BLOCK, DESK_CHUNK)]),
+            (EnsembleConfig(sample_count=2 * DESK_BLOCK + 6, master_seed=8),
+             [(DESK_BLOCK, DESK_CHUNK)], (1, 2, 3)),
+            # wide records in blocks of 9 split into chunks of 3, and in
+            # blocks of 16 (the default) and chunks of one: partial last
+            # blocks at 4 and 8, and two workers start a pool in both layouts
+            (EnsembleConfig(sample_count=40, n=40, k=3, master_seed=23),
+             [(9, 3), (16, 1)], (1, 2)),
         ],
-        ids=["sizes-seed21", "default-seed8"],
+        ids=["sizes-seed21", "default-seed8", "wide-seed23"],
     )
     def test_files_independent_of_block_size_and_workers(
-        self, tmp_path, monkeypatch, samples, seed, layouts
+        self, tmp_path, monkeypatch, cfg, layouts, workers
     ):
-        cfg = EnsembleConfig(sample_count=samples, master_seed=seed)
-        assert_files_independent(cfg, tmp_path, monkeypatch, layouts)
+        assert_files_independent(cfg, tmp_path, monkeypatch, layouts, workers)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
@@ -314,6 +322,11 @@ class TestRunEnsemble:
                    for m in progress)
         assert progress[-1].startswith("ensemble progress: 20/20, ")
 
+    def test_default_blocks_hold_n_squared_values_a_record(self):
+        # 25600 values: 256 desk records (n=10), 16 wide (n=40), 1 past n=160
+        assert [ensemble.block_records(n) for n in (10, 20, 40, 100, 160, 500)] == [
+            256, 64, 16, 2, 1, 1]
+
     def test_run_start_logs_block_layout(self, tmp_path, caplog):
         # a run smaller than a default block is one block at one worker, and
         # is split evenly over two unless that leaves a worker less than a chunk
@@ -332,9 +345,9 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("n, k, bound_mib", [(10, 2, 3.2), (40, 3, 2.1)])
     def test_block_memory_is_bounded(self, n, k, bound_mib):
         # a default block's peak of traced allocations, NumPy's arrays among
-        # them, measured at 2.0 MiB for desk and 1.2 MiB for wide records
+        # them, measured at 1.9 MiB for desk and 1.5 MiB for wide records
         cfg = EnsembleConfig(n=n, k=k)
-        size = ensemble.block_records(2 * (k * (k - 1) // 2 + k * (n - k)), n)
+        size = ensemble.block_records(n)
         with open(os.devnull, "wb") as sink:
             compute_block(cfg, 0, size, sink)
             tracemalloc.start()

@@ -29,7 +29,7 @@ from likenet.stability import (
     _gradient_block,
 )
 from conftest import DESK_SEED
-from util import block_text, random_connected_graph, random_rates
+from util import block_text, child_env, random_connected_graph, random_rates
 
 
 def two_node(a, b):
@@ -412,6 +412,7 @@ def test_package_root_imports_no_submodule():
     code = ("import sys, likenet; "
             "print(sorted(m for m in sys.modules if m.startswith('likenet.'))); "
             "import likenet.stability as m; print(m is sys.modules['likenet.stability'])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, check=True)
     assert proc.stdout.splitlines() == ["[]", "True"]
     assert stability_module is sys.modules["likenet.stability"]

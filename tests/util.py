@@ -1,14 +1,24 @@
 """Shared helpers for the test suite: random instances, the independent
-fixed-point oracle used to cross-check the solver, and a block's record
-lines."""
+fixed-point oracle used to cross-check the solver, a block's record lines
+and the environment of a child python."""
 
 import io
+import os
+from pathlib import Path
 
 import numpy as np
 
 from likenet.centrality import RateMatrix
 from likenet.ensemble import compute_block
 from likenet.graphs import Graph, compute_metrics
+
+
+def child_env():
+    """os.environ with this checkout's src first on PYTHONPATH, so that a
+    child python imports the likenet under test, not an installed one."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def block_text(config, start, stop):
