@@ -167,7 +167,8 @@ def stability_vs_metric(table: RecordTable, metric: str) -> MetricTrend:
     keys = [key for key, start in zip(rounded, starts) if start]
     group = (np.cumsum(starts) - 1)[inverse]
     counts = np.bincount(group, minlength=len(keys))
-    # each group's stabilities in record order
+    # each group's stabilities in record order; m.sum() / len(m) is np.mean's
+    # own pairwise sum and division, without its wrapper
     members = np.split(ys[np.argsort(group, kind="stable")], np.cumsum(counts)[:-1])
     if _is_constant(xs) or _is_constant(ys):
         rho = 0.0
@@ -178,7 +179,7 @@ def stability_vs_metric(table: RecordTable, metric: str) -> MetricTrend:
         rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
     return MetricTrend(
         metric=metric,
-        series=BinnedSeries(_discrete_edges(keys), [np.mean(m) for m in members], counts),
+        series=BinnedSeries(_discrete_edges(keys), [m.sum() / len(m) for m in members], counts),
         spearman=rho,
     )
 

@@ -382,9 +382,11 @@ class RecordTable:
         return RecordTable(**rows, rates=self.rates_of(mask))
 
 
-# array typecodes of the per-record scalar columns
-_SCALARS = {"stability": "d", "degree_stddev": "d", "mean_path_length": "d",
-            "mean_local_clustering": "d", "solver_converged": "b"}
+# read_records' decoder. json.loads(s) is raw_decode(s) after a BOM check
+# and JSON whitespace, and refuses text after the value; a content line is
+# stripped, so a value that ends at len(line) is what json.loads returns.
+# A line that fails goes to json.loads for its error message
+_decode = json.JSONDecoder().raw_decode
 
 
 def read_records(jsonl_path) -> RecordTable:
@@ -395,36 +397,51 @@ def read_records(jsonl_path) -> RecordTable:
     mistyped field, a degree histogram unlike the first record's in
     length, a negative or non-finite outgoing rate.
     """
-    columns = {name: array(code) for name, code in _SCALARS.items()}
-    histograms, rate_counts, rates = array("q"), array("q"), array("d")
+    stability, degree_stddev, path_length, clustering = (array("d") for _ in range(4))
+    converged, histograms, rate_counts, rates = array("b"), array("q"), array("q"), array("d")
     width = 0
     with open(jsonl_path, encoding="utf-8") as fh:
         for where, line in content_lines(fh, jsonl_path):
             try:
-                d = json.loads(line)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+                d, end = _decode(line)
+            except ValueError:
+                end = -1
+            if end != len(line):
+                try:
+                    d = json.loads(line)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
             if not isinstance(d, dict):
                 raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
             try:
-                for name, column in columns.items():
-                    column.append(d[name])
+                name = "stability"
+                stability.append(d[name])
+                name = "degree_stddev"
+                degree_stddev.append(d[name])
+                name = "mean_path_length"
+                path_length.append(d[name])
+                name = "mean_local_clustering"
+                clustering.append(d[name])
+                name = "solver_converged"
+                converged.append(d[name])
                 name = "degree_histogram"
+                histogram = d[name]
+                if not isinstance(histogram, list):
+                    raise TypeError(f"expected a list, got {type(histogram).__name__}")
                 if not rate_counts:
-                    width = len(d[name])
-                if len(d[name]) != width:
-                    raise ValueError(f"{where}: degree_histogram has {len(d[name])} "
+                    width = len(histogram)
+                if len(histogram) != width:
+                    raise ValueError(f"{where}: degree_histogram has {len(histogram)} "
                                      f"entries, the first record's has {width}")
-                histograms.extend(d[name])
+                histograms.extend(histogram)
                 name = "outgoing_rates"
-                rates.extend(map(itemgetter(2), d[name]))
-                rate_counts.append(len(d[name]))
+                outgoing = d[name]
+                rates.extend(map(itemgetter(2), outgoing))
+                rate_counts.append(len(outgoing))
             except KeyError:
                 raise ValueError(f"{where}: missing field {name!r}") from None
             except (TypeError, IndexError, OverflowError) as exc:
                 raise ValueError(f"{where}: field {name!r} has the wrong type ({exc})") from None
-    table = {name: np.frombuffer(col, dtype=col.typecode) for name, col in columns.items()}
-    table["solver_converged"] = table["solver_converged"] != 0
     rate_counts, rates = np.frombuffer(rate_counts, np.int64), np.frombuffer(rates, np.float64)
     # np.histogram would drop a negative or NaN rate from the analyses' counts
     valid = (rates >= 0.0) & (rates < math.inf)
@@ -436,7 +453,11 @@ def read_records(jsonl_path) -> RecordTable:
             where, _ = next(islice(content_lines(fh, jsonl_path), position, None))
         raise ValueError(f"{where}: outgoing rate {rates[first]} is not finite and >= 0")
     return RecordTable(
-        **table,
+        stability=np.frombuffer(stability, np.float64),
+        degree_stddev=np.frombuffer(degree_stddev, np.float64),
+        mean_path_length=np.frombuffer(path_length, np.float64),
+        mean_local_clustering=np.frombuffer(clustering, np.float64),
+        solver_converged=np.frombuffer(converged, np.int8) != 0,
         degree_histogram=np.frombuffer(histograms, np.int64).reshape(len(rate_counts), width),
         rate_counts=rate_counts,
         rates=rates,

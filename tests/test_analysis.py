@@ -222,6 +222,16 @@ class TestStabilityVsMetric:
         expected = float(stats.spearmanr(paths, stabilities).statistic)
         assert stability_vs_metric(table(records), "mean_path_length").spearman == expected
 
+    def test_group_means_are_np_mean_bit_for_bit(self, tmp_path):
+        run_to_files(EnsembleConfig(sample_count=2000, master_seed=23), tmp_path)
+        records = read_records(tmp_path / "records.jsonl")
+        for metric in analysis.METRIC_FIELDS:
+            groups = {}
+            for x, s in zip(getattr(records, metric).tolist(), records.stability):
+                groups.setdefault(round(x, 12), []).append(s)
+            expected = tuple(float(np.mean(groups[key])) for key in sorted(groups))
+            assert stability_vs_metric(records, metric).series.bin_values == expected, metric
+
     @pytest.mark.parametrize("column", ["metric", "stability"])
     def test_nan_gives_nan_correlation(self, column):
         records = [

@@ -546,9 +546,15 @@ class TestRecordFileErrors:
             ),
             (lambda line: set_rate(line, -1.0), "outgoing rate -1.0 is not finite and >= 0"),
             (lambda line: set_rate(line, math.nan), "outgoing rate nan is not finite and >= 0"),
+            (lambda line: line + " {}", "Extra data"),
+            (lambda line: "\ufeff" + line, "Unexpected UTF-8 BOM"),
+            (
+                lambda line: set_field(line, "degree_histogram", "abc"),
+                "field 'degree_histogram' has the wrong type",
+            ),
         ],
         ids=["bad_json", "not_object", "missing_field", "wrong_type", "histogram_length",
-             "negative_rate", "nan_rate"],
+             "negative_rate", "nan_rate", "extra_data", "bom", "histogram_not_list"],
     )
     def test_error_names_file_and_line(self, tmp_path, small_run, capsys, command, edit, message):
         records = corrupt_second_line(small_run, tmp_path, edit)
