@@ -153,7 +153,11 @@ def _normalized_at(raw: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _fixed_map(
-    rates_t: np.ndarray, adj_t: np.ndarray, values: np.ndarray, scatter: tuple | None = None
+    rates_t: np.ndarray,
+    adj_t: np.ndarray,
+    values: np.ndarray,
+    scatter: tuple | None = None,
+    out: tuple = (None, None),
 ) -> tuple[np.ndarray, np.ndarray]:
     """(F(v), A v) for rows (B, R, n) over record b's transposed (B, n, n)
     rates and adjacency, rates_t[b] = R_b^T and adj_t[b] = A_b^T.
@@ -161,24 +165,31 @@ def _fixed_map(
     F is 0 where A v is 0 (isolated nodes). `scatter` = (into, source,
     deltas), flat indices into the rows: a perturbed row adds delta to one
     entry (t, a) of its record's rates, so its numerator gains
-    delta * v_a at node t, and no rate matrix is built per row.
+    delta * v_a at node t, and no rate matrix is built per row. `out`
+    names the arrays that receive F and A v; None allocates one.
     """
-    numer = values @ rates_t
+    numer = np.matmul(values, rates_t, out=out[0])
     if scatter is not None:
         into, source, deltas = scatter
         numer.reshape(-1)[into] += deltas * values.reshape(-1)[source]
-    denom = values @ adj_t
+    denom = np.matmul(values, adj_t, out=out[1])
     safe = denom > 0.0
     if safe.all():
-        return numer / denom, denom
-    return np.where(safe, numer / np.where(safe, denom, 1.0), 0.0), denom
+        return np.divide(numer, denom, out=numer), denom
+    np.divide(numer, denom, out=numer, where=safe)
+    np.copyto(numer, 0.0, where=~safe)
+    return numer, denom
 
 
-def _row_max_abs(rows: np.ndarray) -> np.ndarray:
+def _row_max_abs(rows: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """max |rows| along the last axis of (B, R, n), reduced over a node-major
-    copy: several times faster than a max along the short last axis, and
-    exact in any order."""
-    return np.abs(rows.transpose(2, 0, 1), order="C").max(axis=0)
+    copy made in `scratch`, a contiguous array of rows' size: several times
+    faster than a max along the short last axis, and exact in any order.
+    The copy comes first, since |.| of the transposed view would take a
+    64 KiB ufunc buffer."""
+    node_major = scratch.reshape(rows.shape[2], *rows.shape[:2])
+    np.copyto(node_major, rows.transpose(2, 0, 1))
+    return np.abs(node_major, out=node_major).max(axis=0)
 
 
 def _jacobian_stack(
@@ -235,6 +246,18 @@ def newton_matrix(g: Graph, rates: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return chord[0]
 
 
+class _Around(tuple):
+    """_solve_block's `around` for the chunks of one block: it unpacks as
+    (baseline, (targets, agents, entries)) and carries `work`, the loop's
+    six float64 buffers (6, records, R, n) for the block's largest chunk,
+    so that each chunk's loop writes into the same memory."""
+
+    def __new__(cls, baseline, perturbation, work):
+        around = super().__new__(cls, (baseline, perturbation))
+        around.work = work
+        return around
+
+
 def _solve_block(
     adj: np.ndarray,
     rates: np.ndarray,
@@ -253,7 +276,9 @@ def _solve_block(
       agents[b, r]] set to entries[b, r], started at the record's baseline
       fixed point and polished by chord steps with the record's
       (I - dF/dv)^-1 at that baseline. The change enters F as a rank-one
-      term (see _fixed_map), so no rate matrix is built per row.
+      term (see _fixed_map), so no rate matrix is built per row. An
+      _Around also brings the loop's work buffers; otherwise the call
+      allocates its own.
 
     Every row updates v <- v + P (F(v) - v). While its residual is at
     least POLISH_RESIDUAL * max|F(v)|, P = RELAXATION * I (damped
@@ -265,19 +290,19 @@ def _solve_block(
     as soon as their residual max|F(v) - v| drops to opts.tolerance.
 
     Returns (raw_values, converged, iterations), shaped (B, R, n), (B, R)
-    and (B, R), with R = 1 in plain mode. A row's steps depend on that row
-    alone, so a record's rows do not depend on the other records of the
-    block.
+    and (B, R), with R = 1 in plain mode; raw_values is a fresh array, not
+    a work buffer. A row's steps depend on that row alone, so a record's
+    rows do not depend on the other records of the block.
     """
     if not adj.any(axis=(1, 2)).all():
         raise DegenerateSystemError("graph has no edges; every denominator is zero")
     count, n = rates.shape[0], rates.shape[2]
     if around is None:
-        scatter = None
+        scatter, width = None, 1
         # one row per record: the product keeps the swapped-axis views, since
         # a one-row product with contiguous operands can round differently
         rates_t, adj_t = np.swapaxes(rates, 1, 2), np.swapaxes(adj, 1, 2)
-        values = np.full((count, 1, n), 1.0 / n)
+        start = 1.0 / n
         damped_only = np.zeros((count, 1), dtype=bool)
     else:
         baseline, (targets, agents, entries) = around
@@ -286,46 +311,63 @@ def _solve_block(
         offsets = np.arange(count * width).reshape(count, width) * n
         deltas = entries - rates[own, targets, agents]
         scatter = ((offsets + targets).ravel(), (offsets + agents).ravel(), deltas.ravel())
-        values = np.repeat(baseline[:, None, :], width, axis=1)
+        start = baseline[:, None, :]
         chord, usable = _chord_matrices(adj, rates, baseline)
         # contiguous product operands: the same bits as swapped-axis views,
-        # in about half the time
+        # in about half the time; the loop keeps only the transposed chord
         rates_t, adj_t, chord_t = (
             np.ascontiguousarray(np.swapaxes(m, 1, 2)) for m in (rates, adj, chord)
         )
+        del chord
         damped_only = np.repeat(~usable[:, None], width, axis=1)
+    work = getattr(around, "work", None)
+    own_work = work is None
+    if own_work:
+        # six arrays apart, so that the values returned hold only their own
+        work = [np.empty((count, width, n)) for _ in range(6)]
+    # every (B, R, n) array of the loop: the values and those before the
+    # last step, F and F before the last step (swapped each pass), A v and
+    # then the gap F - v, and one scratch array for node-major row maxima
+    # and for the step
+    values, before, fixed, fixed_before, gap, scratch = (buffer[:count] for buffer in work)
     shape = values.shape
+    values[...] = start
     values[np.broadcast_to(~adj.any(axis=2)[:, None, :], shape)] = 0.0
     converged = np.zeros(shape[:2], dtype=bool)
     iterations = np.zeros(shape[:2], dtype=np.int64)
     polished = np.zeros(shape[:2], dtype=bool)
-    previous = None  # (values, fixed, residual) before the last step
+    residual_before = None
 
     for _ in range(opts.max_iterations + 1):
-        fixed, denom = _fixed_map(rates_t, adj_t, values, scatter)
-        gap = fixed - values
-        residual = _row_max_abs(gap)
+        # plain mode's Newton steps read A v after the gap is taken
+        _, denom = _fixed_map(
+            rates_t, adj_t, values, scatter, out=(fixed, None if around is None else gap)
+        )
+        np.subtract(fixed, values, out=gap)
+        residual = _row_max_abs(gap, scratch)
         if polished.any():
             # undo polished steps that did not halve the residual
-            rejected = polished & ~(residual <= POLISH_CONTRACTION * previous[2])
+            rejected = polished & ~(residual <= POLISH_CONTRACTION * residual_before)
             if rejected.any():
                 damped_only |= rejected
-                np.copyto(values, previous[0], where=rejected[:, :, None])
-                np.copyto(fixed, previous[1], where=rejected[:, :, None])
-                np.copyto(residual, previous[2], where=rejected)
-                gap = fixed - values
+                np.copyto(values, before, where=rejected[:, :, None])
+                np.copyto(fixed, fixed_before, where=rejected[:, :, None])
+                np.copyto(residual, residual_before, where=rejected)
+                np.subtract(fixed, values, out=gap)
 
         converged |= residual <= opts.tolerance
         step = ~converged & (iterations < opts.max_iterations)
         if not step.any():
             break
 
-        delta = RELAXATION * gap
-        polished = step & ~damped_only & (residual < POLISH_RESIDUAL * _row_max_abs(fixed))
+        largest = _row_max_abs(fixed, scratch)
+        polished = step & ~damped_only & (residual < POLISH_RESIDUAL * largest)
+        delta = np.multiply(RELAXATION, gap, out=scratch)
         if polished.any() and around is not None:
             # every record's rows in one product, so a row's arithmetic
-            # does not depend on which other rows are polished
-            np.copyto(delta, gap @ chord_t, where=polished[:, :, None])
+            # does not depend on which other rows are polished; `before`
+            # is free until the step is taken
+            np.copyto(delta, np.matmul(gap, chord_t, out=before), where=polished[:, :, None])
         elif polished.any():
             record = np.flatnonzero(polished[:, 0])
             jac = _jacobian_stack(rates[record], adj[record], fixed[polished], denom[polished])
@@ -336,11 +378,13 @@ def _solve_block(
             polished[record[~ok], 0] = False
         if not step.all():
             np.copyto(delta, 0.0, where=~step[:, :, None])
-        previous = (values, fixed, residual)
-        values = values + delta
+        residual_before = residual
+        np.add(values, delta, out=before)
+        values, before = before, values
+        fixed, fixed_before = fixed_before, fixed
         iterations += step
 
-    return values, converged, iterations
+    return (values if own_work else values.copy()), converged, iterations
 
 
 def solve_rate_batch(

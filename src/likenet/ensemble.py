@@ -82,12 +82,13 @@ STAR_STREAM = 1
 # baseline solves and record lines are built as one batch, so their fixed
 # costs (graphs._attach's growth loop, the baseline loop's passes, the metric
 # BFS, the seeding) are paid once per block. 25600 makes 256-record desk
-# blocks (n=10) and 16-record wide blocks (n=40, k=3). Over 288 wide records
-# in blocks of 9, 16 and 24, serial compute_block took 0.68-0.73, 0.64-0.65
-# and 0.58 ms a record (medians of 3 runs, two sessions on a 2-vCPU VM) and a
-# block's traced allocations peaked at 1.10, 1.54 and 2.39 MiB; desk blocks
-# of 256 took 0.048-0.049 ms a record and peaked at 1.92 MiB. Blocks of 24
-# wide records would pass the 2.1 MiB that tests/test_ensemble.py allows one.
+# blocks (n=10) and 16-record wide blocks (n=40, k=3). Over 576 wide records
+# in blocks of 9, 16 and 24, serial compute_block took 0.61-0.72, 0.53-0.56
+# and 0.52-0.56 ms a record (3 fresh processes on a 2-vCPU VM, chunks of 2
+# wide records) and a block's traced allocations peaked at 1.56, 1.81 and
+# 2.38 MiB; desk blocks of 256 took 0.045 ms a record and peaked at 2.95 MiB.
+# Blocks of 24 wide records would pass the 2.1 MiB that tests/test_ensemble.py
+# allows one.
 BLOCK_VALUES = 25_600
 
 
@@ -404,12 +405,13 @@ def read_records(jsonl_path) -> RecordTable:
         for where, line in content_lines(fh, jsonl_path):
             try:
                 d, end = _decode(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 end = -1
             if end != len(line):
                 try:
                     d = json.loads(line)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
+                    # RecursionError: nesting past the scanner's depth limit
                     raise ValueError(f"{where}: {exc}") from None
             if not isinstance(d, dict):
                 raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")

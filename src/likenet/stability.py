@@ -32,6 +32,7 @@ import numpy as np
 from .centrality import (
     RateMatrix,
     SolverOptions,
+    _Around,
     _normalize_rows,
     _normalized_at,
     _solve_block,
@@ -62,17 +63,26 @@ ABSOLUTE_STEP = 1e-4
 CENTRAL_RELATIVE_STEP = 0.001
 
 # Solver values per chunk of perturbed solves: records x perturbed systems x
-# nodes. The solver holds about a dozen arrays of a chunk's values; at most
-# 10880 values keeps each float64 (chunk, R, n) array at 85 KiB, under
-# glibc's 128 KiB mmap threshold, so they reuse heap memory rather than take
-# fresh pages that fault in on first touch. On a 2-vCPU VM, serial
-# compute_block over 288 wide records (n=40, k=3) in blocks of 16 cost
-# 0.66-0.75 ms a record and 99 minor faults in chunks of one record,
-# 0.63-0.68 and 0.62-0.66 ms in chunks of 2 and 3, and 0.61-0.71 ms and 182
-# faults with the block in one piece (quartiles of 7 fresh processes); run
-# in turn in one process, chunks of 2 or 3 were as often slower as faster
-# than chunks of one. Desk records cost 44-48 us at 32 to 256 records a chunk.
-CHUNK_VALUES = 10_880
+# nodes. _gradient_block allocates the around loop's six work arrays once per
+# block, for its largest chunk, and every pass of every chunk writes into
+# them, so a pass takes no fresh pages and the chunk is bounded by memory
+# alone. 27200 is the largest value that keeps a default block under the
+# traced-memory bounds of tests/test_ensemble.py: chunks of 2 wide records
+# (n=40, k=3, 9120 values each) and 80 desk records (n=10, k=2, 340 each);
+# 27360, 3 wide records, takes a wide block past its 2.1 MiB. Serial
+# compute_block on a 2-vCPU VM (medians of 5 fresh processes over 576 wide
+# and 10240 desk records in default blocks) and a default block's traced
+# peak:
+#   values  wide records, ms, MiB   desk records, ms, MiB
+#    9120   1, 0.61, 1.62           26, 0.050, 1.94
+#   18240   2, 0.54, 1.81           53, 0.046, 2.24
+#   21760   2, 0.53, 1.81           64, 0.045, 2.53
+#   27200   2, 0.53, 1.81           80, 0.045, 2.95
+#   27360   3, 0.54, 2.42           80, 0.045, 2.95
+# With a fresh array for each of the loop's passes, chunks were held to 10880
+# values (1 wide record, 32 desk), under glibc's 128 KiB mmap threshold, and
+# read 0.64 and 0.051 ms a record.
+CHUNK_VALUES = 27_200
 
 
 def records_within(values: int, systems: int, n: int) -> int:
@@ -119,8 +129,9 @@ def _gradient_block(
     perturbed entries (j, i). Solves every record's baseline first, then
     the perturbed systems around their record's baseline (_solve_block's
     around mode), in batches of whole records of at most CHUNK_VALUES
-    solver values: a perturbed system differs from its baseline in one
-    entry. A record's rows do not depend on the chunk it is solved in.
+    solver values that share one set of work arrays: a perturbed system
+    differs from its baseline in one entry. A record's rows do not depend
+    on the chunk it is solved in.
     Returns (gradients (B, R), all_solves_converged (B,), baseline
     centralities (B, n), normalized); non-convergence is flagged, never
     raised.
@@ -157,6 +168,8 @@ def _gradient_block(
     picked = np.empty((count, len(stencil), width))
     converged = base_conv[:, 0].copy()
     size = chunk_records(len(stencil) * width, rates.shape[2])
+    # the around loop's buffers, allocated once for the block's largest chunk
+    work = np.empty((6, min(size, count), len(stencil) * width, rates.shape[2]))
     for start in range(0, count, size):
         chunk = slice(start, start + size)
         perturbation = (
@@ -165,7 +178,7 @@ def _gradient_block(
             np.concatenate([point[chunk] for point in stencil], axis=1),
         )
         raw, conv, _ = _solve_block(
-            adj[chunk], rates[chunk], opts, around=(base_raw[chunk], perturbation)
+            adj[chunk], rates[chunk], opts, around=_Around(base_raw[chunk], perturbation, work)
         )
         picked[chunk] = _normalized_at(raw, perturbation[1]).reshape(len(raw), len(stencil), width)
         converged[chunk] &= conv.all(axis=1)

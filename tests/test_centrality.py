@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,26 @@ class TestSolverContract:
             _, cold = cold_solves(g, stack[0], opts)
             assert warm_conv.all()
             assert (warm[0] < cold).all()
+
+    @pytest.mark.parametrize("cap", [3, 40])
+    def test_around_call_holds_few_row_sized_arrays(self, cap):
+        # one wide record's 2|E| perturbed rows: the loop's six work arrays,
+        # plus per-row and n x n arrays that come to less than a seventh
+        opts = SolverOptions(max_iterations=cap)
+        g, rates = next(ba_systems(1, n=40, k=3, seed=5))
+        adj, stack = g.adjacency[None], rates.values[None]
+        entries = np.argwhere(g.adjacency)[None]
+        targets, agents = entries[:, :, 0], entries[:, :, 1]
+        base, _, _ = centrality._solve_block(adj, stack, opts)
+        around = (base[:, 0], (targets, agents, stack[0, targets, agents] * 1.01))
+        tracemalloc.start()
+        try:
+            raw, _, _ = centrality._solve_block(adj, stack, opts, around=around)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert raw.shape == (1, 228, 40)
+        assert peak <= 7 * raw.nbytes
 
     @pytest.mark.parametrize("cap", [1, 2])
     def test_iteration_cap_reports_nonconvergence(self, cap):

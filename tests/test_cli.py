@@ -564,6 +564,14 @@ class TestRecordFileErrors:
         assert f"error: {records}:2: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nesting_past_the_recursion_limit_names_file_and_line(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text("[" * 100_000 + "\n")
+        out = tmp_path / "out"
+        assert run_cli("analyze", "--records", records, "--out", out) == 1
+        assert f"error: {records}:1: maximum recursion depth exceeded" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["analyze", "star-compare"])
     def test_empty_file_fails(self, tmp_path, capsys, command):
         records = tmp_path / "records.jsonl"

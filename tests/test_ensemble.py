@@ -215,7 +215,8 @@ class TestRunEnsemble:
         # that is fewer, but no fewer than a 32-record chunk nor more than the
         # run; one block runs in this process
         monkeypatch.setattr(ensemble, "BLOCK_VALUES", 64 * 10 * 10)
-        assert (ensemble.block_records(10), DESK_CHUNK) == (64, 32)
+        monkeypatch.setattr(stability_module, "CHUNK_VALUES", 32 * 34 * 10)
+        assert (ensemble.block_records(10), chunk_records(34, 10)) == (64, 32)
         records = decoded_run(EnsembleConfig(sample_count=samples), tmp_path, workers=workers)
         assert [r["record_index"] for r in records] == list(range(samples))
         pools, _ = in_process_pool
@@ -243,10 +244,11 @@ class TestRunEnsemble:
             (EnsembleConfig(sample_count=2 * DESK_BLOCK + 6, master_seed=8),
              [(DESK_BLOCK, DESK_CHUNK)], (1, 2, 3)),
             # wide records in blocks of 9 split into chunks of 3, and in
-            # blocks of 16 (the default) and chunks of one: partial last
-            # blocks at 4 and 8, and two workers start a pool in both layouts
+            # blocks of 16 in chunks of one and of two (the default): partial
+            # last blocks at 4 and 8, and two workers start a pool in every
+            # layout
             (EnsembleConfig(sample_count=40, n=40, k=3, master_seed=23),
-             [(9, 3), (16, 1)], (1, 2)),
+             [(9, 3), (16, 1), (16, 2)], (1, 2)),
         ],
         ids=["sizes-seed21", "default-seed8", "wide-seed23"],
     )
@@ -345,7 +347,7 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("n, k, bound_mib", [(10, 2, 3.2), (40, 3, 2.1)])
     def test_block_memory_is_bounded(self, n, k, bound_mib):
         # a default block's peak of traced allocations, NumPy's arrays among
-        # them, measured at 1.9 MiB for desk and 1.5 MiB for wide records
+        # them, measured at 2.95 MiB for desk and 1.81 MiB for wide records
         cfg = EnsembleConfig(n=n, k=k)
         size = ensemble.block_records(n)
         with open(os.devnull, "wb") as sink:
