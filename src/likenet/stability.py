@@ -79,9 +79,6 @@ CENTRAL_RELATIVE_STEP = 0.001
 #   21760   2, 0.53, 1.81           64, 0.045, 2.53
 #   27200   2, 0.53, 1.81           80, 0.045, 2.95
 #   27360   3, 0.54, 2.42           80, 0.045, 2.95
-# With a fresh array for each of the loop's passes, chunks were held to 10880
-# values (1 wide record, 32 desk), under glibc's 128 KiB mmap threshold, and
-# read 0.64 and 0.051 ms a record.
 CHUNK_VALUES = 27_200
 
 
