@@ -22,11 +22,16 @@ from .ensemble import (
     EnsembleConfig,
     RecordTable,
     _block_systems,
-    block_records,
     check_rate_lambda,
 )
 from .graphs import Graph, GraphError, generate_star
-from .stability import _gradient_block, _stability_columns, check_strategic, classify_strategic
+from .stability import (
+    _gradient_block,
+    _stability_columns,
+    block_records,
+    check_strategic,
+    classify_strategic,
+)
 
 __all__ = [
     "BinnedSeries",

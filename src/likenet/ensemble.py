@@ -39,18 +39,11 @@ from .centrality import RateMatrix, SolverOptions
 # at this call site
 from .graphs import Graph, _attach, _metric_columns, compute_metrics, content_lines, generate_ba
 from .seeding import generators, spawned_seeds
-from .stability import (
-    _gradient_block,
-    _stability_columns,
-    chunk_records,
-    records_within,
-    stability,
-)
+from .stability import _gradient_block, _stability_columns, block_records, chunk_records, stability
 
 __all__ = [
     "EnsembleConfig",
     "RecordTable",
-    "block_records",
     "check_rate_lambda",
     "check_master_seed",
     "check_workers",
@@ -74,27 +67,6 @@ STABILITY_QUANTILES = (0.001, 0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 # seed-stream namespaces, mixed into the spawn key ahead of the counter
 MAIN_STREAM = 0
 STAR_STREAM = 1
-
-# Values per block: records x nodes x nodes, the (B, n, n) stacks of
-# adjacency, rates, plain-mode Jacobians and metric distances that a block
-# holds at once; its perturbed solves run in chunks of stability.CHUNK_VALUES,
-# which do not grow with the block. A block's graphs, rates, metrics,
-# baseline solves and record lines are built as one batch, so their fixed
-# costs (graphs._attach's growth loop, the baseline loop's passes, the metric
-# BFS, the seeding) are paid once per block. 25600 makes 256-record desk
-# blocks (n=10) and 16-record wide blocks (n=40, k=3). Over 576 wide records
-# in blocks of 9, 16 and 24, serial compute_block took 0.61-0.72, 0.53-0.56
-# and 0.52-0.56 ms a record (3 fresh processes on a 2-vCPU VM, chunks of 2
-# wide records) and a block's traced allocations peaked at 1.56, 1.81 and
-# 2.38 MiB; desk blocks of 256 took 0.045 ms a record and peaked at 2.95 MiB.
-# Blocks of 24 wide records would pass the 2.1 MiB that tests/test_ensemble.py
-# allows one.
-BLOCK_VALUES = 25_600
-
-
-def block_records(n: int) -> int:
-    """Records per block on n nodes: BLOCK_VALUES over n * n, at least one."""
-    return records_within(BLOCK_VALUES, n, n)
 
 
 def check_rate_lambda(rate_lambda: float) -> None:
@@ -396,7 +368,8 @@ def read_records(jsonl_path) -> RecordTable:
     Values go straight into typed arrays: 8 bytes a number, not a Python
     object. Errors name the file and line: bad JSON, a missing or
     mistyped field, a degree histogram unlike the first record's in
-    length, a negative or non-finite outgoing rate.
+    length, or with a negative count or counts that do not sum to its
+    length (the node count), a negative or non-finite outgoing rate.
     """
     stability, degree_stddev, path_length, clustering = (array("d") for _ in range(4))
     converged, histograms, rate_counts, rates = array("b"), array("q"), array("q"), array("d")
@@ -445,25 +418,39 @@ def read_records(jsonl_path) -> RecordTable:
             except (TypeError, IndexError, OverflowError) as exc:
                 raise ValueError(f"{where}: field {name!r} has the wrong type ({exc})") from None
     rate_counts, rates = np.frombuffer(rate_counts, np.int64), np.frombuffer(rates, np.float64)
+    histograms = np.frombuffer(histograms, np.int64).reshape(len(rate_counts), width)
+    # a record's histogram counts its nodes, one per node; the degree
+    # representation divides by the population's counts
+    counted = (histograms >= 0).all(axis=1) & (histograms.sum(axis=1) == width)
+    if not counted.all():
+        first = int(np.argmin(counted))
+        raise ValueError(f"{_line_of(jsonl_path, first)}: degree_histogram counts must be >= 0 "
+                         f"and sum to its {width} entries, got {histograms[first].tolist()}")
     # np.histogram would drop a negative or NaN rate from the analyses' counts
     valid = (rates >= 0.0) & (rates < math.inf)
     if not valid.all():
         first = int(np.argmin(valid))
         position = int(np.searchsorted(np.cumsum(rate_counts), first, side="right"))
-        # read again on an error only: the line of the record at position
-        with open(jsonl_path, encoding="utf-8") as fh:
-            where, _ = next(islice(content_lines(fh, jsonl_path), position, None))
-        raise ValueError(f"{where}: outgoing rate {rates[first]} is not finite and >= 0")
+        raise ValueError(f"{_line_of(jsonl_path, position)}: outgoing rate {rates[first]} "
+                         "is not finite and >= 0")
     return RecordTable(
         stability=np.frombuffer(stability, np.float64),
         degree_stddev=np.frombuffer(degree_stddev, np.float64),
         mean_path_length=np.frombuffer(path_length, np.float64),
         mean_local_clustering=np.frombuffer(clustering, np.float64),
         solver_converged=np.frombuffer(converged, np.int8) != 0,
-        degree_histogram=np.frombuffer(histograms, np.int64).reshape(len(rate_counts), width),
+        degree_histogram=histograms,
         rate_counts=rate_counts,
         rates=rates,
     )
+
+
+def _line_of(jsonl_path, position: int) -> str:
+    """The path:line of the record at position in a records file: read
+    again, on an error only."""
+    with open(jsonl_path, encoding="utf-8") as fh:
+        where, _ = next(islice(content_lines(fh, jsonl_path), position, None))
+    return where
 
 
 def summarize_records(stabilities: Sequence[float], non_converged: int) -> dict:

@@ -45,7 +45,8 @@ __all__ = [
     "RELATIVE_STEP",
     "ZERO_RATE_FLOOR",
     "ABSOLUTE_STEP",
-    "records_within",
+    "BLOCK_VALUES",
+    "block_records",
     "chunk_records",
     "centrality_gradient",
     "stability",
@@ -62,36 +63,37 @@ ABSOLUTE_STEP = 1e-4
 # central differences (validation mode) use 0.1% steps
 CENTRAL_RELATIVE_STEP = 0.001
 
-# Solver values per chunk of perturbed solves: records x perturbed systems x
-# nodes. _gradient_block allocates the around loop's six work arrays once per
-# block, for its largest chunk, and every pass of every chunk writes into
-# them, so a pass takes no fresh pages and the chunk is bounded by memory
-# alone. 27200 is the largest value that keeps a default block under the
-# traced-memory bounds of tests/test_ensemble.py: chunks of 2 wide records
-# (n=40, k=3, 9120 values each) and 80 desk records (n=10, k=2, 340 each);
-# 27360, 3 wide records, takes a wide block past its 2.1 MiB. Serial
-# compute_block on a 2-vCPU VM (medians of 5 fresh processes over 576 wide
-# and 10240 desk records in default blocks) and a default block's traced
-# peak:
-#   values  wide records, ms, MiB   desk records, ms, MiB
-#    9120   1, 0.61, 1.62           26, 0.050, 1.94
-#   18240   2, 0.54, 1.81           53, 0.046, 2.24
-#   21760   2, 0.53, 1.81           64, 0.045, 2.53
-#   27200   2, 0.53, 1.81           80, 0.045, 2.95
-#   27360   3, 0.54, 2.42           80, 0.045, 2.95
-CHUNK_VALUES = 27_200
+# The one memory budget: values in any one (records, ., n) array of a block.
+# A block holds (B, n, n) stacks of adjacency, rates, plain-mode Jacobians
+# and metric distances, so block_records(n) is the budget over n * n. Its
+# perturbed solves run in chunks whose (records, R, n) arrays, R systems a
+# record, hold as many, so chunk_records(R, n) is the budget over R * n;
+# _gradient_block allocates the around loop's six work arrays once per
+# block, for its largest chunk. A block's graphs, rates, metrics, baseline
+# solves and record lines are built as one batch, so their fixed costs are
+# paid once per block. Serial compute_block (medians of 5 fresh processes
+# over 10240 desk and 576 wide records, 2-vCPU VM) and a default block's
+# traced peak, desk n=10, k=2 and wide n=40, k=3:
+#   budget  desk block/chunk, ms, MiB   wide block/chunk, ms, MiB
+#   12800   128/37,  0.062, 1.40         8/1, 0.85, 0.91
+#   18240   182/53,  0.060, 2.00        11/2, 0.74, 1.63
+#   25600   256/75,  0.058, 2.82        16/2, 0.68, 1.81
+#   27360   273/80,  0.054, 3.01        17/3, 0.67, 2.46
+#   38400   384/112, 0.055, 4.21        24/4, 0.61, 3.32
+# Desk time is flat within the VM's noise from 18240 up; 27360 takes a wide
+# block past the 2.1 MiB that tests/test_ensemble.py allows it.
+BLOCK_VALUES = 25_600
 
 
-def records_within(values: int, systems: int, n: int) -> int:
-    """How many records of `systems` systems on n nodes fit in `values`
-    solver values; at least one."""
-    return max(1, values // max(1, systems * n))
+def block_records(n: int) -> int:
+    """Records per block on n nodes: BLOCK_VALUES over n * n, at least one."""
+    return max(1, BLOCK_VALUES // (n * n))
 
 
 def chunk_records(systems: int, n: int) -> int:
     """Records per chunk of perturbed solves when each record has `systems`
-    perturbed systems on n nodes."""
-    return records_within(CHUNK_VALUES, systems, n)
+    perturbed systems on n nodes: BLOCK_VALUES over systems * n, at least one."""
+    return max(1, BLOCK_VALUES // max(1, systems * n))
 
 
 @dataclass(frozen=True)
@@ -125,10 +127,9 @@ def _gradient_block(
     adj and rates are (B, n, n); entries (B, R, 2) holds each record's
     perturbed entries (j, i). Solves every record's baseline first, then
     the perturbed systems around their record's baseline (_solve_block's
-    around mode), in batches of whole records of at most CHUNK_VALUES
-    solver values that share one set of work arrays: a perturbed system
-    differs from its baseline in one entry. A record's rows do not depend
-    on the chunk it is solved in.
+    around mode), in chunks of chunk_records whole records that share one
+    set of work arrays: a perturbed system differs from its baseline in
+    one entry. A record's rows do not depend on the chunk it is solved in.
     Returns (gradients (B, R), all_solves_converged (B,), baseline
     centralities (B, n), normalized); non-convergence is flagged, never
     raised.

@@ -233,7 +233,8 @@ def test_criterion_8_regression_signs(desk_table, tmp_path):
             "rate_seed": 0,
             "stability": 1.0 / (1.0 + math.exp(-z)),
             "gradient_sq_sum": 0.0,
-            "degree_histogram": [0] * 10,
+            # a 10-node ring's: a histogram counts its n nodes
+            "degree_histogram": [0, 0, 10, 0, 0, 0, 0, 0, 0, 0],
             "degree_stddev": x[0],
             "mean_path_length": x[1],
             "mean_local_clustering": x[2],

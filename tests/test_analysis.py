@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from likenet import analysis, ensemble
+from likenet import analysis
 from likenet.analysis import (
     BinnedSeries,
     RankDeficientError,
@@ -27,7 +27,6 @@ from likenet.centrality import RateMatrix, SolverOptions, likedness_centrality
 from likenet.ensemble import (
     STAR_STREAM,
     EnsembleConfig,
-    block_records,
     read_records,
     record_seeds,
     run_to_files,
@@ -36,8 +35,13 @@ from likenet.ensemble import (
 )
 from likenet.graphs import Graph, generate_ba, generate_star
 import likenet.stability as stability_module
-from likenet.stability import classify_strategic, stability
+from likenet.stability import block_records, chunk_records, classify_strategic, stability
 from util import child_env, random_rates, with_pair_rate
+
+
+# the degree histogram of a 10-node ring, every node of degree 2: for records
+# whose degrees a test does not read, since a histogram counts its n nodes
+RING = [0, 0, 10, 0, 0, 0, 0, 0, 0, 0]
 
 
 def make_record(index, stability, degree_histogram, rates=(), **metrics):
@@ -96,15 +100,15 @@ class TestExponentialReference:
 class TestRateRepresentation:
     def test_identical_sets_give_unity(self):
         rng = np.random.default_rng(0)
-        records = [make_record(i, 0.9, [0] * 10, rates=rng.exponential(size=30)) for i in range(20)]
+        records = [make_record(i, 0.9, RING, rates=rng.exponential(size=30)) for i in range(20)]
         series = rate_representation(*split(records, records), percentile_edges(10, 1.0))
         for value, count in zip(series.bin_values, series.bin_counts):
             if count > 0:
                 assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_population_bins_are_nan(self):
-        strategic = [make_record(0, 0.9, [0] * 10, rates=[5.0])]
-        population = [make_record(1, 0.9, [0] * 10, rates=[0.1, 0.2])]
+        strategic = [make_record(0, 0.9, RING, rates=[5.0])]
+        population = [make_record(1, 0.9, RING, rates=[0.1, 0.2])]
         series = rate_representation(*split(strategic, population), percentile_edges(4, 1.0))
         # population occupies only the first quartile bin; the rest are
         # missing (NaN), even where strategic rates land
@@ -113,13 +117,13 @@ class TestRateRepresentation:
         assert series.bin_counts == (0, 0, 0, 1)
 
     def test_last_edge_is_infinite(self):
-        records = [make_record(0, 0.9, [0] * 10, rates=[1.0])]
+        records = [make_record(0, 0.9, RING, rates=[1.0])]
         series = rate_representation(*split(records, records), percentile_edges(5, 1.0))
         assert series.bin_edges[-1] == math.inf
         assert len(series.bin_values) == 5
 
     def test_requires_non_empty(self):
-        records = [make_record(0, 0.9, [0] * 10, rates=[1.0])]
+        records = [make_record(0, 0.9, RING, rates=[1.0])]
         for sets in ([], records), (records, []):
             with pytest.raises(ValueError, match="both record sets must be non-empty"):
                 rate_representation(*split(*sets), percentile_edges(50, 1.0))
@@ -157,14 +161,14 @@ class TestDegreeRepresentation:
 class TestStabilityVsMetric:
     def test_constant_stability_flat_with_zero_correlation(self):
         records = [
-            make_record(i, 0.5, [0] * 10, mean_path_length=1.0 + 0.1 * i) for i in range(10)
+            make_record(i, 0.5, RING, mean_path_length=1.0 + 0.1 * i) for i in range(10)
         ]
         trend = stability_vs_metric(table(records), "mean_path_length")
         assert all(v == 0.5 for v in trend.series.bin_values)
         assert trend.spearman == 0.0
 
     def test_constant_metric_is_one_bin_with_zero_correlation(self):
-        records = [make_record(i, 0.2 * (i + 1), [0] * 10, mean_path_length=2.0) for i in range(4)]
+        records = [make_record(i, 0.2 * (i + 1), RING, mean_path_length=2.0) for i in range(4)]
         trend = stability_vs_metric(table(records), "mean_path_length")
         assert trend.series.bin_edges == (1.5, 2.5)
         assert trend.series.bin_values == (pytest.approx(0.5),)
@@ -173,9 +177,9 @@ class TestStabilityVsMetric:
 
     def test_groups_by_distinct_value(self):
         records = [
-            make_record(0, 0.4, [0] * 10, mean_path_length=1.5),
-            make_record(1, 0.6, [0] * 10, mean_path_length=1.5),
-            make_record(2, 0.9, [0] * 10, mean_path_length=2.0),
+            make_record(0, 0.4, RING, mean_path_length=1.5),
+            make_record(1, 0.6, RING, mean_path_length=1.5),
+            make_record(2, 0.9, RING, mean_path_length=2.0),
         ]
         trend = stability_vs_metric(table(records), "mean_path_length")
         assert trend.series.bin_values == (0.5, 0.9)
@@ -184,12 +188,12 @@ class TestStabilityVsMetric:
     def test_rank_correlation_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(3)
         records = [
-            make_record(i, float(s), [0] * 10, mean_path_length=float(m))
+            make_record(i, float(s), RING, mean_path_length=float(m))
             for i, (s, m) in enumerate(zip(rng.uniform(0.1, 1, 60), rng.uniform(1, 3, 60)))
         ]
         base = stability_vs_metric(table(records), "mean_path_length").spearman
         cubed = [
-            make_record(r["record_index"], r["stability"] ** 3, [0] * 10,
+            make_record(r["record_index"], r["stability"] ** 3, RING,
                         mean_path_length=r["mean_path_length"])
             for r in records
         ]
@@ -197,10 +201,10 @@ class TestStabilityVsMetric:
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
-            stability_vs_metric(table([make_record(0, 0.5, [0] * 10)]), "stability")
+            stability_vs_metric(table([make_record(0, 0.5, RING)]), "stability")
 
     def test_empty_table_rejected(self):
-        records = table([make_record(0, 0.5, [0] * 10)])
+        records = table([make_record(0, 0.5, RING)])
         empty = records.select(np.zeros(len(records), dtype=bool))
         with pytest.raises(ValueError, match="no records"):
             stability_vs_metric(empty, "mean_path_length")
@@ -216,7 +220,7 @@ class TestStabilityVsMetric:
             if len(set(paths)) > 1 and len(set(stabilities)) > 1:
                 break
         records = [
-            make_record(i, float(s), [0] * 10, mean_path_length=float(m))
+            make_record(i, float(s), RING, mean_path_length=float(m))
             for i, (s, m) in enumerate(zip(stabilities, paths))
         ]
         expected = float(stats.spearmanr(paths, stabilities).statistic)
@@ -238,7 +242,7 @@ class TestStabilityVsMetric:
             make_record(
                 i,
                 math.nan if column == "stability" and i == 3 else 0.1 * (i + 1),
-                [0] * 10,
+                RING,
                 mean_path_length=math.nan if column == "metric" and i == 3 else 1.0 + i % 4,
             )
             for i in range(8)
@@ -259,7 +263,7 @@ class TestLogisticFit:
                 make_record(
                     i,
                     min(max(s, 1e-9), 1.0),
-                    [0] * 10,
+                    RING,
                     degree_stddev=x[0],
                     mean_path_length=x[1],
                     mean_local_clustering=x[2],
@@ -331,7 +335,7 @@ class TestLogisticFit:
             make_record(
                 r["record_index"],
                 r["stability"],
-                [0] * 10,
+                RING,
                 degree_stddev=r["degree_stddev"],
                 mean_path_length=r["mean_path_length"],
                 mean_local_clustering=0.25,
@@ -442,13 +446,15 @@ class TestStarComparison:
         cv = likedness_centrality(g, rates)
         assert np.ptp(cv.values[1:]) < 1e-12
 
-    @pytest.mark.parametrize("n, rate_lambda", [(10, 1.0), (6, 1.0), (10, 2.5)])
-    def test_stars_equal_stars_solved_one_at_a_time(self, n, rate_lambda, monkeypatch):
+    @pytest.mark.parametrize(
+        "n, rate_lambda, chunk", [(10, 1.0, 11), (6, 1.0, 12), (10, 2.5, 11)]
+    )
+    def test_stars_equal_stars_solved_one_at_a_time(self, n, rate_lambda, chunk, monkeypatch):
         config = EnsembleConfig(n=n, rate_lambda=rate_lambda, master_seed=7)
-        # 20-star blocks solved in 7-star chunks: a block holds n x n values
-        # a star, a chunk 2(n-1) systems of n values
-        monkeypatch.setattr(ensemble, "BLOCK_VALUES", 20 * n * n)
-        monkeypatch.setattr(stability_module, "CHUNK_VALUES", 7 * 2 * (n - 1) * n)
+        # a budget of 20 stars' n x n values: 20-star blocks, solved in
+        # chunks of the stars that 2(n-1) systems of n values each fit in
+        monkeypatch.setattr(stability_module, "BLOCK_VALUES", 20 * n * n)
+        assert (block_records(n), chunk_records(2 * (n - 1), n)) == (20, chunk)
         # one whole block of stars and part of the next
         count = block_records(n) + 3
         assert count == 23

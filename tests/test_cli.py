@@ -522,6 +522,13 @@ def set_field(line, name, value):
     return json.dumps({**json.loads(line), name: value})
 
 
+def set_degree_count(line, degree, value):
+    """The line with its degree histogram's count at degree set to value."""
+    record = json.loads(line)
+    record["degree_histogram"][degree] = value
+    return json.dumps(record)
+
+
 def set_rate(line, value):
     """The line with its fourth outgoing rate set to value."""
     record = json.loads(line)
@@ -544,6 +551,14 @@ class TestRecordFileErrors:
                 lambda line: set_field(line, "degree_histogram", [1, 2, 3]),
                 "degree_histogram has 3 entries, the first record's has 10",
             ),
+            (
+                lambda line: set_degree_count(line, 0, -5),
+                "degree_histogram counts must be >= 0 and sum to its 10 entries",
+            ),
+            (
+                lambda line: set_degree_count(line, 9, 1),
+                "degree_histogram counts must be >= 0 and sum to its 10 entries",
+            ),
             (lambda line: set_rate(line, -1.0), "outgoing rate -1.0 is not finite and >= 0"),
             (lambda line: set_rate(line, math.nan), "outgoing rate nan is not finite and >= 0"),
             (lambda line: line + " {}", "Extra data"),
@@ -554,7 +569,7 @@ class TestRecordFileErrors:
             ),
         ],
         ids=["bad_json", "not_object", "missing_field", "wrong_type", "histogram_length",
-             "negative_rate", "nan_rate", "extra_data", "bom", "histogram_not_list"],
+             "negative_count", "count_sum", "negative_rate", "nan_rate", "extra_data", "bom", "histogram_not_list"],
     )
     def test_error_names_file_and_line(self, tmp_path, small_run, capsys, command, edit, message):
         records = corrupt_second_line(small_run, tmp_path, edit)

@@ -29,9 +29,9 @@ from likenet.ensemble import (
     summarize_records,
     write_records,
 )
-from likenet.graphs import Graph, compute_metrics, generate_ba, generate_star
+from likenet.graphs import Graph, _attach, compute_metrics, generate_ba, generate_star
 import likenet.stability as stability_module
-from likenet.stability import StabilityResult, chunk_records
+from likenet.stability import StabilityResult, block_records, chunk_records
 
 from conftest import DESK_SEED
 
@@ -65,19 +65,19 @@ DESK_CHUNK = chunk_records(34, 10)
 
 
 def assert_files_independent(cfg, tmp_path, monkeypatch, layouts, workers):
-    """Check that cfg's records.jsonl and summary.json are the same bytes in
-    every (records per block, records per solver chunk) layout, with each
-    worker count, and that a run leaves no other file."""
+    """Check that cfg's records.jsonl and summary.json are the same bytes
+    under every budget of layouts, which maps a stability.BLOCK_VALUES to the
+    (records per block, records per solver chunk) it gives, with each worker
+    count, and that a run leaves no other file."""
     n, k = cfg.n, cfg.k
     systems = 2 * (k * (k - 1) // 2 + k * (n - k))
     runs = []
-    for block, chunk in layouts:
+    for budget, layout in layouts.items():
         # a block holds n x n values a record, a chunk `systems` systems of n
-        monkeypatch.setattr(ensemble, "BLOCK_VALUES", block * n * n)
-        monkeypatch.setattr(stability_module, "CHUNK_VALUES", chunk * systems * n)
-        assert (ensemble.block_records(n), chunk_records(systems, n)) == (block, chunk)
+        monkeypatch.setattr(stability_module, "BLOCK_VALUES", budget)
+        assert (block_records(n), chunk_records(systems, n)) == layout
         for count in workers:
-            out = tmp_path / f"block{block}-chunk{chunk}-workers{count}"
+            out = tmp_path / f"budget{budget}-workers{count}"
             run_to_files(cfg, out, workers=count)
             assert sorted(path.name for path in out.iterdir()) == ["records.jsonl", "summary.json"]
             runs.append([(out / n).read_bytes() for n in ("records.jsonl", "summary.json")])
@@ -205,18 +205,17 @@ class TestRecords:
 class TestRunEnsemble:
     @pytest.mark.parametrize(
         "samples, workers, started",
-        [(10, 8, []), (32, 2, []), (33, 8, [2]), (70, 1, []), (70, 2, [2]), (200, 8, [7]),
+        [(10, 8, []), (32, 2, [2]), (33, 8, [2]), (70, 1, []), (70, 2, [2]), (200, 8, [8]),
          (1, 8, []), (130, 2, [2])],
     )
     def test_pool_has_no_more_processes_than_blocks(
         self, tmp_path, monkeypatch, in_process_pool, samples, workers, started
     ):
-        # the test sets 64-record desk blocks, or samples / workers records if
-        # that is fewer, but no fewer than a 32-record chunk nor more than the
-        # run; one block runs in this process
-        monkeypatch.setattr(ensemble, "BLOCK_VALUES", 64 * 10 * 10)
-        monkeypatch.setattr(stability_module, "CHUNK_VALUES", 32 * 34 * 10)
-        assert (ensemble.block_records(10), chunk_records(34, 10)) == (64, 32)
+        # the test's budget sets 64-record desk blocks, or samples / workers
+        # records if that is fewer, but no fewer than an 18-record chunk nor
+        # more than the run; one block runs in this process
+        monkeypatch.setattr(stability_module, "BLOCK_VALUES", 64 * 10 * 10)
+        assert (block_records(10), chunk_records(34, 10)) == (64, 18)
         records = decoded_run(EnsembleConfig(sample_count=samples), tmp_path, workers=workers)
         assert [r["record_index"] for r in records] == list(range(samples))
         pools, _ = in_process_pool
@@ -236,19 +235,20 @@ class TestRunEnsemble:
     @pytest.mark.parametrize(
         "cfg, layouts, workers",
         [
-            # partial last blocks at 7 and 64, one-record blocks at 1; chunks
-            # of 1 and 7 records split the 7- and 64-record blocks
+            # one-record blocks at budget 100; blocks of 3 in one-record
+            # chunks, the last block partial at 1; blocks of 64 in chunks of
+            # 18, the last chunk partial at 10 and the last block at 2
             (EnsembleConfig(sample_count=130, master_seed=21),
-             [(1, DESK_CHUNK), (7, 1), (64, 7)], (1, 2, 3)),
+             {100: (1, 1), 300: (3, 1), 6400: (64, 18)}, (1, 2, 3)),
             # three default blocks, so that two workers start a pool
             (EnsembleConfig(sample_count=2 * DESK_BLOCK + 6, master_seed=8),
-             [(DESK_BLOCK, DESK_CHUNK)], (1, 2, 3)),
-            # wide records in blocks of 9 split into chunks of 3, and in
-            # blocks of 16 in chunks of one and of two (the default): partial
-            # last blocks at 4 and 8, and two workers start a pool in every
-            # layout
+             {stability_module.BLOCK_VALUES: (DESK_BLOCK, DESK_CHUNK)}, (1, 2, 3)),
+            # wide records in blocks of 9 in one-record chunks, of 16 in
+            # chunks of two (the default) and of 17 in chunks of three, the
+            # last chunk partial at 2: partial last blocks at 4, 8 and 6, and
+            # two workers start a pool in every layout
             (EnsembleConfig(sample_count=40, n=40, k=3, master_seed=23),
-             [(9, 3), (16, 1), (16, 2)], (1, 2)),
+             {14_400: (9, 1), 25_600: (16, 2), 27_360: (17, 3)}, (1, 2)),
         ],
         ids=["sizes-seed21", "default-seed8", "wide-seed23"],
     )
@@ -344,10 +344,21 @@ class TestRunEnsemble:
                 f"on {processes} process(es)"
             )
 
+    @pytest.mark.parametrize("n, k", [(10, 1), (12, 5), (20, 2), (40, 3)])
+    def test_logged_chunk_is_the_solvers_chunk(self, tmp_path, caplog, n, k):
+        # run_to_files derives the chunk from a BA graph's edge count,
+        # _gradient_block from the perturbed entries of the block's records
+        cfg = EnsembleConfig(sample_count=1, n=n, k=k, master_seed=12)
+        *_, pairs = ensemble._block_systems(cfg, ensemble.MAIN_STREAM, _attach, 0, 1)
+        with caplog.at_level(logging.INFO, logger="likenet"):
+            run_to_files(cfg, tmp_path, workers=1)
+        chunk = re.search(r"solved in chunks of (\d+),", caplog.records[0].getMessage())
+        assert int(chunk.group(1)) == chunk_records(pairs.shape[1], n)
+
     @pytest.mark.parametrize("n, k, bound_mib", [(10, 2, 3.2), (40, 3, 2.1)])
     def test_block_memory_is_bounded(self, n, k, bound_mib):
         # a default block's peak of traced allocations, NumPy's arrays among
-        # them, measured at 2.95 MiB for desk and 1.81 MiB for wide records
+        # them, measured at 2.82 MiB for desk and 1.81 MiB for wide records
         cfg = EnsembleConfig(n=n, k=k)
         size = ensemble.block_records(n)
         with open(os.devnull, "wb") as sink:

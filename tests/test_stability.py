@@ -14,10 +14,11 @@ from likenet.centrality import (
     solve_rate_batch,
 )
 from likenet.ensemble import EnsembleConfig, record_seeds, sample_rates
-from likenet.graphs import Graph, GraphError, generate_ba
+from likenet.graphs import Graph, GraphError, generate_ba, generate_star
 import likenet.stability as stability_module
 from likenet.stability import (
     ABSOLUTE_STEP,
+    CENTRAL_RELATIVE_STEP,
     RELATIVE_STEP,
     ZERO_RATE_FLOOR,
     centrality_gradient,
@@ -167,6 +168,43 @@ class TestExactDerivativeOracle:
         assert abs(warm - cold) <= 4 * opts.tolerance / step
 
 
+def equal_rate_graphs():
+    """Graph groups of one shape each: 50 desk BA graphs, 5 wide ones, a
+    10-node star, K7, and a 5-node graph with three degree-1 nodes."""
+    return [
+        [generate_ba(10, 2, seed) for seed in range(50)],
+        [generate_ba(40, 3, seed) for seed in range(5)],
+        [generate_star(10)],
+        [Graph(7, tuple((i, j) for i in range(7) for j in range(i + 1, 7)))],
+        [Graph(5, ((0, 1), (1, 2), (2, 3), (2, 4)))],
+    ]
+
+
+class TestEqualRateClosedForms:
+    # At equal rates rho every F_i is rho whatever v, so v is rho everywhere.
+    # Raising entry (t, a) by h raises only v_t, by h / d_t, so agent a's
+    # normalized value moves from 1/n to rho / (n rho + h / d_t): both
+    # difference quotients have closed forms in n, rho, d_t and the step.
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("scheme", ["forward", "central"])
+    def test_differences_match_closed_form(self, scheme, rho):
+        for graphs in equal_rate_graphs():
+            adj = np.stack([g.adjacency for g in graphs])
+            entries = np.array([_directed_entries(g) for g in graphs])
+            grads, converged, _ = _gradient_block(adj, rho * adj, entries, SolverOptions(), scheme)
+            assert converged.all()
+            n = adj.shape[1]
+            # d_t, the degree of each perturbed entry's target t
+            degree = adj.sum(axis=2)[np.arange(len(adj))[:, None], entries[..., 0]]
+            if scheme == "forward":
+                h = RELATIVE_STEP * rho
+                expected = -1 / (n * (n * rho * degree + h))
+            else:
+                h = CENTRAL_RELATIVE_STEP * rho
+                expected = -1 / (n**2 * rho * degree) / (1 - (h / (n * rho * degree)) ** 2)
+            np.testing.assert_allclose(grads, expected, rtol=1e-9, atol=0)
+
+
 class TestStability:
     def test_all_zero_gradients_gives_exactly_one(self):
         result = stability_from_gradients({(0, 1): 0.0, (1, 0): 0.0})
@@ -293,7 +331,7 @@ class TestStabilityBlock:
         systems = desk_systems(20)
         results = []
         for chunk in (1, 7, 20):
-            monkeypatch.setattr(stability_module, "CHUNK_VALUES", chunk * points * 34 * 10)
+            monkeypatch.setattr(stability_module, "BLOCK_VALUES", chunk * points * 34 * 10)
             assert chunk_records(points * 34, 10) == chunk
             results.append([part.tobytes() for part in gradient_block(systems, scheme)])
         assert results[1] == results[0] and results[2] == results[0]
