@@ -8,15 +8,13 @@ import pytest
 
 import likenet
 
-MODULES = [
-    module
-    for module in (
-        importlib.import_module(f"likenet.{info.name}")
-        for info in pkgutil.iter_modules(likenet.__path__)
-        if info.name != "__main__"
-    )
-    if hasattr(module, "__all__")
-]
+PACKAGE = {
+    info.name: importlib.import_module(f"likenet.{info.name}")
+    for info in pkgutil.iter_modules(likenet.__path__)
+    if info.name != "__main__"
+}
+MODULES = [module for module in PACKAGE.values() if hasattr(module, "__all__")]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
@@ -38,14 +36,6 @@ def test_all_lists_the_public_functions_and_classes(module):
         name for name in listed - defined
         if inspect.isfunction(getattr(module, name)) or inspect.isclass(getattr(module, name))
     ) == []
-
-
-PACKAGE = {
-    info.name: importlib.import_module(f"likenet.{info.name}")
-    for info in pkgutil.iter_modules(likenet.__path__)
-    if info.name != "__main__"
-}
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_names_resolve():
