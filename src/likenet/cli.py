@@ -469,8 +469,9 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     """The likenet process: progress logged to stderr, and SIGTERM unwinding
-    like Ctrl-C while the command runs, so that the pool's workers are
-    stopped and its part files removed, and the partial records.jsonl stays."""
+    like Ctrl-C while the command runs, so that the ensemble's worker
+    processes are stopped and their part files removed, and the partial
+    records.jsonl stays."""
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s", stream=sys.stderr
     )

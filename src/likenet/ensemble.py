@@ -6,9 +6,10 @@ records can be recomputed independently and in parallel without shared
 RNG state. Records are written as JSON lines, one record per line, to
 the run's one record file. A block of consecutive records is computed
 as arrays, and compute_block writes its lines to the file it is given:
-in one process the record file itself, in a pool a part file that the
-parent splices into the record file in record order, so no record text
-crosses the pool's result pipe.
+in one process the record file itself; with P worker processes, worker w
+computes blocks w, w + P, w + 2P, ... into part files that the parent
+splices into the record file in record order, so no record text crosses
+a worker's result pipe.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from array import array
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 from itertools import islice
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
 from operator import itemgetter
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -279,11 +280,30 @@ def compute_record(config: EnsembleConfig, record_index: int) -> dict:
     return json.loads(line.getvalue())
 
 
-def _part_worker(args: tuple[EnsembleConfig, int, int, str]) -> tuple[list[float], int]:
-    """compute_block in a pool worker, its lines written to the part file args[3]."""
-    config, start, stop, part = args
-    with open(part, "wb") as out:
-        return compute_block(config, start, stop, out)
+def _block_worker(config: EnsembleConfig, spans: list[tuple[int, int]], paths: list[str],
+                  receive, results) -> None:
+    """compute_block over spans in a worker process, each block's lines
+    written to its part file in paths. Sends each block's result, or the
+    exception that stops the worker, in order, over results, the send end
+    of a one-way Pipe.
+
+    receive is the parent's end of that pipe. A forked worker inherits it
+    and closes it, so that once the parent is gone, even SIGKILLed, the
+    pipe breaks and the worker stops at its next send.
+    """
+    # the parent stops a worker with SIGTERM, which a forked worker would
+    # otherwise meet with the CLI's Python handler
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    receive.close()
+    with results:
+        for (start, stop), path in zip(spans, paths):
+            try:
+                with open(path, "wb") as out:
+                    result = compute_block(config, start, stop, out)
+            except Exception as exc:
+                results.send(exc)
+                return
+            results.send(result)
 
 
 def _splice(path: str, records: BinaryIO) -> None:
@@ -295,24 +315,52 @@ def _splice(path: str, records: BinaryIO) -> None:
 
 def _pooled_blocks(config: EnsembleConfig, spans: list[tuple[int, int]], processes: int,
                    records: BinaryIO) -> Iterator[tuple[list[float], int]]:
-    """compute_block over spans on a pool of processes, each block's lines
-    appended to records from the part file its worker wrote, then deleted.
+    """compute_block over spans on worker processes, worker w of P taking
+    blocks w, w + P, w + 2P, ...; each block's lines are appended to
+    records from the part file its worker wrote, then deleted.
 
-    The part files live in a temporary directory next to records; it goes,
-    with any part left in it, once the pool has stopped, whether the run
-    ends or fails.
+    A worker's exception is raised here, and a worker that dies fails the
+    run with a RuntimeError. The part files live in a temporary directory
+    next to records; it goes, with any part left in it, once the workers
+    have stopped, whether the run ends or fails.
     """
     with TemporaryDirectory(prefix="parts-", dir=Path(records.name).parent) as parts:
         paths = [os.path.join(parts, f"{start}.part") for start, _ in spans]
-        tasks = ((config, start, stop, path) for (start, stop), path in zip(spans, paths))
-        # the pool stops its workers with SIGTERM, and a forked worker that
-        # kept a Python handler for it (the CLI's) could miss it, landing
-        # just before it waits on the task queue's lock, and hang the pool
-        with Pool(processes=processes, initializer=signal.signal,
-                  initargs=(signal.SIGTERM, signal.SIG_DFL)) as pool:
-            for path, result in zip(paths, pool.imap(_part_worker, tasks)):
+        workers, pipes = [], []
+        try:
+            for w in range(processes):
+                receive, send = Pipe(duplex=False)
+                pipes.append(receive)
+                worker = Process(target=_block_worker, daemon=True, args=(
+                    config, spans[w::processes], paths[w::processes], receive, send))
+                worker.start()
+                workers.append(worker)
+                # only the worker holds its send end, so that the pipe reads
+                # as EOF once the worker is gone; a later fork inherits none
+                send.close()
+            for index, ((start, stop), path) in enumerate(zip(spans, paths)):
+                # the worker that owes this block has no other result unread
+                w = index % processes
+                try:
+                    result = pipes[w].recv()
+                except EOFError:
+                    workers[w].join()
+                    raise RuntimeError(
+                        f"ensemble worker {w} exited with code {workers[w].exitcode} before "
+                        f"its block of records {start}..{stop - 1} was done") from None
+                if isinstance(result, Exception):
+                    raise result
                 _splice(path, records)
                 yield result
+        except BaseException:
+            for worker in workers:
+                worker.terminate()
+            raise
+        finally:
+            for worker in workers:
+                worker.join()
+            for receive in pipes:
+                receive.close()
 
 
 def write_records(records: Iterable[dict], jsonl_path) -> int:
@@ -369,7 +417,8 @@ def read_records(jsonl_path) -> RecordTable:
     object. Errors name the file and line: bad JSON, a missing or
     mistyped field, a degree histogram unlike the first record's in
     length, or with a negative count or counts that do not sum to its
-    length (the node count), a negative or non-finite outgoing rate.
+    length (the node count), outgoing rates other than the degree sum
+    of its histogram in number, a negative or non-finite outgoing rate.
     """
     stability, degree_stddev, path_length, clustering = (array("d") for _ in range(4))
     converged, histograms, rate_counts, rates = array("b"), array("q"), array("q"), array("d")
@@ -426,6 +475,13 @@ def read_records(jsonl_path) -> RecordTable:
         first = int(np.argmin(counted))
         raise ValueError(f"{_line_of(jsonl_path, first)}: degree_histogram counts must be >= 0 "
                          f"and sum to its {width} entries, got {histograms[first].tolist()}")
+    # a graph with histogram h has sum_d d * h_d outgoing rates, two an edge
+    implied = histograms @ np.arange(width)
+    matched = rate_counts == implied
+    if not matched.all():
+        first = int(np.argmin(matched))
+        raise ValueError(f"{_line_of(jsonl_path, first)}: outgoing_rates has {rate_counts[first]} "
+                         f"rates, its degree_histogram implies {implied[first]}")
     # np.histogram would drop a negative or NaN rate from the analyses' counts
     valid = (rates >= 0.0) & (rates < math.inf)
     if not valid.all():
@@ -475,11 +531,12 @@ def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
 
     The run is laid out in consecutive blocks of block_records(n)
     records, or count / workers records if that is fewer, but no fewer
-    than a solver chunk nor more than the run. They are computed in
-    record_index order, one pool task each, or in this process when
-    there is one block or one worker; a record depends on neither. Each
-    block's lines reach records.jsonl as the block is done; only its
-    stability column and non-converged count are kept for the summary.
+    than a solver chunk nor more than the run. With P = min(workers,
+    blocks) worker processes, worker w computes blocks w, w + P, w + 2P,
+    ...; with one block or one worker, this process computes them all; a
+    record depends on neither. Each block's lines reach records.jsonl, in
+    record_index order, as the block is done; only its stability column
+    and non-converged count are kept for the summary.
     The layout and the process count are logged at the start; progress,
     throughput and the time left every tenth of the run.
     """

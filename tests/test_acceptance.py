@@ -233,12 +233,14 @@ def test_criterion_8_regression_signs(desk_table, tmp_path):
             "rate_seed": 0,
             "stability": 1.0 / (1.0 + math.exp(-z)),
             "gradient_sq_sum": 0.0,
-            # a 10-node ring's: a histogram counts its n nodes
+            # a 10-node ring's: a histogram counts its n nodes, and a
+            # record has both rates of each of its graph's edges
             "degree_histogram": [0, 0, 10, 0, 0, 0, 0, 0, 0, 0],
             "degree_stddev": x[0],
             "mean_path_length": x[1],
             "mean_local_clustering": x[2],
-            "outgoing_rates": [],
+            "outgoing_rates": [[i, j, 1.0] for i in range(10) for j in range(10)
+                               if (i - j) % 10 in (1, 9)],
             "solver_converged": True,
         })
     write_records(synthetic, tmp_path / "synthetic.jsonl")

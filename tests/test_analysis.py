@@ -42,10 +42,15 @@ from util import child_env, random_rates, with_pair_rate
 # the degree histogram of a 10-node ring, every node of degree 2: for records
 # whose degrees a test does not read, since a histogram counts its n nodes
 RING = [0, 0, 10, 0, 0, 0, 0, 0, 0, 0]
+# the two nodes of one edge, which has two rates
+PAIR = [0, 2]
 
 
-def make_record(index, stability, degree_histogram, rates=(), **metrics):
-    """A record dict, as a records.jsonl line decodes."""
+def make_record(index, stability, degree_histogram, rates=None, **metrics):
+    """A record dict, as a records.jsonl line decodes. A record has a rate for
+    each degree its histogram counts: rates, or by default 1.0 each."""
+    if rates is None:
+        rates = [1.0] * sum(d * count for d, count in enumerate(degree_histogram))
     return {
         "record_index": index,
         "graph_seed": 0,
@@ -100,30 +105,32 @@ class TestExponentialReference:
 class TestRateRepresentation:
     def test_identical_sets_give_unity(self):
         rng = np.random.default_rng(0)
-        records = [make_record(i, 0.9, RING, rates=rng.exponential(size=30)) for i in range(20)]
+        # 10 nodes of degree 3 have 30 rates
+        cubic = [0, 0, 0, 10, 0, 0, 0, 0, 0, 0]
+        records = [make_record(i, 0.9, cubic, rates=rng.exponential(size=30)) for i in range(20)]
         series = rate_representation(*split(records, records), percentile_edges(10, 1.0))
         for value, count in zip(series.bin_values, series.bin_counts):
             if count > 0:
                 assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_population_bins_are_nan(self):
-        strategic = [make_record(0, 0.9, RING, rates=[5.0])]
-        population = [make_record(1, 0.9, RING, rates=[0.1, 0.2])]
+        strategic = [make_record(0, 0.9, PAIR, rates=[5.0, 5.0])]
+        population = [make_record(1, 0.9, PAIR, rates=[0.1, 0.2])]
         series = rate_representation(*split(strategic, population), percentile_edges(4, 1.0))
         # population occupies only the first quartile bin; the rest are
         # missing (NaN), even where strategic rates land
         assert series.bin_values[0] == 0.0
         assert all(math.isnan(v) for v in series.bin_values[1:])
-        assert series.bin_counts == (0, 0, 0, 1)
+        assert series.bin_counts == (0, 0, 0, 2)
 
     def test_last_edge_is_infinite(self):
-        records = [make_record(0, 0.9, RING, rates=[1.0])]
+        records = [make_record(0, 0.9, PAIR, rates=[1.0, 1.0])]
         series = rate_representation(*split(records, records), percentile_edges(5, 1.0))
         assert series.bin_edges[-1] == math.inf
         assert len(series.bin_values) == 5
 
     def test_requires_non_empty(self):
-        records = [make_record(0, 0.9, RING, rates=[1.0])]
+        records = [make_record(0, 0.9, PAIR, rates=[1.0, 1.0])]
         for sets in ([], records), (records, []):
             with pytest.raises(ValueError, match="both record sets must be non-empty"):
                 rate_representation(*split(*sets), percentile_edges(50, 1.0))

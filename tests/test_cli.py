@@ -30,7 +30,7 @@ from likenet.ensemble import (
 )
 from likenet.stability import StabilityResult
 from likenet.graphs import generate_ba, read_edge_list
-from util import child_env, random_rates, with_pair_rate
+from util import child_env, random_rates, run_likenet, with_pair_rate
 
 
 # the inputs each command requires that are not options
@@ -214,12 +214,37 @@ class TestEnsembleCommand:
             return compute(config, start, stop, lines)
 
         monkeypatch.setattr(ensemble, "compute_block", fail_second)
-        monkeypatch.setattr(ensemble, "Pool", multiprocessing.get_context("fork").Pool)
+        monkeypatch.setattr(ensemble, "Process", multiprocessing.get_context("fork").Process)
         out = tmp_path / "run"
         assert run_cli("ensemble", "--samples", 2 * size + 6, "--workers", 2, "--out", out) == 1
         assert "error: second block failed" in capsys.readouterr().err
         # the partial records.jsonl is discarded, and the directory the run made
         assert not out.exists()
+
+    def test_killed_worker_fails_the_run(self, tmp_path):
+        # four default desk blocks on two workers, forked from a run whose
+        # compute_block SIGKILLs the worker of blocks 0 and 2 at block 2
+        hooks = tmp_path / "hooks"
+        hooks.mkdir()
+        (hooks / "sitecustomize.py").write_text(
+            "import multiprocessing, os, signal\n"
+            "from likenet import ensemble\n"
+            "compute = ensemble.compute_block\n"
+            "def killed_at_second_block(config, start, stop, out):\n"
+            "    if start == 2 * ensemble.block_records(config.n):\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return compute(config, start, stop, out)\n"
+            "ensemble.compute_block = killed_at_second_block\n"
+            "ensemble.Process = multiprocessing.get_context('fork').Process\n"
+        )
+        out = tmp_path / "run"
+        path = os.pathsep.join([str(hooks), child_env()["PYTHONPATH"]])
+        code, err = run_likenet("ensemble", "--samples", 1000, "--workers", 2, "--out", out,
+                                deadline=60, env={"PYTHONPATH": path})
+        assert code == 1
+        assert "error: ensemble worker 0 exited with code -9" in err
+        assert not (out / "records.jsonl").exists()
+        assert not list(out.glob("parts-*"))
 
     def test_failed_run_removes_only_the_directories_it_made(self, tmp_path, monkeypatch, capsys):
         def fail(*args):
@@ -536,6 +561,13 @@ def set_rate(line, value):
     return json.dumps(record)
 
 
+def drop_rate(line):
+    """The line without its fourth outgoing rate triple."""
+    record = json.loads(line)
+    del record["outgoing_rates"][3]
+    return json.dumps(record)
+
+
 class TestRecordFileErrors:
     """A malformed records file exits 1 with `error: path:line: ...` and writes nothing."""
 
@@ -559,6 +591,7 @@ class TestRecordFileErrors:
                 lambda line: set_degree_count(line, 9, 1),
                 "degree_histogram counts must be >= 0 and sum to its 10 entries",
             ),
+            (drop_rate, "outgoing_rates has 33 rates, its degree_histogram implies 34"),
             (lambda line: set_rate(line, -1.0), "outgoing rate -1.0 is not finite and >= 0"),
             (lambda line: set_rate(line, math.nan), "outgoing rate nan is not finite and >= 0"),
             (lambda line: line + " {}", "Extra data"),
@@ -569,7 +602,8 @@ class TestRecordFileErrors:
             ),
         ],
         ids=["bad_json", "not_object", "missing_field", "wrong_type", "histogram_length",
-             "negative_count", "count_sum", "negative_rate", "nan_rate", "extra_data", "bom", "histogram_not_list"],
+             "negative_count", "count_sum", "rate_count", "negative_rate", "nan_rate",
+             "extra_data", "bom", "histogram_not_list"],
     )
     def test_error_names_file_and_line(self, tmp_path, small_run, capsys, command, edit, message):
         records = corrupt_second_line(small_run, tmp_path, edit)

@@ -6,6 +6,8 @@ import multiprocessing
 import os
 import pickle
 import re
+import signal
+import time
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -86,28 +88,57 @@ def assert_files_independent(cfg, tmp_path, monkeypatch, layouts, workers):
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """The ensemble's Pool replaced by one that runs its tasks in this
-    process: returns the process counts asked for and each task's result
-    as the pool's pipe would carry it, pickled."""
+    """The ensemble's worker processes replaced by ones that run their
+    blocks in this process when started: returns each run's count of
+    workers and each block's result as the parent read it from a worker's
+    pipe, pickled."""
     started, results = [], []
 
-    class InProcessPool:
-        def __init__(self, processes, **worker_setup):
-            started.append(processes)
+    class InProcessWorker:
+        def __init__(self, target, args, **options):
+            self.target, self.args = target, args
+            _, spans, _, _, _ = args
+            # a run creates its workers in order, the one of block 0 first
+            if spans[0][0] == 0:
+                started.append(0)
+            started[-1] += 1
 
-        def __enter__(self):
-            return self
+        def start(self):
+            # every result waits in the pipe, whose buffer holds these
+            # tests' few small ones. The worker closes the receive end it
+            # is given, here the parent's own, so it gets a stand-in; it
+            # resets SIGTERM, which is this process's here
+            config, spans, paths, _, send = self.args
+            stand_in, _ = multiprocessing.Pipe(duplex=False)
+            handler = signal.getsignal(signal.SIGTERM)
+            try:
+                self.target(config, spans, paths, stand_in, send)
+            finally:
+                signal.signal(signal.SIGTERM, handler)
 
-        def __exit__(self, *exc):
-            return False
+        def terminate(self):
+            pass
 
-        def imap(self, func, items):
-            for item in items:
-                result = func(item)
-                results.append(pickle.dumps(result))
-                yield result
+        def join(self):
+            pass
 
-    monkeypatch.setattr(ensemble, "Pool", InProcessPool)
+    class RecordingEnd:
+        def __init__(self, end):
+            self.end = end
+
+        def recv(self):
+            results.append(self.end.recv_bytes())
+            return pickle.loads(results[-1])
+
+        def close(self):
+            self.end.close()
+
+    def recording_pipe(duplex):
+        receive, send = multiprocessing.Pipe(duplex)
+        return RecordingEnd(receive), send
+
+    monkeypatch.setattr(ensemble, "Process", InProcessWorker)
+    monkeypatch.setattr(ensemble, "Pipe", recording_pipe)
     return started, results
 
 
@@ -264,12 +295,32 @@ class TestRunEnsemble:
         # workers import likenet afresh; three default desk blocks start a pool
         cfg = EnsembleConfig(sample_count=2 * DESK_BLOCK + 6, master_seed=8)
         run_to_files(cfg, tmp_path / "serial", workers=1)
-        monkeypatch.setattr(ensemble, "Pool", multiprocessing.get_context(method).Pool)
+        monkeypatch.setattr(ensemble, "Process", multiprocessing.get_context(method).Process)
         run_to_files(cfg, tmp_path / method, workers=2)
         names = ["records.jsonl", "summary.json"]
         assert sorted(path.name for path in (tmp_path / method).iterdir()) == names
         for name in names:
             assert (tmp_path / method / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes()
+
+    def test_blocks_finished_out_of_order_keep_the_files(self, tmp_path, monkeypatch):
+        # three default desk blocks on two forked workers; block 0 waits, so
+        # that block 1, the other worker's, is done first
+        cfg = EnsembleConfig(sample_count=2 * DESK_BLOCK + 6, master_seed=8)
+        run_to_files(cfg, tmp_path / "serial", workers=1)
+        compute = ensemble.compute_block
+
+        def first_block_late(config, start, stop, out):
+            if start == 0:
+                time.sleep(0.5)
+            return compute(config, start, stop, out)
+
+        monkeypatch.setattr(ensemble, "compute_block", first_block_late)
+        monkeypatch.setattr(ensemble, "Process", multiprocessing.get_context("fork").Process)
+        run_to_files(cfg, tmp_path / "pooled", workers=2)
+        for name in ("records.jsonl", "summary.json"):
+            assert (tmp_path / "pooled" / name).read_bytes() == (
                 tmp_path / "serial" / name
             ).read_bytes()
 

@@ -1,12 +1,16 @@
 """Shared helpers for the test suite: random instances, the independent
-fixed-point oracle used to cross-check the solver, a block's record lines
-and the environment of a child python."""
+fixed-point oracle used to cross-check the solver, a block's record lines,
+and the environment and bounded run of a child python."""
 
 import io
 import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from likenet.centrality import RateMatrix
 from likenet.ensemble import compute_block
@@ -19,6 +23,28 @@ def child_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_likenet(*args, deadline, env=()):
+    """Run `python -m likenet *args` in a session of its own, with
+    child_env() updated by env, and return its exit code and stderr.
+
+    The test fails if the command and every process it started have not
+    ended within deadline seconds, after the session is killed: nothing
+    else would stop a hang.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "likenet", *map(str, args)], env={**child_env(), **dict(env)},
+        start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        # stderr reaches EOF once every process of the session has closed it
+        _, err = proc.communicate(timeout=deadline)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"likenet {' '.join(map(str, args))} did not end within {deadline} s")
+    return proc.returncode, err
 
 
 def block_text(config, start, stop):
