@@ -7,8 +7,9 @@ variables mirror flag names with the LIKENET_ prefix (--max-iter ->
 LIKENET_MAX_ITER), a LIKENET_ variable that names no option is a usage
 error, and a config file's keys are the option names
 (max_iterations = 500). DEFAULTS is the one table of the options. main
-resolves the options a command reads, and only those, before it reads any
-input; a variable or config key of another option is logged as not applied.
+builds the arguments of the command it runs, and only those, and resolves
+the options that command reads before it reads any input; a variable or
+config key of another option is logged as not applied.
 All randomness flows from --seed; nothing is ever seeded from the clock.
 """
 
@@ -84,11 +85,16 @@ CHOICES = {
 
 HELP = {
     "master_seed": "master RNG seed",
+    "workers": "processes that compute the run: this one, which computes every WORKERS-th "
+               "block, and WORKERS - 1 workers",
     "measure": "likedness centrality, or the eigenvector-centrality contrast model",
     "tolerance": "solver tolerance",
     "max_iterations": "solver iteration cap",
     "strategic_direction": "which stability tail counts as strategic",
 }
+
+# the subcommands, in the order of build_parser and of `likenet --help`
+COMMANDS = ("generate", "solve", "ensemble", "analyze", "coalition", "star-compare")
 
 SOLVER_KEYS = tuple(f.name for f in fields(SolverOptions))
 RUN_KEYS = tuple(f.name for f in fields(EnsembleConfig) if f.name != "solver")
@@ -355,10 +361,16 @@ def cmd_star_compare(args, guard: OutputGuard) -> None:
 # -- parser -----------------------------------------------------------------
 
 
-def _add_command(sub, name: str, func, help: str, *option_keys: str) -> argparse.ArgumentParser:
-    """Subcommand `name` running func, with --config and a flag per option key;
-    each flag defaults to None, so that resolve() tells an absent flag from a given one."""
+def _add_command(sub, command: str | None, name: str, func, help: str,
+                 *option_keys: str) -> argparse.ArgumentParser | None:
+    """Subcommand `name`, registered with its help. If it is `command`, or
+    command is None, it runs func and gets --config and a flag per option
+    key, each defaulting to None so that resolve() tells an absent flag from
+    a given one, and it is returned for its other arguments; otherwise it
+    stays bare, and None is returned."""
     p = sub.add_parser(name, help=help)
+    if command not in (None, name):
+        return None
     for key in option_keys:
         flag = "--" + FLAGS.get(key, key).replace("_", "-")
         p.add_argument(flag, type=type(DEFAULTS[key]), choices=CHOICES.get(key), default=None,
@@ -368,49 +380,55 @@ def _add_command(sub, name: str, func, help: str, *option_keys: str) -> argparse
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The likenet parser. It registers every subcommand, but gives only
+    `command` its arguments, or every subcommand if command is None: argparse
+    reads only the arguments of the subcommand it runs, so the help and the
+    usage errors are the same."""
     parser = argparse.ArgumentParser(
         prog="likenet",
         description="Likedness centrality and like-rate ensemble stability toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_command(sub, "generate", cmd_generate, "write a graph edge-list file",
-                     "model", "n", "k", "master_seed")
-    p.add_argument("--out", required=True)
+    if p := _add_command(sub, command, "generate", cmd_generate, "write a graph edge-list file",
+                         "model", "n", "k", "master_seed"):
+        p.add_argument("--out", required=True)
 
-    p = _add_command(sub, "solve", cmd_solve, "solve centralities for a graph + rate matrix",
-                     "measure", *SOLVER_KEYS)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--rates", required=True)
-    p.add_argument("--out", required=True)
+    if p := _add_command(sub, command, "solve", cmd_solve,
+                         "solve centralities for a graph + rate matrix", "measure", *SOLVER_KEYS):
+        p.add_argument("--graph", required=True)
+        p.add_argument("--rates", required=True)
+        p.add_argument("--out", required=True)
 
-    p = _add_command(sub, "ensemble", cmd_ensemble, "run a Monte-Carlo ensemble to record files",
-                     "sample_count", "n", "k", "rate_lambda", "master_seed", "workers",
-                     *SOLVER_KEYS)
-    p.add_argument("--out", required=True, help="output directory")
+    if p := _add_command(sub, command, "ensemble", cmd_ensemble,
+                         "run a Monte-Carlo ensemble to record files", "sample_count", "n", "k",
+                         "rate_lambda", "master_seed", "workers", *SOLVER_KEYS):
+        p.add_argument("--out", required=True, help="output directory")
 
-    p = _add_command(sub, "analyze", cmd_analyze, "figure-style analyses over a record file",
-                     "strategic_fraction", "strategic_direction", "rate_lambda", "bins")
-    p.add_argument("--records", required=True, help="records.jsonl path")
-    p.add_argument("--converged-only", action="store_true", help="analyze converged records only")
-    p.add_argument("--out", required=True, help="output directory")
+    if p := _add_command(sub, command, "analyze", cmd_analyze,
+                         "figure-style analyses over a record file", "strategic_fraction",
+                         "strategic_direction", "rate_lambda", "bins"):
+        p.add_argument("--records", required=True, help="records.jsonl path")
+        p.add_argument("--converged-only", action="store_true",
+                       help="analyze converged records only")
+        p.add_argument("--out", required=True, help="output directory")
 
-    p = _add_command(sub, "coalition", cmd_coalition, "joint-rate sweep for a coalition pair",
-                     "joint_rates", *SOLVER_KEYS)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--rates", required=True)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--out", required=True)
+    if p := _add_command(sub, command, "coalition", cmd_coalition,
+                         "joint-rate sweep for a coalition pair", "joint_rates", *SOLVER_KEYS):
+        p.add_argument("--graph", required=True)
+        p.add_argument("--rates", required=True)
+        p.add_argument("--a", type=int, default=None)
+        p.add_argument("--b", type=int, default=None)
+        p.add_argument("--out", required=True)
 
-    p = _add_command(
-        sub, "star-compare", cmd_star_compare, "stars versus hub-bearing BA graphs",
-        "rate_lambda", "strategic_fraction", "strategic_direction", "master_seed", "stars",
-        *SOLVER_KEYS,
-    )
-    p.add_argument("--records", required=True, help="a `likenet ensemble` run's records.jsonl")
-    p.add_argument("--out", required=True)
+    if p := _add_command(sub, command, "star-compare", cmd_star_compare,
+                         "stars versus hub-bearing BA graphs", "rate_lambda",
+                         "strategic_fraction", "strategic_direction", "master_seed", "stars",
+                         *SOLVER_KEYS):
+        p.add_argument("--records", required=True,
+                       help="a `likenet ensemble` run's records.jsonl")
+        p.add_argument("--out", required=True)
     return parser
 
 
@@ -434,9 +452,11 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code; logging and SIGTERM are entry()'s."""
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(argv))
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    # the top level takes no option with a value, so the first token that
+    # names a subcommand is the one argparse runs, if it runs any
+    parser = build_parser(next((token for token in argv if token in COMMANDS), None))
+    args = parser.parse_args(argv)
     options = {_env_name(FLAGS.get(key, key)): key for key in DEFAULTS}
     variables = sorted(name for name in os.environ
                        if name.startswith(ENV_PREFIX) and name != _env_name("config"))

@@ -5,11 +5,12 @@ per-record seeds come from a counter-based split of the master seed, so
 records can be recomputed independently and in parallel without shared
 RNG state. Records are written as JSON lines, one record per line, to
 the run's one record file. A block of consecutive records is computed
-as arrays, and compute_block writes its lines to the file it is given:
-in one process the record file itself; with P worker processes, worker w
-computes blocks w, w + P, w + 2P, ... into part files that the parent
-splices into the record file in record order, so no record text crosses
-a worker's result pipe.
+as arrays, and compute_block writes its lines to the file it is given.
+A run on P processes is this process and P - 1 workers: this process
+computes blocks 0, P, 2P, ... straight into the record file, and worker
+w blocks w, w + P, w + 2P, ... into part files that this process
+splices into the record file in record order, so no record text
+crosses a worker's result pipe.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import shutil
 import signal
 import time
 from array import array
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 from itertools import islice
@@ -315,20 +317,26 @@ def _splice(path: str, records: BinaryIO) -> None:
 
 def _pooled_blocks(config: EnsembleConfig, spans: list[tuple[int, int]], processes: int,
                    records: BinaryIO) -> Iterator[tuple[list[float], int]]:
-    """compute_block over spans on worker processes, worker w of P taking
-    blocks w, w + P, w + 2P, ...; each block's lines are appended to
-    records from the part file its worker wrote, then deleted.
+    """compute_block over spans on P = processes processes: this one, which
+    computes blocks 0, P, 2P, ... straight into records as each comes due,
+    and P - 1 worker processes, worker w taking blocks w, w + P, w + 2P,
+    ... into part files that are appended to records in turn, then deleted.
+    With P = 1 this process computes every block, and no worker or part
+    file is made.
 
     A worker's exception is raised here, and a worker that dies fails the
     run with a RuntimeError. The part files live in a temporary directory
     next to records; it goes, with any part left in it, once the workers
     have stopped, whether the run ends or fails.
     """
-    with TemporaryDirectory(prefix="parts-", dir=Path(records.name).parent) as parts:
-        paths = [os.path.join(parts, f"{start}.part") for start, _ in spans]
+    folder = (TemporaryDirectory(prefix="parts-", dir=Path(records.name).parent)
+              if processes > 1 else nullcontext())
+    with folder as parts:
+        paths = [os.path.join(parts, f"{start}.part") if index % processes else None
+                 for index, (start, _) in enumerate(spans)]
         workers, pipes = [], []
         try:
-            for w in range(processes):
+            for w in range(1, processes):
                 receive, send = Pipe(duplex=False)
                 pipes.append(receive)
                 worker = Process(target=_block_worker, daemon=True, args=(
@@ -339,15 +347,18 @@ def _pooled_blocks(config: EnsembleConfig, spans: list[tuple[int, int]], process
                 # as EOF once the worker is gone; a later fork inherits none
                 send.close()
             for index, ((start, stop), path) in enumerate(zip(spans, paths)):
-                # the worker that owes this block has no other result unread
                 w = index % processes
+                if not w:
+                    yield compute_block(config, start, stop, records)
+                    continue
+                # the worker that owes this block has no other result unread
                 try:
-                    result = pipes[w].recv()
+                    result = pipes[w - 1].recv()
                 except EOFError:
-                    workers[w].join()
+                    workers[w - 1].join()
                     raise RuntimeError(
-                        f"ensemble worker {w} exited with code {workers[w].exitcode} before "
-                        f"its block of records {start}..{stop - 1} was done") from None
+                        f"ensemble worker {w} exited with code {workers[w - 1].exitcode} "
+                        f"before its block of records {start}..{stop - 1} was done") from None
                 if isinstance(result, Exception):
                     raise result
                 _splice(path, records)
@@ -531,12 +542,13 @@ def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
 
     The run is laid out in consecutive blocks of block_records(n)
     records, or count / workers records if that is fewer, but no fewer
-    than a solver chunk nor more than the run. With P = min(workers,
-    blocks) worker processes, worker w computes blocks w, w + P, w + 2P,
-    ...; with one block or one worker, this process computes them all; a
-    record depends on neither. Each block's lines reach records.jsonl, in
-    record_index order, as the block is done; only its stability column
-    and non-converged count are kept for the summary.
+    than a solver chunk nor more than the run. It runs on P = min(workers,
+    blocks) processes, this one included: this process computes blocks 0,
+    P, 2P, ... and worker w of the other P - 1 blocks w, w + P, w + 2P,
+    ... (_pooled_blocks); with one block or one worker, this process
+    computes them all; a record depends on neither. Each block's lines
+    reach records.jsonl, in record_index order, as the block is done; only
+    its stability column and non-converged count are kept for the summary.
     The layout and the process count are logged at the start; progress,
     throughput and the time left every tenth of the run.
     """
@@ -560,12 +572,8 @@ def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
     with open(out / "records.jsonl", "wb") as records:
         log.info("ensemble blocks: %d records each, solved in chunks of %d, on %d process(es)",
                  size, chunk, processes)
-        if processes == 1:
-            blocks = (compute_block(config, start, stop, records) for start, stop in spans)
-        else:
-            blocks = _pooled_blocks(config, spans, processes, records)
         began = time.perf_counter()
-        for stability, failed in blocks:
+        for stability, failed in _pooled_blocks(config, spans, processes, records):
             mark = len(stabilities) // step
             stabilities.extend(stability)
             non_converged += failed

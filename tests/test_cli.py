@@ -191,10 +191,24 @@ class TestSolve:
         assert not out.exists()
 
 
+def forked_workers(monkeypatch):
+    """The ensemble's workers forked from this process: returns the list
+    that each worker process joins as it is started."""
+    started = []
+
+    class Counted(multiprocessing.get_context("fork").Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(ensemble, "Process", Counted)
+    return started
+
+
 class TestEnsembleCommand:
     def test_rerun_and_worker_invariance(self, tmp_path):
-        # three default desk blocks, so that two workers start a pool; reruns
-        # at one worker are criterion 11's
+        # three default desk blocks, so that two processes start a worker;
+        # reruns at one worker are criterion 11's
         args = ["ensemble", "--samples", 2 * block_records(10) + 6, "--seed", 5]
         assert run_cli(*args, "--workers", 1, "--out", tmp_path / "a") == 0
         assert run_cli(*args, "--workers", 2, "--out", tmp_path / "b") == 0
@@ -202,9 +216,10 @@ class TestEnsembleCommand:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_failed_pool_block_leaves_no_part_files(self, tmp_path, monkeypatch, capsys):
-        # three default desk blocks on two workers, forked from this process
-        # with the failing compute_block (forkserver and spawn workers would
-        # import it unpatched); the second block fails
+        # three default desk blocks on two processes, the worker forked from
+        # this process with the failing compute_block (forkserver and spawn
+        # workers would import it unpatched); the second block, the worker's,
+        # fails
         size = block_records(10)
         compute = ensemble.compute_block
 
@@ -222,19 +237,20 @@ class TestEnsembleCommand:
         assert not out.exists()
 
     def test_killed_worker_fails_the_run(self, tmp_path):
-        # four default desk blocks on two workers, forked from a run whose
-        # compute_block SIGKILLs the worker of blocks 0 and 2 at block 2
+        # four default desk blocks on two processes, the worker forked from a
+        # run whose compute_block SIGKILLs the worker of blocks 1 and 3 at
+        # block 3
         hooks = tmp_path / "hooks"
         hooks.mkdir()
         (hooks / "sitecustomize.py").write_text(
             "import multiprocessing, os, signal\n"
             "from likenet import ensemble\n"
             "compute = ensemble.compute_block\n"
-            "def killed_at_second_block(config, start, stop, out):\n"
-            "    if start == 2 * ensemble.block_records(config.n):\n"
+            "def killed_at_fourth_block(config, start, stop, out):\n"
+            "    if start == 3 * ensemble.block_records(config.n):\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "    return compute(config, start, stop, out)\n"
-            "ensemble.compute_block = killed_at_second_block\n"
+            "ensemble.compute_block = killed_at_fourth_block\n"
             "ensemble.Process = multiprocessing.get_context('fork').Process\n"
         )
         out = tmp_path / "run"
@@ -242,9 +258,45 @@ class TestEnsembleCommand:
         code, err = run_likenet("ensemble", "--samples", 1000, "--workers", 2, "--out", out,
                                 deadline=60, env={"PYTHONPATH": path})
         assert code == 1
-        assert "error: ensemble worker 0 exited with code -9" in err
+        assert "error: ensemble worker 1 exited with code -9" in err
         assert not (out / "records.jsonl").exists()
         assert not list(out.glob("parts-*"))
+
+    def test_two_workers_start_one_worker_process(self, tmp_path, monkeypatch):
+        # three default desk blocks: this process computes blocks 0 and 2
+        started = forked_workers(monkeypatch)
+        out = tmp_path / "run"
+        samples = 2 * block_records(10) + 6
+        assert run_cli("ensemble", "--samples", samples, "--workers", 2, "--out", out) == 0
+        assert [worker.exitcode for worker in started] == [0]
+        assert sorted(path.name for path in out.iterdir()) == ["records.jsonl", "summary.json"]
+
+    def test_failed_own_block_stops_the_workers(self, tmp_path, monkeypatch, capsys):
+        # four default desk blocks on two processes; block 2, this process's,
+        # fails while the forked worker is held in block 3
+        size = block_records(10)
+        here = os.getpid()
+        compute = ensemble.compute_block
+
+        def fail_own_block(config, start, stop, out):
+            if os.getpid() == here and start == 2 * size:
+                raise RuntimeError("own block failed")
+            if os.getpid() != here and start == 3 * size:
+                time.sleep(30)
+            return compute(config, start, stop, out)
+
+        monkeypatch.setattr(ensemble, "compute_block", fail_own_block)
+        started = forked_workers(monkeypatch)
+        out = tmp_path / "run"
+        out.mkdir()
+        began = time.monotonic()
+        assert run_cli("ensemble", "--samples", 3 * size + 6, "--workers", 2, "--out", out) == 1
+        assert time.monotonic() - began < 20
+        assert "error: own block failed" in capsys.readouterr().err
+        # the worker was stopped in its held block, and the run's outputs and
+        # part directory are gone
+        assert [worker.exitcode for worker in started] == [-signal.SIGTERM]
+        assert list(out.iterdir()) == []
 
     def test_failed_run_removes_only_the_directories_it_made(self, tmp_path, monkeypatch, capsys):
         def fail(*args):
@@ -321,9 +373,9 @@ class TestEnsembleCommand:
         seen = []
         build_parser = cli.build_parser
 
-        def spy():
+        def spy(command):
             seen.append(signal.getsignal(signal.SIGTERM))
-            return build_parser()
+            return build_parser(command)
 
         monkeypatch.setattr(cli, "build_parser", spy)
         previous = signal.signal(signal.SIGTERM, handler)
@@ -1185,6 +1237,39 @@ def test_help_shows_each_default(capsys, command):
     text = " ".join(capsys.readouterr().out.split())
     for key in options:
         assert f"{cli.HELP.get(key, '')} (default {cli.DEFAULTS[key]})".strip() in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], *([command, "--help"] for command in cli.COMMANDS), [], ["bogus"],
+     ["ensemble"], ["ensemble", "--bogus", "--out", "o"],
+     ["ensemble", "--samples", "x", "--out", "o"], ["analyze", "--records", "r"],
+     ["analyze", "--strategic-direction", "middle", "--records", "r", "--out", "o"],
+     ["--bogus", "generate", "--out", "g"], ["generate", "--out", "g", "solve"],
+     ["-5", "ensemble"], ["solve", "--tolerance", "--out", "s"],
+     ["coalition", "--a", "1.5", "--graph", "g", "--rates", "r", "--out", "c"],
+     ["star-compare", "--stars", "-2.5", "--records", "r", "--out", "s"]],
+    ids=["help", *(f"{command}-help" for command in cli.COMMANDS), "no_command", "bogus_command",
+         "missing_out", "bogus_option", "bad_type", "missing_required", "bad_choice",
+         "bogus_top_option", "extra_command", "negative_command", "missing_value",
+         "bad_int", "negative_value"],
+)
+def test_command_parser_reads_as_the_full_parser(monkeypatch, capsys, argv):
+    # main gives only the command it runs its arguments; its help and usage
+    # errors are those of the parser that gives every command its arguments
+    build_parser = cli.build_parser
+    outputs = []
+    for build in (build_parser, lambda command: build_parser()):
+        monkeypatch.setattr(cli, "build_parser", build)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        outputs.append((exc.value.code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == (0 if "--help" in argv else 2)
+
+
+def test_commands_are_the_parsers_subcommands():
+    assert "{" + ",".join(cli.COMMANDS) + "}" in cli.build_parser().format_usage()
 
 
 def test_readme_lists_the_defaults():

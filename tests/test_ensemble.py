@@ -90,16 +90,18 @@ def assert_files_independent(cfg, tmp_path, monkeypatch, layouts, workers):
 def in_process_pool(monkeypatch):
     """The ensemble's worker processes replaced by ones that run their
     blocks in this process when started: returns each run's count of
-    workers and each block's result as the parent read it from a worker's
-    pipe, pickled."""
-    started, results = [], []
+    workers and each block's result as this process read it from a
+    worker's pipe, pickled."""
+    started, results, directories = [], [], []
 
     class InProcessWorker:
         def __init__(self, target, args, **options):
             self.target, self.args = target, args
-            _, spans, _, _, _ = args
-            # a run creates its workers in order, the one of block 0 first
-            if spans[0][0] == 0:
+            _, _, paths, _, _ = args
+            # a run's workers write into its own part directory
+            directory = os.path.dirname(paths[0])
+            if directories[-1:] != [directory]:
+                directories.append(directory)
                 started.append(0)
             started[-1] += 1
 
@@ -236,15 +238,15 @@ class TestRecords:
 class TestRunEnsemble:
     @pytest.mark.parametrize(
         "samples, workers, started",
-        [(10, 8, []), (32, 2, [2]), (33, 8, [2]), (70, 1, []), (70, 2, [2]), (200, 8, [8]),
-         (1, 8, []), (130, 2, [2])],
+        [(10, 8, []), (32, 2, [1]), (33, 8, [1]), (70, 1, []), (70, 2, [1]), (200, 8, [7]),
+         (1, 8, []), (130, 2, [1])],
     )
     def test_pool_has_no_more_processes_than_blocks(
         self, tmp_path, monkeypatch, in_process_pool, samples, workers, started
     ):
         # the test's budget sets 64-record desk blocks, or samples / workers
         # records if that is fewer, but no fewer than an 18-record chunk nor
-        # more than the run; one block runs in this process
+        # more than the run; a run on P processes starts P - 1 workers
         monkeypatch.setattr(stability_module, "BLOCK_VALUES", 64 * 10 * 10)
         assert (block_records(10), chunk_records(34, 10)) == (64, 18)
         records = decoded_run(EnsembleConfig(sample_count=samples), tmp_path, workers=workers)
@@ -253,14 +255,15 @@ class TestRunEnsemble:
         assert pools == started
 
     def test_pool_results_carry_no_record_text(self, tmp_path, in_process_pool):
-        # three default desk blocks on two workers; a full block's lines are
-        # about 311 KB, its stability column 9 bytes a record pickled
-        cfg = EnsembleConfig(sample_count=2 * DESK_BLOCK + 6, master_seed=8)
+        # four default desk blocks on two processes, the worker's blocks 1
+        # and 3, the last partial; a full block's lines are about 311 KB,
+        # its stability column 9 bytes a record pickled
+        cfg = EnsembleConfig(sample_count=3 * DESK_BLOCK + 6, master_seed=8)
         run_to_files(cfg, tmp_path, workers=2)
         started, results = in_process_pool
-        assert started == [2]
+        assert started == [1]
         sizes = [(len(pickle.loads(result)[0]), len(result)) for result in results]
-        assert [records for records, _ in sizes] == [DESK_BLOCK, DESK_BLOCK, 6]
+        assert [records for records, _ in sizes] == [DESK_BLOCK, 6]
         assert all(size < 16 * records + 1024 for records, size in sizes)
 
     @pytest.mark.parametrize(
@@ -271,13 +274,13 @@ class TestRunEnsemble:
             # 18, the last chunk partial at 10 and the last block at 2
             (EnsembleConfig(sample_count=130, master_seed=21),
              {100: (1, 1), 300: (3, 1), 6400: (64, 18)}, (1, 2, 3)),
-            # three default blocks, so that two workers start a pool
+            # three default blocks, so that two and three processes start workers
             (EnsembleConfig(sample_count=2 * DESK_BLOCK + 6, master_seed=8),
              {stability_module.BLOCK_VALUES: (DESK_BLOCK, DESK_CHUNK)}, (1, 2, 3)),
             # wide records in blocks of 9 in one-record chunks, of 16 in
             # chunks of two (the default) and of 17 in chunks of three, the
             # last chunk partial at 2: partial last blocks at 4, 8 and 6, and
-            # two workers start a pool in every layout
+            # two processes start a worker in every layout
             (EnsembleConfig(sample_count=40, n=40, k=3, master_seed=23),
              {14_400: (9, 1), 25_600: (16, 2), 27_360: (17, 3)}, (1, 2)),
         ],
@@ -291,8 +294,8 @@ class TestRunEnsemble:
     @pytest.mark.slow
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_start_method_keeps_the_files(self, tmp_path, monkeypatch, method):
-        # spawn starts macOS's pools, forkserver Linux's from Python 3.14: the
-        # workers import likenet afresh; three default desk blocks start a pool
+        # spawn starts macOS's workers, forkserver Linux's from Python 3.14:
+        # they import likenet afresh; three default desk blocks start a worker
         cfg = EnsembleConfig(sample_count=2 * DESK_BLOCK + 6, master_seed=8)
         run_to_files(cfg, tmp_path / "serial", workers=1)
         monkeypatch.setattr(ensemble, "Process", multiprocessing.get_context(method).Process)
@@ -305,8 +308,9 @@ class TestRunEnsemble:
             ).read_bytes()
 
     def test_blocks_finished_out_of_order_keep_the_files(self, tmp_path, monkeypatch):
-        # three default desk blocks on two forked workers; block 0 waits, so
-        # that block 1, the other worker's, is done first
+        # three default desk blocks on two processes, one a forked worker;
+        # block 0, this process's, waits, so that block 1, the worker's, is
+        # done first
         cfg = EnsembleConfig(sample_count=2 * DESK_BLOCK + 6, master_seed=8)
         run_to_files(cfg, tmp_path / "serial", workers=1)
         compute = ensemble.compute_block
@@ -319,6 +323,36 @@ class TestRunEnsemble:
         monkeypatch.setattr(ensemble, "compute_block", first_block_late)
         monkeypatch.setattr(ensemble, "Process", multiprocessing.get_context("fork").Process)
         run_to_files(cfg, tmp_path / "pooled", workers=2)
+        for name in ("records.jsonl", "summary.json"):
+            assert (tmp_path / "pooled" / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes()
+
+    def test_own_blocks_go_straight_to_the_record_file(self, tmp_path, monkeypatch):
+        # four default desk blocks on two processes: this one computes blocks
+        # 0 and 2 into records.jsonl, and splices only the forked worker's
+        # part files of blocks 1 and 3
+        cfg = EnsembleConfig(sample_count=3 * DESK_BLOCK + 6, master_seed=8)
+        run_to_files(cfg, tmp_path / "serial", workers=1)
+        here, own, spliced = os.getpid(), [], []
+        compute, splice = ensemble.compute_block, ensemble._splice
+
+        def tracked(config, start, stop, out):
+            if os.getpid() == here:
+                own.append((start, out.name))
+            return compute(config, start, stop, out)
+
+        def tracked_splice(path, records):
+            spliced.append(os.path.basename(path))
+            splice(path, records)
+
+        monkeypatch.setattr(ensemble, "compute_block", tracked)
+        monkeypatch.setattr(ensemble, "_splice", tracked_splice)
+        monkeypatch.setattr(ensemble, "Process", multiprocessing.get_context("fork").Process)
+        run_to_files(cfg, tmp_path / "pooled", workers=2)
+        records = str(tmp_path / "pooled" / "records.jsonl")
+        assert own == [(0, records), (2 * DESK_BLOCK, records)]
+        assert spliced == [f"{DESK_BLOCK}.part", f"{3 * DESK_BLOCK}.part"]
         for name in ("records.jsonl", "summary.json"):
             assert (tmp_path / "pooled" / name).read_bytes() == (
                 tmp_path / "serial" / name
