@@ -93,9 +93,6 @@ HELP = {
     "strategic_direction": "which stability tail counts as strategic",
 }
 
-# the subcommands, in the order of build_parser and of `likenet --help`
-COMMANDS = ("generate", "solve", "ensemble", "analyze", "coalition", "star-compare")
-
 SOLVER_KEYS = tuple(f.name for f in fields(SolverOptions))
 RUN_KEYS = tuple(f.name for f in fields(EnsembleConfig) if f.name != "solver")
 
@@ -360,75 +357,67 @@ def cmd_star_compare(args, guard: OutputGuard) -> None:
 
 # -- parser -----------------------------------------------------------------
 
+_REQUIRED = {"required": True}
 
-def _add_command(sub, command: str | None, name: str, func, help: str,
-                 *option_keys: str) -> argparse.ArgumentParser | None:
-    """Subcommand `name`, registered with its help. If it is `command`, or
-    command is None, it runs func and gets --config and a flag per option
-    key, each defaulting to None so that resolve() tells an absent flag from
-    a given one, and it is returned for its other arguments; otherwise it
-    stays bare, and None is returned."""
-    p = sub.add_parser(name, help=help)
-    if command not in (None, name):
-        return None
-    for key in option_keys:
-        flag = "--" + FLAGS.get(key, key).replace("_", "-")
-        p.add_argument(flag, type=type(DEFAULTS[key]), choices=CHOICES.get(key), default=None,
-                       help=f"{HELP.get(key, '')} (default {DEFAULTS[key]})".strip())
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.set_defaults(func=func, options=option_keys)
-    return p
+# one row a subcommand, in the order of `likenet --help`: its help, the
+# DEFAULTS keys it reads and its other arguments; it runs cmd_<name>
+COMMANDS = {
+    "generate": ("write a graph edge-list file",
+                 ("model", "n", "k", "master_seed"), {"--out": _REQUIRED}),
+    "solve": ("solve centralities for a graph + rate matrix",
+              ("measure", *SOLVER_KEYS),
+              {"--graph": _REQUIRED, "--rates": _REQUIRED, "--out": _REQUIRED}),
+    "ensemble": ("run a Monte-Carlo ensemble to record files",
+                 ("sample_count", "n", "k", "rate_lambda", "master_seed", "workers",
+                  *SOLVER_KEYS),
+                 {"--out": {"required": True, "help": "output directory"}}),
+    "analyze": ("figure-style analyses over a record file",
+                ("strategic_fraction", "strategic_direction", "rate_lambda", "bins"),
+                {"--records": {"required": True, "help": "records.jsonl path"},
+                 "--converged-only": {"action": "store_true",
+                                      "help": "analyze converged records only"},
+                 "--out": {"required": True, "help": "output directory"}}),
+    "coalition": ("joint-rate sweep for a coalition pair",
+                  ("joint_rates", *SOLVER_KEYS),
+                  {"--graph": _REQUIRED, "--rates": _REQUIRED,
+                   "--a": {"type": int, "default": None}, "--b": {"type": int, "default": None},
+                   "--out": _REQUIRED}),
+    "star-compare": ("stars versus hub-bearing BA graphs",
+                     ("rate_lambda", "strategic_fraction", "strategic_direction",
+                      "master_seed", "stars", *SOLVER_KEYS),
+                     {"--records": {"required": True,
+                                    "help": "a `likenet ensemble` run's records.jsonl"},
+                      "--out": _REQUIRED}),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The likenet parser. It registers every subcommand, but gives only
-    `command` its arguments, or every subcommand if command is None: argparse
-    reads only the arguments of the subcommand it runs, so the help and the
-    usage errors are the same."""
+    """The likenet parser. It registers every subcommand of COMMANDS, but
+    gives only `command` its arguments, or every subcommand if command is
+    None: argparse reads only the arguments of the subcommand it runs, so
+    the help and the usage errors are the same. A subcommand gets a flag per
+    option key, each defaulting to None so that resolve() tells an absent
+    flag from a given one, then --config, then its other arguments."""
     parser = argparse.ArgumentParser(
         prog="likenet",
         description="Likedness centrality and like-rate ensemble stability toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    if p := _add_command(sub, command, "generate", cmd_generate, "write a graph edge-list file",
-                         "model", "n", "k", "master_seed"):
-        p.add_argument("--out", required=True)
-
-    if p := _add_command(sub, command, "solve", cmd_solve,
-                         "solve centralities for a graph + rate matrix", "measure", *SOLVER_KEYS):
-        p.add_argument("--graph", required=True)
-        p.add_argument("--rates", required=True)
-        p.add_argument("--out", required=True)
-
-    if p := _add_command(sub, command, "ensemble", cmd_ensemble,
-                         "run a Monte-Carlo ensemble to record files", "sample_count", "n", "k",
-                         "rate_lambda", "master_seed", "workers", *SOLVER_KEYS):
-        p.add_argument("--out", required=True, help="output directory")
-
-    if p := _add_command(sub, command, "analyze", cmd_analyze,
-                         "figure-style analyses over a record file", "strategic_fraction",
-                         "strategic_direction", "rate_lambda", "bins"):
-        p.add_argument("--records", required=True, help="records.jsonl path")
-        p.add_argument("--converged-only", action="store_true",
-                       help="analyze converged records only")
-        p.add_argument("--out", required=True, help="output directory")
-
-    if p := _add_command(sub, command, "coalition", cmd_coalition,
-                         "joint-rate sweep for a coalition pair", "joint_rates", *SOLVER_KEYS):
-        p.add_argument("--graph", required=True)
-        p.add_argument("--rates", required=True)
-        p.add_argument("--a", type=int, default=None)
-        p.add_argument("--b", type=int, default=None)
-        p.add_argument("--out", required=True)
-
-    if p := _add_command(sub, command, "star-compare", cmd_star_compare,
-                         "stars versus hub-bearing BA graphs", "rate_lambda",
-                         "strategic_fraction", "strategic_direction", "master_seed", "stars",
-                         *SOLVER_KEYS):
-        p.add_argument("--records", required=True,
-                       help="a `likenet ensemble` run's records.jsonl")
-        p.add_argument("--out", required=True)
+    for name, (help, option_keys, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        if command not in (None, name):
+            continue
+        for key in option_keys:
+            flag = "--" + FLAGS.get(key, key).replace("_", "-")
+            p.add_argument(flag, type=type(DEFAULTS[key]), choices=CHOICES.get(key),
+                           default=None,
+                           help=f"{HELP.get(key, '')} (default {DEFAULTS[key]})".strip())
+        p.add_argument("--config", default=None, help="flat key=value config file")
+        for flag, kwargs in arguments.items():
+            p.add_argument(flag, **kwargs)
+        # looked up per build, so that a replaced cmd_<name> is the one run
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")],
+                       options=option_keys)
     return parser
 
 
