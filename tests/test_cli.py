@@ -1268,10 +1268,6 @@ def test_command_parser_reads_as_the_full_parser(monkeypatch, capsys, argv):
     assert outputs[0][0] == (0 if "--help" in argv else 2)
 
 
-def test_commands_are_the_parsers_subcommands():
-    assert "{" + ",".join(cli.COMMANDS) + "}" in cli.build_parser().format_usage()
-
-
 def test_readme_lists_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme[readme.index("The defaults"):]
