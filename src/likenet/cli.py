@@ -7,8 +7,8 @@ variables mirror flag names with the LIKENET_ prefix (--max-iter ->
 LIKENET_MAX_ITER), a LIKENET_ variable that names no option is a usage
 error, and a config file's keys are the option names
 (max_iterations = 500). DEFAULTS is the one table of the options. main
-builds the arguments of the command it runs, and only those, and resolves
-the options that command reads before it reads any input; a variable or
+builds every command's arguments, then resolves only the options of the
+command it runs, before that command reads any input; a variable or
 config key of another option is logged as not applied.
 All randomness flows from --seed; nothing is ever seeded from the clock.
 """
@@ -391,13 +391,11 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The likenet parser. It registers every subcommand of COMMANDS, but
-    gives only `command` its arguments, or every subcommand if command is
-    None: argparse reads only the arguments of the subcommand it runs, so
-    the help and the usage errors are the same. A subcommand gets a flag per
-    option key, each defaulting to None so that resolve() tells an absent
-    flag from a given one, then --config, then its other arguments."""
+def build_parser() -> argparse.ArgumentParser:
+    """The likenet parser, with every subcommand of COMMANDS and all of its
+    arguments: a flag per option key, each defaulting to None so that
+    resolve() tells an absent flag from a given one, then --config, then
+    its other arguments."""
     parser = argparse.ArgumentParser(
         prog="likenet",
         description="Likedness centrality and like-rate ensemble stability toolkit.",
@@ -405,8 +403,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help, option_keys, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        if command not in (None, name):
-            continue
         for key in option_keys:
             flag = "--" + FLAGS.get(key, key).replace("_", "-")
             p.add_argument(flag, type=type(DEFAULTS[key]), choices=CHOICES.get(key),
@@ -442,9 +438,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     """Run one command and return its exit code; logging and SIGTERM are entry()'s."""
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
-    # the top level takes no option with a value, so the first token that
-    # names a subcommand is the one argparse runs, if it runs any
-    parser = build_parser(next((token for token in argv if token in COMMANDS), None))
+    parser = build_parser()
     args = parser.parse_args(argv)
     options = {_env_name(FLAGS.get(key, key)): key for key in DEFAULTS}
     variables = sorted(name for name in os.environ

@@ -373,9 +373,9 @@ class TestEnsembleCommand:
         seen = []
         build_parser = cli.build_parser
 
-        def spy(command):
+        def spy():
             seen.append(signal.getsignal(signal.SIGTERM))
-            return build_parser(command)
+            return build_parser()
 
         monkeypatch.setattr(cli, "build_parser", spy)
         previous = signal.signal(signal.SIGTERM, handler)
@@ -1237,35 +1237,6 @@ def test_help_shows_each_default(capsys, command):
     text = " ".join(capsys.readouterr().out.split())
     for key in options:
         assert f"{cli.HELP.get(key, '')} (default {cli.DEFAULTS[key]})".strip() in text
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["--help"], *([command, "--help"] for command in cli.COMMANDS), [], ["bogus"],
-     ["ensemble"], ["ensemble", "--bogus", "--out", "o"],
-     ["ensemble", "--samples", "x", "--out", "o"], ["analyze", "--records", "r"],
-     ["analyze", "--strategic-direction", "middle", "--records", "r", "--out", "o"],
-     ["--bogus", "generate", "--out", "g"], ["generate", "--out", "g", "solve"],
-     ["-5", "ensemble"], ["solve", "--tolerance", "--out", "s"],
-     ["coalition", "--a", "1.5", "--graph", "g", "--rates", "r", "--out", "c"],
-     ["star-compare", "--stars", "-2.5", "--records", "r", "--out", "s"]],
-    ids=["help", *(f"{command}-help" for command in cli.COMMANDS), "no_command", "bogus_command",
-         "missing_out", "bogus_option", "bad_type", "missing_required", "bad_choice",
-         "bogus_top_option", "extra_command", "negative_command", "missing_value",
-         "bad_int", "negative_value"],
-)
-def test_command_parser_reads_as_the_full_parser(monkeypatch, capsys, argv):
-    # main gives only the command it runs its arguments; its help and usage
-    # errors are those of the parser that gives every command its arguments
-    build_parser = cli.build_parser
-    outputs = []
-    for build in (build_parser, lambda command: build_parser()):
-        monkeypatch.setattr(cli, "build_parser", build)
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        outputs.append((exc.value.code, capsys.readouterr()))
-    assert outputs[0] == outputs[1]
-    assert outputs[0][0] == (0 if "--help" in argv else 2)
 
 
 def test_readme_lists_the_defaults():
