@@ -283,7 +283,8 @@ def logistic_fit(table: RecordTable) -> LogisticFit:
     Levenberg-Marquardt-style damped least squares, over the records
     whose stability and metrics are all finite.
     """
-    predictors = [table.degree_stddev, table.mean_path_length, table.mean_local_clustering]
+    names = ("degree_stddev", "mean_path_length", "mean_local_clustering")
+    predictors = [getattr(table, name) for name in names]
     finite = np.isfinite(table.stability)
     for column in predictors:
         finite &= np.isfinite(column)
@@ -291,8 +292,7 @@ def logistic_fit(table: RecordTable) -> LogisticFit:
     if count < 50:
         raise ValueError(f"need >= 50 records with finite metrics, got {count}")
     design = np.column_stack([np.ones(count)] + [column[finite] for column in predictors])
-    names = ("intercept", "degree_stddev", "mean_path_length", "mean_local_clustering")
-    constant = [n for n, col in zip(names, design.T) if n != "intercept" and np.ptp(col) == 0.0]
+    constant = [name for name, column in zip(names, design.T[1:]) if np.ptp(column) == 0.0]
     if np.linalg.matrix_rank(design) < design.shape[1]:
         detail = f" (constant columns: {', '.join(constant)})" if constant else ""
         raise RankDeficientError(f"predictor matrix is rank-deficient{detail}")

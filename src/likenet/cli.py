@@ -120,7 +120,7 @@ def _cast(key: str, raw: str, where: str):
 
 
 def read_config_file(path) -> dict:
-    """Parse 'key = value' lines, each key an option name, into typed values."""
+    """Parse 'key = value' lines, each key an option name given once, into typed values."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for where, line in content_lines(fh, path):
@@ -130,6 +130,8 @@ def read_config_file(path) -> dict:
             key, raw = key.strip(), raw.strip()
             if key not in DEFAULTS:
                 raise ValueError(f"{where}: unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"{where}: duplicate config key {key!r}")
             values[key] = _cast(key, raw, f"{where}: {key}")
     return values
 

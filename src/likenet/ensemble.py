@@ -414,6 +414,12 @@ class RecordTable:
         return RecordTable(**rows, rates=self.rates_of(mask))
 
 
+# the scalar RecordTable columns that read_records fills from the line field
+# of the same name, each with its array type, which is NumPy's dtype code too
+SCALAR_COLUMNS = {"stability": "d", "degree_stddev": "d", "mean_path_length": "d",
+                  "mean_local_clustering": "d", "solver_converged": "b"}
+
+
 # read_records' decoder. json.loads(s) is raw_decode(s) after a BOM check
 # and JSON whitespace, and refuses text after the value; a content line is
 # stripped, so a value that ends at len(line) is what json.loads returns.
@@ -431,8 +437,8 @@ def read_records(jsonl_path) -> RecordTable:
     length (the node count), outgoing rates other than the degree sum
     of its histogram in number, a negative or non-finite outgoing rate.
     """
-    stability, degree_stddev, path_length, clustering = (array("d") for _ in range(4))
-    converged, histograms, rate_counts, rates = array("b"), array("q"), array("q"), array("d")
+    columns = {name: array(code) for name, code in SCALAR_COLUMNS.items()}
+    histograms, rate_counts, rates = array("q"), array("q"), array("d")
     width = 0
     with open(jsonl_path, encoding="utf-8") as fh:
         for where, line in content_lines(fh, jsonl_path):
@@ -449,16 +455,8 @@ def read_records(jsonl_path) -> RecordTable:
             if not isinstance(d, dict):
                 raise ValueError(f"{where}: expected a JSON object, got {type(d).__name__}")
             try:
-                name = "stability"
-                stability.append(d[name])
-                name = "degree_stddev"
-                degree_stddev.append(d[name])
-                name = "mean_path_length"
-                path_length.append(d[name])
-                name = "mean_local_clustering"
-                clustering.append(d[name])
-                name = "solver_converged"
-                converged.append(d[name])
+                for name, column in columns.items():
+                    column.append(d[name])
                 name = "degree_histogram"
                 histogram = d[name]
                 if not isinstance(histogram, list):
@@ -500,16 +498,9 @@ def read_records(jsonl_path) -> RecordTable:
         position = int(np.searchsorted(np.cumsum(rate_counts), first, side="right"))
         raise ValueError(f"{_line_of(jsonl_path, position)}: outgoing rate {rates[first]} "
                          "is not finite and >= 0")
-    return RecordTable(
-        stability=np.frombuffer(stability, np.float64),
-        degree_stddev=np.frombuffer(degree_stddev, np.float64),
-        mean_path_length=np.frombuffer(path_length, np.float64),
-        mean_local_clustering=np.frombuffer(clustering, np.float64),
-        solver_converged=np.frombuffer(converged, np.int8) != 0,
-        degree_histogram=histograms,
-        rate_counts=rate_counts,
-        rates=rates,
-    )
+    scalars = {name: np.frombuffer(column, column.typecode) for name, column in columns.items()}
+    scalars["solver_converged"] = scalars["solver_converged"] != 0
+    return RecordTable(**scalars, degree_histogram=histograms, rate_counts=rate_counts, rates=rates)
 
 
 def _line_of(jsonl_path, position: int) -> str:
@@ -569,6 +560,9 @@ def run_to_files(config: EnsembleConfig, out_dir, workers: int = 1) -> dict:
     stabilities = array("d")
     non_converged = 0
     step = max(1, count // 10)
+    # the run's records.jsonl replaces an earlier run's from its first line;
+    # that run's summary goes first, so that a stopped run leaves none
+    (out / "summary.json").unlink(missing_ok=True)
     with open(out / "records.jsonl", "wb") as records:
         log.info("ensemble blocks: %d records each, solved in chunks of %d, on %d process(es)",
                  size, chunk, processes)

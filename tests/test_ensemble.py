@@ -399,6 +399,26 @@ class TestRunEnsemble:
                 tmp_path / "plain" / name
             ).read_bytes()
 
+    def test_interrupted_run_leaves_no_earlier_summary(self, tmp_path, monkeypatch):
+        # two default desk blocks into the directory of an earlier run; the
+        # second block is interrupted
+        run_to_files(EnsembleConfig(sample_count=20, master_seed=1), tmp_path, workers=1)
+        cfg = EnsembleConfig(sample_count=DESK_BLOCK + 6, master_seed=2)
+        first = io.BytesIO()
+        compute_block(cfg, 0, DESK_BLOCK, first)
+        compute = ensemble.compute_block
+
+        def interrupted(config, start, stop, out):
+            if start:
+                raise KeyboardInterrupt
+            return compute(config, start, stop, out)
+
+        monkeypatch.setattr(ensemble, "compute_block", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_to_files(cfg, tmp_path, workers=1)
+        assert [path.name for path in tmp_path.iterdir()] == ["records.jsonl"]
+        assert (tmp_path / "records.jsonl").read_bytes() == first.getvalue()
+
     def test_progress_reports_throughput_and_time_left(self, tmp_path, caplog):
         cfg = EnsembleConfig(sample_count=20, master_seed=12)
         with caplog.at_level(logging.INFO, logger="likenet"):
@@ -528,6 +548,23 @@ class TestRecordTable:
         with pytest.raises(ValueError, match=f"^{re.escape(str(jsonl))}:4: {message}$"):
             read_records(jsonl)
 
+    @pytest.mark.parametrize("name", ["stability", "degree_stddev", "mean_path_length",
+                                      "mean_local_clustering", "solver_converged",
+                                      "degree_histogram", "outgoing_rates"])
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "wrong_type"])
+    def test_every_field_read_names_its_line(self, tmp_path, name, missing):
+        records = decoded_run(EnsembleConfig(sample_count=2, master_seed=5), tmp_path / "run")
+        if missing:
+            del records[1][name]
+            message = f"missing field {name!r}"
+        else:
+            records[1][name] = "high"
+            message = f"field {name!r} has the wrong type"
+        jsonl = tmp_path / "records.jsonl"
+        jsonl.write_text("".join(json.dumps(record) + "\n" for record in records))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{jsonl}:2: {message}')}"):
+            read_records(jsonl)
+
     def test_empty_file_gives_empty_table(self, tmp_path):
         jsonl = tmp_path / "records.jsonl"
         jsonl.write_text("")
@@ -556,6 +593,13 @@ class TestConfigFiles:
         path = tmp_path / "run.cfg"
         path.write_text("sample_size = 10\n")
         with pytest.raises(ValueError):
+            read_config_file(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("master_seed = 1\nsample_count = 30\nmaster_seed = 2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: duplicate config "
+                                             "key 'master_seed'$"):
             read_config_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):
