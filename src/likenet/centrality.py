@@ -18,11 +18,16 @@ Newton steps with the Jacobian dF_i/dv_k = (R_ik - F_i A_ik) / (A v)_i
 ch. 5). One loop solves a block of systems at once: several records,
 each with its own graph and rates. It runs in one of two modes: each
 record's own system from the uniform start (plain), or many systems that
-each change one of a record's rate entries, started at that record's
-solved baseline and stepped with the baseline's Newton matrix (chord
-steps, around a baseline). The second mode is what makes
-finite-difference stability sweeps cheap; a one-entry change enters the
-map as a rank-one term, so no rate matrix is built per perturbed system.
+each change one of a record's rate entries, around that record's solved
+baseline (around). The second mode is what makes finite-difference
+stability sweeps cheap. A one-entry change enters the map as a rank-one
+term, so no rate matrix is built per perturbed system; its fixed point
+lies on its target node's response curve, whose power series around the
+baseline comes from the baseline's Newton matrix, so a record needs one
+n x n series per target node, not one solve per entry (Blondel et al.,
+arXiv:2105.15183). Each perturbed system starts on that series, where
+nearly all meet the tolerance, and takes chord steps with the baseline's
+Newton matrix from there.
 """
 
 from __future__ import annotations
@@ -136,6 +141,10 @@ class CentralityVector:
 RELAXATION = 0.5
 POLISH_RESIDUAL = 0.03
 POLISH_CONTRACTION = 0.5
+# A perturbed row starts on its target's response series, summed to
+# SERIES_ORDER, at the scalar step that SERIES_SWEEPS fixed-point sweeps give.
+SERIES_ORDER = 4
+SERIES_SWEEPS = 3
 
 
 def _normalize_rows(raw: np.ndarray) -> np.ndarray:
@@ -246,6 +255,124 @@ def newton_matrix(g: Graph, rates: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return chord[0]
 
 
+def _series_start(
+    rates_t: np.ndarray,
+    adj_t: np.ndarray,
+    baseline: np.ndarray,
+    chord_t: np.ndarray,
+    usable: np.ndarray,
+    perturbation: tuple[np.ndarray, np.ndarray, np.ndarray],
+    out: np.ndarray,
+    rows: np.ndarray,
+    spare: tuple[np.ndarray, ...] = (),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Write into out (B, R, n) where _solve_block starts its perturbed rows.
+
+    Row (b, r) adds delta to entry (t, a) of record b's rates, so its
+    fixed point solves v = F(v) + s e_t with s = delta v_a / (A v)_t: a
+    point of target t's response curve. Around the baseline v* (residual
+    r* = F(v*) - v*) that curve is v* + C r* + sum_k s^k x_k[:, t], with
+    x_1 = C = (I - dF/dv)^-1 and (I - dF/dv) x_k = -(sum_{j<k} (A x_j) o
+    f_{k-j}) / (A v*), f_1 = C - I and f_j = x_j: one n x n series per
+    record, summed to SERIES_ORDER, serves all its targets. Each row's s
+    starts at s0 = delta v*_a / (A v*)_t and takes SERIES_SWEEPS sweeps of
+    s = delta v_a(s) / (A v(s))_t on the row's gathered coefficients. The
+    rows of a record whose chord matrix is not usable, and rows whose start
+    is not finite, start at the baseline.
+
+    The series is built transposed, row t of each (B, n, n) array for
+    target t, so that chord_t and adj_t serve as they are. `rows` is a
+    (B, R, n) array for gathered rows; the n x n and (B, R) arrays are
+    carved from `spare`, first come first served, or allocated when it runs
+    out. The two returned (B, R) arrays are carved first, so the first spare
+    array must be one that the loop's first pass leaves alone. No operation
+    broadcasts over a (B, R, n) array, which would take a ufunc buffer.
+    Returns (F(v*) (B, n), s0 (B, R), max|r* + s0 e_t| (B, R)): what a row
+    needs to restart at its baseline, in closed form.
+    """
+    targets, agents, deltas = perturbation
+    (count, width), n = targets.shape, baseline.shape[1]
+    free = [buffer.reshape(-1) for buffer in spare]
+
+    def carve(*shape):
+        size = math.prod(shape)
+        for index, flat in enumerate(free):
+            if flat.size >= size:
+                free[index] = flat[size:]
+                return flat[:size].reshape(shape)
+        return np.empty(shape)
+
+    first, closed = carve(2, count, width)
+    # coefficients[k - 1] holds x_k[a, t] and (A x_k)[t, t] of each row, and
+    # anchor v*_a and (A v*)_t
+    coefficients, anchor = carve(SERIES_ORDER, 2, count, width), carve(2, count, width)
+    fixed, denom = (m[:, 0] for m in _fixed_map(rates_t, adj_t, baseline[:, None, :]))
+    safe = denom > 0.0
+    inv = np.where(safe, 1.0 / np.where(safe, denom, 1.0), 0.0)
+    residual = fixed - baseline
+    # row t of record b in a flat (B, n) or (B, n, n) array, and its (t, t) and (t, a)
+    target_rows = np.arange(count)[:, None] * n + targets
+    diagonal, entry = target_rows * n + targets, target_rows * n + agents
+    baseline.take(target_rows - targets + agents, out=anchor[0], mode="clip")
+    denom.take(target_rows, out=anchor[1], mode="clip")
+    # s0, 0 where (A v*)_t is 0, as F is
+    inv.take(target_rows, out=first, mode="clip")
+    first *= anchor[0]
+    first *= deltas
+    # the baseline start's residual: the largest |r*| off t, or |r*_t + s0|
+    total, term = carve(count, n, n), carve(count, n, n)
+    np.copyto(total, np.abs(residual)[:, None, :])
+    total.reshape(count, -1)[:, :: n + 1] = 0.0
+    total.max(axis=2).take(target_rows, out=closed, mode="clip")
+    np.maximum(closed, np.abs(residual.take(target_rows) + first), out=closed)
+
+    with np.errstate(all="ignore"):
+        # series[k - 1] is x_k transposed, images[k - 1] (A x_k) transposed and
+        # factors[k - 1] f_k transposed, so that row t is target t's
+        series, images, factors = [chord_t], [], [carve(count, n, n)]
+        np.copyto(factors[0], chord_t)
+        factors[0].reshape(count, -1)[:, :: n + 1] -= 1.0
+        for order in range(1, SERIES_ORDER + 1):
+            if order > 1:
+                np.multiply(images[0], factors[order - 2], out=total)
+                for j in range(2, order):
+                    total += np.multiply(images[j - 1], factors[order - j - 1], out=term)
+                np.einsum("btj,bj->btj", total, -inv, out=term)
+                series.append(np.matmul(term, chord_t, out=carve(count, n, n)))
+                factors.append(series[-1])
+            images.append(np.matmul(series[-1], adj_t, out=carve(count, n, n)))
+            series[-1].take(entry, out=coefficients[order - 1, 0], mode="clip")
+            images[-1].take(diagonal, out=coefficients[order - 1, 1], mode="clip")
+
+        # s = delta v_a(s) / (A v(s))_t, both sums by Horner's rule
+        step, sums = carve(count, width), carve(2, count, width)
+        np.copyto(step, first)
+        for _ in range(SERIES_SWEEPS):
+            np.copyto(sums, coefficients[-1])
+            for coefficient in coefficients[-2::-1]:
+                sums *= step
+                sums += coefficient
+            sums *= step
+            sums += anchor
+            np.divide(sums[0], sums[1], out=step)
+            step *= deltas
+
+        # out = v* + C r* + sum_k s^k x_k[:, t], by Horner's rule over gathered rows
+        index, flat_out = target_rows.reshape(-1), out.reshape(-1, n)
+        series[-1].reshape(-1, n).take(index, axis=0, out=flat_out, mode="clip")
+        for x in series[-2::-1]:
+            np.einsum("brn,br->brn", out, step, out=rows)
+            x.reshape(-1, n).take(index, axis=0, out=flat_out, mode="clip")
+            out += rows
+        np.einsum("brn,br->brn", out, step, out=rows)
+        corrected = baseline + np.matmul(residual[:, None, :], chord_t)[:, 0]
+        np.copyto(out, corrected[:, None, :])
+        out += rows
+        usable_rows = usable[:, None] & np.isfinite(out.sum(axis=2))
+    np.copyto(out, baseline[:, None, :], where=~usable_rows[:, :, None])
+    return fixed, first, closed
+
+
 class _Around(tuple):
     """_solve_block's `around` for the chunks of one block: it unpacks as
     (baseline, (targets, agents, entries)) and carries `work`, the loop's
@@ -273,10 +400,12 @@ def _solve_block(
       from the uniform vector and polished by Newton steps;
     - around = (baseline (B, n), (targets, agents, entries), each (B, R)):
       row (b, r) is record b's system with rates[b, targets[b, r],
-      agents[b, r]] set to entries[b, r], started at the record's baseline
-      fixed point and polished by chord steps with the record's
-      (I - dF/dv)^-1 at that baseline. The change enters F as a rank-one
-      term (see _fixed_map), so no rate matrix is built per row. An
+      agents[b, r]] set to entries[b, r], started on its target's response
+      series around the record's baseline fixed point (_series_start) and
+      polished by chord steps with the record's (I - dF/dv)^-1 at that
+      baseline. The change enters F as a rank-one term (see _fixed_map),
+      so no rate matrix is built per row. Most rows meet the tolerance
+      where they start, and the loop's first pass only verifies them. An
       _Around also brings the loop's work buffers; otherwise the call
       allocates its own.
 
@@ -285,9 +414,12 @@ def _solve_block(
     substitution); below that P is the Newton or chord matrix. A polished
     step that fails to halve the row's residual is undone, and the row
     takes damped steps from then on; so does a row whose Newton system is
-    singular, and every row of a record whose chord matrix is. A poor step
-    matrix thus costs iterations, never the fixed point. Rows are frozen
-    as soon as their residual max|F(v) - v| drops to opts.tolerance.
+    singular, and every row of a record whose chord matrix is, which
+    starts at the baseline. A series start that fails to halve the
+    residual of the baseline start is undone too: the row restarts at the
+    baseline, with its chord steps. A poor step matrix thus costs
+    iterations, never the fixed point. Rows are frozen as soon as their
+    residual max|F(v) - v| drops to opts.tolerance.
 
     Returns (raw_values, converged, iterations), shaped (B, R, n), (B, R)
     and (B, R), with R = 1 in plain mode; raw_values is a fresh array, not
@@ -302,7 +434,6 @@ def _solve_block(
         # one row per record: the product keeps the swapped-axis views, since
         # a one-row product with contiguous operands can round differently
         rates_t, adj_t = np.swapaxes(rates, 1, 2), np.swapaxes(adj, 1, 2)
-        start = 1.0 / n
         damped_only = np.zeros((count, 1), dtype=bool)
     else:
         baseline, (targets, agents, entries) = around
@@ -311,15 +442,15 @@ def _solve_block(
         offsets = np.arange(count * width).reshape(count, width) * n
         deltas = entries - rates[own, targets, agents]
         scatter = ((offsets + targets).ravel(), (offsets + agents).ravel(), deltas.ravel())
-        start = baseline[:, None, :]
         chord, usable = _chord_matrices(adj, rates, baseline)
         # contiguous product operands: the same bits as swapped-axis views,
         # in about half the time; the loop keeps only the transposed chord
         rates_t, adj_t, chord_t = (
             np.ascontiguousarray(np.swapaxes(m, 1, 2)) for m in (rates, adj, chord)
         )
-        del chord
+        del chord, offsets
         damped_only = np.repeat(~usable[:, None], width, axis=1)
+    restart = None
     work = getattr(around, "work", None)
     own_work = work is None
     if own_work:
@@ -331,7 +462,15 @@ def _solve_block(
     # and for the step
     values, before, fixed, fixed_before, gap, scratch = (buffer[:count] for buffer in work)
     shape = values.shape
-    values[...] = start
+    if around is None:
+        values[...] = 1.0 / n
+    else:
+        # `before` and the arrays after it are free until the loop's first
+        # step; what a row needs to restart stays in fixed_before
+        restart = _series_start(
+            rates_t, adj_t, baseline, chord_t, usable, (targets, agents, deltas), values,
+            before, (fixed_before, fixed, gap, scratch),
+        )
     values[np.broadcast_to(~adj.any(axis=2)[:, None, :], shape)] = 0.0
     converged = np.zeros(shape[:2], dtype=bool)
     iterations = np.zeros(shape[:2], dtype=np.int64)
@@ -353,6 +492,19 @@ def _solve_block(
                 np.copyto(values, before, where=rejected[:, :, None])
                 np.copyto(fixed, fixed_before, where=rejected[:, :, None])
                 np.copyto(residual, residual_before, where=rejected)
+                np.subtract(fixed, values, out=gap)
+        if restart is not None:
+            # a series start must halve the baseline start's residual, as a
+            # polished step must, or the row restarts at the baseline, where
+            # F(v*) + s0 e_t is its map in closed form
+            fixed_star, first, closed = restart
+            restart = None
+            restarted = ~(residual <= POLISH_CONTRACTION * closed)
+            if restarted.any():
+                np.copyto(values, baseline[:, None, :], where=restarted[:, :, None])
+                np.copyto(fixed, fixed_star[:, None, :], where=restarted[:, :, None])
+                fixed.reshape(-1)[scatter[0][restarted.reshape(-1)]] += first[restarted]
+                np.copyto(residual, closed, where=restarted)
                 np.subtract(fixed, values, out=gap)
 
         converged |= residual <= opts.tolerance

@@ -13,9 +13,11 @@ Derivatives are finite-difference quotients on the sum-normalized
 centrality vector: forward steps of 1% of the entry's value, with an
 absolute fallback step for entries at the zero boundary. The baseline
 is solved first; all the perturbed solves then run as one batch around
-it, started from the baseline fixed point and stepped with the
-baseline's Newton matrix (chord steps), since each perturbed system
-differs from the baseline in one entry. _gradient_block does this for
+it, since each perturbed system differs from the baseline in one entry:
+each starts on its target node's response series around the baseline
+fixed point, where nearly all meet the solver tolerance, and takes
+chord steps with the baseline's Newton matrix from there (see
+centrality._series_start). _gradient_block does this for
 a block of systems at once, each against its own baseline, solving the
 perturbed systems in chunks of the block's records; stability() is its
 block of one.

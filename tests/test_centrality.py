@@ -17,8 +17,11 @@ from likenet.centrality import (
     read_rates,
     solve_rate_batch,
 )
-from likenet.ensemble import sample_rates
-from likenet.graphs import Graph, generate_ba, generate_star
+from likenet import ensemble
+from likenet import stability as stability_module
+from likenet.ensemble import EnsembleConfig, sample_rates
+from likenet.graphs import Graph, _attach, generate_ba, generate_star
+from likenet.stability import _gradient_block
 from util import random_connected_graph, random_rates, undamped_fixed_point
 
 
@@ -315,6 +318,92 @@ class TestSolverContract:
         assert not conv.any()
         assert (iters == cap).all()
         assert np.isfinite(raw).all()
+
+
+def series_starts(g, rates, scale):
+    """_series_start's rows for every directed entry (t, a) of one system
+    set to rates[t, a] * scale, around its solved baseline: (entries,
+    scaled rates, baseline, chord matrix, starts (R, n))."""
+    entries = np.argwhere(g.adjacency)
+    targets, agents = entries[None, :, 0], entries[None, :, 1]
+    scaled = rates.values[targets, agents] * scale
+    baseline = likedness_centrality(g, rates).raw
+    chord = newton_matrix(g, rates.values, baseline)
+    starts = np.empty((1, len(entries), g.n))
+    transposed = [np.ascontiguousarray(m.T)[None] for m in (rates.values, g.adjacency, chord)]
+    centrality._series_start(
+        transposed[0], transposed[1], baseline[None], transposed[2], np.ones(1, dtype=bool),
+        (targets, agents, scaled - rates.values[targets, agents]), starts, np.empty_like(starts),
+    )
+    return entries, scaled[0], baseline, chord, starts[0]
+
+
+class TestSeriesStarts:
+    @pytest.mark.parametrize("n, k, count", [(10, 2, 512), (40, 3, 24)], ids=["desk", "wide"])
+    def test_rows_start_within_tolerance(self, n, k, count, monkeypatch):
+        # an ensemble block's forward-difference rows meet the tolerance where
+        # they start, and take no step
+        config = EnsembleConfig(n=n, k=k, master_seed=19)
+        adj, rates, pairs = ensemble._block_systems(
+            config, ensemble.MAIN_STREAM, _attach, 0, count
+        )[2:]
+        iterations = []
+
+        def recording(adj, rates, opts, around=None):
+            result = solve_block(adj, rates, opts, around)
+            if around is not None:
+                iterations.append(result[2].ravel())
+            return result
+
+        solve_block = stability_module._solve_block
+        monkeypatch.setattr(stability_module, "_solve_block", recording)
+        _gradient_block(adj, rates, pairs, SolverOptions(), "forward")
+        iterations = np.concatenate(iterations)
+        assert len(iterations) == pairs.shape[0] * pairs.shape[1]
+        assert (iterations == 0).mean() >= 0.999
+
+    def test_first_order_truncation_is_the_first_chord_iterate(self, monkeypatch):
+        # to order 1, at s0, a row starts where one chord step from the
+        # baseline takes it: v* + C (F(v*) - v*) with the perturbed F
+        monkeypatch.setattr(centrality, "SERIES_ORDER", 1)
+        monkeypatch.setattr(centrality, "SERIES_SWEEPS", 0)
+        for g, rates in ba_systems(5, seed=20):
+            entries, scaled, baseline, chord, starts = series_starts(g, rates, 1.01)
+            for row, (t, a) in enumerate(entries):
+                perturbed = rates.values.copy()
+                perturbed[t, a] = scaled[row]
+                mapped = perturbed @ baseline / (g.adjacency @ baseline)
+                expected = baseline + chord @ (mapped - baseline)
+                assert starts[row] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    def test_higher_orders_start_nearer_the_fixed_point(self):
+        # to SERIES_ORDER, each row starts nearer its fixed point than the
+        # first chord iterate does
+        for g, rates in ba_systems(5, seed=20):
+            entries, scaled, baseline, chord, starts = series_starts(g, rates, 1.01)
+            for row, (t, a) in enumerate(entries):
+                perturbed = rates.values.copy()
+                perturbed[t, a] = scaled[row]
+                mapped = perturbed @ baseline / (g.adjacency @ baseline)
+                chord_step = baseline + chord @ (mapped - baseline)
+                assert independent_residual(g, perturbed, starts[row]) < independent_residual(
+                    g, perturbed, chord_step
+                )
+
+    @pytest.mark.parametrize("scales", [(1.5, 0.2), (20.0, 0.0)], ids=["moderate", "large"])
+    def test_large_steps_reach_the_fixed_point(self, scales):
+        # test_converged_rows_meet_tolerance's scales, and steps so large that
+        # some series starts do not halve their baseline start's residual:
+        # those rows restart at the baseline and reach the fixed point that a
+        # cold solve reaches
+        opts = SolverOptions()
+        for g, rates in ba_systems(10, seed=40):
+            (raw, conv, _), stack = solve_around([(g, rates)], list(scales), opts)
+            reference, _ = cold_solves(g, stack[0], opts)
+            assert conv.all()
+            for row in range(len(stack[0])):
+                assert independent_residual(g, stack[0, row], raw[0, row]) <= opts.tolerance
+            assert raw[0] == pytest.approx(reference, rel=1e-8, abs=1e-9)
 
 
 class TestRateMatrixType:

@@ -34,6 +34,7 @@ from likenet.centrality import (
     _each_matrix,
     _jacobian_stack,
     _normalized_at,
+    _series_start,
 )
 from likenet.ensemble import (
     EnsembleConfig,
@@ -196,8 +197,12 @@ def reference_fixed_map(rates, adj, values, scatter=None):
 
 def reference_solve_block(adj, rates, opts, around=None):
     """The fixed-point loop with row maxima along the node axis, swapped-axis
-    product operands and boolean-mask gathers and scatters."""
+    product operands and boolean-mask gathers and scatters. Perturbed rows
+    start where _solve_block starts them, at the live _series_start, and a
+    row whose first residual does not halve its baseline start's restarts
+    there."""
     count, n = rates.shape[0], rates.shape[2]
+    restart = None
     if around is None:
         scatter = None
         values = np.full((count, 1, n), 1.0 / n)
@@ -209,12 +214,17 @@ def reference_solve_block(adj, rates, opts, around=None):
         offsets = np.arange(count * width).reshape(count, width) * n
         deltas = entries - rates[own, targets, agents]
         scatter = ((offsets + targets).ravel(), (offsets + agents).ravel(), deltas.ravel())
-        values = np.repeat(baseline[:, None, :], width, axis=1)
         fixed, denom = reference_fixed_map(rates, adj, baseline[:, None, :])
         jac = _jacobian_stack(rates, adj, fixed[:, 0], denom[:, 0])
         chord, usable = _each_matrix(np.linalg.inv, np.eye(n) - jac)
         chord_t = np.swapaxes(chord, 1, 2)
         damped_only = np.repeat(~usable[:, None], width, axis=1)
+        values = np.empty((count, width, n))
+        contiguous = [np.ascontiguousarray(np.swapaxes(m, 1, 2)) for m in (rates, adj, chord)]
+        restart = _series_start(
+            *contiguous[:2], baseline, contiguous[2], usable, (targets, agents, deltas), values,
+            np.empty_like(values),
+        )
     shape = values.shape
     values[np.broadcast_to(~adj.any(axis=2)[:, None, :], shape)] = 0.0
     converged = np.zeros(shape[:2], dtype=bool)
@@ -232,6 +242,15 @@ def reference_solve_block(adj, rates, opts, around=None):
                 values[rejected] = previous[0][rejected]
                 fixed[rejected] = previous[1][rejected]
                 residual[rejected] = previous[2][rejected]
+        if restart is not None:
+            fixed_star, first, closed = restart
+            restart = None
+            restarted = ~(residual <= POLISH_CONTRACTION * closed)
+            values[restarted] = np.broadcast_to(baseline[:, None, :], shape)[restarted]
+            restored = np.repeat(fixed_star[:, None, :], shape[1], axis=1)
+            restored.reshape(-1)[scatter[0]] += first.ravel()
+            fixed[restarted] = restored[restarted]
+            residual[restarted] = closed[restarted]
 
         converged |= residual <= opts.tolerance
         step = ~converged & (iterations < opts.max_iterations)
