@@ -15,19 +15,17 @@ No closed form is available in general. The solver takes damped
 successive-substitution steps while far from the fixed point, then
 Newton steps with the Jacobian dF_i/dv_k = (R_ik - F_i A_ik) / (A v)_i
 (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
-ch. 5). One loop solves a block of systems at once: several records,
-each with its own graph and rates. It runs in one of two modes: each
-record's own system from the uniform start (plain), or many systems that
-each change one of a record's rate entries, around that record's solved
-baseline (around). The second mode is what makes finite-difference
-stability sweeps cheap. A one-entry change enters the map as a rank-one
-term, so no rate matrix is built per perturbed system; its fixed point
-lies on its target node's response curve, whose power series around the
-baseline comes from the baseline's Newton matrix, so a record needs one
-n x n series per target node, not one solve per entry (Blondel et al.,
-arXiv:2105.15183). Each perturbed system starts on that series, where
-nearly all meet the tolerance, and takes chord steps with the baseline's
-Newton matrix from there.
+ch. 5). One loop, _solve_block, solves a block of systems at once:
+several records, each with its own graph and rates. Finite-difference
+stability sweeps solve many systems that each change one of a record's
+rate entries, and _solve_perturbed makes them cheap. A one-entry change
+enters the map as a rank-one term, so no rate matrix is built per
+perturbed system; its fixed point lies on its target node's response
+curve, whose power series around the baseline comes from the baseline's
+Newton matrix, so a record needs one n x n series per target node, not
+one solve per entry (Blondel et al., arXiv:2105.15183). Each perturbed
+system starts on that series, where nearly all meet the tolerance; the
+few that do not are solved by the same loop from the baseline.
 """
 
 from __future__ import annotations
@@ -136,8 +134,8 @@ class CentralityVector:
 
 
 # A row takes damped steps, RELAXATION times the fixed-point gap, until its
-# residual is below POLISH_RESIDUAL times max|F(v)|, then Newton or chord
-# steps; a polished step must at least halve the residual or it is undone.
+# residual is below POLISH_RESIDUAL times max|F(v)|, then Newton steps; a
+# Newton step must at least halve the residual or it is undone.
 RELAXATION = 0.5
 POLISH_RESIDUAL = 0.03
 POLISH_CONTRACTION = 0.5
@@ -260,13 +258,12 @@ def _series_start(
     adj_t: np.ndarray,
     baseline: np.ndarray,
     chord_t: np.ndarray,
-    usable: np.ndarray,
     perturbation: tuple[np.ndarray, np.ndarray, np.ndarray],
     out: np.ndarray,
     rows: np.ndarray,
     spare: tuple[np.ndarray, ...] = (),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Write into out (B, R, n) where _solve_block starts its perturbed rows.
+) -> None:
+    """Write into out (B, R, n) where _solve_perturbed starts its rows.
 
     Row (b, r) adds delta to entry (t, a) of record b's rates, so its
     fixed point solves v = F(v) + s e_t with s = delta v_a / (A v)_t: a
@@ -276,19 +273,15 @@ def _series_start(
     f_{k-j}) / (A v*), f_1 = C - I and f_j = x_j: one n x n series per
     record, summed to SERIES_ORDER, serves all its targets. Each row's s
     starts at s0 = delta v*_a / (A v*)_t and takes SERIES_SWEEPS sweeps of
-    s = delta v_a(s) / (A v(s))_t on the row's gathered coefficients. The
-    rows of a record whose chord matrix is not usable, and rows whose start
-    is not finite, start at the baseline.
+    s = delta v_a(s) / (A v(s))_t on the row's gathered coefficients. A
+    chord matrix that is not finite gives its record non-finite starts.
 
     The series is built transposed, row t of each (B, n, n) array for
     target t, so that chord_t and adj_t serve as they are. `rows` is a
     (B, R, n) array for gathered rows; the n x n and (B, R) arrays are
     carved from `spare`, first come first served, or allocated when it runs
-    out. The two returned (B, R) arrays are carved first, so the first spare
-    array must be one that the loop's first pass leaves alone. No operation
-    broadcasts over a (B, R, n) array, which would take a ufunc buffer.
-    Returns (F(v*) (B, n), s0 (B, R), max|r* + s0 e_t| (B, R)): what a row
-    needs to restart at its baseline, in closed form.
+    out. No operation broadcasts over a (B, R, n) array, which would take
+    a ufunc buffer.
     """
     targets, agents, deltas = perturbation
     (count, width), n = targets.shape, baseline.shape[1]
@@ -302,33 +295,22 @@ def _series_start(
                 return flat[:size].reshape(shape)
         return np.empty(shape)
 
-    first, closed = carve(2, count, width)
     # coefficients[k - 1] holds x_k[a, t] and (A x_k)[t, t] of each row, and
     # anchor v*_a and (A v*)_t
     coefficients, anchor = carve(SERIES_ORDER, 2, count, width), carve(2, count, width)
     fixed, denom = (m[:, 0] for m in _fixed_map(rates_t, adj_t, baseline[:, None, :]))
     safe = denom > 0.0
     inv = np.where(safe, 1.0 / np.where(safe, denom, 1.0), 0.0)
-    residual = fixed - baseline
     # row t of record b in a flat (B, n) or (B, n, n) array, and its (t, t) and (t, a)
     target_rows = np.arange(count)[:, None] * n + targets
     diagonal, entry = target_rows * n + targets, target_rows * n + agents
     baseline.take(target_rows - targets + agents, out=anchor[0], mode="clip")
     denom.take(target_rows, out=anchor[1], mode="clip")
-    # s0, 0 where (A v*)_t is 0, as F is
-    inv.take(target_rows, out=first, mode="clip")
-    first *= anchor[0]
-    first *= deltas
-    # the baseline start's residual: the largest |r*| off t, or |r*_t + s0|
-    total, term = carve(count, n, n), carve(count, n, n)
-    np.copyto(total, np.abs(residual)[:, None, :])
-    total.reshape(count, -1)[:, :: n + 1] = 0.0
-    total.max(axis=2).take(target_rows, out=closed, mode="clip")
-    np.maximum(closed, np.abs(residual.take(target_rows) + first), out=closed)
 
     with np.errstate(all="ignore"):
         # series[k - 1] is x_k transposed, images[k - 1] (A x_k) transposed and
         # factors[k - 1] f_k transposed, so that row t is target t's
+        total, term = carve(count, n, n), carve(count, n, n)
         series, images, factors = [chord_t], [], [carve(count, n, n)]
         np.copyto(factors[0], chord_t)
         factors[0].reshape(count, -1)[:, :: n + 1] -= 1.0
@@ -344,9 +326,12 @@ def _series_start(
             series[-1].take(entry, out=coefficients[order - 1, 0], mode="clip")
             images[-1].take(diagonal, out=coefficients[order - 1, 1], mode="clip")
 
-        # s = delta v_a(s) / (A v(s))_t, both sums by Horner's rule
+        # s = delta v_a(s) / (A v(s))_t from s0, 0 where (A v*)_t is 0, as F
+        # is; both sums by Horner's rule
         step, sums = carve(count, width), carve(2, count, width)
-        np.copyto(step, first)
+        inv.take(target_rows, out=step, mode="clip")
+        step *= anchor[0]
+        step *= deltas
         for _ in range(SERIES_SWEEPS):
             np.copyto(sums, coefficients[-1])
             for coefficient in coefficients[-2::-1]:
@@ -365,146 +350,69 @@ def _series_start(
             x.reshape(-1, n).take(index, axis=0, out=flat_out, mode="clip")
             out += rows
         np.einsum("brn,br->brn", out, step, out=rows)
-        corrected = baseline + np.matmul(residual[:, None, :], chord_t)[:, 0]
+        corrected = baseline + np.matmul((fixed - baseline)[:, None, :], chord_t)[:, 0]
         np.copyto(out, corrected[:, None, :])
         out += rows
-        usable_rows = usable[:, None] & np.isfinite(out.sum(axis=2))
-    np.copyto(out, baseline[:, None, :], where=~usable_rows[:, :, None])
-    return fixed, first, closed
-
-
-class _Around(tuple):
-    """_solve_block's `around` for the chunks of one block: it unpacks as
-    (baseline, (targets, agents, entries)) and carries `work`, the loop's
-    six float64 buffers (6, records, R, n) for the block's largest chunk,
-    so that each chunk's loop writes into the same memory."""
-
-    def __new__(cls, baseline, perturbation, work):
-        around = super().__new__(cls, (baseline, perturbation))
-        around.work = work
-        return around
 
 
 def _solve_block(
     adj: np.ndarray,
     rates: np.ndarray,
     opts: SolverOptions,
-    around: tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the fixed point of R systems for each of B records in one loop.
+    """Solve the fixed point of each of B records' systems in one loop.
 
-    adj and rates are (B, n, n): record b's adjacency and rates. The block
-    runs in one of two modes:
+    adj and rates are (B, n, n): record b's adjacency and rates. Each
+    record's row starts at start[b] (start is (B, n)), or at the uniform
+    vector when start is None, with isolated nodes at 0. Every row updates
+    v <- v + P (F(v) - v). While its residual is at least POLISH_RESIDUAL *
+    max|F(v)|, P = RELAXATION * I (damped substitution); below that P is
+    the Newton matrix. A Newton step that fails to halve the row's residual
+    is undone, and the row takes damped steps from then on; so does a row
+    whose Newton system is singular. A poor step thus costs iterations,
+    never the fixed point. Rows are frozen as soon as their residual
+    max|F(v) - v| drops to opts.tolerance.
 
-    - plain (`around` None): one row per record, its own system, started
-      from the uniform vector and polished by Newton steps;
-    - around = (baseline (B, n), (targets, agents, entries), each (B, R)):
-      row (b, r) is record b's system with rates[b, targets[b, r],
-      agents[b, r]] set to entries[b, r], started on its target's response
-      series around the record's baseline fixed point (_series_start) and
-      polished by chord steps with the record's (I - dF/dv)^-1 at that
-      baseline. The change enters F as a rank-one term (see _fixed_map),
-      so no rate matrix is built per row. Most rows meet the tolerance
-      where they start, and the loop's first pass only verifies them. An
-      _Around also brings the loop's work buffers; otherwise the call
-      allocates its own.
-
-    Every row updates v <- v + P (F(v) - v). While its residual is at
-    least POLISH_RESIDUAL * max|F(v)|, P = RELAXATION * I (damped
-    substitution); below that P is the Newton or chord matrix. A polished
-    step that fails to halve the row's residual is undone, and the row
-    takes damped steps from then on; so does a row whose Newton system is
-    singular, and every row of a record whose chord matrix is, which
-    starts at the baseline. A series start that fails to halve the
-    residual of the baseline start is undone too: the row restarts at the
-    baseline, with its chord steps. A poor step matrix thus costs
-    iterations, never the fixed point. Rows are frozen as soon as their
-    residual max|F(v) - v| drops to opts.tolerance.
-
-    Returns (raw_values, converged, iterations), shaped (B, R, n), (B, R)
-    and (B, R), with R = 1 in plain mode; raw_values is a fresh array, not
-    a work buffer. A row's steps depend on that row alone, so a record's
-    rows do not depend on the other records of the block.
+    Returns (raw_values, converged, iterations), shaped (B, 1, n), (B, 1)
+    and (B, 1). A row's steps depend on that row alone, so a record's row
+    does not depend on the other records of the block.
     """
     if not adj.any(axis=(1, 2)).all():
         raise DegenerateSystemError("graph has no edges; every denominator is zero")
     count, n = rates.shape[0], rates.shape[2]
-    if around is None:
-        scatter, width = None, 1
-        # one row per record: the product keeps the swapped-axis views, since
-        # a one-row product with contiguous operands can round differently
-        rates_t, adj_t = np.swapaxes(rates, 1, 2), np.swapaxes(adj, 1, 2)
-        damped_only = np.zeros((count, 1), dtype=bool)
-    else:
-        baseline, (targets, agents, entries) = around
-        width = targets.shape[1]
-        own = np.arange(count)[:, None]
-        offsets = np.arange(count * width).reshape(count, width) * n
-        deltas = entries - rates[own, targets, agents]
-        scatter = ((offsets + targets).ravel(), (offsets + agents).ravel(), deltas.ravel())
-        chord, usable = _chord_matrices(adj, rates, baseline)
-        # contiguous product operands: the same bits as swapped-axis views,
-        # in about half the time; the loop keeps only the transposed chord
-        rates_t, adj_t, chord_t = (
-            np.ascontiguousarray(np.swapaxes(m, 1, 2)) for m in (rates, adj, chord)
-        )
-        del chord, offsets
-        damped_only = np.repeat(~usable[:, None], width, axis=1)
-    restart = None
-    work = getattr(around, "work", None)
-    own_work = work is None
-    if own_work:
-        # six arrays apart, so that the values returned hold only their own
-        work = [np.empty((count, width, n)) for _ in range(6)]
-    # every (B, R, n) array of the loop: the values and those before the
-    # last step, F and F before the last step (swapped each pass), A v and
-    # then the gap F - v, and one scratch array for node-major row maxima
-    # and for the step
-    values, before, fixed, fixed_before, gap, scratch = (buffer[:count] for buffer in work)
+    # one row per record: the product keeps the swapped-axis views, since
+    # a one-row product with contiguous operands can round differently
+    rates_t, adj_t = np.swapaxes(rates, 1, 2), np.swapaxes(adj, 1, 2)
+    damped_only = np.zeros((count, 1), dtype=bool)
+    # every (B, 1, n) array of the loop: the values and those before the
+    # last step, F and F before the last step (swapped each pass), the gap
+    # F - v, and one scratch array for node-major row maxima and for the
+    # step
+    values, before, fixed, fixed_before, gap, scratch = (
+        np.empty((count, 1, n)) for _ in range(6)
+    )
+    values[...] = 1.0 / n if start is None else start[:, None, :]
+    values[~adj.any(axis=2)[:, None, :]] = 0.0
     shape = values.shape
-    if around is None:
-        values[...] = 1.0 / n
-    else:
-        # `before` and the arrays after it are free until the loop's first
-        # step; what a row needs to restart stays in fixed_before
-        restart = _series_start(
-            rates_t, adj_t, baseline, chord_t, usable, (targets, agents, deltas), values,
-            before, (fixed_before, fixed, gap, scratch),
-        )
-    values[np.broadcast_to(~adj.any(axis=2)[:, None, :], shape)] = 0.0
     converged = np.zeros(shape[:2], dtype=bool)
     iterations = np.zeros(shape[:2], dtype=np.int64)
     polished = np.zeros(shape[:2], dtype=bool)
     residual_before = None
 
     for _ in range(opts.max_iterations + 1):
-        # plain mode's Newton steps read A v after the gap is taken
-        _, denom = _fixed_map(
-            rates_t, adj_t, values, scatter, out=(fixed, None if around is None else gap)
-        )
+        # the Newton steps read A v after the gap is taken
+        _, denom = _fixed_map(rates_t, adj_t, values, out=(fixed, None))
         np.subtract(fixed, values, out=gap)
         residual = _row_max_abs(gap, scratch)
         if polished.any():
-            # undo polished steps that did not halve the residual
+            # undo Newton steps that did not halve the residual
             rejected = polished & ~(residual <= POLISH_CONTRACTION * residual_before)
             if rejected.any():
                 damped_only |= rejected
                 np.copyto(values, before, where=rejected[:, :, None])
                 np.copyto(fixed, fixed_before, where=rejected[:, :, None])
                 np.copyto(residual, residual_before, where=rejected)
-                np.subtract(fixed, values, out=gap)
-        if restart is not None:
-            # a series start must halve the baseline start's residual, as a
-            # polished step must, or the row restarts at the baseline, where
-            # F(v*) + s0 e_t is its map in closed form
-            fixed_star, first, closed = restart
-            restart = None
-            restarted = ~(residual <= POLISH_CONTRACTION * closed)
-            if restarted.any():
-                np.copyto(values, baseline[:, None, :], where=restarted[:, :, None])
-                np.copyto(fixed, fixed_star[:, None, :], where=restarted[:, :, None])
-                fixed.reshape(-1)[scatter[0][restarted.reshape(-1)]] += first[restarted]
-                np.copyto(residual, closed, where=restarted)
                 np.subtract(fixed, values, out=gap)
 
         converged |= residual <= opts.tolerance
@@ -515,12 +423,7 @@ def _solve_block(
         largest = _row_max_abs(fixed, scratch)
         polished = step & ~damped_only & (residual < POLISH_RESIDUAL * largest)
         delta = np.multiply(RELAXATION, gap, out=scratch)
-        if polished.any() and around is not None:
-            # every record's rows in one product, so a row's arithmetic
-            # does not depend on which other rows are polished; `before`
-            # is free until the step is taken
-            np.copyto(delta, np.matmul(gap, chord_t, out=before), where=polished[:, :, None])
-        elif polished.any():
+        if polished.any():
             record = np.flatnonzero(polished[:, 0])
             jac = _jacobian_stack(rates[record], adj[record], fixed[polished], denom[polished])
             solved, ok = _each_matrix(np.linalg.solve, np.eye(n) - jac, gap[polished][:, :, None])
@@ -536,7 +439,81 @@ def _solve_block(
         fixed, fixed_before = fixed_before, fixed
         iterations += step
 
-    return (values if own_work else values.copy()), converged, iterations
+    return values, converged, iterations
+
+
+def _solve_perturbed(
+    adj: np.ndarray,
+    rates: np.ndarray,
+    baseline: np.ndarray,
+    perturbation: tuple[np.ndarray, np.ndarray, np.ndarray],
+    opts: SolverOptions,
+    work: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve R one-entry perturbations of each of B records' systems.
+
+    adj and rates are (B, n, n), baseline (B, n) each record's solved raw
+    fixed point, and perturbation = (targets, agents, entries), each
+    (B, R): row (b, r) is record b's system with rates[b, targets[b, r],
+    agents[b, r]] set to entries[b, r]. Each row starts on its target's
+    response series around its record's baseline (_series_start) and is
+    checked there once with F(v) - v, the change entering F as a rank-one
+    term (see _fixed_map), so no rate matrix is built for it. Nearly every
+    row meets opts.tolerance at its start and is done, with 0 iterations.
+    Each other row, such as every row of a record whose chord matrix is
+    singular (NaN starts), gets its explicit rate matrix and is solved by
+    _solve_block from its record's baseline, in groups of B * R // (2 n)
+    rows, so that the groups' (rows, n, n) stacks stay within a few of the
+    chunk's (B, R, n) arrays.
+
+    `work` holds the four float64 (B, R, n) arrays of the stage (at least
+    B records of them), or None to allocate them. Returns (raw_values,
+    converged, iterations), shaped (B, R, n), (B, R) and (B, R);
+    raw_values is a fresh array. A row's values depend on that row alone.
+    """
+    targets, agents, entries = perturbation
+    (count, width), n = targets.shape, rates.shape[2]
+    own = np.arange(count)[:, None]
+    offsets = np.arange(count * width).reshape(count, width) * n
+    deltas = entries - rates[own, targets, agents]
+    scatter = ((offsets + targets).ravel(), (offsets + agents).ravel(), deltas.ravel())
+    chord, _ = _chord_matrices(adj, rates, baseline)
+    # contiguous product operands: the same bits as swapped-axis views, in
+    # about half the time
+    rates_t, adj_t, chord_t = (
+        np.ascontiguousarray(np.swapaxes(m, 1, 2)) for m in (rates, adj, chord)
+    )
+    del chord, offsets
+    if work is None:
+        work = np.empty((4, count, width, n))
+    # the starts, then gathered rows and A v; F and then the gap F - v; and
+    # one scratch array for node-major row maxima
+    values, rows, fixed, scratch = (buffer[:count] for buffer in work)
+    _series_start(
+        rates_t, adj_t, baseline, chord_t, (targets, agents, deltas), values, rows,
+        (fixed, scratch),
+    )
+    values[np.broadcast_to(~adj.any(axis=2)[:, None, :], values.shape)] = 0.0
+    with np.errstate(all="ignore"):
+        # a non-finite start's residual is not finite, and fails the check
+        _fixed_map(rates_t, adj_t, values, scatter, out=(fixed, rows))
+        np.subtract(fixed, values, out=fixed)
+        converged = _row_max_abs(fixed, scratch) <= opts.tolerance
+    iterations = np.zeros((count, width), dtype=np.int64)
+
+    missed = np.flatnonzero(~converged)
+    group = max(1, count * width // (2 * n))
+    flat_values = values.reshape(-1, n)
+    for first in range(0, len(missed), group):
+        row = missed[first : first + group]
+        record = row // width
+        explicit = rates[record]
+        explicit[np.arange(len(row)), targets.flat[row], agents.flat[row]] = entries.flat[row]
+        raw, conv, iters = _solve_block(adj[record], explicit, opts, start=baseline[record])
+        flat_values[row] = raw[:, 0]
+        converged.flat[row] = conv[:, 0]
+        iterations.flat[row] = iters[:, 0]
+    return values.copy(), converged, iterations
 
 
 def solve_rate_batch(
@@ -547,8 +524,8 @@ def solve_rate_batch(
     rate_stack has shape (batch, n, n), all sharing the graph g.
     Returns (raw_values, converged, iterations) with shapes
     (batch, n), (batch,), (batch,). Each matrix of the stack is a record
-    of its own for _solve_block's plain mode, which does the work and
-    describes the steps, so each row equals the corresponding single solve.
+    of its own for _solve_block, which does the work and describes the
+    steps, so each row equals the corresponding single solve.
     """
     batch, n = rate_stack.shape[0], g.n
     adj = np.broadcast_to(g.adjacency, (batch, n, n))
@@ -557,7 +534,7 @@ def solve_rate_batch(
 
 
 def _centrality(adj: np.ndarray, rates: np.ndarray, opts: SolverOptions) -> CentralityVector:
-    """The plain solve of one system, its values normalized to sum to 1."""
+    """_solve_block on one system, its values normalized to sum to 1."""
     raw, conv, iters = _solve_block(adj[None], rates[None], opts)
     return CentralityVector(
         values=_normalize_rows(raw[0, 0]),
@@ -570,7 +547,7 @@ def _centrality(adj: np.ndarray, rates: np.ndarray, opts: SolverOptions) -> Cent
 def likedness_centrality(
     g: Graph, rates: RateMatrix, opts: SolverOptions | None = None
 ) -> CentralityVector:
-    """Solve for likedness centrality (see _solve_block's plain mode).
+    """Solve for likedness centrality (see _solve_block).
 
     Starts from the uniform vector, holds isolated nodes at exactly
     zero, and normalizes the reported values to sum to 1. When the

@@ -15,12 +15,12 @@ absolute fallback step for entries at the zero boundary. The baseline
 is solved first; all the perturbed solves then run as one batch around
 it, since each perturbed system differs from the baseline in one entry:
 each starts on its target node's response series around the baseline
-fixed point, where nearly all meet the solver tolerance, and takes
-chord steps with the baseline's Newton matrix from there (see
-centrality._series_start). _gradient_block does this for
-a block of systems at once, each against its own baseline, solving the
-perturbed systems in chunks of the block's records; stability() is its
-block of one.
+fixed point, where nearly all meet the solver tolerance, and the few
+that do not are solved from the baseline (see
+centrality._solve_perturbed). _gradient_block does this for a block of
+systems at once, each against its own baseline, solving the perturbed
+systems in chunks of the block's records; stability() is its block of
+one.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ import numpy as np
 from .centrality import (
     RateMatrix,
     SolverOptions,
-    _Around,
     _normalize_rows,
     _normalized_at,
     _solve_block,
+    _solve_perturbed,
     solve_rate_batch,  # unused here; perfbench/tracing.py patches it at this call site
 )
 from .graphs import Graph, GraphError
@@ -66,12 +66,12 @@ ABSOLUTE_STEP = 1e-4
 CENTRAL_RELATIVE_STEP = 0.001
 
 # The one memory budget: values in any one (records, ., n) array of a block.
-# A block holds (B, n, n) stacks of adjacency, rates, plain-mode Jacobians
-# and metric distances, so block_records(n) is the budget over n * n. Its
+# A block holds (B, n, n) stacks of adjacency, rates, the baseline solve's
+# Jacobians and metric distances, so block_records(n) is the budget over n * n. Its
 # perturbed solves run in chunks whose (records, R, n) arrays, R systems a
 # record, hold as many, so chunk_records(R, n) is the budget over R * n;
-# _gradient_block allocates the around loop's six work arrays once per
-# block, for its largest chunk. A block's graphs, rates, metrics, baseline
+# _gradient_block allocates the perturbed stage's four work arrays once
+# per block, for its largest chunk. A block's graphs, rates, metrics, baseline
 # solves and record lines are built as one batch, so their fixed costs are
 # paid once per block. Serial compute_block (medians of 5 fresh processes
 # over 10240 desk and 576 wide records, 2-vCPU VM) and a default block's
@@ -82,8 +82,10 @@ CENTRAL_RELATIVE_STEP = 0.001
 #   25600   256/75,  0.058, 2.82        16/2, 0.68, 1.81
 #   27360   273/80,  0.054, 3.01        17/3, 0.67, 2.46
 #   38400   384/112, 0.055, 4.21        24/4, 0.61, 3.32
-# Desk time is flat within the VM's noise from 18240 up; 27360 takes a wide
-# block past the 2.1 MiB that tests/test_ensemble.py allows it.
+# Desk time is flat within the VM's noise from 18240 up. The peaks above
+# held six work arrays a chunk; with four, 25600 traces 2.69 and 1.54 MiB
+# and 27360 2.86 and 2.02, under the 3.2 and 2.1 MiB that
+# tests/test_ensemble.py allows, and 38400 2.73 MiB wide, over.
 BLOCK_VALUES = 25_600
 
 
@@ -128,10 +130,11 @@ def _gradient_block(
 
     adj and rates are (B, n, n); entries (B, R, 2) holds each record's
     perturbed entries (j, i). Solves every record's baseline first, then
-    the perturbed systems around their record's baseline (_solve_block's
-    around mode), in chunks of chunk_records whole records that share one
-    set of work arrays: a perturbed system differs from its baseline in
-    one entry. A record's rows do not depend on the chunk it is solved in.
+    the perturbed systems around their record's baseline
+    (centrality._solve_perturbed: a perturbed system differs from its
+    baseline in one entry), in chunks of chunk_records whole records that
+    share one set of work arrays. A record's rows do not depend on the
+    chunk it is solved in.
     Returns (gradients (B, R), all_solves_converged (B,), baseline
     centralities (B, n), normalized); non-convergence is flagged, never
     raised.
@@ -168,8 +171,8 @@ def _gradient_block(
     picked = np.empty((count, len(stencil), width))
     converged = base_conv[:, 0].copy()
     size = chunk_records(len(stencil) * width, rates.shape[2])
-    # the around loop's buffers, allocated once for the block's largest chunk
-    work = np.empty((6, min(size, count), len(stencil) * width, rates.shape[2]))
+    # the perturbed stage's arrays, allocated once for the block's largest chunk
+    work = np.empty((4, min(size, count), len(stencil) * width, rates.shape[2]))
     for start in range(0, count, size):
         chunk = slice(start, start + size)
         perturbation = (
@@ -177,8 +180,8 @@ def _gradient_block(
             np.tile(agents[chunk], len(stencil)),
             np.concatenate([point[chunk] for point in stencil], axis=1),
         )
-        raw, conv, _ = _solve_block(
-            adj[chunk], rates[chunk], opts, around=_Around(base_raw[chunk], perturbation, work)
+        raw, conv, _ = _solve_perturbed(
+            adj[chunk], rates[chunk], base_raw[chunk], perturbation, opts, work
         )
         picked[chunk] = _normalized_at(raw, perturbation[1]).reshape(len(raw), len(stencil), width)
         converged[chunk] &= conv.all(axis=1)

@@ -166,7 +166,8 @@ def ba_systems(count, n=10, k=2, seed=0):
 
 
 def solve_around(systems, scales, opts):
-    """_solve_block's around mode on one-entry perturbations of each system.
+    """_solve_perturbed on one-entry perturbations of each system, around
+    its solved baseline.
 
     Every directed entry (t, a) of a system's rates is set to
     rates[t, a] * scale for each scale; the systems must share their node
@@ -184,8 +185,8 @@ def solve_around(systems, scales, opts):
     perturbed[own, np.arange(targets.shape[1]), targets, agents] = values
     base, base_conv, _ = centrality._solve_block(adj, rates, opts)
     assert base_conv.all()
-    around = (base[:, 0], (targets, agents, values))
-    return centrality._solve_block(adj, rates, opts, around=around), perturbed
+    solved = centrality._solve_perturbed(adj, rates, base[:, 0], (targets, agents, values), opts)
+    return solved, perturbed
 
 
 def cold_solves(g, perturbed, opts):
@@ -258,8 +259,10 @@ class TestSolverContract:
         assert raw[0] == pytest.approx(expected.raw, rel=1e-8, abs=1e-9)
 
     def test_unusable_chord_matrix_falls_back_to_damped_steps(self, monkeypatch):
-        # a record without a usable chord matrix takes damped steps for its
-        # perturbed rows; the other records of the block keep their chord steps
+        # a record without a usable chord matrix (NaN, as _each_matrix leaves
+        # a singular one) gets non-finite series starts: its perturbed rows
+        # miss the check and are solved from its baseline, to the cold
+        # solves' fixed points; the other records of the block keep their bytes
         opts = SolverOptions()
         systems = list(ba_systems(4, seed=90))
         (chorded, _, chorded_iters), _ = solve_around(systems, [1.01], opts)
@@ -268,7 +271,7 @@ class TestSolverContract:
 
         def unusable_on_marked(adj, rates, raw):
             matrices, usable = usable_chord(adj, rates, raw)
-            usable[marked] = False
+            matrices[marked], usable[marked] = np.nan, False
             return matrices, usable
 
         monkeypatch.setattr(centrality, "_chord_matrices", unusable_on_marked)
@@ -291,18 +294,20 @@ class TestSolverContract:
 
     @pytest.mark.parametrize("cap", [3, 40])
     def test_around_call_holds_few_row_sized_arrays(self, cap):
-        # one wide record's 2|E| perturbed rows: the loop's six work arrays,
-        # plus per-row and n x n arrays that come to less than a seventh
+        # one wide record's 2|E| perturbed rows: the stage's four work arrays,
+        # plus per-row and n x n arrays and the groups of rows that miss their
+        # start (at cap 3 the baseline has not converged, and every row
+        # misses), which come to less than three more
         opts = SolverOptions(max_iterations=cap)
         g, rates = next(ba_systems(1, n=40, k=3, seed=5))
         adj, stack = g.adjacency[None], rates.values[None]
         entries = np.argwhere(g.adjacency)[None]
         targets, agents = entries[:, :, 0], entries[:, :, 1]
         base, _, _ = centrality._solve_block(adj, stack, opts)
-        around = (base[:, 0], (targets, agents, stack[0, targets, agents] * 1.01))
+        perturbation = (targets, agents, stack[0, targets, agents] * 1.01)
         tracemalloc.start()
         try:
-            raw, _, _ = centrality._solve_block(adj, stack, opts, around=around)
+            raw, _, _ = centrality._solve_perturbed(adj, stack, base[:, 0], perturbation, opts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -332,7 +337,7 @@ def series_starts(g, rates, scale):
     starts = np.empty((1, len(entries), g.n))
     transposed = [np.ascontiguousarray(m.T)[None] for m in (rates.values, g.adjacency, chord)]
     centrality._series_start(
-        transposed[0], transposed[1], baseline[None], transposed[2], np.ones(1, dtype=bool),
+        transposed[0], transposed[1], baseline[None], transposed[2],
         (targets, agents, scaled - rates.values[targets, agents]), starts, np.empty_like(starts),
     )
     return entries, scaled[0], baseline, chord, starts[0]
@@ -349,14 +354,13 @@ class TestSeriesStarts:
         )[2:]
         iterations = []
 
-        def recording(adj, rates, opts, around=None):
-            result = solve_block(adj, rates, opts, around)
-            if around is not None:
-                iterations.append(result[2].ravel())
+        def recording(*args):
+            result = solve_perturbed(*args)
+            iterations.append(result[2].ravel())
             return result
 
-        solve_block = stability_module._solve_block
-        monkeypatch.setattr(stability_module, "_solve_block", recording)
+        solve_perturbed = stability_module._solve_perturbed
+        monkeypatch.setattr(stability_module, "_solve_perturbed", recording)
         _gradient_block(adj, rates, pairs, SolverOptions(), "forward")
         iterations = np.concatenate(iterations)
         assert len(iterations) == pairs.shape[0] * pairs.shape[1]
@@ -393,9 +397,8 @@ class TestSeriesStarts:
     @pytest.mark.parametrize("scales", [(1.5, 0.2), (20.0, 0.0)], ids=["moderate", "large"])
     def test_large_steps_reach_the_fixed_point(self, scales):
         # test_converged_rows_meet_tolerance's scales, and steps so large that
-        # some series starts do not halve their baseline start's residual:
-        # those rows restart at the baseline and reach the fixed point that a
-        # cold solve reaches
+        # some series starts miss the tolerance: those rows are solved from
+        # the baseline and reach the fixed point that a cold solve reaches
         opts = SolverOptions()
         for g, rates in ba_systems(10, seed=40):
             (raw, conv, _), stack = solve_around([(g, rates)], list(scales), opts)
@@ -404,6 +407,43 @@ class TestSeriesStarts:
             for row in range(len(stack[0])):
                 assert independent_residual(g, stack[0, row], raw[0, row]) <= opts.tolerance
             assert raw[0] == pytest.approx(reference, rel=1e-8, abs=1e-9)
+
+    def test_missed_rows_equal_plain_solves_from_the_baseline(self):
+        # a row that misses the tolerance at its start is its explicit system
+        # solved alone by _solve_block from its record's baseline, bit for bit
+        opts = SolverOptions()
+        systems = list(ba_systems(10, seed=40))
+        (raw, conv, iters), stack = solve_around(systems, [20.0, 0.0], opts)
+        adj = np.stack([g.adjacency for g, _ in systems])
+        base, _, _ = centrality._solve_block(adj, np.stack([r.values for _, r in systems]), opts)
+        missed = np.argwhere(iters > 0)
+        assert 0 < len(missed) < iters.size
+        for b, r in missed:
+            alone = centrality._solve_block(adj[b][None], stack[b, r][None], opts, start=base[b])
+            assert raw[b, r].tobytes() == alone[0][0, 0].tobytes()
+            assert (conv[b, r], iters[b, r]) == (alone[1][0, 0], alone[2][0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_starts_raise_no_warning(self, bad, monkeypatch):
+        # every other row starts at a non-finite vector: its check warns of
+        # nothing (warnings fail tests here), it is solved from the baseline
+        # to the cold solve's fixed point, and the other rows keep their bytes
+        opts = SolverOptions()
+        systems = [next(ba_systems(1, seed=7))]
+        (kept, _, _), _ = solve_around(systems, [1.01], opts)
+        series_start = centrality._series_start
+
+        def non_finite_rows(*args):
+            series_start(*args)
+            args[5][:, ::2, 0] = bad
+
+        monkeypatch.setattr(centrality, "_series_start", non_finite_rows)
+        (raw, conv, iters), stack = solve_around(systems, [1.01], opts)
+        assert conv.all()
+        assert (iters[0, ::2] > 0).all()
+        reference, _ = cold_solves(systems[0][0], stack[0], opts)
+        assert raw[0] == pytest.approx(reference, rel=1e-8, abs=1e-9)
+        assert raw[0, 1::2].tobytes() == kept[0, 1::2].tobytes()
 
 
 class TestRateMatrixType:

@@ -463,7 +463,7 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("n, k, bound_mib", [(10, 2, 3.2), (40, 3, 2.1)])
     def test_block_memory_is_bounded(self, n, k, bound_mib):
         # a default block's peak of traced allocations, NumPy's arrays among
-        # them, measured at 2.82 MiB for desk and 1.81 MiB for wide records
+        # them, measured at 2.69 MiB for desk and 1.54 MiB for wide records
         cfg = EnsembleConfig(n=n, k=k)
         size = ensemble.block_records(n)
         with open(os.devnull, "wb") as sink:

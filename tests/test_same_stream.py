@@ -10,9 +10,11 @@ compute_block builds, solves and encodes a whole block as arrays; its
 lines must equal records assembled one at a time from the library's
 single-system calls, and write_records must write the same bytes from
 the decoded lines.
-The solver loop and the normalization of the perturbed rows use operations
-chosen for speed; their results must equal, value for value, those of the
-straightforward loop frozen here.
+The solver loop, the check of the perturbed rows at their series starts
+and the normalization of the perturbed rows use operations chosen for
+speed; their results must equal, value for value, those of the
+straightforward loop frozen here, started where the live series starts
+them.
 """
 
 import io
@@ -23,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from likenet import ensemble
+from likenet import centrality, ensemble
 from likenet import stability as stability_module
 from likenet.centrality import (
     POLISH_CONTRACTION,
@@ -195,36 +197,16 @@ def reference_fixed_map(rates, adj, values, scatter=None):
     return np.where(safe, numer / np.where(safe, denom, 1.0), 0.0), denom
 
 
-def reference_solve_block(adj, rates, opts, around=None):
+def reference_solve_block(adj, rates, opts, start=None):
     """The fixed-point loop with row maxima along the node axis, swapped-axis
-    product operands and boolean-mask gathers and scatters. Perturbed rows
-    start where _solve_block starts them, at the live _series_start, and a
-    row whose first residual does not halve its baseline start's restarts
-    there."""
+    product operands and boolean-mask gathers and scatters, from the
+    uniform vector or from `start`."""
     count, n = rates.shape[0], rates.shape[2]
-    restart = None
-    if around is None:
-        scatter = None
+    if start is None:
         values = np.full((count, 1, n), 1.0 / n)
-        damped_only = np.zeros((count, 1), dtype=bool)
     else:
-        baseline, (targets, agents, entries) = around
-        width = targets.shape[1]
-        own = np.arange(count)[:, None]
-        offsets = np.arange(count * width).reshape(count, width) * n
-        deltas = entries - rates[own, targets, agents]
-        scatter = ((offsets + targets).ravel(), (offsets + agents).ravel(), deltas.ravel())
-        fixed, denom = reference_fixed_map(rates, adj, baseline[:, None, :])
-        jac = _jacobian_stack(rates, adj, fixed[:, 0], denom[:, 0])
-        chord, usable = _each_matrix(np.linalg.inv, np.eye(n) - jac)
-        chord_t = np.swapaxes(chord, 1, 2)
-        damped_only = np.repeat(~usable[:, None], width, axis=1)
-        values = np.empty((count, width, n))
-        contiguous = [np.ascontiguousarray(np.swapaxes(m, 1, 2)) for m in (rates, adj, chord)]
-        restart = _series_start(
-            *contiguous[:2], baseline, contiguous[2], usable, (targets, agents, deltas), values,
-            np.empty_like(values),
-        )
+        values = start[:, None, :].copy()
+    damped_only = np.zeros((count, 1), dtype=bool)
     shape = values.shape
     values[np.broadcast_to(~adj.any(axis=2)[:, None, :], shape)] = 0.0
     converged = np.zeros(shape[:2], dtype=bool)
@@ -233,7 +215,7 @@ def reference_solve_block(adj, rates, opts, around=None):
     previous = None
 
     for _ in range(opts.max_iterations + 1):
-        fixed, denom = reference_fixed_map(rates, adj, values, scatter)
+        fixed, denom = reference_fixed_map(rates, adj, values)
         residual = np.abs(fixed - values).max(axis=2)
         if polished.any():
             rejected = polished & ~(residual <= POLISH_CONTRACTION * previous[2])
@@ -242,15 +224,6 @@ def reference_solve_block(adj, rates, opts, around=None):
                 values[rejected] = previous[0][rejected]
                 fixed[rejected] = previous[1][rejected]
                 residual[rejected] = previous[2][rejected]
-        if restart is not None:
-            fixed_star, first, closed = restart
-            restart = None
-            restarted = ~(residual <= POLISH_CONTRACTION * closed)
-            values[restarted] = np.broadcast_to(baseline[:, None, :], shape)[restarted]
-            restored = np.repeat(fixed_star[:, None, :], shape[1], axis=1)
-            restored.reshape(-1)[scatter[0]] += first.ravel()
-            fixed[restarted] = restored[restarted]
-            residual[restarted] = closed[restarted]
 
         converged |= residual <= opts.tolerance
         step = ~converged & (iterations < opts.max_iterations)
@@ -260,9 +233,7 @@ def reference_solve_block(adj, rates, opts, around=None):
         gap = fixed - values
         delta = RELAXATION * gap
         polished = step & ~damped_only & (residual < POLISH_RESIDUAL * np.abs(fixed).max(axis=2))
-        if polished.any() and around is not None:
-            delta[polished] = (gap @ chord_t)[polished]
-        elif polished.any():
+        if polished.any():
             record = np.flatnonzero(polished[:, 0])
             jac = _jacobian_stack(rates[record], adj[record], fixed[polished], denom[polished])
             solved, ok = _each_matrix(np.linalg.solve, np.eye(n) - jac, gap[polished][:, :, None])
@@ -274,6 +245,41 @@ def reference_solve_block(adj, rates, opts, around=None):
         values = values + delta
         iterations += step
 
+    return values, converged, iterations
+
+
+def reference_solve_perturbed(adj, rates, baseline, perturbation, opts, work=None):
+    """Each perturbed row started at the live _series_start and checked there
+    with the scattered rank-one F; the rows that miss the tolerance are
+    solved by the reference loop as one block, each on its explicit rate
+    matrix, from its record's baseline."""
+    targets, agents, entries = perturbation
+    (count, width), n = targets.shape, rates.shape[2]
+    own = np.arange(count)[:, None]
+    offsets = np.arange(count * width).reshape(count, width) * n
+    deltas = entries - rates[own, targets, agents]
+    scatter = ((offsets + targets).ravel(), (offsets + agents).ravel(), deltas.ravel())
+    fixed, denom = reference_fixed_map(rates, adj, baseline[:, None, :])
+    jac = _jacobian_stack(rates, adj, fixed[:, 0], denom[:, 0])
+    chord, _ = _each_matrix(np.linalg.inv, np.eye(n) - jac)
+    values = np.empty((count, width, n))
+    rates_t, adj_t, chord_t = (
+        np.ascontiguousarray(np.swapaxes(m, 1, 2)) for m in (rates, adj, chord)
+    )
+    _series_start(
+        rates_t, adj_t, baseline, chord_t, (targets, agents, deltas), values, np.empty_like(values)
+    )
+    values[np.broadcast_to(~adj.any(axis=2)[:, None, :], values.shape)] = 0.0
+    with np.errstate(all="ignore"):
+        fixed, _ = reference_fixed_map(rates, adj, values, scatter)
+        converged = np.abs(fixed - values).max(axis=2) <= opts.tolerance
+    iterations = np.zeros((count, width), dtype=np.int64)
+    missed = ~converged
+    record = np.broadcast_to(own, missed.shape)[missed]
+    explicit = rates[record]
+    explicit[np.arange(len(record)), targets[missed], agents[missed]] = entries[missed]
+    raw, conv, iters = reference_solve_block(adj[record], explicit, opts, baseline[record])
+    values[missed], converged[missed], iterations[missed] = raw[:, 0], conv[:, 0], iters[:, 0]
     return values, converged, iterations
 
 
@@ -323,26 +329,36 @@ def test_solver_loop_matches_reference(n, k, count, shape, opts, scheme, monkeyp
     adj, rates, pairs = ensemble_systems(n, k, count)
     if shape is not None:
         adj, rates, pairs = shape(adj, rates, pairs)
-    calls = []
+    calls, perturbed_calls = [], []
 
-    def recording(adj, rates, opts, around=None):
-        result = solve_block(adj, rates, opts, around)
-        calls.append(((adj, rates, opts, around), result))
+    def recording(adj, rates, opts, start=None):
+        result = solve_block(adj, rates, opts, start)
+        calls.append(((adj, rates, opts, start), result))
         return result
 
-    solve_block = stability_module._solve_block
+    def recording_perturbed(*args):
+        result = solve_perturbed(*args)
+        perturbed_calls.append((args, result))
+        return result
+
+    solve_block, solve_perturbed = centrality._solve_block, stability_module._solve_perturbed
     monkeypatch.setattr(stability_module, "_solve_block", recording)
+    monkeypatch.setattr(centrality, "_solve_block", recording)
+    monkeypatch.setattr(stability_module, "_solve_perturbed", recording_perturbed)
     _gradient_block(adj, rates, pairs, opts, scheme)
-    # the baseline solve (plain mode), then the perturbed rows in chunks (around mode)
-    assert [around is None for (*_, around), _ in calls] == [True] + [False] * (len(calls) - 1)
-    assert len(calls) > 1
-    for args, (raw, converged, iterations) in calls:
-        expected_raw, expected_converged, expected_iterations = reference_solve_block(*args)
-        assert np.array_equal(raw, expected_raw)
-        assert np.array_equal(converged, expected_converged)
-        assert np.array_equal(iterations, expected_iterations)
-        if args[3] is not None:
-            agents = args[3][1][1]
-            assert np.array_equal(_normalized_at(raw, agents), reference_normalized_at(raw, agents))
-    every_row = np.concatenate([converged.ravel() for _, (_, converged, _) in calls])
+    # the baseline solve from the uniform vector, then the perturbed rows in
+    # chunks, whose missed rows are solved from their baselines
+    assert [start is None for (*_, start), _ in calls] == [True] + [False] * (len(calls) - 1)
+    assert perturbed_calls
+    for reference, recorded in ((reference_solve_block, calls),
+                                (reference_solve_perturbed, perturbed_calls)):
+        for args, result in recorded:
+            for value, expected in zip(result, reference(*args)):
+                assert np.array_equal(value, expected)
+    for args, (raw, _, _) in perturbed_calls:
+        agents = args[3][1]
+        assert np.array_equal(_normalized_at(raw, agents), reference_normalized_at(raw, agents))
+    every_row = np.concatenate(
+        [converged.ravel() for _, (_, converged, _) in calls + perturbed_calls]
+    )
     assert every_row.all() == (opts == SolverOptions())
